@@ -41,6 +41,9 @@ _CWE_RE = re.compile(r"CWE-(\d+|NULL)")
 _CAPEC_RE = re.compile(r"CAPEC-\d+")
 _DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}")
 
+#: Default of :func:`_expect` for a required field.
+_REQUIRED = object()
+
 
 @dataclass(frozen=True)
 class VersionRange:
@@ -187,9 +190,9 @@ def _capec_sort_key(capec_id: str):
 # canonical JSON document
 
 
-def _expect(doc, key, types, path, default=_CVE_RE):  # default sentinel: required
+def _expect(doc, key, types, path, default=_REQUIRED):
     if key not in doc:
-        if default is _CVE_RE:
+        if default is _REQUIRED:
             raise SchemaError("missing required field", f"{path}.{key}" if path else key)
         return default
     value = doc[key]

@@ -110,13 +110,10 @@ def _cmd_event(args) -> int:
             top_level=args.top_level,
             fixes=tuple(args.fixes.split(",")) if args.fixes else (),
         )
-        # Validate by replaying up to and including the new event.
-        candidate = timeline_mod.append_event(tl, event)
-        for _ in timeline_mod.replay(candidate, cat):
-            pass
-        tl = candidate
+        tl = timeline_mod.append_event(tl, event)
     if args.mark_epoch:
         tl = timeline_mod.mark_epoch(tl, args.mark_epoch, at)
+    # Re-embedding replays the whole log, which validates the new event.
     tl = timeline_mod.embed_snapshots(tl, cat)
     timeline_mod.save_timeline(tl, args.out or args.timeline)
     print(f"appended {args.kind} at {at}")
@@ -136,17 +133,7 @@ def _cmd_prioritize(args) -> int:
     grouping = "global" if args.global_order else "by_asset"
     rows = metrics.prioritize(g, args.min, args.max, grouping)
     if args.json:
-        payload = [
-            {
-                "cve_id": r.cve_id,
-                "cvss": r.cvss,
-                "asset": r.asset_id,
-                "exploit_available": r.exploit_available,
-                "rank": r.rank,
-            }
-            for r in rows
-        ]
-        _write(json.dumps(payload, indent=2, sort_keys=True), args.out)
+        _write(json.dumps(report._priority_rows(rows), indent=2, sort_keys=True), args.out)
     else:
         lines = [f"{'CVE':<18} {'CVSS':>5}  ASSET"]
         for r in rows:

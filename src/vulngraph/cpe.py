@@ -24,7 +24,7 @@ conventionally under vendor ``local``; nothing here treats them specially.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 
 class _Logical:
@@ -97,10 +97,6 @@ class WellFormedName:
 
     def attribute(self, name: str) -> AttrValue:
         return getattr(self, name)
-
-    def is_concrete(self) -> bool:
-        """True when part, vendor and product are all literal."""
-        return all(isinstance(getattr(self, a), str) for a in ("part", "vendor", "product"))
 
     def __str__(self):
         return bind_formatted(self)
@@ -259,14 +255,3 @@ def compare_versions(a: str, b: str) -> int:
     if ka > kb:
         return 1
     return 0
-
-
-def to_dict(w: WellFormedName) -> dict:
-    """JSON-friendly form: the bound string (single source of truth)."""
-    return {"cpe": bind_formatted(w)}
-
-
-# Attribute iteration helper used by tests and matching truth tables.
-def attribute_values(w: WellFormedName):
-    for f in fields(w):
-        yield f.name, getattr(w, f.name)

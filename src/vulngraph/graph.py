@@ -6,8 +6,8 @@ cluster nodes, joined by ``normal`` and ``deprecated`` edges.  Edges are
 stored as drawn: asset -> thing it depends on, asset -> its vulnerability;
 impact queries traverse against that direction.
 
-Snapshots are immutable values: every operation returns a new graph and
-never mutates its input, so snapshots can be shared freely across threads.
+Operations never mutate their input graph: one that changes something
+returns a new graph.
 
 Asset identity is a stable opaque token (``asset_id``) that survives version
 updates; each update adds a new version node (``asset_id@k``) whose
@@ -177,14 +177,20 @@ class Edg:
     def normal_edges(self):
         return (e for e in self.edges if e.kind == NORMAL)
 
+    def cves_by_asset(self) -> dict[str, tuple[str, ...]]:
+        """The active view: for each node with an attached vulnerability, the
+        sorted CVE ids its normal edges reach, from one pass over the edges.
+        Metrics, prioritization and clustering read per-asset CVEs here."""
+        found: dict[str, list[str]] = {}
+        for e in self.edges:
+            if e.kind == NORMAL and e.target in self.vulns:
+                found.setdefault(e.source, []).append(e.target)
+        return {node_id: tuple(sorted(cves)) for node_id, cves in found.items()}
+
     def active_cves_of(self, node_id: str) -> tuple[str, ...]:
-        """CVE ids attached to one asset node by normal edges."""
-        found = {
-            e.target
-            for e in self.edges
-            if e.kind == NORMAL and e.source == node_id and e.target in self.vulns
-        }
-        return tuple(sorted(found))
+        """CVE ids attached to one asset node by normal edges (a lookup into
+        :meth:`cves_by_asset`, which serves many nodes in one pass)."""
+        return self.cves_by_asset().get(node_id, ())
 
     def active_vulns(self) -> dict[str, VulnNode]:
         """Vulnerability nodes attached by a normal edge to a non-deprecated asset."""
@@ -494,8 +500,7 @@ def impact_set(g: Edg, cve_id: str) -> set[str]:
 # clusters
 
 
-def _eligible(g: Edg, node: AssetNode, rule: ClusterRule) -> bool:
-    cves = g.active_cves_of(node.node_id)
+def _eligible(g: Edg, cves: tuple[str, ...], rule: ClusterRule) -> bool:
     if rule.kind == "no_vulnerabilities":
         return not cves
     return all(g.vulns[c].cvss < rule.threshold for c in cves)
@@ -513,10 +518,12 @@ def cluster_by(g: Edg, rule: ClusterRule, scope=None) -> Edg:
     """
     active = active_subgraph(g)
     scope_ids = None if scope is None else set(scope)
+    cves_of = g.cves_by_asset()
     eligible = {
         a.node_id
         for a in active.assets.values()
-        if (scope_ids is None or a.asset_id in scope_ids) and _eligible(g, a, rule)
+        if (scope_ids is None or a.asset_id in scope_ids)
+        and _eligible(g, cves_of.get(a.node_id, ()), rule)
     }
     if not eligible:
         return g

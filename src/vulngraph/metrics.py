@@ -39,79 +39,60 @@ def _cwe_sort_key(cwe_id: str):
 
 
 def n_assets(g: Edg) -> int:
-    return len(_active(g).assets)
+    return snapshot_report(g).n_assets
 
 
 def m1(g: Edg) -> int:
     """Number of vulnerabilities in the system: size of the union of the
     per-asset CVE sets."""
-    return len(_active(g).vulns)
+    return snapshot_report(g).m1
 
 
 def m0(g: Edg) -> float:
     """Arithmetic mean of vulnerabilities per asset."""
-    n = n_assets(g)
-    if n == 0:
-        raise NoAssets("mean undefined on a graph with no active assets")
-    return m1(g) / n
+    return snapshot_report(g).scalar("M0")
+
+
+def _asset_report(g: Edg, asset_id: str) -> MetricReport:
+    report = snapshot_report(g)
+    if asset_id not in report.m3_by_asset:
+        raise UnknownAsset(asset_id)
+    return report
 
 
 def m3(g: Edg, asset_id: str) -> int:
     """Number of vulnerabilities attached to one asset."""
-    active = _active(g)
-    node = active.active_node(asset_id)
-    if node is None:
-        raise UnknownAsset(asset_id)
-    return len(active.active_cves_of(node.node_id))
-
-
-def _per_asset_counts(active: Edg) -> dict[str, int]:
-    return {
-        a.asset_id: len(active.active_cves_of(a.node_id)) for a in active.active_assets()
-    }
+    return _asset_report(g, asset_id).m3_by_asset[asset_id]
 
 
 def m4(g: Edg, asset_id: str) -> float:
     """Relative frequency: the asset's count over the per-asset sum (which
     exceeds the union when assets share a CVE)."""
-    active = _active(g)
-    counts = _per_asset_counts(active)
-    if asset_id not in counts:
-        raise UnknownAsset(asset_id)
-    total = sum(counts.values())
-    if total == 0:
+    report = _asset_report(g, asset_id)
+    if report.m1 == 0:
         raise NoVulnerabilities("relative frequency undefined without vulnerabilities")
-    return counts[asset_id] / total
+    return report.m4_by_asset[asset_id]
 
 
 def m5(g: Edg, asset_id: str, cwe_id: str) -> int:
     """Multiplicity of one weakness among one asset's vulnerabilities."""
-    active = _active(g)
-    node = active.active_node(asset_id)
-    if node is None:
-        raise UnknownAsset(asset_id)
-    return sum(
-        1 for c in active.active_cves_of(node.node_id) if cwe_id in active.vulns[c].cwe_ids
-    )
+    return _asset_report(g, asset_id).m5_by_asset_cwe.get(asset_id, {}).get(cwe_id, 0)
 
 
 def m6(g: Edg, cwe_id: str) -> int:
     """Multiplicity of one weakness among the system's vulnerabilities
     (union-counted across assets)."""
-    return sum(1 for v in _active(g).vulns.values() if cwe_id in v.cwe_ids)
+    return snapshot_report(g).m6_by_cwe.get(cwe_id, 0)
 
 
 def m7(g: Edg) -> int:
     """Number of distinct weaknesses in the system."""
-    cwes = set()
-    for v in _active(g).vulns.values():
-        cwes.update(v.cwe_ids)
-    return len(cwes)
+    return snapshot_report(g).m7
 
 
 def m2(tl: Timeline, catalog: Catalog | None = None) -> int:
     """Vulnerabilities accumulated over the named epochs (sum, not union)."""
-    return sum(m1(g) for g in epoch_snapshots(tl, catalog))
+    return lifecycle_report(tl, catalog).m2
 
 
 def m8(tl: Timeline, catalog: Catalog | None = None, mode: str = "union") -> int:
@@ -122,32 +103,13 @@ def m8(tl: Timeline, catalog: Catalog | None = None, mode: str = "union") -> int
     """
     if mode not in ("union", "sum"):
         raise ValueError(f"mode must be 'union' or 'sum', not {mode!r}")
-    snapshots = epoch_snapshots(tl, catalog)
-    if mode == "sum":
-        return sum(m7(g) for g in snapshots)
-    cwes: set[str] = set()
-    for g in snapshots:
-        for v in _active(g).vulns.values():
-            cwes.update(v.cwe_ids)
-    return len(cwes)
-
-
-def _m6_map(active: Edg) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for v in active.vulns.values():
-        for cwe_id in v.cwe_ids:
-            counts[cwe_id] = counts.get(cwe_id, 0) + 1
-    return counts
+    life = lifecycle_report(tl, catalog)
+    return life.m8_union if mode == "union" else life.m8_sum
 
 
 def lifecycle_weakness_frequency(tl: Timeline, catalog: Catalog | None = None) -> dict[str, int]:
     """Per-weakness sum of M6 over the named epochs, most frequent first."""
-    totals: dict[str, int] = {}
-    for g in epoch_snapshots(tl, catalog):
-        for cwe_id, count in _m6_map(_active(g)).items():
-            totals[cwe_id] = totals.get(cwe_id, 0) + count
-    ordered = sorted(totals.items(), key=lambda kv: (-kv[1], _cwe_sort_key(kv[0])))
-    return dict(ordered)
+    return lifecycle_report(tl, catalog).weakness_frequency
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +146,10 @@ def prioritize(
         raise ValueError(f"grouping must be 'by_asset' or 'global', not {grouping!r}")
 
     active = _active(g)
+    cves_of = active.cves_by_asset()
     rows: list[tuple[int, str, object]] = []
     for asset in active.active_assets():
-        for cve_id in active.active_cves_of(asset.node_id):
+        for cve_id in cves_of.get(asset.node_id, ()):
             vuln = active.vulns[cve_id]
             if min_cvss <= vuln.cvss <= max_cvss:
                 rows.append((asset.order, asset.asset_id, vuln))
@@ -284,34 +247,49 @@ class MetricReport:
     def to_text(self) -> str:
         return _render_metric_table(self)
 
+    def scalar(self, metric_id: str) -> float:
+        """The value of the scalar metric M0, M1 or M7."""
+        if metric_id == "M0" and self.m0 is None:
+            raise NoAssets("mean undefined on a graph with no active assets")
+        return {"M0": self.m0, "M1": self.m1, "M7": self.m7}[metric_id]
+
+
+def _by_cwe(counts: dict[str, int]) -> dict[str, int]:
+    return dict(sorted(counts.items(), key=lambda kv: _cwe_sort_key(kv[0])))
+
 
 def snapshot_report(g: Edg) -> MetricReport:
+    """M0, M1 and M3..M7 of one snapshot, from its active view."""
     active = _active(g)
-    counts = _per_asset_counts(active)
-    total = sum(counts.values())
+    cves_of = active.cves_by_asset()
+    m3_map: dict[str, int] = {}
     m5_map: dict[str, dict[str, int]] = {}
     for asset in active.active_assets():
+        cves = cves_of.get(asset.node_id, ())
+        m3_map[asset.asset_id] = len(cves)
         per_cwe: dict[str, int] = {}
-        for cve_id in active.active_cves_of(asset.node_id):
-            for cwe_id in active.vulns[cve_id].cwe_ids:
+        for cve_id in cves:
+            for cwe_id in dict.fromkeys(active.vulns[cve_id].cwe_ids):
                 per_cwe[cwe_id] = per_cwe.get(cwe_id, 0) + 1
         if per_cwe:
-            m5_map[asset.asset_id] = dict(
-                sorted(per_cwe.items(), key=lambda kv: _cwe_sort_key(kv[0]))
-            )
-    m6_map = dict(sorted(_m6_map(active).items(), key=lambda kv: _cwe_sort_key(kv[0])))
+            m5_map[asset.asset_id] = _by_cwe(per_cwe)
+    m6_map: dict[str, int] = {}
+    for v in active.vulns.values():
+        for cwe_id in dict.fromkeys(v.cwe_ids):
+            m6_map[cwe_id] = m6_map.get(cwe_id, 0) + 1
     n = len(active.assets)
+    total = sum(m3_map.values())
     return MetricReport(
         epoch=g.epoch,
         checked_at=g.root.checked_at,
         n_assets=n,
         m0=(len(active.vulns) / n) if n else None,
         m1=len(active.vulns),
-        m7=len({c for v in active.vulns.values() for c in v.cwe_ids}),
-        m3_by_asset=counts,
-        m4_by_asset={a: (c / total if total else 0.0) for a, c in counts.items()},
+        m7=len(m6_map),
+        m3_by_asset=m3_map,
+        m4_by_asset={a: (c / total if total else 0.0) for a, c in m3_map.items()},
         m5_by_asset_cwe=m5_map,
-        m6_by_cwe=m6_map,
+        m6_by_cwe=_by_cwe(m6_map),
     )
 
 
@@ -351,20 +329,21 @@ class LifecycleReport:
 
 
 def lifecycle_report(tl: Timeline, catalog: Catalog | None = None) -> LifecycleReport:
-    snapshots = epoch_snapshots(tl, catalog)
-    reports = [snapshot_report(g) for g in snapshots]
-    cwes: set[str] = set()
-    for g in snapshots:
-        for v in _active(g).vulns.values():
-            cwes.update(v.cwe_ids)
+    """M2, M8 and the weakness frequency over the named epochs."""
+    reports = [snapshot_report(g) for g in epoch_snapshots(tl, catalog)]
+    return _lifecycle(tl.epoch_labels(), reports)
+
+
+def _lifecycle(epoch_labels: list[str], reports: list[MetricReport]) -> LifecycleReport:
+    # Shared with report_payload, which already holds the per-epoch reports.
     totals: dict[str, int] = {}
     for report in reports:
         for cwe_id, count in report.m6_by_cwe.items():
             totals[cwe_id] = totals.get(cwe_id, 0) + count
     return LifecycleReport(
-        epoch_labels=tl.epoch_labels(),
+        epoch_labels=epoch_labels,
         m2=sum(r.m1 for r in reports),
-        m8_union=len(cwes),
+        m8_union=len(totals),
         m8_sum=sum(r.m7 for r in reports),
         weakness_frequency=dict(
             sorted(totals.items(), key=lambda kv: (-kv[1], _cwe_sort_key(kv[0])))

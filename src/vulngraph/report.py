@@ -19,13 +19,11 @@ from .graph import DEPRECATED, ROOT_ID, ClusterRule, Edg, active_subgraph, clust
 from .metrics import (
     METRIC_IDS,
     PrioritizedVulnerability,
+    _lifecycle,
     fmt2,
     iec62443_annotations,
-    lifecycle_report,
-    m0,
-    m1,
-    m7,
     prioritize,
+    snapshot_report,
 )
 from .timeline import Timeline, epoch_snapshot, epoch_snapshots
 
@@ -58,12 +56,19 @@ def export_dot(g: Edg, opts: RenderOptions = RenderOptions()) -> str:
         root_label += f"\\n{g.root.checked_at}"
     lines.append(f"  {_dot_quote(ROOT_ID)} [shape=box, label={_dot_quote(root_label)}];")
 
+    # Full labels list the weaknesses of every attached vulnerability,
+    # whatever the edge kind (a patched one shows when deprecated edges do).
+    attached: dict[str, set[str]] = {}
+    if opts.verbosity == "full":
+        for e in g.edges:
+            if e.target in g.vulns:
+                attached.setdefault(e.source, set()).add(e.target)
+
     for asset in sorted(g.assets.values(), key=lambda a: a.node_id):
         label = cpe.bind_formatted(asset.cpe_current)
         if opts.verbosity == "full":
             cwes = sorted(
-                {c for v in g.vulns.values() for c in v.cwe_ids
-                 if any(e.source == asset.node_id and e.target == v.cve_id for e in g.edges)}
+                {c for cve_id in attached.get(asset.node_id, ()) for c in g.vulns[cve_id].cwe_ids}
             )
             if asset.cpe_previous is not None:
                 label += f"\\nprev: {cpe.bind_formatted(asset.cpe_previous)}"
@@ -154,12 +159,13 @@ _COMPARATORS = {
     ">=": lambda a, b: a >= b,
 }
 
-_SCALAR_METRICS = {"M0": m0, "M1": m1, "M7": m7}
+_SCALAR_METRICS = ("M0", "M1", "M7")
 
 
 def check_alerts(g: Edg, rules) -> list[AlertFiring]:
     """Evaluate rules against a snapshot; one firing per offending entity."""
     firings: list[AlertFiring] = []
+    snapshot_metrics = None
     for rule in rules:
         if rule.kind == "cvss_at_least":
             active = active_subgraph(g)
@@ -174,10 +180,11 @@ def check_alerts(g: Edg, rules) -> list[AlertFiring]:
                         )
                     )
         elif rule.kind == "metric_bound":
-            fn = _SCALAR_METRICS.get(rule.metric)
-            if fn is None:
+            if rule.metric not in _SCALAR_METRICS:
                 raise UnknownMetric(f"{rule.metric} cannot be bounded on a snapshot")
-            value = fn(g)
+            if snapshot_metrics is None:
+                snapshot_metrics = snapshot_report(g)
+            value = snapshot_metrics.scalar(rule.metric)
             if _COMPARATORS[rule.comparator](value, rule.value):
                 firings.append(
                     AlertFiring(
@@ -196,20 +203,22 @@ def check_alerts(g: Edg, rules) -> list[AlertFiring]:
 # epoch diff
 
 
-def epoch_diff(tl: Timeline, catalog: Catalog | None, from_label: str, to_label: str) -> dict:
-    """Active asset/vulnerability delta between two named epochs."""
-    before = active_subgraph(epoch_snapshot(tl, catalog, from_label))
-    after = active_subgraph(epoch_snapshot(tl, catalog, to_label))
+def _delta(before: Edg, after: Edg) -> dict:
+    before, after = active_subgraph(before), active_subgraph(after)
     assets_before = {a.asset_id for a in before.assets.values()}
     assets_after = {a.asset_id for a in after.assets.values()}
     return {
-        "from": from_label,
-        "to": to_label,
         "assets_added": sorted(assets_after - assets_before),
         "assets_removed": sorted(assets_before - assets_after),
         "vulns_added": sorted(set(after.vulns) - set(before.vulns)),
         "vulns_fixed": sorted(set(before.vulns) - set(after.vulns)),
     }
+
+
+def epoch_diff(tl: Timeline, catalog: Catalog | None, from_label: str, to_label: str) -> dict:
+    """Active asset/vulnerability delta between two named epochs."""
+    delta = _delta(epoch_snapshot(tl, catalog, from_label), epoch_snapshot(tl, catalog, to_label))
+    return {"from": from_label, "to": to_label, **delta}
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +240,8 @@ def _priority_rows(rows: list[PrioritizedVulnerability]) -> list[dict]:
 
 def report_payload(tl: Timeline, catalog: Catalog) -> dict:
     """Everything the report shows, as one JSON-serializable dictionary."""
-    life = lifecycle_report(tl, catalog)
     snapshots = epoch_snapshots(tl, catalog)
+    life = _lifecycle(tl.epoch_labels(), [snapshot_report(g) for g in snapshots])
     lo, hi = DEFAULT_PRIORITY_WINDOW
 
     epochs = []
@@ -246,17 +255,14 @@ def report_payload(tl: Timeline, catalog: Catalog) -> dict:
             }
         )
 
-    fixed = []
-    for i in range(len(snapshots) - 1):
-        before = active_subgraph(snapshots[i])
-        after = active_subgraph(snapshots[i + 1])
-        fixed.append(
-            {
-                "from": tl.epochs[i].label,
-                "to": tl.epochs[i + 1].label,
-                "fixed_cves": sorted(set(before.vulns) - set(after.vulns)),
-            }
-        )
+    fixed = [
+        {
+            "from": tl.epochs[i].label,
+            "to": tl.epochs[i + 1].label,
+            "fixed_cves": _delta(snapshots[i], snapshots[i + 1])["vulns_fixed"],
+        }
+        for i in range(len(snapshots) - 1)
+    ]
 
     lifetime_cwes = [c for c in life.weakness_frequency if c != CWE_NULL]
     groups = catalog.remediation_for_weaknesses(lifetime_cwes)

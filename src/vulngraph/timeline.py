@@ -55,7 +55,7 @@ class LifecycleEvent:
 
 @dataclass(frozen=True)
 class EpochMark:
-    label: str
+    label: str | None  # None only for the unnamed state of snapshot_at
     at: str
 
 
@@ -164,50 +164,77 @@ def replay(tl: Timeline, catalog: Catalog):
         yield i, g
 
 
+def _replay_to(tl: Timeline, catalog: Catalog, marks, whole_log: bool = False) -> list[Edg]:
+    """Snapshots for epoch marks from one replay pass.
+
+    A mark takes the state just before the first one checked after its
+    ``at``.  The pass stops once every mark has been passed, unless
+    ``whole_log`` asks for the rest of the log too (which validates every
+    event).  Each snapshot is its own :class:`Edg` with its mark's label as
+    epoch, even when two marks fall on one log position.
+    """
+    picked: list[Edg | None] = [None] * len(marks)
+    open_marks = list(range(len(marks)))
+    for _, g in replay(tl, catalog):
+        open_marks = [i for i in open_marks if g.root.checked_at <= marks[i].at]
+        for i in open_marks:
+            picked[i] = g
+        if not open_marks and not whole_log:
+            break
+    out = []
+    for mark, g in zip(marks, picked):
+        if g is None:
+            raise VulnGraphError(f"timeline starts at {tl.built_at}, after {mark.at}")
+        g = g.clone()
+        g.epoch = mark.label
+        out.append(g)
+    return out
+
+
 def snapshot_at(tl: Timeline, catalog: Catalog, at: str) -> Edg:
     """State after replaying all events with timestamp <= ``at``."""
-    current = None
-    for _, g in replay(tl, catalog):
-        if g.root.checked_at <= at:
-            current = g
-        else:
-            break
-    if current is None:
-        raise VulnGraphError(f"timeline starts at {tl.built_at}, after {at}")
-    return current
+    return _replay_to(tl, catalog, [EpochMark(label=None, at=at)])[0]
 
 
 def epoch_snapshot(tl: Timeline, catalog: Catalog | None, label: str) -> Edg:
     """Snapshot for a named epoch (embedded copy when present, else replay)."""
-    mark = tl.find_epoch(label)
-    if label in tl.snapshots:
-        return graph.edg_from_dict(tl.snapshots[label])
-    if catalog is None:
-        raise VulnGraphError(f"no embedded snapshot for {label!r} and no catalog to replay")
-    g = snapshot_at(tl, catalog, mark.at)
-    g.epoch = label
-    return g
+    return _epoch_snapshots(tl, catalog, [tl.find_epoch(label)])[0]
 
 
 def epoch_snapshots(tl: Timeline, catalog: Catalog | None) -> list[Edg]:
-    return [epoch_snapshot(tl, catalog, mark.label) for mark in tl.epochs]
+    """Snapshots of every named epoch, in mark order."""
+    return _epoch_snapshots(tl, catalog, tl.epochs)
+
+
+def _epoch_snapshots(tl: Timeline, catalog: Catalog | None, marks) -> list[Edg]:
+    # Embedded copies are decoded; the others come from one replay pass.
+    missing = [m for m in marks if m.label not in tl.snapshots]
+    if missing and catalog is None:
+        raise VulnGraphError(
+            f"no embedded snapshot for {missing[0].label!r} and no catalog to replay"
+        )
+    replayed = iter(_replay_to(tl, catalog, missing) if missing else ())
+    return [
+        graph.edg_from_dict(tl.snapshots[m.label]) if m.label in tl.snapshots
+        else next(replayed)
+        for m in marks
+    ]
 
 
 def embed_snapshots(tl: Timeline, catalog: Catalog) -> Timeline:
-    """Compute and embed every epoch snapshot (cache for catalog-less reads)."""
-    fresh = Timeline(
+    """Compute and embed every epoch snapshot (cache for catalog-less reads).
+
+    Replays the whole log, so every event is validated against the catalog.
+    """
+    snapshots = _replay_to(tl, catalog, tl.epochs, whole_log=True)
+    return Timeline(
         sut_cpe=tl.sut_cpe,
         manifest=tl.manifest,
         built_at=tl.built_at,
         events=list(tl.events),
         epochs=list(tl.epochs),
-        snapshots={},
+        snapshots={m.label: graph.edg_to_dict(g) for m, g in zip(tl.epochs, snapshots)},
     )
-    for mark in tl.epochs:
-        g = snapshot_at(fresh, catalog, mark.at)
-        g.epoch = mark.label
-        fresh.snapshots[mark.label] = graph.edg_to_dict(g)
-    return fresh
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,9 @@ def test_event_rejects_invalid_target(openplc_files, capsys):
                  "--kind", "asset-retired", "--asset", "ghost",
                  "--at", "2021-02-01T00:00:00Z"]) == 2
     assert "UnknownAsset" in capsys.readouterr().err
+    # the bad event is caught before the timeline is written back
+    with open(tl, "rb") as fh:
+        assert fh.read() == fixtures.openplc_timeline_path().read_bytes()
 
 
 def test_cluster_subcommand(openplc_files, capsys):

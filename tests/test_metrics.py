@@ -94,6 +94,16 @@ def test_multi_cwe_record_counts_once_per_weakness():
     assert metrics.m1(g) == 1
     assert metrics.m6(g, "CWE-119") == 1 and metrics.m6(g, "CWE-200") == 1
     assert metrics.m7(g) == 2
+    # a weakness listed twice on one record is still one distinct weakness
+    cat = make_catalog(records=[
+        record("CVE-2020-0001", 5.0, ["CWE-119", "CWE-119"],
+               affected=[wstr("v", "p1", "1.0")]),
+    ])
+    g = build_edg(name("v", "s"), manifest([("a1", wstr("v", "p1", "1.0"))]), cat, AT)
+    assert metrics.m5(g, "a1", "CWE-119") == 1 and metrics.m6(g, "CWE-119") == 1
+    rep = metrics.snapshot_report(g)
+    assert rep.m5_by_asset_cwe == {"a1": {"CWE-119": 1}}
+    assert rep.m6_by_cwe == {"CWE-119": 1} and rep.m7 == 1
 
 
 def test_m2_sums_epochs_not_union():

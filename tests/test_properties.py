@@ -131,6 +131,19 @@ def test_m8_union_never_exceeds_sum():
         assert union <= total, seed
         assert metrics.m2(tl, cat) == sum(
             metrics.m1(g) for g in tl_mod.epoch_snapshots(tl, cat)), seed
+        # the accumulated metrics fold the oracle's per-epoch values
+        per_epoch = [brute_metrics(graph.edg_to_dict(g))
+                     for g in tl_mod.epoch_snapshots(tl, cat)]
+        assert metrics.m2(tl, cat) == sum(e["m1"] for e in per_epoch), seed
+        assert union == len({cwe for e in per_epoch for cwe in e["m6"]}), seed
+        assert total == sum(e["m7"] for e in per_epoch), seed
+        frequency: dict[str, int] = {}
+        for e in per_epoch:
+            for cwe, count in e["m6"].items():
+                frequency[cwe] = frequency.get(cwe, 0) + count
+        got = metrics.lifecycle_weakness_frequency(tl, cat)
+        assert got == frequency, seed
+        assert list(got.values()) == sorted(got.values(), reverse=True), seed
 
 
 def test_event_replay_determinism():

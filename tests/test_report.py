@@ -81,6 +81,16 @@ def test_dot_full_labels(openplc_snapshots):
     parse_dot(dot)  # still grammatical
 
 
+def test_dot_full_labels_list_patched_weaknesses_with_deprecated_edges():
+    tl, cat = update_patch_scenario()
+    g = tl_mod.epoch_snapshot(tl, cat, "t3")  # a2@1's CVE edge is deprecated
+    nodes, _ = parse_dot(export_dot(g, RenderOptions(verbosity="full")))
+    assert nodes["a2@1"]["label"].endswith(r"\nCWE-119")
+    assert "CWE" not in nodes["a2@2"]["label"]
+    assert "a2@1" not in parse_dot(export_dot(
+        g, RenderOptions(verbosity="full", show_deprecated=False)))[0]
+
+
 def test_dot_checker_rejects_garbage():
     with pytest.raises(DotSyntaxError):
         parse_dot("graph g { a -- b }")

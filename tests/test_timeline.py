@@ -1,7 +1,7 @@
 import pytest
 
 from helpers import make_catalog, manifest, name, ts, update_patch_scenario, wstr
-from vulngraph import graph, metrics, timeline as tl_mod
+from vulngraph import fixtures, graph, metrics, timeline as tl_mod
 from vulngraph.errors import NonMonotonicTimestamp, SchemaError
 from vulngraph.graph import ROOT_ID, Edge
 from vulngraph.timeline import LifecycleEvent, Timeline
@@ -171,3 +171,24 @@ def test_build_then_events_single_asset():
     tl = tl_mod.mark_epoch(tl, "r1", ts(1))
     g = tl_mod.epoch_snapshot(tl, cat, "r1")
     assert len(g.active_assets()) == 1 and not g.vulns
+
+
+def test_embed_reproduces_bundled_openplc_timeline(openplc_timeline, openplc_catalog):
+    embedded = tl_mod.embed_snapshots(openplc_timeline, openplc_catalog)
+    text = tl_mod.canonical_json(tl_mod.timeline_to_dict(embedded))
+    assert text.encode("utf-8") == fixtures.openplc_timeline_path().read_bytes()
+
+
+def test_two_epochs_at_one_timestamp_stay_apart():
+    tl, cat = update_patch_scenario()
+    tl = tl_mod.mark_epoch(tl, "t3-again", ts(4))
+    replayed = tl_mod.epoch_snapshots(tl, cat)
+    same, again = replayed[-2], replayed[-1]
+    assert (same.epoch, again.epoch) == ("t3", "t3-again")
+    assert same is not again and same.edges is not again.edges
+    assert graph.edg_to_dict(same)["edges"] == graph.edg_to_dict(again)["edges"]
+    embedded = tl_mod.embed_snapshots(tl, cat)
+    assert embedded.snapshots["t3"]["epoch"] == "t3"
+    assert embedded.snapshots["t3-again"]["epoch"] == "t3-again"
+    assert [g.epoch for g in tl_mod.epoch_snapshots(embedded, None)] == [
+        "t0", "t1", "t2", "t3", "t3-again"]
