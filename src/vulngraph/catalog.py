@@ -191,6 +191,8 @@ def _capec_sort_key(capec_id: str):
 
 
 def _expect(doc, key, types, path, default=_REQUIRED):
+    if not isinstance(doc, dict):
+        raise SchemaError(f"expected an object, got {type(doc).__name__}", path)
     if key not in doc:
         if default is _REQUIRED:
             raise SchemaError("missing required field", f"{path}.{key}" if path else key)

@@ -28,17 +28,19 @@ def _write(text: str, out: str | None) -> None:
         print(text)
 
 
-def _load_timeline(args):
-    return timeline_mod.load_timeline(args.timeline)
-
-
-def _load_catalog(args):
-    return catalog_mod.load_catalog(args.catalog) if getattr(args, "catalog", None) else None
+def _load_catalog(path):
+    """Load the catalog at ``path`` (None without one), printing its warnings."""
+    if path is None:
+        return None
+    cat = catalog_mod.load_catalog(path)
+    for line in cat.warnings:
+        print(f"warning: {line}", file=sys.stderr)
+    return cat
 
 
 def _snapshot(args):
-    tl = _load_timeline(args)
-    cat = _load_catalog(args)
+    tl = timeline_mod.load_timeline(args.timeline)
+    cat = _load_catalog(args.catalog)
     label = args.epoch or (tl.epochs[-1].label if tl.epochs else None)
     if label is None:
         raise VulnGraphError("timeline has no epochs; pass --epoch after marking one")
@@ -69,14 +71,14 @@ def _cmd_ingest(args) -> int:
         print(f"warning: {line}", file=sys.stderr)
     cat = catalog_mod.records_to_catalog(records, snapshot_date=args.snapshot_date)
     if args.merge:
-        cat = catalog_mod.merge_catalogs(catalog_mod.load_catalog(args.merge), cat)
+        cat = catalog_mod.merge_catalogs(_load_catalog(args.merge), cat)
     catalog_mod.save_catalog(cat, args.out)
     print(f"wrote {len(cat.vulnerabilities)} records to {args.out}")
     return 0
 
 
 def _cmd_build(args) -> int:
-    cat = catalog_mod.load_catalog(args.catalog)
+    cat = _load_catalog(args.catalog)
     manifest = timeline_mod.load_manifest(args.manifest)
     at = _resolve_at(args.at)
     tl = timeline_mod.Timeline(
@@ -94,8 +96,8 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_event(args) -> int:
-    tl = _load_timeline(args)
-    cat = catalog_mod.load_catalog(args.catalog)
+    tl = timeline_mod.load_timeline(args.timeline)
+    cat = _load_catalog(args.catalog)
     at = _resolve_at(args.at)
     if args.kind != "mark-epoch":
         dependencies = tuple(tuple(pair.split(":", 1)) for pair in args.dep or [])
@@ -176,8 +178,8 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    tl = _load_timeline(args)
-    cat = catalog_mod.load_catalog(args.catalog)
+    tl = timeline_mod.load_timeline(args.timeline)
+    cat = _load_catalog(args.catalog)
     doc = report.generate_report(tl, cat, args.format)
     if args.format == "json":
         doc = json.dumps(doc, indent=2, sort_keys=True)
@@ -207,8 +209,8 @@ def _cmd_alerts(args) -> int:
 
 
 def _cmd_diff(args) -> int:
-    tl = _load_timeline(args)
-    cat = _load_catalog(args)
+    tl = timeline_mod.load_timeline(args.timeline)
+    cat = _load_catalog(args.catalog)
     delta = report.epoch_diff(tl, cat, args.from_epoch, args.to_epoch)
     if args.json:
         _write(json.dumps(delta, indent=2, sort_keys=True), args.out)

@@ -4,9 +4,11 @@ Every asset and system under test is identified by a CPE 2.3 name of the form
 
     cpe:2.3:part:vendor:product:version:update:edition:language:sw_edition:target_sw:target_hw:other
 
-i.e. the literal prefix plus eleven attribute fields, colon separated, with
-backslash escaping for characters that are not letters, digits, ``.``, ``_``
-or ``-``.  Only the formatted-string binding is supported (no 2.2 URI form).
+i.e. the literal prefix plus eleven attribute fields, colon separated.  A
+literal is a run of unreserved characters (``a-z``, ``0-9``, ``.``, ``_``,
+``-``) and escapes: a backslash followed by one ASCII punctuation character.
+Input is lower-cased before it is checked.  Only the formatted-string binding
+is supported (no 2.2 URI form).
 
 Attribute values are one of:
 
@@ -25,6 +27,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+
+from .errors import MalformedCpe
 
 
 class _Logical:
@@ -67,12 +71,18 @@ _ATTRIBUTES = (
 
 _PARTS = ("a", "o", "h")
 
-# Characters that may appear unescaped in a formatted-string field.
-_UNRESERVED = re.compile(r"[a-z0-9._-]")
+# The grammar of a literal attribute value: each character is unreserved, or
+# a backslash escaping one ASCII punctuation character.  Parsing accepts
+# exactly this; binding escapes every character that is not unreserved.
+_UNRESERVED_CHAR = r"[a-z0-9._\-]"
+_LITERAL = re.compile(rf"(?:{_UNRESERVED_CHAR}|\\[!-/:-@\[-`{{-~])*")
+_RESERVED_CHAR = re.compile(rf"(?!{_UNRESERVED_CHAR}).", re.DOTALL)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
-# Characters an escape sequence may carry: punctuation only (escaping a
-# letter, digit or whitespace is meaningless and rejected).
-_ESCAPABLE = set("!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~")
+# One field: everything up to a colon that no backslash escapes.  A backslash
+# escapes whatever follows it, so only the last character of the whole
+# string can be an unpaired backslash.
+_FIELD = re.compile(r"[^\\:]*(?:\\.[^\\:]*)*\\?", re.DOTALL)
 
 
 @dataclass(frozen=True)
@@ -105,52 +115,36 @@ class WellFormedName:
 ATTRIBUTE_NAMES = _ATTRIBUTES
 
 
-def _split_fields(s: str):
-    """Split on unescaped colons, keeping the byte offset of each field."""
+def _split_fields(s: str) -> list[tuple[int, str]]:
+    """Split on unescaped colons, keeping the offset of each field."""
     out = []
     start = 0
-    i = 0
-    while i < len(s):
-        c = s[i]
-        if c == "\\":
-            i += 2
-            continue
-        if c == ":":
-            out.append((start, s[start:i]))
-            start = i + 1
-        i += 1
-    out.append((start, s[start:]))
-    return out
+    while True:
+        end = _FIELD.match(s, start).end()
+        out.append((start, s[start:end]))
+        if end == len(s):
+            return out
+        start = end + 1
 
 
 def _decode_field(raw: str, offset: int) -> AttrValue:
-    from .errors import MalformedCpe
-
     if raw == "*":
         return ANY
     if raw == "-":
         return NA
     if raw == "":
         raise MalformedCpe("empty attribute field", offset)
-    out = []
-    i = 0
     lowered = raw.lower()
-    while i < len(lowered):
-        c = lowered[i]
-        if c == "\\":
-            if i + 1 >= len(lowered):
-                raise MalformedCpe("dangling escape", offset + i)
-            nxt = lowered[i + 1]
-            if nxt not in _ESCAPABLE:
-                raise MalformedCpe(f"illegal escape '\\{nxt}'", offset + i)
-            out.append(nxt)
-            i += 2
-            continue
-        if not _UNRESERVED.fullmatch(c):
-            raise MalformedCpe(f"unescaped character {c!r}", offset + i)
-        out.append(c)
-        i += 1
-    return "".join(out)
+    end = _LITERAL.match(lowered).end()
+    if end == len(lowered):
+        return _ESCAPE.sub(r"\1", lowered) if "\\" in lowered else lowered
+    # The longest valid prefix stops at the first character the grammar rejects.
+    bad = lowered[end]
+    if bad != "\\":
+        raise MalformedCpe(f"unescaped character {bad!r}", offset + end)
+    if end + 1 == len(lowered):
+        raise MalformedCpe("dangling escape", offset + end)
+    raise MalformedCpe(f"illegal escape '\\{lowered[end + 1]}'", offset + end)
 
 
 def parse_formatted(s: str) -> WellFormedName:
@@ -160,8 +154,6 @@ def parse_formatted(s: str) -> WellFormedName:
     on a bad prefix, wrong field count, illegal part value, empty field or
     illegal escape sequence.
     """
-    from .errors import MalformedCpe
-
     pieces = _split_fields(s)
     if len(pieces) != 13:
         raise MalformedCpe(f"expected 13 colon-separated fields, got {len(pieces)}", 0)
@@ -169,15 +161,11 @@ def parse_formatted(s: str) -> WellFormedName:
         raise MalformedCpe("missing 'cpe' prefix", 0)
     if pieces[1][1] != "2.3":
         raise MalformedCpe(f"unsupported CPE version {pieces[1][1]!r}", pieces[1][0])
-
-    values = {}
-    for name, (offset, raw) in zip(_ATTRIBUTES, pieces[2:]):
-        values[name] = _decode_field(raw, offset)
-
-    part = values["part"]
+    values = [_decode_field(raw, offset) for offset, raw in pieces[2:]]
+    part = values[0]
     if part is NA or (isinstance(part, str) and part not in _PARTS):
         raise MalformedCpe(f"illegal part {pieces[2][1]!r}", pieces[2][0])
-    return WellFormedName(**values)
+    return WellFormedName(*values)
 
 
 def _encode_value(value: AttrValue) -> str:
@@ -187,13 +175,7 @@ def _encode_value(value: AttrValue) -> str:
         return "-"
     if value == "-":
         return "\\-"  # a bare hyphen field would read back as NA
-    out = []
-    for c in value:
-        if _UNRESERVED.fullmatch(c):
-            out.append(c)
-        else:
-            out.append("\\" + c)
-    return "".join(out)
+    return _RESERVED_CHAR.sub(r"\\\g<0>", value)
 
 
 def bind_formatted(w: WellFormedName) -> str:

@@ -17,26 +17,27 @@ import re
 from dataclasses import dataclass, field, replace
 
 from . import cpe, graph
-from .catalog import Catalog
+from .catalog import Catalog, _expect
 from .cpe import WellFormedName
-from .errors import NonMonotonicTimestamp, SchemaError, VulnGraphError
+from .errors import MalformedCpe, NonMonotonicTimestamp, SchemaError, VulnGraphError
 from .graph import Edg, Manifest, ManifestEntry
 
-EVENT_KINDS = (
-    "asset_added",
-    "vuln_discovered",
-    "asset_updated",
-    "vuln_patched",
-    "asset_retired",
-    "noop",
-)
+# Each event kind and the payload fields (document keys) it needs.
+_NEEDED_FIELDS = {
+    "asset_added": ("asset_id", "cpe"),
+    "vuln_discovered": ("asset_id", "cve_id"),
+    "asset_updated": ("asset_id", "cpe"),
+    "vuln_patched": ("asset_id", "cve_id"),
+    "asset_retired": ("asset_id",),
+    "noop": (),
+}
 
 _TS_RE = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z")
 
 
-def validate_timestamp(at: str) -> str:
-    if not _TS_RE.fullmatch(at):
-        raise SchemaError(f"bad timestamp {at!r}, want YYYY-MM-DDTHH:MM:SSZ")
+def validate_timestamp(at: str, path: str = "") -> str:
+    if not isinstance(at, str) or not _TS_RE.fullmatch(at):
+        raise SchemaError(f"bad timestamp {at!r}, want YYYY-MM-DDTHH:MM:SSZ", path)
     return at
 
 
@@ -88,14 +89,27 @@ class Timeline:
         raise VulnGraphError(f"unknown epoch {label!r}; have {self.epoch_labels()}")
 
 
-def append_event(tl: Timeline, event: LifecycleEvent) -> Timeline:
-    """Append one event; timestamps must not go backwards."""
-    validate_timestamp(event.at)
-    if event.kind not in EVENT_KINDS:
-        raise SchemaError(f"unknown event kind {event.kind!r}")
-    last_at, last_seq = tl.last_position()
+def validate_event(event: LifecycleEvent, last_at: str, path: str = "event") -> None:
+    """Check one event against the log it follows, the same on append and on load.
+
+    The timestamp must be well formed and not before ``last_at``, the kind
+    known, and the payload fields that the kind needs present.
+    """
+    validate_timestamp(event.at, f"{path}.at")
+    if event.kind not in _NEEDED_FIELDS:
+        raise SchemaError(f"unknown event kind {event.kind!r}", f"{path}.kind")
+    payload = {"asset_id": event.asset_id, "cve_id": event.cve_id, "cpe": event.cpe_value}
+    for key in _NEEDED_FIELDS[event.kind]:
+        if payload[key] is None:
+            raise SchemaError(f"a {event.kind} event needs {key!r}", f"{path}.{key}")
     if event.at < last_at:
-        raise NonMonotonicTimestamp(f"{event.at} is before {last_at}")
+        raise NonMonotonicTimestamp(f"{path}.at: {event.at} is before {last_at}")
+
+
+def append_event(tl: Timeline, event: LifecycleEvent) -> Timeline:
+    """Append one event that passes :func:`validate_event` after the log."""
+    last_at, last_seq = tl.last_position()
+    validate_event(event, last_at)
     if event.seq <= last_seq:
         event = replace(event, seq=last_seq + 1)
     return Timeline(
@@ -241,6 +255,23 @@ def embed_snapshots(tl: Timeline, catalog: Catalog) -> Timeline:
 # persistence
 
 
+def _parse_cpe(doc: dict, key: str, path: str) -> WellFormedName:
+    try:
+        return cpe.parse_formatted(_expect(doc, key, str, path))
+    except MalformedCpe as exc:
+        raise SchemaError(str(exc), f"{path}.{key}" if path else key) from exc
+
+
+def _pairs(doc: dict, path: str) -> tuple[tuple[str, str], ...]:
+    pairs = _expect(doc, "dependencies", list, path, [])
+    for i, pair in enumerate(pairs):
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(isinstance(x, str) for x in pair)):
+            raise SchemaError("expected a [dependant, dependency] pair of ids",
+                              f"{path}.dependencies[{i}]")
+    return tuple((pair[0], pair[1]) for pair in pairs)
+
+
 def manifest_to_dict(manifest: Manifest) -> dict:
     return {
         "assets": [
@@ -251,20 +282,12 @@ def manifest_to_dict(manifest: Manifest) -> dict:
 
 
 def manifest_from_dict(doc: dict) -> Manifest:
-    if not isinstance(doc, dict) or "assets" not in doc:
-        raise SchemaError("manifest document needs an 'assets' list", "manifest")
     entries = []
-    for i, raw in enumerate(doc["assets"]):
-        try:
-            entries.append(
-                ManifestEntry(asset_id=raw["id"], cpe=cpe.parse_formatted(raw["cpe"]))
-            )
-        except KeyError as exc:
-            raise SchemaError(f"missing {exc}", f"manifest.assets[{i}]") from exc
-    dependencies = tuple(
-        (pair[0], pair[1]) for pair in doc.get("dependencies", [])
-    )
-    return Manifest(entries=tuple(entries), dependencies=dependencies)
+    for i, raw in enumerate(_expect(doc, "assets", list, "manifest")):
+        path = f"manifest.assets[{i}]"
+        entries.append(ManifestEntry(asset_id=_expect(raw, "id", str, path),
+                                     cpe=_parse_cpe(raw, "cpe", path)))
+    return Manifest(entries=tuple(entries), dependencies=_pairs(doc, "manifest"))
 
 
 def _event_to_dict(event: LifecycleEvent) -> dict:
@@ -284,18 +307,26 @@ def _event_to_dict(event: LifecycleEvent) -> dict:
     return out
 
 
-def _event_from_dict(doc: dict) -> LifecycleEvent:
+def _event_from_dict(doc: dict, path: str) -> LifecycleEvent:
+    fixes = _expect(doc, "fixes", list, path, [])
+    if not all(isinstance(cve_id, str) for cve_id in fixes):
+        raise SchemaError("expected a list of CVE ids", f"{path}.fixes")
     return LifecycleEvent(
-        at=doc["at"],
-        seq=doc["seq"],
-        kind=doc["kind"],
-        asset_id=doc.get("asset_id"),
-        cve_id=doc.get("cve_id"),
-        cpe_value=cpe.parse_formatted(doc["cpe"]) if "cpe" in doc else None,
-        dependencies=tuple((p[0], p[1]) for p in doc.get("dependencies", [])),
-        top_level=doc.get("top_level", False),
-        fixes=tuple(doc.get("fixes", [])),
+        at=_expect(doc, "at", str, path),
+        seq=_expect(doc, "seq", int, path),
+        kind=_expect(doc, "kind", str, path),
+        asset_id=_expect(doc, "asset_id", str, path, None),
+        cve_id=_expect(doc, "cve_id", str, path, None),
+        cpe_value=_parse_cpe(doc, "cpe", path) if "cpe" in doc else None,
+        dependencies=_pairs(doc, path),
+        top_level=_expect(doc, "top_level", bool, path, False),
+        fixes=tuple(fixes),
     )
+
+
+def _epoch_from_dict(doc: dict, path: str) -> EpochMark:
+    return EpochMark(label=_expect(doc, "label", str, path),
+                     at=validate_timestamp(_expect(doc, "at", str, path), f"{path}.at"))
 
 
 def timeline_to_dict(tl: Timeline) -> dict:
@@ -311,20 +342,25 @@ def timeline_to_dict(tl: Timeline) -> dict:
 
 
 def timeline_from_dict(doc: dict) -> Timeline:
+    """Decode a timeline document, validating every event as :func:`append_event` does."""
     if not isinstance(doc, dict):
         raise SchemaError("timeline document must be an object")
     if doc.get("schema_version", 1) != 1:
         raise SchemaError(f"unsupported schema_version {doc.get('schema_version')}")
-    for key in ("sut", "built_at", "manifest"):
-        if key not in doc:
-            raise SchemaError("missing required field", key)
+    built_at = validate_timestamp(_expect(doc, "built_at", str, ""), "built_at")
+    events = []
+    for i, raw in enumerate(_expect(doc, "events", list, "", [])):
+        event = _event_from_dict(raw, f"events[{i}]")
+        validate_event(event, events[-1].at if events else built_at, f"events[{i}]")
+        events.append(event)
     return Timeline(
-        sut_cpe=cpe.parse_formatted(doc["sut"]),
-        manifest=manifest_from_dict(doc["manifest"]),
-        built_at=validate_timestamp(doc["built_at"]),
-        events=[_event_from_dict(e) for e in doc.get("events", [])],
-        epochs=[EpochMark(label=m["label"], at=m["at"]) for m in doc.get("epochs", [])],
-        snapshots=dict(doc.get("snapshots", {})),
+        sut_cpe=_parse_cpe(doc, "sut", ""),
+        manifest=manifest_from_dict(_expect(doc, "manifest", dict, "")),
+        built_at=built_at,
+        events=events,
+        epochs=[_epoch_from_dict(m, f"epochs[{i}]")
+                for i, m in enumerate(_expect(doc, "epochs", list, "", []))],
+        snapshots=dict(_expect(doc, "snapshots", dict, "", {})),
     )
 
 

@@ -36,6 +36,9 @@ def test_schema_error_reports_path():
     with pytest.raises(SchemaError) as err:
         make_catalog(records=[{"cvss": 5.0}])
     assert err.value.path == "vulnerabilities[0].cve_id"
+    with pytest.raises(SchemaError) as err:
+        make_catalog(records=[5])
+    assert err.value.path == "vulnerabilities[0]"
 
 
 def test_bad_cve_id_rejected():

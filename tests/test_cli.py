@@ -233,3 +233,82 @@ def test_out_flag_writes_file(openplc_files, tmp_path):
     out = tmp_path / "graph.dot"
     assert main(["export", "--timeline", tl, "--epoch", "V1", "--out", str(out)]) == 0
     parse_dot(out.read_text())
+
+
+def test_catalog_warnings_reach_stderr(openplc_files, tmp_path, capsys):
+    cat, tl = openplc_files
+    doc = json.loads(fixtures.openplc_catalog_path().read_text())
+    doc["weaknesses"].append({"cwe_id": "CWE-99999", "related_capec_ids": ["CAPEC-99999"]})
+    warned = tmp_path / "warned.json"
+    warned.write_text(json.dumps(doc))
+    for argv in (["metrics", "--epoch", "V1"],
+                 ["alerts", "--epoch", "V1", "--cvss-at-least", "9.0"],
+                 ["report"]):
+        code = main(argv + ["--timeline", tl, "--catalog", cat])
+        clean = capsys.readouterr()
+        assert clean.err == ""
+        assert main(argv + ["--timeline", tl, "--catalog", str(warned)]) == code
+        noisy = capsys.readouterr()
+        assert noisy.out == clean.out
+        assert noisy.err == "warning: CWE-99999 references unknown attack pattern CAPEC-99999\n"
+
+
+_DELETE = object()
+
+
+# Each document defect, the value that causes it and the path the error names.
+@pytest.mark.parametrize(
+    "keys,value,path",
+    [
+        pytest.param(("events", 0, "at"), _DELETE, "events[0].at", id="event-without-at"),
+        pytest.param(("manifest", "dependencies", 0), ["x"], "manifest.dependencies[0]",
+                     id="one-element-pair"),
+        pytest.param(("epochs", 0, "label"), _DELETE, "epochs[0].label",
+                     id="epoch-without-label"),
+        pytest.param(("events",), "nope", "events", id="events-not-a-list"),
+        pytest.param(("events", 0, "kind"), "bogus", "events[0].kind", id="unknown-kind"),
+    ],
+)
+def test_malformed_timeline_exits_2(tmp_path, capsys, keys, value, path):
+    doc = json.loads(fixtures.openplc_timeline_path().read_text())
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[keys[-1]]
+    else:
+        parent[keys[-1]] = value
+    tl = tmp_path / "timeline.json"
+    tl.write_text(json.dumps(doc))
+    before = tl.read_bytes()
+    cat = str(fixtures.openplc_catalog_path())
+    out = tmp_path / "out.txt"
+    for argv in (["metrics", "--epoch", "V1", "--out", str(out)],
+                 ["report", "--catalog", cat, "--out", str(out)],
+                 ["event", "--catalog", cat, "--kind", "noop", "--at", "2030-01-01T00:00:00Z"]):
+        assert main(argv + ["--timeline", str(tl)]) == 2
+        assert f"SchemaError: {path}: " in capsys.readouterr().err
+    assert not out.exists()
+    assert tl.read_bytes() == before
+
+
+def test_malformed_manifest_exits_2(tmp_path, capsys):
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(json.dumps({"assets": [{"id": "a", "cpe": 5}]}))
+    out = tmp_path / "tl.json"
+    assert main(["build", "--sut", wstr("acme", "box", "1.0"),
+                 "--manifest", str(manifest_path),
+                 "--catalog", str(fixtures.openplc_catalog_path()),
+                 "--at", "2021-01-01T00:00:00Z", "--out", str(out)]) == 2
+    assert "SchemaError: manifest.assets[0].cpe: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["asset-added", "asset-updated"])
+def test_event_without_cpe_exits_2(openplc_files, capsys, kind):
+    cat, tl = openplc_files
+    assert main(["event", "--timeline", tl, "--catalog", cat, "--kind", kind,
+                 "--asset", "libc", "--at", "2030-01-01T00:00:00Z"]) == 2
+    assert "SchemaError: event.cpe: " in capsys.readouterr().err
+    with open(tl, "rb") as fh:
+        assert fh.read() == fixtures.openplc_timeline_path().read_bytes()

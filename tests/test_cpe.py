@@ -96,6 +96,55 @@ def test_illegal_escape_and_unescaped_special():
         cpe.parse_formatted("cpe:2.3:a:v::1:*:*:*:*:*:*:*")  # empty product
 
 
+_TAIL = ":1:*:*:*:*:*:*:*"
+
+
+# Every error branch of the parser: input -> (message, offset).
+@pytest.mark.parametrize(
+    "bad,message,offset",
+    [
+        pytest.param("cpe:2.3:a:v:" + _TAIL, "empty attribute field", 12, id="empty-field"),
+        pytest.param("cpe:2.3:a:v:p:1:*:*:*:*:*:*:x\\", "dangling escape", 29,
+                     id="dangling-escape"),
+        pytest.param("cpe:2.3:a:v:p\\a" + _TAIL, "illegal escape '\\a'", 13,
+                     id="escaped-letter"),
+        pytest.param("cpe:2.3:a:v:p\\7" + _TAIL, "illegal escape '\\7'", 13,
+                     id="escaped-digit"),
+        pytest.param("cpe:2.3:a:v:p\\ " + _TAIL, "illegal escape '\\ '", 13,
+                     id="escaped-space"),
+        pytest.param("cpe:2.3:a:v:p*" + _TAIL, "unescaped character '*'", 13,
+                     id="bare-star"),
+        pytest.param("cpe:2.3:a:v:p?" + _TAIL, "unescaped character '?'", 13,
+                     id="bare-question-mark"),
+        pytest.param("cpe:2.3:a:v:p q" + _TAIL, "unescaped character ' '", 13,
+                     id="bare-space"),
+        pytest.param("cpe:2.3:a:v:caf\u00e9" + _TAIL, "unescaped character '\u00e9'", 15,
+                     id="non-ascii"),
+        # Input is lower-cased before it is checked, and offsets count
+        # characters of the lower-cased field.
+        pytest.param("cpe:2.3:a:v:p\\Q" + _TAIL, "illegal escape '\\q'", 13,
+                     id="upper-case-escape"),
+        pytest.param("cpe:2.3:a:v:CAF\u00c9" + _TAIL, "unescaped character '\u00e9'", 15,
+                     id="upper-case-non-ascii"),
+        pytest.param("cpe:2.3:a:v:\u0130x" + _TAIL, "unescaped character '\u0307'", 13,
+                     id="lowering-lengthens"),
+        # An escape always takes the next character, so a backslash before a
+        # separator merges two fields.
+        pytest.param("cpe:2.3:a:v:p\\" + _TAIL, "expected 13 colon-separated fields, got 12",
+                     0, id="escaped-colon-ends-field"),
+        pytest.param("CPX:2.3:a:v:p" + _TAIL, "missing 'cpe' prefix", 0, id="prefix"),
+        pytest.param("cpe:2.2:a:v:p" + _TAIL, "unsupported CPE version '2.2'", 4,
+                     id="version"),
+        pytest.param("cpe:2.3:x:v:p" + _TAIL, "illegal part 'x'", 8, id="part"),
+    ],
+)
+def test_malformed_cpe_message_and_offset(bad, message, offset):
+    with pytest.raises(MalformedCpe) as err:
+        cpe.parse_formatted(bad)
+    assert str(err.value) == f"{message} (offset {offset})"
+    assert err.value.offset == offset
+
+
 def _name(**over):
     base = dict(part="a", vendor="v", product="p", version="1.0", update="beta")
     base.update(over)

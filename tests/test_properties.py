@@ -1,9 +1,9 @@
 """Randomized property suites.
 
-Six suites, each at least 500 cases: CPE round-trip, cluster/expand
-identity, metric equivalence against a naive set-enumeration oracle on small
-graphs, relative-frequency normalization, the lifecycle-weakness inequality
-and event-replay determinism.
+Seven suites, each at least 500 cases: CPE round-trip, CPE parsing of
+hostile strings, cluster/expand identity, metric equivalence against a naive
+set-enumeration oracle on small graphs, relative-frequency normalization, the
+lifecycle-weakness inequality and event-replay determinism.
 """
 
 import random
@@ -17,6 +17,7 @@ from gen import random_graph, random_timeline
 from oracles import brute_metrics
 from vulngraph import cpe, graph, metrics, timeline as tl_mod
 from vulngraph.cpe import ANY, NA, WellFormedName
+from vulngraph.errors import MalformedCpe
 from vulngraph.graph import ClusterRule, cluster_by, expand_clusters
 from vulngraph.timeline import Timeline
 
@@ -51,6 +52,42 @@ def test_cpe_parse_bind_roundtrip(w):
     assert cpe.parse_formatted(bound) == w
     # binding is canonical: case differences vanish on re-parse
     assert cpe.parse_formatted(bound.upper()) == w
+
+
+_HOSTILE_ALPHABET = (
+    string.ascii_letters + string.digits + string.punctuation + "\\\\::"
+    + " \t\n" + "\u00e9\u00c9\u0130\u212a\u00df\u4e2d"
+)
+# Valid fields (mixed case, escaped punctuation) and fields drawn from the
+# whole alphabet; a name is ten valid fields or a mix of both, of any count.
+_valid_field = st.one_of(
+    st.sampled_from(["*", "-"]),
+    st.lists(st.sampled_from(list("aZ09._-") + ["\\" + c for c in string.punctuation]),
+             min_size=1, max_size=6).map("".join),
+)
+_hostile_field = st.text(alphabet=_HOSTILE_ALPHABET, max_size=6)
+_hostile_name = st.one_of(
+    st.text(alphabet=_HOSTILE_ALPHABET, max_size=40),
+    st.builds(
+        lambda prefix, part, fields: prefix + ":".join([part] + fields),
+        st.sampled_from(["cpe:2.3:", "CPE:2.3:", "cpe:2.2:", "cpe:2.3\\:"]),
+        st.one_of(st.sampled_from(["a", "o", "h", "A", "*", "-"]), _hostile_field),
+        st.one_of(st.lists(_valid_field, min_size=10, max_size=10),
+                  st.lists(st.one_of(_valid_field, _hostile_field), min_size=8, max_size=12)),
+    ),
+)
+
+
+@settings(max_examples=CASES, deadline=None)
+@given(_hostile_name)
+def test_cpe_parse_accepts_or_rejects_cleanly(text):
+    # Any string either parses to a name that re-binds and re-parses equal,
+    # or raises MalformedCpe; never another exception.
+    try:
+        w = cpe.parse_formatted(text)
+    except MalformedCpe:
+        return
+    assert cpe.parse_formatted(cpe.bind_formatted(w)) == w
 
 
 @settings(max_examples=CASES, deadline=None)

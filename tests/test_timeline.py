@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from helpers import make_catalog, manifest, name, ts, update_patch_scenario, wstr
@@ -84,6 +86,32 @@ def test_bad_timestamp_rejected():
     for bad in ("2020-01-05", "2020-01-05T00:00:00", "yesterday"):
         with pytest.raises(SchemaError):
             tl_mod.append_event(tl, LifecycleEvent(at=bad, seq=0, kind="noop"))
+
+
+# Loading runs the validator that append_event runs: (event index, field,
+# new value or None to drop it) -> the error and the path it names.
+@pytest.mark.parametrize(
+    "index,key,value,error,path",
+    [
+        (0, "at", "2019-12-31T00:00:00Z", NonMonotonicTimestamp, "events[0].at"),
+        (1, "at", ts(1), NonMonotonicTimestamp, "events[1].at"),
+        (0, "at", "yesterday", SchemaError, "events[0].at"),
+        (0, "kind", "asset_exploded", SchemaError, "events[0].kind"),
+        (0, "cve_id", None, SchemaError, "events[0].cve_id"),
+        (0, "asset_id", None, SchemaError, "events[0].asset_id"),
+        (1, "cpe", None, SchemaError, "events[1].cpe"),
+        (1, "cpe", "cpe:2.3:a:acme:wid get:2.0:*:*:*:*:*:*:*", SchemaError, "events[1].cpe"),
+    ],
+)
+def test_load_validates_each_event(index, key, value, error, path):
+    tl, _ = update_patch_scenario()
+    doc = tl_mod.timeline_to_dict(tl)
+    if value is None:
+        del doc["events"][index][key]
+    else:
+        doc["events"][index][key] = value
+    with pytest.raises(error, match=rf"^{re.escape(path)}: "):
+        tl_mod.timeline_from_dict(doc)
 
 
 def test_epoch_marks_are_ordered_and_unique():
