@@ -15,7 +15,8 @@ A catalog is loaded from one canonical JSON document::
 
 External feeds (NVD JSON 1.1) are converted into the same record shape by
 :func:`import_nvd_feed`.  Catalogs are immutable after load; all lookups are
-read-only.
+read-only.  The first lookup indexes the records by product, so changing
+``vulnerabilities`` after it is unsupported.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 from . import cpe
 from .cpe import WellFormedName
-from .errors import DuplicateId, FeedParseError, SchemaError, UnknownWeakness
+from .errors import DuplicateId, FeedParseError, MalformedCpe, SchemaError, UnknownWeakness
 
 #: Sentinel weakness id for CVEs with no assigned CWE.
 CWE_NULL = "CWE-NULL"
@@ -133,11 +134,23 @@ class Catalog:
     attack_patterns: dict[str, AttackPatternRecord] = field(default_factory=dict)
     remediation: list[RemediationEntry] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
+    # Built by the first lookup (see _product_index).
+    _index: tuple[dict, dict] | None = field(default=None, init=False, compare=False, repr=False)
 
     def lookup_vulnerabilities(self, name: WellFormedName, at: str) -> list[VulnerabilityRecord]:
         """Records whose affected pattern matches ``name`` and that were
-        published on or before ``at``, ordered by CVE id."""
-        hits = [r for r in self.vulnerabilities.values() if r.applies_to(name, at)]
+        published on or before ``at``, ordered by CVE id.
+
+        Only the records indexed under the name's ``(part, vendor, product)``
+        and those with ``ANY`` in one of those fields are tested.
+        """
+        if self._index is None:
+            self._index = _product_index(self.vulnerabilities.values())
+        by_product, wildcard = self._index
+        candidates = by_product.get((name.part, name.vendor, name.product), {})
+        if wildcard:
+            candidates = candidates | wildcard
+        hits = [r for r in candidates.values() if r.applies_to(name, at)]
         hits.sort(key=lambda r: r.cve_id)
         return hits
 
@@ -179,6 +192,24 @@ class Catalog:
         return groups
 
 
+def _product_index(records) -> tuple[dict, dict]:
+    """Records by the ``(part, vendor, product)`` of their affected patterns.
+
+    A pattern with ``ANY`` in one of those fields files its record in the
+    wildcard bucket instead.  Both map CVE id to record, so a record with
+    several entries appears once per bucket.  A pattern literal or ``NA``
+    matches only the equal value, so no other bucket can hold a match.
+    """
+    by_product: dict[tuple, dict[str, VulnerabilityRecord]] = {}
+    wildcard: dict[str, VulnerabilityRecord] = {}
+    for record in records:
+        for entry in record.affected:
+            key = (entry.pattern.part, entry.pattern.vendor, entry.pattern.product)
+            bucket = wildcard if cpe.ANY in key else by_product.setdefault(key, {})
+            bucket[record.cve_id] = record
+    return by_product, wildcard
+
+
 def _capec_sort_key(capec_id: str):
     try:
         return (0, int(capec_id.rsplit("-", 1)[1]))
@@ -218,19 +249,22 @@ def _parse_range(doc, path) -> VersionRange:
     return rng
 
 
-def _parse_affected(doc, path) -> AffectedProduct:
+def _parse_affected(doc, path, patterns: dict) -> AffectedProduct:
+    # ``patterns`` caches the parsed names of one load by raw string.
     raw = _expect(doc, "cpe", str, path)
-    try:
-        pattern = cpe.parse_formatted(raw)
-    except Exception as exc:
-        raise SchemaError(str(exc), f"{path}.cpe") from exc
+    pattern = patterns.get(raw)
+    if pattern is None:
+        try:
+            pattern = patterns[raw] = cpe.parse_formatted(raw)
+        except MalformedCpe as exc:
+            raise SchemaError(str(exc), f"{path}.cpe") from exc
     versions = None
     if doc.get("versions") is not None:
         versions = _parse_range(_expect(doc, "versions", dict, path), f"{path}.versions")
     return AffectedProduct(pattern=pattern, versions=versions)
 
 
-def _parse_vulnerability(doc, path) -> VulnerabilityRecord:
+def _parse_vulnerability(doc, path, patterns: dict) -> VulnerabilityRecord:
     cve_id = _expect(doc, "cve_id", str, path)
     if not _CVE_RE.fullmatch(cve_id):
         raise SchemaError(f"bad CVE id {cve_id!r}", f"{path}.cve_id")
@@ -247,7 +281,7 @@ def _parse_vulnerability(doc, path) -> VulnerabilityRecord:
     if not cwe_ids:
         cwe_ids = (CWE_NULL,)
     affected = tuple(
-        _parse_affected(entry, f"{path}.affected[{i}]")
+        _parse_affected(entry, f"{path}.affected[{i}]", patterns)
         for i, entry in enumerate(_expect(doc, "affected", list, path, []))
     )
     published = _expect(doc, "published", str, path, "1999-01-01")
@@ -324,8 +358,9 @@ def catalog_from_dict(doc: dict) -> Catalog:
 
     catalog = Catalog(snapshot_date=_expect(doc, "snapshot_date", str, "", "1999-01-01"))
 
+    patterns: dict[str, WellFormedName] = {}
     for i, raw in enumerate(_expect(doc, "vulnerabilities", list, "", [])):
-        record = _parse_vulnerability(raw, f"vulnerabilities[{i}]")
+        record = _parse_vulnerability(raw, f"vulnerabilities[{i}]", patterns)
         if record.cve_id in catalog.vulnerabilities:
             raise DuplicateId(record.cve_id)
         catalog.vulnerabilities[record.cve_id] = record
@@ -346,14 +381,18 @@ def catalog_from_dict(doc: dict) -> Catalog:
     for i, raw in enumerate(_expect(doc, "remediation", list, "", [])):
         catalog.remediation.append(_parse_remediation(raw, f"remediation[{i}]"))
 
-    # Dangling references are reported, not fatal.
-    for weakness in catalog.weaknesses.values():
-        for capec_id in weakness.related_capec_ids:
-            if capec_id not in catalog.attack_patterns:
-                catalog.warnings.append(
-                    f"{weakness.cwe_id} references unknown attack pattern {capec_id}"
-                )
+    catalog.warnings = _dangling_references(catalog)
     return catalog
+
+
+def _dangling_references(catalog: Catalog) -> list[str]:
+    """Warnings for weakness references to unknown attack patterns (not fatal)."""
+    return [
+        f"{weakness.cwe_id} references unknown attack pattern {capec_id}"
+        for weakness in catalog.weaknesses.values()
+        for capec_id in weakness.related_capec_ids
+        if capec_id not in catalog.attack_patterns
+    ]
 
 
 def load_catalog(path) -> Catalog:
@@ -435,17 +474,26 @@ def save_catalog(catalog: Catalog, path) -> None:
 
 
 def merge_catalogs(base: Catalog, extra: Catalog) -> Catalog:
-    """Merge two catalogs; overlapping ids raise :class:`DuplicateId`."""
-    doc = catalog_to_dict(base)
-    other = catalog_to_dict(extra)
-    doc["vulnerabilities"] += other["vulnerabilities"]
-    seen_weaknesses = {w["cwe_id"] for w in doc["weaknesses"]}
-    doc["weaknesses"] += [w for w in other["weaknesses"] if w["cwe_id"] not in seen_weaknesses]
-    seen_patterns = {p["capec_id"] for p in doc["attack_patterns"]}
-    doc["attack_patterns"] += [p for p in other["attack_patterns"] if p["capec_id"] not in seen_patterns]
-    doc["remediation"] += [e for e in other["remediation"] if e not in doc["remediation"]]
-    doc["snapshot_date"] = max(base.snapshot_date, extra.snapshot_date)
-    return catalog_from_dict(doc)
+    """Merge two catalogs into a new one.
+
+    A CVE id in both raises :class:`DuplicateId`.  For a weakness or attack
+    pattern in both, the base's record is kept; ``extra``'s remediation
+    entries already in ``base`` are dropped; the later snapshot date is kept.
+    """
+    merged = Catalog(snapshot_date=max(base.snapshot_date, extra.snapshot_date))
+    for source in (base, extra):
+        for cve_id in sorted(source.vulnerabilities):
+            if cve_id in merged.vulnerabilities:
+                raise DuplicateId(cve_id)
+            merged.vulnerabilities[cve_id] = source.vulnerabilities[cve_id]
+        for cwe_id in sorted(source.weaknesses):
+            merged.weaknesses.setdefault(cwe_id, source.weaknesses[cwe_id])
+        for capec_id in sorted(source.attack_patterns, key=_capec_sort_key):
+            merged.attack_patterns.setdefault(capec_id, source.attack_patterns[capec_id])
+    merged.weaknesses.setdefault(CWE_NULL, WeaknessRecord(cwe_id=CWE_NULL, name="no assigned weakness"))
+    merged.remediation = base.remediation + [e for e in extra.remediation if e not in base.remediation]
+    merged.warnings = _dangling_references(merged)
+    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +546,8 @@ def _convert_nvd_item(item, prefer_v3, warnings) -> VulnerabilityRecord:
         cvss, scheme = (v2, "v2") if v2 is not None else (v3, "v3")
     if cvss is None:
         raise _SkipEntry(f"{cve_id}: no CVSS base score")
+    if not 0.0 <= float(cvss) <= 10.0:
+        raise _SkipEntry(f"{cve_id}: CVSS base score {cvss} outside [0.0, 10.0]")
 
     cwe_id = CWE_NULL
     for ptype in item.get("cve", {}).get("problemtype", {}).get("problemtype_data", []):

@@ -150,7 +150,7 @@ def _decode_field(raw: str, offset: int) -> AttrValue:
 def parse_formatted(s: str) -> WellFormedName:
     """Parse a CPE 2.3 formatted string into a :class:`WellFormedName`.
 
-    Raises :class:`~vulngraph.errors.MalformedCpe` (carrying the byte offset)
+    Raises :class:`~vulngraph.errors.MalformedCpe` (carrying the character offset)
     on a bad prefix, wrong field count, illegal part value, empty field or
     illegal escape sequence.
     """

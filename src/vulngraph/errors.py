@@ -8,8 +8,9 @@ class VulnGraphError(Exception):
 class MalformedCpe(VulnGraphError):
     """A CPE 2.3 formatted string could not be parsed.
 
-    ``offset`` is the byte offset into the input where the problem was
-    detected.
+    ``offset`` counts characters, not bytes.  Inside an attribute it is the
+    field's start plus the position in the lower-cased field, so a character
+    before the error that lower-casing lengthens shifts it to the right.
     """
 
     def __init__(self, message: str, offset: int = 0):
@@ -56,8 +57,8 @@ class UnknownCve(VulnGraphError):
     """An operation referenced a CVE that is not in the graph or catalog."""
 
 
-class NonMonotonicTimestamp(VulnGraphError):
-    """An event was appended with a timestamp earlier than the log's last one."""
+class NonMonotonicTimestamp(SchemaError):
+    """An event or epoch mark is timestamped before the one it follows."""
 
 
 class SelfSucc(VulnGraphError):

@@ -714,15 +714,15 @@ def edg_from_dict(doc: dict) -> Edg:
         ),
         epoch=doc.get("epoch"),
     )
-    for d in doc.get("assets", []):
+    for d in doc["assets"]:
         node = parse_asset(d)
         g.assets[node.node_id] = node
-    for d in doc.get("vulns", []):
+    for d in doc["vulns"]:
         node = parse_vuln(d)
         g.vulns[node.cve_id] = node
-    for d in doc.get("edges", []):
+    for d in doc["edges"]:
         g.edges.add(parse_edge(d))
-    for d in doc.get("clusters", []):
+    for d in doc["clusters"]:
         cluster = Cluster(
             cluster_id=d["cluster_id"],
             assets=tuple(parse_asset(a) for a in d["assets"]),

@@ -122,13 +122,20 @@ def append_event(tl: Timeline, event: LifecycleEvent) -> Timeline:
     )
 
 
+def validate_epoch(mark: EpochMark, earlier: list[EpochMark], path: str = "") -> None:
+    """Check one epoch mark against the marks before it, the same on
+    :func:`mark_epoch` and on load: a new label, at or after the last mark."""
+    validate_timestamp(mark.at, f"{path}.at" if path else "")
+    if any(m.label == mark.label for m in earlier):
+        raise SchemaError(f"epoch {mark.label!r} already marked", path)
+    if earlier and mark.at < earlier[-1].at:
+        raise NonMonotonicTimestamp(
+            f"epoch {mark.label} at {mark.at} is before {earlier[-1].at}", path)
+
+
 def mark_epoch(tl: Timeline, label: str, at: str) -> Timeline:
     """Designate the state at ``at`` as a named release snapshot."""
-    validate_timestamp(at)
-    if label in tl.epoch_labels():
-        raise SchemaError(f"epoch {label!r} already marked")
-    if tl.epochs and at < tl.epochs[-1].at:
-        raise NonMonotonicTimestamp(f"epoch {label} at {at} is before {tl.epochs[-1].at}")
+    validate_epoch(EpochMark(label=label, at=at), tl.epochs)
     return Timeline(
         sut_cpe=tl.sut_cpe,
         manifest=tl.manifest,
@@ -229,10 +236,19 @@ def _epoch_snapshots(tl: Timeline, catalog: Catalog | None, marks) -> list[Edg]:
         )
     replayed = iter(_replay_to(tl, catalog, missing) if missing else ())
     return [
-        graph.edg_from_dict(tl.snapshots[m.label]) if m.label in tl.snapshots
-        else next(replayed)
+        _decode_snapshot(tl, m.label) if m.label in tl.snapshots else next(replayed)
         for m in marks
     ]
+
+
+def _decode_snapshot(tl: Timeline, label: str) -> Edg:
+    # The decoder checks no types, so a malformed snapshot surfaces as one of
+    # these and is reported as a schema error at the snapshot.
+    try:
+        return graph.edg_from_dict(tl.snapshots[label])
+    except (KeyError, TypeError, AttributeError, ValueError, MalformedCpe) as exc:
+        raise SchemaError(f"malformed embedded snapshot: {type(exc).__name__}: {exc}",
+                          f"snapshots.{label}") from exc
 
 
 def embed_snapshots(tl: Timeline, catalog: Catalog) -> Timeline:
@@ -324,11 +340,6 @@ def _event_from_dict(doc: dict, path: str) -> LifecycleEvent:
     )
 
 
-def _epoch_from_dict(doc: dict, path: str) -> EpochMark:
-    return EpochMark(label=_expect(doc, "label", str, path),
-                     at=validate_timestamp(_expect(doc, "at", str, path), f"{path}.at"))
-
-
 def timeline_to_dict(tl: Timeline) -> dict:
     return {
         "schema_version": 1,
@@ -342,7 +353,8 @@ def timeline_to_dict(tl: Timeline) -> dict:
 
 
 def timeline_from_dict(doc: dict) -> Timeline:
-    """Decode a timeline document, validating every event as :func:`append_event` does."""
+    """Decode a timeline document, validating every event as :func:`append_event`
+    does and every epoch mark as :func:`mark_epoch` does."""
     if not isinstance(doc, dict):
         raise SchemaError("timeline document must be an object")
     if doc.get("schema_version", 1) != 1:
@@ -353,13 +365,18 @@ def timeline_from_dict(doc: dict) -> Timeline:
         event = _event_from_dict(raw, f"events[{i}]")
         validate_event(event, events[-1].at if events else built_at, f"events[{i}]")
         events.append(event)
+    epochs = []
+    for i, raw in enumerate(_expect(doc, "epochs", list, "", [])):
+        path = f"epochs[{i}]"
+        mark = EpochMark(label=_expect(raw, "label", str, path), at=_expect(raw, "at", str, path))
+        validate_epoch(mark, epochs, path)
+        epochs.append(mark)
     return Timeline(
         sut_cpe=_parse_cpe(doc, "sut", ""),
         manifest=manifest_from_dict(_expect(doc, "manifest", dict, "")),
         built_at=built_at,
         events=events,
-        epochs=[_epoch_from_dict(m, f"epochs[{i}]")
-                for i, m in enumerate(_expect(doc, "epochs", list, "", []))],
+        epochs=epochs,
         snapshots=dict(_expect(doc, "snapshots", dict, "", {})),
     )
 

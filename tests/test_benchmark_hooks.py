@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import update_patch_scenario
+from helpers import make_catalog, name, record, update_patch_scenario, wstr
 from vulngraph import report, timeline as tl_mod
 
 _SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -47,3 +47,17 @@ def test_report_decodes_each_epoch_once(tracer):
     assert tracer.cur["graph.from_dict"] == len(tl.epochs)
     assert "timeline.replay" not in tracer.cur
     assert "graph.active_cves" not in tracer.cur
+
+
+def test_lookup_tests_only_candidates(tracer):
+    # 20 products with 5 records each, plus 3 records for any product of
+    # vendor v0: a lookup tests one product's records and the wildcard ones.
+    records = [record(f"CVE-2020-{p * 5 + i:04d}", 5.0, affected=[wstr("v0", f"p{p}", "1.0")])
+               for p in range(20) for i in range(5)]
+    records += [record(f"CVE-2021-{i:04d}", 5.0, affected=[wstr("v0", "*", "1.0")])
+                for i in range(3)]
+    cat = make_catalog(records=records)
+    tracer.cur.clear()
+    hits = cat.lookup_vulnerabilities(name("v0", "p7", "1.0"), "2030-01-01T00:00:00Z")
+    assert len(hits) == 5 + 3
+    assert tracer.cur["catalog.applies_to"] == 5 + 3

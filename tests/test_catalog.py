@@ -220,6 +220,47 @@ def test_merge_catalogs_disjoint():
     assert set(merged.vulnerabilities) == {"CVE-2020-0001", "CVE-2020-0002"}
 
 
+def _merge_by_round_trip(base, extra):
+    """The merge as a dict round trip: both catalogs to documents, joined, reloaded."""
+    doc = cat_mod.catalog_to_dict(base)
+    other = cat_mod.catalog_to_dict(extra)
+    doc["vulnerabilities"] += other["vulnerabilities"]
+    seen = {w["cwe_id"] for w in doc["weaknesses"]}
+    doc["weaknesses"] += [w for w in other["weaknesses"] if w["cwe_id"] not in seen]
+    seen = {p["capec_id"] for p in doc["attack_patterns"]}
+    doc["attack_patterns"] += [p for p in other["attack_patterns"] if p["capec_id"] not in seen]
+    doc["remediation"] += [e for e in other["remediation"] if e not in doc["remediation"]]
+    doc["snapshot_date"] = max(base.snapshot_date, extra.snapshot_date)
+    return cat_mod.catalog_from_dict(doc)
+
+
+@pytest.mark.parametrize("overlap", [False, True], ids=["disjoint", "overlapping"])
+def test_merge_matches_round_trip(openplc_catalog, overlap):
+    base = cat_mod.catalog_to_dict(openplc_catalog)
+    weaknesses = [{"cwe_id": "CWE-9001", "name": "new", "related_capec_ids": ["CAPEC-9001"]},
+                  {"cwe_id": "CWE-9002", "related_capec_ids": ["CAPEC-9999"]}]
+    attack_patterns = [{"capec_id": "CAPEC-9001", "likelihood": "high"}]
+    remediation = [{"kind": "training", "cwe_ids": ["CWE-9001"], "text": "new"}]
+    if overlap:
+        # same ids as the base with other content, and a remediation entry it has
+        weaknesses.append(dict(base["weaknesses"][1], name="renamed", related_capec_ids=[]))
+        attack_patterns.append(dict(base["attack_patterns"][0], name="renamed"))
+        remediation.append(base["remediation"][0])
+    extra = make_catalog(
+        records=[record("CVE-2030-0001", 7.5, "CWE-9001", affected=[wstr("v", "p", "1.0")])],
+        weaknesses=weaknesses, attack_patterns=attack_patterns, remediation=remediation,
+        snapshot_date="2030-01-01")
+    merged = cat_mod.merge_catalogs(openplc_catalog, extra)
+    expected = _merge_by_round_trip(openplc_catalog, extra)
+    assert cat_mod.catalog_to_dict(merged) == cat_mod.catalog_to_dict(expected)
+    assert merged.warnings == expected.warnings == [
+        "CWE-9002 references unknown attack pattern CAPEC-9999"]
+    assert merged.snapshot_date == "2030-01-01"
+    cwe_id = base["weaknesses"][1]["cwe_id"]
+    assert merged.weaknesses[cwe_id] == openplc_catalog.weaknesses[cwe_id]
+    assert len(merged.remediation) == len(openplc_catalog.remediation) + 1
+
+
 def test_csv_side_tables_load(openplc_catalog):
     from vulngraph import fixtures
     mapping = cat_mod.import_cwe_capec_csv(fixtures.cwe_capec_csv_path())

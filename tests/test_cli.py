@@ -267,6 +267,8 @@ _DELETE = object()
                      id="epoch-without-label"),
         pytest.param(("events",), "nope", "events", id="events-not-a-list"),
         pytest.param(("events", 0, "kind"), "bogus", "events[0].kind", id="unknown-kind"),
+        pytest.param(("epochs", 2), {"label": "V1", "at": "2020-01-01T00:00:00Z"}, "epochs[2]",
+                     id="repeated-epoch-label"),
     ],
 )
 def test_malformed_timeline_exits_2(tmp_path, capsys, keys, value, path):
@@ -312,3 +314,17 @@ def test_event_without_cpe_exits_2(openplc_files, capsys, kind):
     assert "SchemaError: event.cpe: " in capsys.readouterr().err
     with open(tl, "rb") as fh:
         assert fh.read() == fixtures.openplc_timeline_path().read_bytes()
+
+
+@pytest.mark.parametrize("drop_assets", [False, True], ids=["number", "without-assets"])
+def test_malformed_snapshot_exits_2(tmp_path, capsys, drop_assets):
+    doc = json.loads(fixtures.openplc_timeline_path().read_text())
+    if drop_assets:
+        del doc["snapshots"]["V1"]["assets"]
+    else:
+        doc["snapshots"]["V1"] = 5
+    tl = tmp_path / "timeline.json"
+    tl.write_text(json.dumps(doc))
+    assert main(["metrics", "--timeline", str(tl), "--epoch", "V1"]) == 2
+    assert "SchemaError: snapshots.V1: " in capsys.readouterr().err
+

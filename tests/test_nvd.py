@@ -160,6 +160,16 @@ def test_import_entry_without_score_warns_and_skips(tmp_path):
     assert any("no CVSS" in w for w in warnings)
 
 
+def test_import_entry_with_score_out_of_range_warns_and_skips(tmp_path):
+    # a record the canonical loader would reject never reaches the catalog
+    feed = {"CVE_Items": [_item("CVE-2019-0003", v3=11.5), _item("CVE-2019-0004", v2=7.5)]}
+    path = tmp_path / "outofrange.json"
+    path.write_text(json.dumps(feed))
+    records, warnings = cat_mod.import_nvd_feed(path)
+    assert [r.cve_id for r in records] == ["CVE-2019-0004"]
+    assert warnings == ["CVE_Items[0]: CVE-2019-0003: CVSS base score 11.5 outside [0.0, 10.0]"]
+
+
 def test_import_rejects_non_feed(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{\"hello\": 1}")

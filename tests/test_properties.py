@@ -1,19 +1,22 @@
 """Randomized property suites.
 
-Seven suites, each at least 500 cases: CPE round-trip, CPE parsing of
+Eight suites, each at least 500 cases: CPE round-trip, CPE parsing of
 hostile strings, cluster/expand identity, metric equivalence against a naive
 set-enumeration oracle on small graphs, relative-frequency normalization, the
-lifecycle-weakness inequality and event-replay determinism.
+lifecycle-weakness inequality, event-replay determinism and indexed catalog
+lookup against a linear scan.
 """
 
 import random
 import string
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gen import random_graph, random_timeline
+from helpers import make_catalog, record
 from oracles import brute_metrics
 from vulngraph import cpe, graph, metrics, timeline as tl_mod
 from vulngraph.cpe import ANY, NA, WellFormedName
@@ -221,3 +224,51 @@ def test_metrics_invariant_under_clustering():
         assert metrics.m1(clustered) == metrics.m1(g), seed
         assert metrics.m7(clustered) == metrics.m7(g), seed
         assert metrics.n_assets(clustered) == metrics.n_assets(g), seed
+
+
+# Catalogs over a few products whose patterns mix literals, ANY and NA in
+# part, vendor and product; several entries per record, some with a version
+# range, and publication dates on both sides of the query times.
+_pattern = st.builds(
+    WellFormedName,
+    part=st.sampled_from(["a", "o", ANY]),
+    vendor=st.sampled_from(["v", "w", ANY, NA]),
+    product=st.sampled_from(["p", "q", ANY, NA]),
+    version=st.sampled_from(["1.0", "2.0", ANY, NA]),
+)
+_entry = st.one_of(
+    _pattern.map(cpe.bind_formatted),
+    _pattern.map(lambda w: (cpe.bind_formatted(w), "1.0", "2.0")),
+)
+_record = st.tuples(st.lists(_entry, max_size=3),
+                    st.sampled_from(["2019-06-01", "2020-01-01", "2020-06-01"]))
+_name = st.builds(
+    WellFormedName,
+    part=st.sampled_from(["a", "o", ANY, NA]),
+    vendor=st.sampled_from(["v", "w", "z", ANY, NA]),
+    product=st.sampled_from(["p", "q", "z", ANY, NA]),
+    version=st.sampled_from(["1.0", "1.5", "2.0", ANY, NA]),
+)
+_at = st.sampled_from(["2019-01-01T00:00:00Z", "2020-01-01T00:00:00Z", "2021-01-01T00:00:00Z"])
+
+
+@settings(max_examples=CASES, deadline=None)
+@given(st.lists(_record, max_size=12), st.data())
+def test_indexed_lookup_matches_linear_scan(records, data):
+    cat = make_catalog(records=[
+        record(f"CVE-2020-{i:04d}", 5.0, affected=entries, published=published)
+        for i, (entries, published) in enumerate(records)
+    ])
+    patterns = [e.pattern for r in cat.vulnerabilities.values() for e in r.affected]
+    for _ in range(data.draw(st.integers(1, 5))):
+        name = data.draw(_name)
+        if patterns and data.draw(st.booleans()):
+            # agree with one pattern's part, vendor and product where they are not ANY
+            pattern = data.draw(st.sampled_from(patterns))
+            name = replace(name, **{
+                attr: getattr(pattern, attr) for attr in ("part", "vendor", "product")
+                if getattr(pattern, attr) is not ANY})
+        at = data.draw(_at)
+        expected = sorted([r for r in cat.vulnerabilities.values() if r.applies_to(name, at)],
+                          key=lambda r: r.cve_id)
+        assert cat.lookup_vulnerabilities(name, at) == expected

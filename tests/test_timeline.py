@@ -1,3 +1,4 @@
+import json
 import re
 
 import pytest
@@ -220,3 +221,53 @@ def test_two_epochs_at_one_timestamp_stay_apart():
     assert embedded.snapshots["t3-again"]["epoch"] == "t3-again"
     assert [g.epoch for g in tl_mod.epoch_snapshots(embedded, None)] == [
         "t0", "t1", "t2", "t3", "t3-again"]
+
+
+def _openplc_doc():
+    return json.loads(fixtures.openplc_timeline_path().read_text())
+
+
+# Loading runs the check that mark_epoch runs on each epoch mark after the
+# three bundled ones (V1, V2, V3): the mark appended -> the error and its path.
+@pytest.mark.parametrize(
+    "mark,error,path",
+    [
+        pytest.param({"label": "V1", "at": "2020-01-01T00:00:00Z"}, SchemaError, "epochs[3]",
+                     id="repeated-label-back-in-time"),
+        pytest.param({"label": "V4", "at": "2021-01-02T00:00:00Z"}, NonMonotonicTimestamp,
+                     "epochs[3]", id="back-in-time"),
+        pytest.param({"label": "V4", "at": "yesterday"}, SchemaError, "epochs[3].at",
+                     id="bad-timestamp"),
+    ],
+)
+def test_load_validates_epoch_marks(mark, error, path):
+    doc = _openplc_doc()
+    doc["epochs"].append(mark)
+    with pytest.raises(error, match=rf"^{re.escape(path)}: "):
+        tl_mod.timeline_from_dict(doc)
+
+
+def _drop_assets(snap):
+    del snap["assets"]
+
+
+def _break_cpe(snap):
+    snap["assets"][0]["cpe"] = "cpe:2.3:a:acme"
+
+
+def _drop_edge_kind(snap):
+    del snap["edges"][0]["kind"]
+
+
+@pytest.mark.parametrize("defect", [None, _drop_assets, _break_cpe, _drop_edge_kind],
+                         ids=["not-an-object", "without-assets", "bad-cpe", "edge-without-kind"])
+def test_malformed_embedded_snapshot_is_schema_error(defect):
+    doc = _openplc_doc()
+    if defect is None:
+        doc["snapshots"]["V1"] = 5
+    else:
+        defect(doc["snapshots"]["V1"])
+    tl = tl_mod.timeline_from_dict(doc)
+    with pytest.raises(SchemaError, match=r"^snapshots\.V1: "):
+        tl_mod.epoch_snapshot(tl, None, "V1")
+    tl_mod.epoch_snapshot(tl, None, "V2")  # the other snapshots still decode
