@@ -90,12 +90,6 @@ class Cluster:
     internal_edges: tuple[Edge, ...]
     boundary_edges: tuple[Edge, ...]
 
-    @property
-    def member_ids(self) -> frozenset[str]:
-        return frozenset(
-            [a.node_id for a in self.assets] + [v.cve_id for v in self.vulns]
-        )
-
 
 @dataclass(frozen=True)
 class ManifestEntry:
@@ -513,12 +507,15 @@ def cluster_by(g: Edg, rule: ClusterRule, scope=None) -> Edg:
     Connectivity is taken over the active normal edges, with the root acting
     as a connector but never a member, so a fully vulnerability-free system
     collapses into a single cluster.  ``scope`` optionally restricts
-    eligibility to a subset of asset ids.  Boundary edges are re-targeted to
-    the cluster; the originals are retained for exact expansion.
+    eligibility to a subset of asset ids.  An edge with both ends in one
+    cluster is kept in that cluster's internal edges; any other edge touching
+    a member is kept, in its original form, in the boundary edges of every
+    cluster it touches and drawn between the clusters (or nodes) at its ends,
+    so :func:`expand_clusters` restores the graph exactly.
     """
     active = active_subgraph(g)
     scope_ids = None if scope is None else set(scope)
-    cves_of = g.cves_by_asset()
+    cves_of = active.cves_by_asset()
     eligible = {
         a.node_id
         for a in active.assets.values()
@@ -550,69 +547,54 @@ def cluster_by(g: Edg, rule: ClusterRule, scope=None) -> Edg:
     components: dict[str, set[str]] = {}
     for nid in eligible:
         components.setdefault(find(nid), set()).add(nid)
+    first = len(g.clusters) + 1
+    ids = [f"cluster-{first + i}" for i in range(len(components))]
+    cluster_of = {
+        nid: cid
+        for cid, group in zip(ids, sorted(components.values(), key=min))
+        for nid in group
+    }
 
-    groups = sorted(components.values(), key=lambda grp: min(grp))
+    # A vulnerability joins a group when every node hosting it lies inside
+    # that group (one shared across groups stays visible outside all of them).
+    owner: dict[str, str | None] = {}
+    for nid, cves in cves_of.items():
+        cid = cluster_of.get(nid)
+        for cve_id in cves:
+            owner[cve_id] = cid if owner.get(cve_id, cid) == cid else None
+    cluster_of.update((cve_id, cid) for cve_id, cid in owner.items() if cid is not None)
+
     g2 = g.clone()
-    next_index = len(g.clusters) + 1
-    for group in groups:
-        # Absorption is decided against the original graph: a vulnerability
-        # joins the group only when every active attachment lies inside it
-        # (one shared across groups stays visible outside all of them).
-        absorbed = _absorbed_vulns(g, group)
-        _form_cluster(g2, group, absorbed, f"cluster-{next_index}")
-        next_index += 1
-    return g2
-
-
-def _absorbed_vulns(g: Edg, asset_node_ids: set[str]) -> set[str]:
-    active_asset_ids = {nid for nid, a in g.assets.items() if not a.deprecated}
-    absorbed = set()
-    for cve_id in {
-        e.target
-        for e in g.normal_edges()
-        if e.source in asset_node_ids and e.target in g.vulns
-    }:
-        attachments = {
-            e.source
-            for e in g.normal_edges()
-            if e.target == cve_id and e.source in active_asset_ids
-        }
-        if attachments <= asset_node_ids:
-            absorbed.add(cve_id)
-    return absorbed
-
-
-def _form_cluster(g: Edg, asset_node_ids: set[str], absorbed: set[str], cluster_id: str) -> None:
-    members = asset_node_ids | absorbed
-    internal, boundary = [], []
-    for e in sorted(g.edges, key=lambda e: (e.source, e.target, e.kind)):
-        src_in, dst_in = e.source in members, e.target in members
-        if src_in and dst_in:
-            internal.append(e)
-        elif src_in or dst_in:
-            boundary.append(e)
-
-    cluster = Cluster(
-        cluster_id=cluster_id,
-        assets=tuple(sorted((g.assets[nid] for nid in asset_node_ids), key=lambda a: a.node_id)),
-        vulns=tuple(sorted((g.vulns[c] for c in absorbed), key=lambda v: v.cve_id)),
-        internal_edges=tuple(internal),
-        boundary_edges=tuple(boundary),
-    )
-    g.clusters[cluster_id] = cluster
-
-    for nid in asset_node_ids:
-        del g.assets[nid]
-    for cve_id in absorbed:
-        del g.vulns[cve_id]
-    for e in internal:
-        g.edges.discard(e)
-    for e in boundary:
-        g.edges.discard(e)
-        if e.source in members:
-            g.edges.add(Edge(source=cluster_id, target=e.target, kind=e.kind))
+    assets: dict[str, list[AssetNode]] = {cid: [] for cid in ids}
+    vulns: dict[str, list[VulnNode]] = {cid: [] for cid in ids}
+    for member, cid in sorted(cluster_of.items()):
+        if member in g2.assets:
+            assets[cid].append(g2.assets.pop(member))
         else:
-            g.edges.add(Edge(source=e.source, target=cluster_id, kind=e.kind))
+            vulns[cid].append(g2.vulns.pop(member))
+
+    internal: dict[str, list[Edge]] = {cid: [] for cid in ids}
+    boundary: dict[str, list[Edge]] = {cid: [] for cid in ids}
+    touching = [e for e in g.edges if e.source in cluster_of or e.target in cluster_of]
+    for e in sorted(touching, key=lambda e: (e.source, e.target, e.kind)):
+        g2.edges.discard(e)
+        source, target = cluster_of.get(e.source, e.source), cluster_of.get(e.target, e.target)
+        if source == target:
+            internal[source].append(e)
+            continue
+        for cid in {source, target} & boundary.keys():
+            boundary[cid].append(e)
+        g2.edges.add(Edge(source=source, target=target, kind=e.kind))
+
+    for cid in ids:
+        g2.clusters[cid] = Cluster(
+            cluster_id=cid,
+            assets=tuple(assets[cid]),
+            vulns=tuple(vulns[cid]),
+            internal_edges=tuple(internal[cid]),
+            boundary_edges=tuple(boundary[cid]),
+        )
+    return g2
 
 
 def expand_clusters(g: Edg) -> Edg:

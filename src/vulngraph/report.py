@@ -19,6 +19,7 @@ from .graph import DEPRECATED, ROOT_ID, ClusterRule, Edg, active_subgraph, clust
 from .metrics import (
     METRIC_IDS,
     PrioritizedVulnerability,
+    _active,
     _lifecycle,
     fmt2,
     iec62443_annotations,
@@ -168,7 +169,7 @@ def check_alerts(g: Edg, rules) -> list[AlertFiring]:
     snapshot_metrics = None
     for rule in rules:
         if rule.kind == "cvss_at_least":
-            active = active_subgraph(g)
+            active = _active(g)
             for vuln in sorted(active.vulns.values(), key=lambda v: v.cve_id):
                 if vuln.cvss >= rule.threshold:
                     firings.append(

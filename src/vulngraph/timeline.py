@@ -122,20 +122,23 @@ def append_event(tl: Timeline, event: LifecycleEvent) -> Timeline:
     )
 
 
-def validate_epoch(mark: EpochMark, earlier: list[EpochMark], path: str = "") -> None:
+def validate_epoch(
+    mark: EpochMark, earlier: list[EpochMark], built_at: str, path: str = ""
+) -> None:
     """Check one epoch mark against the marks before it, the same on
-    :func:`mark_epoch` and on load: a new label, at or after the last mark."""
+    :func:`mark_epoch` and on load: a new label, at or after the last mark
+    (or ``built_at`` for the first one)."""
     validate_timestamp(mark.at, f"{path}.at" if path else "")
     if any(m.label == mark.label for m in earlier):
         raise SchemaError(f"epoch {mark.label!r} already marked", path)
-    if earlier and mark.at < earlier[-1].at:
-        raise NonMonotonicTimestamp(
-            f"epoch {mark.label} at {mark.at} is before {earlier[-1].at}", path)
+    last_at = earlier[-1].at if earlier else built_at
+    if mark.at < last_at:
+        raise NonMonotonicTimestamp(f"epoch {mark.label} at {mark.at} is before {last_at}", path)
 
 
 def mark_epoch(tl: Timeline, label: str, at: str) -> Timeline:
     """Designate the state at ``at`` as a named release snapshot."""
-    validate_epoch(EpochMark(label=label, at=at), tl.epochs)
+    validate_epoch(EpochMark(label=label, at=at), tl.epochs, tl.built_at)
     return Timeline(
         sut_cpe=tl.sut_cpe,
         manifest=tl.manifest,
@@ -369,7 +372,7 @@ def timeline_from_dict(doc: dict) -> Timeline:
     for i, raw in enumerate(_expect(doc, "epochs", list, "", [])):
         path = f"epochs[{i}]"
         mark = EpochMark(label=_expect(raw, "label", str, path), at=_expect(raw, "at", str, path))
-        validate_epoch(mark, epochs, path)
+        validate_epoch(mark, epochs, built_at, path)
         epochs.append(mark)
     return Timeline(
         sut_cpe=_parse_cpe(doc, "sut", ""),

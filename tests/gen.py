@@ -157,3 +157,18 @@ def random_graph(rng: random.Random):
     for _, g in tl_mod.replay(tl, catalog):
         last = g
     return last, catalog
+
+
+def random_cluster_case(seed: int):
+    """A random final snapshot with a cluster rule and, sometimes, a scope."""
+    rng = random.Random(seed)
+    g, _ = random_graph(rng)
+    if rng.random() < 0.5:
+        rule = graph.ClusterRule.no_vulnerabilities()
+    else:
+        rule = graph.ClusterRule.cvss_below(round(rng.uniform(0.0, 10.0), 1))
+    scope = None
+    active_ids = [a.asset_id for a in g.active_assets()]
+    if active_ids and rng.random() < 0.3:
+        scope = set(rng.sample(active_ids, rng.randint(1, len(active_ids))))
+    return g, rule, scope

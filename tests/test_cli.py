@@ -294,6 +294,17 @@ def test_malformed_timeline_exits_2(tmp_path, capsys, keys, value, path):
     assert tl.read_bytes() == before
 
 
+def test_epoch_mark_before_built_at_exits_2(tmp_path, capsys):
+    doc = json.loads(fixtures.openplc_timeline_path().read_text())
+    doc["epochs"][0]["at"] = "2020-06-01T00:00:00Z"  # built 2021-01-01
+    tl = tmp_path / "timeline.json"
+    tl.write_text(json.dumps(doc))
+    cat = str(fixtures.openplc_catalog_path())
+    for extra in ([], ["--catalog", cat]):
+        assert main(["metrics", "--timeline", str(tl), "--epoch", "V1"] + extra) == 2
+        assert "NonMonotonicTimestamp: epochs[0]: " in capsys.readouterr().err
+
+
 def test_malformed_manifest_exits_2(tmp_path, capsys):
     manifest_path = tmp_path / "manifest.json"
     manifest_path.write_text(json.dumps({"assets": [{"id": "a", "cpe": 5}]}))

@@ -1,6 +1,19 @@
+import pytest
+
+from gen import random_cluster_case
 from helpers import make_catalog, manifest, name, record, wstr
-from vulngraph import graph
-from vulngraph.graph import ClusterRule, Edge, build_edg, cluster_by, expand_clusters
+from test_properties import CASES
+from vulngraph import graph, report
+from vulngraph.graph import (
+    Cluster,
+    ClusterRule,
+    Edge,
+    active_subgraph,
+    build_edg,
+    cluster_by,
+    expand_clusters,
+)
+from vulngraph.report import RenderOptions, export_dot
 
 AT = "2020-06-01T00:00:00Z"
 
@@ -162,3 +175,134 @@ def test_openplc_v3_low_threshold_absorbs_everything_else(openplc_snapshots):
     visible = {a.asset_id for a in clustered.assets.values() if not a.deprecated}
     assert visible == {"libgcc_s", "libc"}
     assert graph.edg_to_dict(expand_clusters(clustered)) == graph.edg_to_dict(g)
+
+
+def patched_between_groups():
+    """'c' (severe) depends on 'a' and 'b'; CVE-2020-0001 sits on 'a' and is
+    patched on 'b'.  Below 5.0 it is absorbed into a's cluster while b's
+    cluster keeps the deprecated edge to it."""
+    cat = make_catalog(records=[
+        record("CVE-2020-0001", 3.0, "CWE-200",
+               affected=[wstr("v", "a", "1.0"), wstr("v", "b", "1.0")]),
+        record("CVE-2020-0002", 9.0, "CWE-119", affected=[wstr("v", "c", "1.0")]),
+    ])
+    m = manifest(
+        [("a", wstr("v", "a", "1.0")), ("b", wstr("v", "b", "1.0")),
+         ("c", wstr("v", "c", "1.0"))],
+        [("c", "a"), ("c", "b")],
+    )
+    g = build_edg(name("v", "sut", "1.0"), m, cat, AT)
+    return graph.patch_vuln(g, "b", "CVE-2020-0001")
+
+
+def test_patched_edge_between_groups_expands_exactly():
+    g = patched_between_groups()
+    clustered = cluster_by(g, ClusterRule.cvss_below(5.0))
+    assert {v.cve_id for v in clustered.clusters["cluster-1"].vulns} == {"CVE-2020-0001"}
+    assert Edge(source="cluster-2", target="cluster-1", kind="deprecated") in clustered.edges
+    # both clusters keep the edge between them as it was
+    patched = Edge(source="b@0", target="CVE-2020-0001", kind="deprecated")
+    assert [patched in c.boundary_edges for c in clustered.clusters.values()] == [True, True]
+    assert graph.edg_to_dict(expand_clusters(clustered)) == graph.edg_to_dict(g)
+
+
+def _cluster_by_group(g, rule, scope=None):
+    """Clustering one group at a time: each group's edges are read from the
+    graph as the groups before it left it."""
+    active = active_subgraph(g)
+    scope_ids = None if scope is None else set(scope)
+    cves_of = g.cves_by_asset()
+    eligible = {
+        a.node_id
+        for a in active.assets.values()
+        if (scope_ids is None or a.asset_id in scope_ids)
+        and graph._eligible(g, cves_of.get(a.node_id, ()), rule)
+    }
+    if not eligible:
+        return g
+    parent = {nid: nid for nid in eligible | {graph.ROOT_ID}}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for e in active.edges:
+        if e.source in parent and e.target in parent:
+            ra, rb = find(e.source), find(e.target)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    components = {}
+    for nid in eligible:
+        components.setdefault(find(nid), set()).add(nid)
+
+    active_ids = {nid for nid, a in g.assets.items() if not a.deprecated}
+    g2 = g.clone()
+    for index, group in enumerate(sorted(components.values(), key=min), len(g.clusters) + 1):
+        absorbed = set()
+        for cve_id in {e.target for e in g.normal_edges()
+                       if e.source in group and e.target in g.vulns}:
+            if {e.source for e in g.normal_edges()
+                    if e.target == cve_id and e.source in active_ids} <= group:
+                absorbed.add(cve_id)
+        members = group | absorbed
+        cluster_id = f"cluster-{index}"
+        internal, boundary = [], []
+        for e in sorted(g2.edges, key=lambda e: (e.source, e.target, e.kind)):
+            if e.source in members and e.target in members:
+                internal.append(e)
+            elif e.source in members or e.target in members:
+                boundary.append(e)
+        g2.clusters[cluster_id] = Cluster(
+            cluster_id=cluster_id,
+            assets=tuple(sorted((g2.assets[n] for n in group), key=lambda a: a.node_id)),
+            vulns=tuple(sorted((g2.vulns[c] for c in absorbed), key=lambda v: v.cve_id)),
+            internal_edges=tuple(internal),
+            boundary_edges=tuple(boundary),
+        )
+        for nid in group:
+            del g2.assets[nid]
+        for cve_id in absorbed:
+            del g2.vulns[cve_id]
+        g2.edges.difference_update(internal + boundary)
+        for e in boundary:
+            if e.source in members:
+                g2.edges.add(Edge(source=cluster_id, target=e.target, kind=e.kind))
+            else:
+                g2.edges.add(Edge(source=e.source, target=cluster_id, kind=e.kind))
+    return g2
+
+
+def _dot_both_ways(monkeypatch, g, rule, scope=None):
+    opts = [RenderOptions(cluster_rule=rule, cluster_scope=scope, show_deprecated=shown)
+            for shown in (True, False)]
+    new = [export_dot(g, o) for o in opts]
+    with monkeypatch.context() as m:
+        m.setattr(report, "cluster_by", _cluster_by_group)
+        reference = [export_dot(g, o) for o in opts]
+    return new, reference
+
+
+def test_dot_matches_group_at_a_time_reference_on_random_graphs(monkeypatch):
+    for seed in range(CASES):
+        g, rule, scope = random_cluster_case(seed)
+        new, reference = _dot_both_ways(monkeypatch, g, rule, scope)
+        assert new == reference, seed
+
+
+def test_dot_matches_group_at_a_time_reference_across_groups(monkeypatch):
+    # the reference stores the edge between the groups retargeted, but draws it the same
+    new, reference = _dot_both_ways(monkeypatch, patched_between_groups(),
+                                    ClusterRule.cvss_below(5.0))
+    assert '"cluster-2" -> "cluster-1" [style=dashed];' in new[0]
+    assert new == reference
+
+
+@pytest.mark.parametrize("label", ["V1", "V2", "V3"])
+@pytest.mark.parametrize("rule", [ClusterRule.no_vulnerabilities(), ClusterRule.cvss_below(4.0),
+                                  ClusterRule.cvss_below(6.0), ClusterRule.cvss_below(9.5)],
+                         ids=["no-vulns", "below-4", "below-6", "below-9.5"])
+def test_dot_matches_group_at_a_time_reference_on_openplc(monkeypatch, openplc_snapshots,
+                                                          label, rule):
+    new, reference = _dot_both_ways(monkeypatch, openplc_snapshots[label], rule)
+    assert new == reference

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gen import random_graph, random_timeline
+from gen import random_cluster_case, random_graph, random_timeline
 from helpers import make_catalog, record
 from oracles import brute_metrics
 from vulngraph import cpe, graph, metrics, timeline as tl_mod
@@ -110,16 +110,7 @@ def test_compare_versions_total_order(triple):
 
 def test_cluster_expand_identity():
     for seed in range(CASES):
-        rng = random.Random(seed)
-        g, _ = random_graph(rng)
-        if rng.random() < 0.5:
-            rule = ClusterRule.no_vulnerabilities()
-        else:
-            rule = ClusterRule.cvss_below(round(rng.uniform(0.0, 10.0), 1))
-        scope = None
-        active_ids = [a.asset_id for a in g.active_assets()]
-        if active_ids and rng.random() < 0.3:
-            scope = set(rng.sample(active_ids, rng.randint(1, len(active_ids))))
+        g, rule, scope = random_cluster_case(seed)
         clustered = cluster_by(g, rule, scope=scope)
         assert graph.edg_to_dict(expand_clusters(clustered)) == graph.edg_to_dict(g), seed
 

@@ -3,8 +3,8 @@ import json
 import pytest
 
 from dotcheck import DotSyntaxError, parse_dot
-from helpers import make_catalog, manifest, name, update_patch_scenario, wstr
-from vulngraph import graph, report as report_mod, timeline as tl_mod
+from helpers import make_catalog, manifest, name, record, update_patch_scenario, wstr
+from vulngraph import graph, metrics, report as report_mod, timeline as tl_mod
 from vulngraph.errors import UnknownMetric
 from vulngraph.graph import ClusterRule, build_edg
 from vulngraph.report import AlertRule, RenderOptions, check_alerts, export_dot
@@ -103,6 +103,22 @@ def test_alerts_cvss_threshold(openplc_snapshots):
     firings = check_alerts(openplc_snapshots["V1"], [rule])
     assert [f.entity for f in firings] == ["CVE-2016-0705", "CVE-2016-0799", "CVE-2016-2842"]
     assert check_alerts(openplc_snapshots["V3"], [rule]) == []
+
+
+def test_alerts_cvss_threshold_sees_clustered_vulnerabilities():
+    cat = make_catalog(records=[
+        record("CVE-2020-0001", 7.5, "CWE-119", affected=[wstr("v", "high", "1.0")]),
+        record("CVE-2020-0002", 3.1, "CWE-200", affected=[wstr("v", "low", "1.0")]),
+    ])
+    m = manifest([("high", wstr("v", "high", "1.0")), ("low", wstr("v", "low", "1.0"))])
+    g = build_edg(name("v", "sut", "1.0"), m, cat, AT)
+    clustered = graph.cluster_by(g, ClusterRule.cvss_below(5.0))
+    assert "CVE-2020-0002" not in clustered.vulns  # absorbed into the cluster
+    rule = AlertRule.cvss_at_least(3.0)
+    entities = [f.entity for f in check_alerts(clustered, [rule])]
+    assert entities == [f.entity for f in check_alerts(g, [rule])]
+    assert entities == ["CVE-2020-0001", "CVE-2020-0002"]
+    assert metrics.m1(clustered) == len(entities)
 
 
 def test_alerts_metric_bound(openplc_snapshots):

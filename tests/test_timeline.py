@@ -121,6 +121,9 @@ def test_epoch_marks_are_ordered_and_unique():
         tl_mod.mark_epoch(tl, "t0", ts(9))
     with pytest.raises(NonMonotonicTimestamp):
         tl_mod.mark_epoch(tl, "early", ts(1))
+    unmarked = Timeline(sut_cpe=tl.sut_cpe, manifest=tl.manifest, built_at=ts(2))
+    with pytest.raises(NonMonotonicTimestamp):
+        tl_mod.mark_epoch(unmarked, "before-build", ts(1))
 
 
 def test_snapshot_at_picks_the_right_state():
@@ -244,6 +247,13 @@ def test_load_validates_epoch_marks(mark, error, path):
     doc = _openplc_doc()
     doc["epochs"].append(mark)
     with pytest.raises(error, match=rf"^{re.escape(path)}: "):
+        tl_mod.timeline_from_dict(doc)
+
+
+def test_load_rejects_epoch_mark_before_built_at():
+    doc = _openplc_doc()
+    doc["epochs"][0]["at"] = "2020-06-01T00:00:00Z"  # built 2021-01-01
+    with pytest.raises(NonMonotonicTimestamp, match=r"^epochs\[0\]: "):
         tl_mod.timeline_from_dict(doc)
 
 
