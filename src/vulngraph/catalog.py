@@ -249,22 +249,19 @@ def _parse_range(doc, path) -> VersionRange:
     return rng
 
 
-def _parse_affected(doc, path, patterns: dict) -> AffectedProduct:
-    # ``patterns`` caches the parsed names of one load by raw string.
+def _parse_affected(doc, path, patterns: cpe.ParseTable) -> AffectedProduct:
     raw = _expect(doc, "cpe", str, path)
-    pattern = patterns.get(raw)
-    if pattern is None:
-        try:
-            pattern = patterns[raw] = cpe.parse_formatted(raw)
-        except MalformedCpe as exc:
-            raise SchemaError(str(exc), f"{path}.cpe") from exc
+    try:
+        pattern = patterns[raw]
+    except MalformedCpe as exc:
+        raise SchemaError(str(exc), f"{path}.cpe") from exc
     versions = None
     if doc.get("versions") is not None:
         versions = _parse_range(_expect(doc, "versions", dict, path), f"{path}.versions")
     return AffectedProduct(pattern=pattern, versions=versions)
 
 
-def _parse_vulnerability(doc, path, patterns: dict) -> VulnerabilityRecord:
+def _parse_vulnerability(doc, path, patterns: cpe.ParseTable) -> VulnerabilityRecord:
     cve_id = _expect(doc, "cve_id", str, path)
     if not _CVE_RE.fullmatch(cve_id):
         raise SchemaError(f"bad CVE id {cve_id!r}", f"{path}.cve_id")
@@ -358,7 +355,7 @@ def catalog_from_dict(doc: dict) -> Catalog:
 
     catalog = Catalog(snapshot_date=_expect(doc, "snapshot_date", str, "", "1999-01-01"))
 
-    patterns: dict[str, WellFormedName] = {}
+    patterns = cpe.ParseTable()
     for i, raw in enumerate(_expect(doc, "vulnerabilities", list, "", [])):
         record = _parse_vulnerability(raw, f"vulnerabilities[{i}]", patterns)
         if record.cve_id in catalog.vulnerabilities:
@@ -395,14 +392,24 @@ def _dangling_references(catalog: Catalog) -> list[str]:
     ]
 
 
-def load_catalog(path) -> Catalog:
-    """Load the canonical catalog JSON file at ``path``."""
+def load_json(path):
+    """The JSON document in the file at ``path``.
+
+    Text that is not JSON, or that nests too deeply for the decoder, is a
+    :class:`SchemaError`; a path that cannot be read raises its ``OSError``.
+    """
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"not valid JSON: {exc}") from exc
-    return catalog_from_dict(doc)
+        except RecursionError as exc:
+            raise SchemaError("not valid JSON: nested too deeply to decode") from exc
+
+
+def load_catalog(path) -> Catalog:
+    """Load the canonical catalog JSON file at ``path``."""
+    return catalog_from_dict(load_json(path))
 
 
 def catalog_to_dict(catalog: Catalog) -> dict:

@@ -96,6 +96,8 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_event(args) -> int:
+    if args.kind == "mark-epoch" and not args.mark_epoch:
+        raise VulnGraphError("--kind mark-epoch needs --mark-epoch LABEL")
     tl = timeline_mod.load_timeline(args.timeline)
     cat = _load_catalog(args.catalog)
     at = _resolve_at(args.at)
@@ -280,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dependency pair for asset-added (repeatable)")
     p.add_argument("--top-level", action="store_true")
     p.add_argument("--mark-epoch", metavar="LABEL",
-                   help="also mark an epoch at the same timestamp")
+                   help="also mark an epoch at the same timestamp "
+                        "(the label to mark with --kind mark-epoch)")
     p.add_argument("--out", help="write here instead of updating in place")
     p.set_defaults(fn=_cmd_event)
 
@@ -354,7 +357,7 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         return args.fn(args)
-    except (VulnGraphError, FileNotFoundError, ValueError) as exc:
+    except (VulnGraphError, OSError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

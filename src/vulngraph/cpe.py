@@ -168,6 +168,21 @@ def parse_formatted(s: str) -> WellFormedName:
     return WellFormedName(*values)
 
 
+class ParseTable(dict):
+    """Parsed names of one document load, keyed by the raw string.
+
+    ``table[raw]`` parses ``raw`` on its first lookup only, so a document
+    that repeats a name parses it once.  A malformed name raises
+    :class:`~vulngraph.errors.MalformedCpe` and is not stored.  A table
+    lives as long as the document it was made for; there is no process-wide
+    one.
+    """
+
+    def __missing__(self, raw: str) -> WellFormedName:
+        name = self[raw] = parse_formatted(raw)
+        return name
+
+
 def _encode_value(value: AttrValue) -> str:
     if value is ANY:
         return "*"

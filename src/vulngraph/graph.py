@@ -666,14 +666,19 @@ def edg_to_dict(g: Edg) -> dict:
     }
 
 
-def edg_from_dict(doc: dict) -> Edg:
+def edg_from_dict(doc: dict, cpes: cpe.ParseTable | None = None) -> Edg:
+    """Inverse of :func:`edg_to_dict`.  ``cpes`` parses each distinct name
+    once; pass one table to share it across the snapshots of one load."""
+    if cpes is None:
+        cpes = cpe.ParseTable()
+
     def parse_asset(d) -> AssetNode:
         return AssetNode(
             node_id=d["node_id"],
             asset_id=d["asset_id"],
             order=d["order"],
-            cpe_current=cpe.parse_formatted(d["cpe"]),
-            cpe_previous=cpe.parse_formatted(d["cpe_previous"]) if d.get("cpe_previous") else None,
+            cpe_current=cpes[d["cpe"]],
+            cpe_previous=cpes[d["cpe_previous"]] if d.get("cpe_previous") else None,
             deprecated=d.get("deprecated", False),
         )
 
@@ -691,7 +696,7 @@ def edg_from_dict(doc: dict) -> Edg:
 
     g = Edg(
         root=RootNode(
-            sut_cpe=cpe.parse_formatted(doc["root"]["cpe"]),
+            sut_cpe=cpes[doc["root"]["cpe"]],
             checked_at=doc["root"]["checked_at"],
         ),
         epoch=doc.get("epoch"),

@@ -144,8 +144,13 @@ def prioritize(
         raise ValueError(f"need 0 <= min <= max <= 10, got [{min_cvss}, {max_cvss}]")
     if grouping not in ("by_asset", "global"):
         raise ValueError(f"grouping must be 'by_asset' or 'global', not {grouping!r}")
+    return _prioritize(_active(g), min_cvss, max_cvss, grouping)
 
-    active = _active(g)
+
+def _prioritize(
+    active: Edg, min_cvss: float, max_cvss: float, grouping: str
+) -> list[PrioritizedVulnerability]:
+    # The body of prioritize, on an active view the caller already holds.
     cves_of = active.cves_by_asset()
     rows: list[tuple[int, str, object]] = []
     for asset in active.active_assets():
@@ -260,7 +265,12 @@ def _by_cwe(counts: dict[str, int]) -> dict[str, int]:
 
 def snapshot_report(g: Edg) -> MetricReport:
     """M0, M1 and M3..M7 of one snapshot, from its active view."""
-    active = _active(g)
+    return _snapshot_report(_active(g))
+
+
+def _snapshot_report(active: Edg) -> MetricReport:
+    # The body of snapshot_report, on an active view the caller already
+    # holds; the view keeps the snapshot's epoch and root.
     cves_of = active.cves_by_asset()
     m3_map: dict[str, int] = {}
     m5_map: dict[str, dict[str, int]] = {}
@@ -280,8 +290,8 @@ def snapshot_report(g: Edg) -> MetricReport:
     n = len(active.assets)
     total = sum(m3_map.values())
     return MetricReport(
-        epoch=g.epoch,
-        checked_at=g.root.checked_at,
+        epoch=active.epoch,
+        checked_at=active.root.checked_at,
         n_assets=n,
         m0=(len(active.vulns) / n) if n else None,
         m1=len(active.vulns),

@@ -21,10 +21,10 @@ from .metrics import (
     PrioritizedVulnerability,
     _active,
     _lifecycle,
+    _prioritize,
+    _snapshot_report,
     fmt2,
     iec62443_annotations,
-    prioritize,
-    snapshot_report,
 )
 from .timeline import Timeline, epoch_snapshot, epoch_snapshots
 
@@ -166,10 +166,10 @@ _SCALAR_METRICS = ("M0", "M1", "M7")
 def check_alerts(g: Edg, rules) -> list[AlertFiring]:
     """Evaluate rules against a snapshot; one firing per offending entity."""
     firings: list[AlertFiring] = []
+    active = _active(g)
     snapshot_metrics = None
     for rule in rules:
         if rule.kind == "cvss_at_least":
-            active = _active(g)
             for vuln in sorted(active.vulns.values(), key=lambda v: v.cve_id):
                 if vuln.cvss >= rule.threshold:
                     firings.append(
@@ -184,7 +184,7 @@ def check_alerts(g: Edg, rules) -> list[AlertFiring]:
             if rule.metric not in _SCALAR_METRICS:
                 raise UnknownMetric(f"{rule.metric} cannot be bounded on a snapshot")
             if snapshot_metrics is None:
-                snapshot_metrics = snapshot_report(g)
+                snapshot_metrics = _snapshot_report(active)
             value = snapshot_metrics.scalar(rule.metric)
             if _COMPARATORS[rule.comparator](value, rule.value):
                 firings.append(
@@ -205,7 +205,7 @@ def check_alerts(g: Edg, rules) -> list[AlertFiring]:
 
 
 def _delta(before: Edg, after: Edg) -> dict:
-    before, after = active_subgraph(before), active_subgraph(after)
+    # Both arguments are active views.
     assets_before = {a.asset_id for a in before.assets.values()}
     assets_after = {a.asset_id for a in after.assets.values()}
     return {
@@ -218,7 +218,8 @@ def _delta(before: Edg, after: Edg) -> dict:
 
 def epoch_diff(tl: Timeline, catalog: Catalog | None, from_label: str, to_label: str) -> dict:
     """Active asset/vulnerability delta between two named epochs."""
-    delta = _delta(epoch_snapshot(tl, catalog, from_label), epoch_snapshot(tl, catalog, to_label))
+    delta = _delta(_active(epoch_snapshot(tl, catalog, from_label)),
+                   _active(epoch_snapshot(tl, catalog, to_label)))
     return {"from": from_label, "to": to_label, **delta}
 
 
@@ -241,18 +242,19 @@ def _priority_rows(rows: list[PrioritizedVulnerability]) -> list[dict]:
 
 def report_payload(tl: Timeline, catalog: Catalog) -> dict:
     """Everything the report shows, as one JSON-serializable dictionary."""
-    snapshots = epoch_snapshots(tl, catalog)
-    life = _lifecycle(tl.epoch_labels(), [snapshot_report(g) for g in snapshots])
+    # One active view per epoch serves its metrics, priorities and deltas.
+    actives = [_active(g) for g in epoch_snapshots(tl, catalog)]
+    life = _lifecycle(tl.epoch_labels(), [_snapshot_report(a) for a in actives])
     lo, hi = DEFAULT_PRIORITY_WINDOW
 
     epochs = []
-    for mark, g, rep in zip(tl.epochs, snapshots, life.per_epoch):
+    for mark, active, rep in zip(tl.epochs, actives, life.per_epoch):
         epochs.append(
             {
                 "label": mark.label,
                 "at": mark.at,
                 "metrics": rep.to_dict(),
-                "prioritization": _priority_rows(prioritize(g, lo, hi, "by_asset")),
+                "prioritization": _priority_rows(_prioritize(active, lo, hi, "by_asset")),
             }
         )
 
@@ -260,9 +262,9 @@ def report_payload(tl: Timeline, catalog: Catalog) -> dict:
         {
             "from": tl.epochs[i].label,
             "to": tl.epochs[i + 1].label,
-            "fixed_cves": _delta(snapshots[i], snapshots[i + 1])["vulns_fixed"],
+            "fixed_cves": _delta(actives[i], actives[i + 1])["vulns_fixed"],
         }
-        for i in range(len(snapshots) - 1)
+        for i in range(len(actives) - 1)
     ]
 
     lifetime_cwes = [c for c in life.weakness_frequency if c != CWE_NULL]

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field, replace
 
 from . import cpe, graph
-from .catalog import Catalog, _expect
+from .catalog import Catalog, _expect, load_json
 from .cpe import WellFormedName
 from .errors import MalformedCpe, NonMonotonicTimestamp, SchemaError, VulnGraphError
 from .graph import Edg, Manifest, ManifestEntry
@@ -72,6 +72,10 @@ class Timeline:
     # Optional embedded epoch snapshots (label -> serialized graph); purely a
     # cache so that read-only commands do not need the catalog.
     snapshots: dict[str, dict] = field(default_factory=dict)
+    # The CPE names parsed while loading, shared by the snapshot decodes.
+    _cpes: cpe.ParseTable = field(
+        default_factory=cpe.ParseTable, init=False, compare=False, repr=False
+    )
 
     def last_position(self) -> tuple[str, int]:
         if self.events:
@@ -107,9 +111,18 @@ def validate_event(event: LifecycleEvent, last_at: str, path: str = "event") -> 
 
 
 def append_event(tl: Timeline, event: LifecycleEvent) -> Timeline:
-    """Append one event that passes :func:`validate_event` after the log."""
+    """Append one event that passes :func:`validate_event` after the log.
+
+    The event must also fall after the last epoch mark: a released epoch is
+    history, and an event at or before its mark would change it.
+    """
     last_at, last_seq = tl.last_position()
     validate_event(event, last_at)
+    if tl.epochs and event.at <= tl.epochs[-1].at:
+        mark = tl.epochs[-1]
+        raise NonMonotonicTimestamp(
+            f"{event.at} is not after epoch {mark.label} at {mark.at}", "event.at"
+        )
     if event.seq <= last_seq:
         event = replace(event, seq=last_seq + 1)
     return Timeline(
@@ -248,7 +261,7 @@ def _decode_snapshot(tl: Timeline, label: str) -> Edg:
     # The decoder checks no types, so a malformed snapshot surfaces as one of
     # these and is reported as a schema error at the snapshot.
     try:
-        return graph.edg_from_dict(tl.snapshots[label])
+        return graph.edg_from_dict(tl.snapshots[label], tl._cpes)
     except (KeyError, TypeError, AttributeError, ValueError, MalformedCpe) as exc:
         raise SchemaError(f"malformed embedded snapshot: {type(exc).__name__}: {exc}",
                           f"snapshots.{label}") from exc
@@ -274,9 +287,9 @@ def embed_snapshots(tl: Timeline, catalog: Catalog) -> Timeline:
 # persistence
 
 
-def _parse_cpe(doc: dict, key: str, path: str) -> WellFormedName:
+def _parse_cpe(doc: dict, key: str, path: str, cpes: cpe.ParseTable) -> WellFormedName:
     try:
-        return cpe.parse_formatted(_expect(doc, key, str, path))
+        return cpes[_expect(doc, key, str, path)]
     except MalformedCpe as exc:
         raise SchemaError(str(exc), f"{path}.{key}" if path else key) from exc
 
@@ -300,12 +313,14 @@ def manifest_to_dict(manifest: Manifest) -> dict:
     }
 
 
-def manifest_from_dict(doc: dict) -> Manifest:
+def manifest_from_dict(doc: dict, cpes: cpe.ParseTable | None = None) -> Manifest:
+    if cpes is None:
+        cpes = cpe.ParseTable()
     entries = []
     for i, raw in enumerate(_expect(doc, "assets", list, "manifest")):
         path = f"manifest.assets[{i}]"
         entries.append(ManifestEntry(asset_id=_expect(raw, "id", str, path),
-                                     cpe=_parse_cpe(raw, "cpe", path)))
+                                     cpe=_parse_cpe(raw, "cpe", path, cpes)))
     return Manifest(entries=tuple(entries), dependencies=_pairs(doc, "manifest"))
 
 
@@ -326,7 +341,7 @@ def _event_to_dict(event: LifecycleEvent) -> dict:
     return out
 
 
-def _event_from_dict(doc: dict, path: str) -> LifecycleEvent:
+def _event_from_dict(doc: dict, path: str, cpes: cpe.ParseTable) -> LifecycleEvent:
     fixes = _expect(doc, "fixes", list, path, [])
     if not all(isinstance(cve_id, str) for cve_id in fixes):
         raise SchemaError("expected a list of CVE ids", f"{path}.fixes")
@@ -336,7 +351,7 @@ def _event_from_dict(doc: dict, path: str) -> LifecycleEvent:
         kind=_expect(doc, "kind", str, path),
         asset_id=_expect(doc, "asset_id", str, path, None),
         cve_id=_expect(doc, "cve_id", str, path, None),
-        cpe_value=_parse_cpe(doc, "cpe", path) if "cpe" in doc else None,
+        cpe_value=_parse_cpe(doc, "cpe", path, cpes) if "cpe" in doc else None,
         dependencies=_pairs(doc, path),
         top_level=_expect(doc, "top_level", bool, path, False),
         fixes=tuple(fixes),
@@ -356,16 +371,19 @@ def timeline_to_dict(tl: Timeline) -> dict:
 
 
 def timeline_from_dict(doc: dict) -> Timeline:
-    """Decode a timeline document, validating every event as :func:`append_event`
-    does and every epoch mark as :func:`mark_epoch` does."""
+    """Decode a timeline document, checking every event with
+    :func:`validate_event` and every epoch mark with :func:`validate_epoch`.
+    Each distinct CPE name is parsed once, and the embedded snapshots reuse
+    those parses."""
     if not isinstance(doc, dict):
         raise SchemaError("timeline document must be an object")
     if doc.get("schema_version", 1) != 1:
         raise SchemaError(f"unsupported schema_version {doc.get('schema_version')}")
+    cpes = cpe.ParseTable()
     built_at = validate_timestamp(_expect(doc, "built_at", str, ""), "built_at")
     events = []
     for i, raw in enumerate(_expect(doc, "events", list, "", [])):
-        event = _event_from_dict(raw, f"events[{i}]")
+        event = _event_from_dict(raw, f"events[{i}]", cpes)
         validate_event(event, events[-1].at if events else built_at, f"events[{i}]")
         events.append(event)
     epochs = []
@@ -374,14 +392,16 @@ def timeline_from_dict(doc: dict) -> Timeline:
         mark = EpochMark(label=_expect(raw, "label", str, path), at=_expect(raw, "at", str, path))
         validate_epoch(mark, epochs, built_at, path)
         epochs.append(mark)
-    return Timeline(
-        sut_cpe=_parse_cpe(doc, "sut", ""),
-        manifest=manifest_from_dict(_expect(doc, "manifest", dict, "")),
+    tl = Timeline(
+        sut_cpe=_parse_cpe(doc, "sut", "", cpes),
+        manifest=manifest_from_dict(_expect(doc, "manifest", dict, ""), cpes),
         built_at=built_at,
         events=events,
         epochs=epochs,
         snapshots=dict(_expect(doc, "snapshots", dict, "", {})),
     )
+    tl._cpes = cpes
+    return tl
 
 
 def canonical_json(doc: dict) -> str:
@@ -395,18 +415,8 @@ def save_timeline(tl: Timeline, path) -> None:
 
 
 def load_timeline(path) -> Timeline:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"not valid JSON: {exc}") from exc
-    return timeline_from_dict(doc)
+    return timeline_from_dict(load_json(path))
 
 
 def load_manifest(path) -> Manifest:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"not valid JSON: {exc}") from exc
-    return manifest_from_dict(doc)
+    return manifest_from_dict(load_json(path))

@@ -3,12 +3,14 @@ module from outside the package; these tests keep those names in place and
 use the same wrappers to count replay passes and snapshot decodes."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
 from helpers import make_catalog, name, record, update_patch_scenario, wstr
-from vulngraph import report, timeline as tl_mod
+from vulngraph import fixtures, report, timeline as tl_mod
+from vulngraph.report import AlertRule
 
 _SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -61,3 +63,41 @@ def test_lookup_tests_only_candidates(tracer):
     hits = cat.lookup_vulnerabilities(name("v0", "p7", "1.0"), "2030-01-01T00:00:00Z")
     assert len(hits) == 5 + 3
     assert tracer.cur["catalog.applies_to"] == 5 + 3
+
+
+def _cpe_strings(doc) -> set[str]:
+    """Every CPE name written anywhere in a timeline document."""
+    if isinstance(doc, list):
+        return set().union(*map(_cpe_strings, doc))
+    if not isinstance(doc, dict):
+        return set()
+    found = {v for k, v in doc.items() if k in ("sut", "cpe", "cpe_previous") and v}
+    return found.union(*map(_cpe_strings, doc.values()))
+
+
+def test_load_parses_each_distinct_cpe_once(tracer):
+    path = fixtures.openplc_timeline_path()
+    distinct = _cpe_strings(json.loads(path.read_text()))
+    tracer.cur.clear()
+    tl = tl_mod.load_timeline(path)
+    tl_mod.epoch_snapshots(tl, None)
+    assert tracer.cur["graph.from_dict"] == len(tl.epochs)
+    assert tracer.cur["cpe.parse"] == len(distinct)
+
+
+def test_report_builds_one_active_view_per_epoch(tracer):
+    tl, cat = update_patch_scenario()
+    tl = tl_mod.embed_snapshots(tl, cat)
+    tracer.cur.clear()
+    report.report_payload(tl, cat)
+    assert tracer.cur["graph.active_subgraph"] == len(tl.epochs)
+
+
+def test_alerts_build_one_active_view(tracer):
+    tl, cat = update_patch_scenario()
+    g = tl_mod.epoch_snapshot(tl, cat, "t2")
+    rules = [AlertRule.cvss_at_least(7.0), AlertRule.metric_bound("M1", ">=", 1),
+             AlertRule.cvss_at_least(9.0)]
+    tracer.cur.clear()
+    assert len(report.check_alerts(g, rules)) == 2
+    assert tracer.cur["graph.active_subgraph"] == 1

@@ -339,3 +339,42 @@ def test_malformed_snapshot_exits_2(tmp_path, capsys, drop_assets):
     assert main(["metrics", "--timeline", str(tl), "--epoch", "V1"]) == 2
     assert "SchemaError: snapshots.V1: " in capsys.readouterr().err
 
+
+
+def test_event_at_the_last_epoch_mark_exits_2(openplc_files, capsys):
+    # V3 is marked at 2021-01-03T01:00:00Z; retiring libc then would change V3.
+    cat, tl = openplc_files
+    assert main(["event", "--timeline", tl, "--catalog", cat, "--kind", "asset-retired",
+                 "--asset", "libc", "--at", "2021-01-03T01:00:00Z"]) == 2
+    assert "NonMonotonicTimestamp: event.at: " in capsys.readouterr().err
+    with open(tl, "rb") as fh:
+        assert fh.read() == fixtures.openplc_timeline_path().read_bytes()
+    assert main(["metrics", "--timeline", tl, "--epoch", "V3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["m1"] == 5
+
+
+def test_mark_epoch_kind_without_label_exits_2(openplc_files, capsys):
+    cat, tl = openplc_files
+    assert main(["event", "--timeline", tl, "--catalog", cat, "--kind", "mark-epoch",
+                 "--at", "2030-01-01T00:00:00Z"]) == 2
+    assert "--mark-epoch LABEL" in capsys.readouterr().err
+    with open(tl, "rb") as fh:
+        assert fh.read() == fixtures.openplc_timeline_path().read_bytes()
+
+
+def test_directory_as_timeline_exits_2(tmp_path, capsys):
+    assert main(["metrics", "--timeline", str(tmp_path)]) == 2
+    assert "IsADirectoryError" in capsys.readouterr().err
+
+
+def test_directory_as_out_exits_2(openplc_files, tmp_path, capsys):
+    _, tl = openplc_files
+    assert main(["metrics", "--timeline", tl, "--out", str(tmp_path)]) == 2
+    assert "IsADirectoryError" in capsys.readouterr().err
+
+
+def test_deeply_nested_timeline_exits_2(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    assert main(["metrics", "--timeline", str(deep)]) == 2
+    assert "SchemaError: not valid JSON" in capsys.readouterr().err

@@ -1,8 +1,10 @@
 import json
+import random
 import re
 
 import pytest
 
+from gen import random_timeline
 from helpers import make_catalog, manifest, name, ts, update_patch_scenario, wstr
 from vulngraph import fixtures, graph, metrics, timeline as tl_mod
 from vulngraph.errors import NonMonotonicTimestamp, SchemaError
@@ -63,9 +65,10 @@ def test_events_must_not_go_backwards():
 
 def test_same_timestamp_gets_next_sequence():
     tl, cat = update_patch_scenario()
-    last_at, last_seq = tl.last_position()
-    tl2 = tl_mod.append_event(tl, LifecycleEvent(at=last_at, seq=0, kind="noop"))
-    assert tl2.events[-1].seq == last_seq + 1
+    _, last_seq = tl.last_position()
+    tl2 = tl_mod.append_event(tl, LifecycleEvent(at=ts(5), seq=0, kind="noop"))
+    tl2 = tl_mod.append_event(tl2, LifecycleEvent(at=ts(5), seq=0, kind="noop"))
+    assert [e.seq for e in tl2.events[-2:]] == [last_seq + 1, last_seq + 2]
     # a noop leaves the graph unchanged apart from the check timestamp
     g_before = tl_mod.epoch_snapshot(tl, cat, "t3")
     last = None
@@ -73,6 +76,19 @@ def test_same_timestamp_gets_next_sequence():
         pass
     assert graph.edg_to_dict(last)["assets"] == graph.edg_to_dict(g_before)["assets"]
     assert graph.edg_to_dict(last)["edges"] == graph.edg_to_dict(g_before)["edges"]
+
+
+def test_event_must_follow_the_last_epoch_mark():
+    tl, cat = update_patch_scenario()
+    tl = tl_mod.mark_epoch(tl, "t4", ts(6))  # after the last event, at ts(4)
+    before = graph.edg_to_dict(tl_mod.epoch_snapshot(tl, cat, "t4"))
+    for at in (ts(5), ts(6)):
+        event = LifecycleEvent(at=at, seq=0, kind="asset_retired", asset_id="a1")
+        with pytest.raises(NonMonotonicTimestamp, match=r"^event\.at: .* epoch t4 "):
+            tl_mod.append_event(tl, event)
+    later = tl_mod.append_event(
+        tl, LifecycleEvent(at=ts(7), seq=0, kind="asset_retired", asset_id="a1"))
+    assert graph.edg_to_dict(tl_mod.epoch_snapshot(later, cat, "t4")) == before
 
 
 def test_unknown_event_kind_rejected():
@@ -281,3 +297,28 @@ def test_malformed_embedded_snapshot_is_schema_error(defect):
     with pytest.raises(SchemaError, match=r"^snapshots\.V1: "):
         tl_mod.epoch_snapshot(tl, None, "V1")
     tl_mod.epoch_snapshot(tl, None, "V2")  # the other snapshots still decode
+
+
+def _decoded_alone_and_through_the_load(doc):
+    """Each embedded snapshot of ``doc`` decoded on its own and through the
+    parse table of one load, in canonical form."""
+    tl = tl_mod.timeline_from_dict(doc)
+    return [
+        (graph.edg_to_dict(graph.edg_from_dict(doc["snapshots"][g.epoch])), graph.edg_to_dict(g))
+        for g in tl_mod.epoch_snapshots(tl, None)
+    ]
+
+
+def test_shared_parse_table_decodes_openplc_as_alone():
+    pairs = _decoded_alone_and_through_the_load(_openplc_doc())
+    assert len(pairs) == 3
+    for alone, shared in pairs:
+        assert shared == alone
+
+
+def test_shared_parse_table_decodes_random_timelines_as_alone():
+    for seed in range(200):
+        tl, cat = random_timeline(random.Random(seed))
+        doc = tl_mod.timeline_to_dict(tl_mod.embed_snapshots(tl, cat))
+        for alone, shared in _decoded_alone_and_through_the_load(doc):
+            assert shared == alone, seed
