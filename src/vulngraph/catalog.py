@@ -13,10 +13,10 @@ A catalog is loaded from one canonical JSON document::
       "remediation": [...]
     }
 
-External feeds (NVD JSON 1.1) are converted into the same record shape by
-:func:`import_nvd_feed`.  Catalogs are immutable after load; all lookups are
-read-only.  The first lookup indexes the records by product, so changing
-``vulnerabilities`` after it is unsupported.
+:func:`import_nvd_feed` maps external feeds (NVD JSON 1.1) onto the same
+record documents and checks them as a load does.  Catalogs are immutable
+after load; all lookups are read-only.  The first lookup indexes the records
+by product, so changing ``vulnerabilities`` after it is unsupported.
 """
 
 from __future__ import annotations
@@ -106,6 +106,9 @@ class WeaknessRecord:
     name: str = ""
     description: str = ""
     related_capec_ids: tuple[str, ...] = ()
+
+
+_NULL_WEAKNESS = WeaknessRecord(cwe_id=CWE_NULL, name="no assigned weakness")
 
 
 @dataclass(frozen=True)
@@ -230,11 +233,21 @@ def _expect(doc, key, types, path, default=_REQUIRED):
         return default
     value = doc[key]
     if not isinstance(value, types):
+        expected = " or ".join(t.__name__ for t in types) if isinstance(types, tuple) else types.__name__
         raise SchemaError(
-            f"expected {getattr(types, '__name__', types)}, got {type(value).__name__}",
+            f"expected {expected}, got {type(value).__name__}",
             f"{path}.{key}" if path else key,
         )
     return value
+
+
+def _ids(doc, key, pattern, kind, path, default=_REQUIRED) -> tuple[str, ...]:
+    """The id list at ``doc[key]``; each element is a string matching ``pattern``."""
+    ids = tuple(_expect(doc, key, list, path, default))
+    for i, value in enumerate(ids):
+        if not isinstance(value, str) or not pattern.fullmatch(value):
+            raise SchemaError(f"bad {kind} id {value!r}", f"{path}.{key}[{i}]")
+    return ids
 
 
 def _parse_range(doc, path) -> VersionRange:
@@ -266,15 +279,12 @@ def _parse_vulnerability(doc, path, patterns: cpe.ParseTable) -> VulnerabilityRe
     if not _CVE_RE.fullmatch(cve_id):
         raise SchemaError(f"bad CVE id {cve_id!r}", f"{path}.cve_id")
     cvss = _expect(doc, "cvss", (int, float), path)
-    if not 0.0 <= float(cvss) <= 10.0:
+    if not 0.0 <= cvss <= 10.0:
         raise SchemaError(f"cvss {cvss} outside [0.0, 10.0]", f"{path}.cvss")
     scheme = _expect(doc, "cvss_scheme", str, path, "v2")
     if scheme not in ("v2", "v3"):
         raise SchemaError(f"unknown cvss scheme {scheme!r}", f"{path}.cvss_scheme")
-    cwe_ids = tuple(_expect(doc, "cwe_ids", list, path, []))
-    for i, cwe_id in enumerate(cwe_ids):
-        if not isinstance(cwe_id, str) or not _CWE_RE.fullmatch(cwe_id):
-            raise SchemaError(f"bad CWE id {cwe_id!r}", f"{path}.cwe_ids[{i}]")
+    cwe_ids = _ids(doc, "cwe_ids", _CWE_RE, "CWE", path, [])
     if not cwe_ids:
         cwe_ids = (CWE_NULL,)
     affected = tuple(
@@ -299,7 +309,7 @@ def _parse_weakness(doc, path) -> WeaknessRecord:
     cwe_id = _expect(doc, "cwe_id", str, path)
     if not _CWE_RE.fullmatch(cwe_id):
         raise SchemaError(f"bad CWE id {cwe_id!r}", f"{path}.cwe_id")
-    related = tuple(_expect(doc, "related_capec_ids", list, path, []))
+    related = _ids(doc, "related_capec_ids", _CAPEC_RE, "CAPEC", path, [])
     if cwe_id == CWE_NULL and related:
         raise SchemaError("the null weakness may not reference attack patterns", path)
     return WeaknessRecord(
@@ -331,10 +341,10 @@ def _parse_remediation(doc, path) -> RemediationEntry:
     kind = _expect(doc, "kind", str, path)
     if kind not in REMEDIATION_KINDS:
         raise SchemaError(f"unknown remediation kind {kind!r}", f"{path}.kind")
-    cwe_ids = tuple(_expect(doc, "cwe_ids", list, path))
+    cwe_ids = _ids(doc, "cwe_ids", _CWE_RE, "CWE", path)
     if not cwe_ids:
         raise SchemaError("remediation entry needs at least one weakness", f"{path}.cwe_ids")
-    capec_ids = tuple(_expect(doc, "capec_ids", list, path, []))
+    capec_ids = _ids(doc, "capec_ids", _CAPEC_RE, "CAPEC", path, [])
     if kind == "test_case" and not capec_ids:
         raise SchemaError("test_case entries need at least one CAPEC id", f"{path}.capec_ids")
     return RemediationEntry(
@@ -367,7 +377,7 @@ def catalog_from_dict(doc: dict) -> Catalog:
         if record.cwe_id in catalog.weaknesses:
             raise DuplicateId(record.cwe_id)
         catalog.weaknesses[record.cwe_id] = record
-    catalog.weaknesses.setdefault(CWE_NULL, WeaknessRecord(cwe_id=CWE_NULL, name="no assigned weakness"))
+    catalog.weaknesses.setdefault(CWE_NULL, _NULL_WEAKNESS)
 
     for i, raw in enumerate(_expect(doc, "attack_patterns", list, "", [])):
         record = _parse_attack_pattern(raw, f"attack_patterns[{i}]")
@@ -401,7 +411,7 @@ def load_json(path):
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise SchemaError(f"not valid JSON: {exc}") from exc
         except RecursionError as exc:
             raise SchemaError("not valid JSON: nested too deeply to decode") from exc
@@ -497,7 +507,7 @@ def merge_catalogs(base: Catalog, extra: Catalog) -> Catalog:
             merged.weaknesses.setdefault(cwe_id, source.weaknesses[cwe_id])
         for capec_id in sorted(source.attack_patterns, key=_capec_sort_key):
             merged.attack_patterns.setdefault(capec_id, source.attack_patterns[capec_id])
-    merged.weaknesses.setdefault(CWE_NULL, WeaknessRecord(cwe_id=CWE_NULL, name="no assigned weakness"))
+    merged.weaknesses.setdefault(CWE_NULL, _NULL_WEAKNESS)
     merged.remediation = base.remediation + [e for e in extra.remediation if e not in base.remediation]
     merged.warnings = _dangling_references(merged)
     return merged
@@ -513,102 +523,92 @@ def import_nvd_feed(path, prefer_v3: bool = True):
     Returns ``(records, warnings)``.  The v3 base score is preferred (v2 as
     fallback) unless ``prefer_v3`` is false; the first listed CWE is kept and
     a missing/`NVD-CWE-*` problem type maps to ``CWE-NULL``; configuration
-    nodes are flattened, best effort, to (cpe pattern, version range) pairs.
-    Entries that cannot be converted are skipped with a warning.
-    """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FeedParseError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "CVE_Items" not in doc:
-        raise FeedParseError("missing CVE_Items; not an NVD 1.1 feed")
-
+    nodes are flattened to (cpe pattern, version range) pairs.  Each entry is
+    checked as :func:`load_catalog` checks a record; one that fails is skipped
+    with the error as its warning."""
+    try:
+        doc = load_json(path)
+    except SchemaError as exc:
+        raise FeedParseError(str(exc)) from exc
+    if not isinstance(_dig(doc, "CVE_Items"), list):
+        raise FeedParseError("no CVE_Items list; not an NVD 1.1 feed")
+    patterns = cpe.ParseTable()
     records: list[VulnerabilityRecord] = []
     warnings: list[str] = []
     for i, item in enumerate(doc["CVE_Items"]):
         try:
-            records.append(_convert_nvd_item(item, prefer_v3, warnings))
-        except _SkipEntry as skip:
-            warnings.append(f"CVE_Items[{i}]: {skip}")
+            record_doc = _nvd_record(item, prefer_v3, patterns, warnings)
+            records.append(_parse_vulnerability(record_doc, f"CVE_Items[{i}]", patterns))
+        except SchemaError as exc:
+            warnings.append(str(exc))
     return records, warnings
 
 
-class _SkipEntry(Exception):
-    pass
+def _dig(doc, *keys, default=None):
+    """``doc[keys[0]][keys[1]]...``, or ``default`` where a level is missing or not
+    an object, or where ``default`` is given and the value is of another type."""
+    for key in keys:
+        if not isinstance(doc, dict) or key not in doc:
+            return default
+        doc = doc[key]
+    return doc if default is None or isinstance(doc, type(default)) else default
 
 
-def _convert_nvd_item(item, prefer_v3, warnings) -> VulnerabilityRecord:
-    meta = item.get("cve", {}).get("CVE_data_meta", {})
-    cve_id = meta.get("ID")
-    if not cve_id or not _CVE_RE.fullmatch(cve_id):
-        raise _SkipEntry(f"missing or malformed CVE id {cve_id!r}")
-
-    impact = item.get("impact", {})
-    v3 = impact.get("baseMetricV3", {}).get("cvssV3", {}).get("baseScore")
-    v2 = impact.get("baseMetricV2", {}).get("cvssV2", {}).get("baseScore")
-    if prefer_v3:
-        cvss, scheme = (v3, "v3") if v3 is not None else (v2, "v2")
-    else:
-        cvss, scheme = (v2, "v2") if v2 is not None else (v3, "v3")
-    if cvss is None:
-        raise _SkipEntry(f"{cve_id}: no CVSS base score")
-    if not 0.0 <= float(cvss) <= 10.0:
-        raise _SkipEntry(f"{cve_id}: CVSS base score {cvss} outside [0.0, 10.0]")
-
-    cwe_id = CWE_NULL
-    for ptype in item.get("cve", {}).get("problemtype", {}).get("problemtype_data", []):
-        for desc in ptype.get("description", []):
-            value = desc.get("value", "")
-            if _CWE_RE.fullmatch(value) and value != CWE_NULL:
-                cwe_id = value
-                break
-        if cwe_id != CWE_NULL:
-            break
-
-    affected = []
-    for node in item.get("configurations", {}).get("nodes", []):
-        _flatten_nvd_node(node, affected, cve_id, warnings)
-
-    published = item.get("publishedDate", "")[:10]
-    if not _DATE_RE.fullmatch(published):
-        published = "1999-01-01"
-
-    return VulnerabilityRecord(
-        cve_id=cve_id,
-        cvss=float(cvss),
-        cvss_scheme=scheme,
-        cwe_ids=(cwe_id,),
-        affected=tuple(affected),
-        exploit_available=False,
-        published=published,
-    )
+def _without_none(doc: dict) -> dict:
+    return {key: value for key, value in doc.items() if value is not None}
 
 
-def _flatten_nvd_node(node, out, cve_id, warnings):
-    for match in node.get("cpe_match", []):
-        if not match.get("vulnerable", True):
-            continue
-        uri = match.get("cpe23Uri")
-        if not uri:
-            continue
-        try:
-            pattern = cpe.parse_formatted(uri)
-        except Exception as exc:
-            warnings.append(f"{cve_id}: skipped unparsable cpe {uri!r}: {exc}")
-            continue
-        bounds = {
-            "minimum": match.get("versionStartIncluding") or match.get("versionStartExcluding"),
-            "maximum": match.get("versionEndIncluding") or match.get("versionEndExcluding"),
-            "min_inclusive": "versionStartExcluding" not in match,
-            "max_inclusive": "versionEndIncluding" in match,
-        }
-        versions = None
-        if bounds["minimum"] is not None or bounds["maximum"] is not None:
-            versions = VersionRange(**bounds)
-        out.append(AffectedProduct(pattern=pattern, versions=versions))
-    for child in node.get("children", []):
-        _flatten_nvd_node(child, out, cve_id, warnings)
+def _nvd_record(item, prefer_v3, patterns: cpe.ParseTable, warnings) -> dict:
+    """The canonical record document of one ``CVE_Items`` entry, unchecked.  A field
+    the entry lacks is left out, so the loader reports it or supplies its default
+    (``CWE-NULL`` without a real CWE, 1999-01-01 without a date)."""
+    cve_id = _dig(item, "cve", "CVE_data_meta", "ID")
+    scores = {"v3": _dig(item, "impact", "baseMetricV3", "cvssV3", "baseScore"),
+              "v2": _dig(item, "impact", "baseMetricV2", "cvssV2", "baseScore")}
+    scheme = "v3" if scores["v3"] is not None and (prefer_v3 or scores["v2"] is None) else "v2"
+    problem_types = [
+        _dig(desc, "value", default="")
+        for ptype in _dig(item, "cve", "problemtype", "problemtype_data", default=[])
+        for desc in _dig(ptype, "description", default=[])
+    ]
+    nodes = _dig(item, "configurations", "nodes", default=[])
+    published = _dig(item, "publishedDate", default="")[:10]
+    return _without_none({
+        "cve_id": cve_id,
+        "cvss": scores[scheme],
+        "cvss_scheme": scheme,
+        "cwe_ids": [v for v in problem_types if _CWE_RE.fullmatch(v) and v != CWE_NULL][:1],
+        "affected": _nvd_affected(nodes, cve_id, patterns, warnings),
+        "published": published if _DATE_RE.fullmatch(published) else None,
+    })
+
+
+def _nvd_affected(nodes, cve_id, patterns: cpe.ParseTable, warnings) -> list[dict]:
+    """Affected-entry documents of the vulnerable matches in ``nodes`` and their
+    children; a match whose CPE does not parse is skipped with a warning."""
+    out = []
+    for node in nodes:
+        for match in _dig(node, "cpe_match", default=[]):
+            uri = _dig(match, "cpe23Uri")
+            if not _dig(match, "vulnerable", default=True) or not uri:
+                continue
+            try:
+                if not isinstance(uri, str):
+                    raise MalformedCpe(f"expected a string, got {type(uri).__name__}")
+                patterns[uri]  # parsed here, so a bad name drops only this match
+            except MalformedCpe as exc:
+                warnings.append(f"{cve_id}: skipped unparsable cpe {uri!r}: {exc}")
+                continue
+            versions = _without_none({
+                "min": _dig(match, "versionStartIncluding") or _dig(match, "versionStartExcluding"),
+                "max": _dig(match, "versionEndIncluding") or _dig(match, "versionEndExcluding"),
+                "min_inclusive": "versionStartExcluding" not in match,
+                "max_inclusive": "versionEndIncluding" in match,
+            })
+            has_bound = "min" in versions or "max" in versions
+            out.append({"cpe": uri, "versions": versions if has_bound else None})
+        out += _nvd_affected(_dig(node, "children", default=[]), cve_id, patterns, warnings)
+    return out
 
 
 def records_to_catalog(records, snapshot_date: str) -> Catalog:
@@ -618,7 +618,7 @@ def records_to_catalog(records, snapshot_date: str) -> Catalog:
         if record.cve_id in catalog.vulnerabilities:
             raise DuplicateId(record.cve_id)
         catalog.vulnerabilities[record.cve_id] = record
-    catalog.weaknesses[CWE_NULL] = WeaknessRecord(cwe_id=CWE_NULL, name="no assigned weakness")
+    catalog.weaknesses[CWE_NULL] = _NULL_WEAKNESS
     return catalog
 
 
@@ -642,20 +642,19 @@ def import_cwe_capec_csv(path) -> dict[str, tuple[str, ...]]:
 def import_remediation_csv(path) -> list[RemediationEntry]:
     """Read the remediation knowledge base.
 
-    Columns: ``kind,cwe_ids,capec_ids,text`` with id lists semicolon separated.
+    Columns: ``kind,cwe_ids,capec_ids,text`` with id lists semicolon
+    separated.  Each row is checked as a catalog's remediation entry is.
     """
-    entries = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for i, row in enumerate(csv.DictReader(fh)):
-            kind = row["kind"].strip()
-            if kind not in REMEDIATION_KINDS:
-                raise SchemaError(f"unknown remediation kind {kind!r}", f"row {i + 1}")
-            entries.append(
-                RemediationEntry(
-                    kind=kind,
-                    cwe_ids=tuple(c.strip() for c in row["cwe_ids"].split(";") if c.strip()),
-                    capec_ids=tuple(c.strip() for c in row["capec_ids"].split(";") if c.strip()),
-                    text=row["text"].strip(),
-                )
+        return [
+            _parse_remediation(
+                {
+                    "kind": row["kind"].strip(),
+                    "cwe_ids": [c.strip() for c in row["cwe_ids"].split(";") if c.strip()],
+                    "capec_ids": [c.strip() for c in row["capec_ids"].split(";") if c.strip()],
+                    "text": row["text"].strip(),
+                },
+                f"row {i + 1}",
             )
-    return entries
+            for i, row in enumerate(csv.DictReader(fh, restval=""))
+        ]

@@ -511,8 +511,11 @@ def cluster_by(g: Edg, rule: ClusterRule, scope=None) -> Edg:
     cluster is kept in that cluster's internal edges; any other edge touching
     a member is kept, in its original form, in the boundary edges of every
     cluster it touches and drawn between the clusters (or nodes) at its ends,
-    so :func:`expand_clusters` restores the graph exactly.
+    so :func:`expand_clusters` restores the graph exactly.  A graph that
+    already has clusters is refused (:class:`ValueError`): expand it first.
     """
+    if g.clusters:
+        raise ValueError("graph is already clustered; expand its clusters first")
     active = active_subgraph(g)
     scope_ids = None if scope is None else set(scope)
     cves_of = active.cves_by_asset()
@@ -547,8 +550,7 @@ def cluster_by(g: Edg, rule: ClusterRule, scope=None) -> Edg:
     components: dict[str, set[str]] = {}
     for nid in eligible:
         components.setdefault(find(nid), set()).add(nid)
-    first = len(g.clusters) + 1
-    ids = [f"cluster-{first + i}" for i in range(len(components))]
+    ids = [f"cluster-{i}" for i in range(1, len(components) + 1)]
     cluster_of = {
         nid: cid
         for cid, group in zip(ids, sorted(components.values(), key=min))

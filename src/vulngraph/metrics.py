@@ -197,23 +197,20 @@ _MAPPING_PATH = Path(__file__).parent / "data" / "iec62443_mapping.csv"
 _mapping_cache: dict[str, frozenset[str]] | None = None
 
 
-def iec62443_annotations(metric_id: str, mapping_path=None) -> frozenset[str]:
+def iec62443_annotations(metric_id: str) -> frozenset[str]:
     """Requirement tags a metric supports, from the bundled mapping table."""
     global _mapping_cache
     metric_id = metric_id.upper()
     if metric_id not in METRIC_IDS:
         raise UnknownMetric(metric_id)
-    if mapping_path is None and _mapping_cache is not None:
-        return _mapping_cache[metric_id]
-    mapping: dict[str, frozenset[str]] = {}
-    with open(mapping_path or _MAPPING_PATH, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        tags = [name for name in reader.fieldnames if name != "metric"]
-        for row in reader:
-            mapping[row["metric"]] = frozenset(t for t in tags if row[t].strip() == "1")
-    if mapping_path is None:
-        _mapping_cache = mapping
-    return mapping[metric_id]
+    if _mapping_cache is None:
+        with open(_MAPPING_PATH, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            tags = [name for name in reader.fieldnames if name != "metric"]
+            _mapping_cache = {
+                row["metric"]: frozenset(t for t in tags if row[t].strip() == "1") for row in reader
+            }
+    return _mapping_cache[metric_id]
 
 
 # ---------------------------------------------------------------------------

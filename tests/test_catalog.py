@@ -4,6 +4,7 @@ import pytest
 
 from helpers import make_catalog, name, record, wstr
 from vulngraph import catalog as cat_mod
+from vulngraph import fixtures
 from vulngraph.catalog import CWE_NULL, VersionRange
 from vulngraph.errors import DuplicateId, SchemaError, UnknownWeakness
 
@@ -39,6 +40,15 @@ def test_schema_error_reports_path():
     with pytest.raises(SchemaError) as err:
         make_catalog(records=[5])
     assert err.value.path == "vulnerabilities[0]"
+
+
+def test_cvss_too_large_for_a_float_or_not_a_number_is_a_schema_error():
+    with pytest.raises(SchemaError) as err:
+        make_catalog(records=[record("CVE-2020-0001", 10**400)])
+    assert err.value.path == "vulnerabilities[0].cvss"
+    with pytest.raises(SchemaError) as err:
+        make_catalog(records=[record("CVE-2020-0001", "5.0")])
+    assert str(err.value) == "vulnerabilities[0].cvss: expected int or float, got str"
 
 
 def test_bad_cve_id_rejected():
@@ -269,3 +279,32 @@ def test_csv_side_tables_load(openplc_catalog):
     kinds = {e.kind for e in entries}
     assert kinds == {"requirement", "training", "test_case"}
     assert len(entries) == len(openplc_catalog.remediation)
+
+
+# Each id list the loader checks, with the kind of id its elements must be.
+@pytest.mark.parametrize("section,key,kind", [
+    ("vulnerabilities", "cwe_ids", "CWE"),
+    ("weaknesses", "related_capec_ids", "CAPEC"),
+    ("remediation", "cwe_ids", "CWE"),
+    ("remediation", "capec_ids", "CAPEC"),
+])
+@pytest.mark.parametrize("bad", [5, "bogus"])
+def test_id_lists_are_checked(section, key, kind, bad):
+    doc = json.loads(fixtures.openplc_catalog_path().read_text())
+    index = next(i for i, entry in enumerate(doc[section]) if entry[key])
+    doc[section][index][key].insert(1, bad)
+    with pytest.raises(SchemaError) as err:
+        cat_mod.catalog_from_dict(doc)
+    assert str(err.value) == f"{section}[{index}].{key}[1]: bad {kind} id {bad!r}"
+
+
+@pytest.mark.parametrize("row,error", [
+    ("training,CWE-119;CWE 20,,input", "row 2.cwe_ids[1]: bad CWE id 'CWE 20'"),
+    ("test_case,CWE-119", "row 2.capec_ids: test_case entries need at least one CAPEC id"),
+])
+def test_remediation_csv_rows_are_checked(tmp_path, row, error):
+    path = tmp_path / "remediation.csv"
+    path.write_text(f"kind,cwe_ids,capec_ids,text\nrequirement,CWE-119,,bounds\n{row}\n")
+    with pytest.raises(SchemaError) as err:
+        cat_mod.import_remediation_csv(path)
+    assert str(err.value) == error

@@ -378,3 +378,15 @@ def test_deeply_nested_timeline_exits_2(tmp_path, capsys):
     deep.write_text("[" * 100_000)
     assert main(["metrics", "--timeline", str(deep)]) == 2
     assert "SchemaError: not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,key", [("requirement", "cwe_ids"), ("test_case", "capec_ids")])
+def test_non_string_remediation_id_exits_2(openplc_files, tmp_path, capsys, kind, key):
+    _, tl = openplc_files
+    doc = json.loads(fixtures.openplc_catalog_path().read_text())
+    index = next(i for i, entry in enumerate(doc["remediation"]) if entry["kind"] == kind)
+    doc["remediation"][index][key].insert(0, 5)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["report", "--timeline", tl, "--catalog", str(bad)]) == 2
+    assert f"SchemaError: remediation[{index}].{key}[0]: bad " in capsys.readouterr().err

@@ -306,3 +306,14 @@ def test_dot_matches_group_at_a_time_reference_on_openplc(monkeypatch, openplc_s
                                                           label, rule):
     new, reference = _dot_both_ways(monkeypatch, openplc_snapshots[label], rule)
     assert new == reference
+
+
+def test_clustering_a_clustered_graph_is_refused():
+    g, _ = two_severity_system()
+    clustered = cluster_by(g, ClusterRule.cvss_below(6.0))
+    with pytest.raises(ValueError, match="expand"):
+        cluster_by(clustered, ClusterRule.cvss_below(9.9))
+    # after expansion the same clustering comes back, ids starting at cluster-1
+    again = cluster_by(expand_clusters(clustered), ClusterRule.cvss_below(6.0))
+    assert set(again.clusters) == {"cluster-1"}
+    assert graph.edg_to_dict(again) == graph.edg_to_dict(clustered)

@@ -7,9 +7,13 @@ must add up to its vulnerability count, the per-epoch asset counts must add
 up to the epoch totals, and the epoch totals to the lifecycle accumulation.
 """
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
-from vulngraph import metrics
+from vulngraph import catalog as cat_mod
+from vulngraph import metrics, timeline as tl_mod
 
 M5_EXPECTED = {
     "V1": {
@@ -140,3 +144,23 @@ def test_fixture_exploit_flags(openplc_catalog):
 @pytest.mark.parametrize("epoch,expected", [("V1", 19), ("V2", 18), ("V3", 2)])
 def test_fixture_m7(openplc_snapshots, epoch, expected):
     assert metrics.m7(openplc_snapshots[epoch]) == expected
+
+
+def test_fixture_tool_rebuilds_the_bundled_files():
+    # the tool's own steps and checks, in memory; nothing is written
+    path = Path(__file__).parent.parent / "tools" / "build_openplc_fixture.py"
+    spec = importlib.util.spec_from_file_location("build_openplc_fixture", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    tool.check_tables()
+    catalog = cat_mod.catalog_from_dict(tool.build_catalog_doc())
+    assert not catalog.warnings
+    tl = tool.build_timeline(catalog)
+    tool.check_result(catalog, tl)
+    built = {
+        "openplc_catalog.json": cat_mod.catalog_to_dict(catalog),
+        "openplc_manifest.json": tl_mod.manifest_to_dict(tl.manifest),
+        "openplc_timeline.json": tl_mod.timeline_to_dict(tl),
+    }
+    for name, doc in built.items():
+        assert tl_mod.canonical_json(doc) == (tool.DATA / name).read_text(encoding="utf-8"), name

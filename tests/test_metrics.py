@@ -1,7 +1,7 @@
 import pytest
 
 from helpers import make_catalog, manifest, name, record, ts, update_patch_scenario, wstr
-from vulngraph import fixtures, graph, metrics, timeline as tl_mod
+from vulngraph import graph, metrics, timeline as tl_mod
 from vulngraph.errors import NoAssets, NoVulnerabilities, UnknownAsset, UnknownMetric
 from vulngraph.graph import ClusterRule, build_edg, cluster_by
 from vulngraph.timeline import Timeline
@@ -228,10 +228,6 @@ def test_iec62443_annotations():
     assert metrics.iec62443_annotations("m4") == {"SR-5", "SM-13"}
     with pytest.raises(UnknownMetric):
         metrics.iec62443_annotations("M9")
-    # explicit path variant reads the same bundled table
-    assert metrics.iec62443_annotations(
-        "M0", mapping_path=fixtures.iec62443_mapping_path()
-    ) == {"SR-2", "SR-5", "SM-13", "SVV-4", "DM-3"}
 
 
 def test_snapshot_report_consistency(openplc_snapshots):

@@ -1,9 +1,17 @@
+import copy
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from test_properties import CASES
 from vulngraph import catalog as cat_mod
+from vulngraph import cpe
 from vulngraph.catalog import CWE_NULL
+from vulngraph.cli import main
 from vulngraph.errors import FeedParseError
 
 
@@ -157,7 +165,7 @@ def test_import_entry_without_score_warns_and_skips(tmp_path):
     path.write_text(json.dumps(feed))
     records, warnings = cat_mod.import_nvd_feed(path)
     assert records == []
-    assert any("no CVSS" in w for w in warnings)
+    assert warnings == ["CVE_Items[0].cvss: missing required field"]
 
 
 def test_import_entry_with_score_out_of_range_warns_and_skips(tmp_path):
@@ -167,7 +175,7 @@ def test_import_entry_with_score_out_of_range_warns_and_skips(tmp_path):
     path.write_text(json.dumps(feed))
     records, warnings = cat_mod.import_nvd_feed(path)
     assert [r.cve_id for r in records] == ["CVE-2019-0004"]
-    assert warnings == ["CVE_Items[0]: CVE-2019-0003: CVSS base score 11.5 outside [0.0, 10.0]"]
+    assert warnings == ["CVE_Items[0].cvss: cvss 11.5 outside [0.0, 10.0]"]
 
 
 def test_import_rejects_non_feed(tmp_path):
@@ -186,3 +194,133 @@ def test_noinfo_cwe_maps_to_null(tmp_path):
     path.write_text(json.dumps(feed))
     records, _ = cat_mod.import_nvd_feed(path)
     assert records[0].cwe_ids == (CWE_NULL,)
+
+
+def test_unparsable_cpe_skips_only_its_match(tmp_path):
+    good = "cpe:2.3:a:acme:widget:1.0:*:*:*:*:*:*:*"
+    matches = [{"vulnerable": True, "cpe23Uri": uri}
+               for uri in ("cpe:2.3:z:acme:widget:1.0:*:*:*:*:*:*:*", 5, good)]
+    path = tmp_path / "badcpe.json"
+    path.write_text(json.dumps({"CVE_Items": [_item("CVE-2019-0005", v2=5.0, cpe_match=matches)]}))
+    records, warnings = cat_mod.import_nvd_feed(path)
+    assert [cpe.bind_formatted(a.pattern) for r in records for a in r.affected] == [good]
+    assert warnings == [
+        "CVE-2019-0005: skipped unparsable cpe 'cpe:2.3:z:acme:widget:1.0:*:*:*:*:*:*:*': "
+        "illegal part 'z' (offset 8)",
+        "CVE-2019-0005: skipped unparsable cpe 5: expected a string, got int (offset 0)",
+    ]
+
+
+def test_import_parses_each_distinct_cpe_once(tmp_path, monkeypatch):
+    uri = "cpe:2.3:a:acme:widget:1.0:*:*:*:*:*:*:*"
+    match = {"vulnerable": True, "cpe23Uri": uri}
+    feed = {"CVE_Items": [_item(f"CVE-2019-000{i}", v2=5.0, cpe_match=[match]) for i in (6, 7)]}
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(feed))
+    calls = []
+    parse = cpe.parse_formatted
+    monkeypatch.setattr(cpe, "parse_formatted", lambda s: calls.append(s) or parse(s))
+    records, _ = cat_mod.import_nvd_feed(path)
+    assert len(records) == 2
+    assert calls == [uri]
+
+
+def _first_item(**fields):
+    item = copy.deepcopy(FEED["CVE_Items"][0])
+    item.update(fields)
+    return item
+
+
+def _with_bound(value):
+    item = _first_item()
+    item["configurations"]["nodes"][0]["cpe_match"][0]["versionEndExcluding"] = value
+    return item
+
+
+# Feeds that made `ingest` crash or write a catalog `load_catalog` rejects:
+# (feed document or raw text, exit code, warnings or the start of the error).
+MALFORMED_FEEDS = [
+    pytest.param({"CVE_Items": [5]}, 0, ["CVE_Items[0].cve_id: missing required field"],
+                 id="entry-not-an-object"),
+    pytest.param({"CVE_Items": [_first_item(cve=[])]}, 0,
+                 ["CVE_Items[0].cve_id: missing required field"], id="cve-a-list"),
+    pytest.param({"CVE_Items": [_first_item(cve={"CVE_data_meta": {"ID": 5}})]}, 0,
+                 ["CVE_Items[0].cve_id: expected str, got int"], id="integer-id"),
+    pytest.param({"CVE_Items": [_first_item(publishedDate=20171217)]}, 0, [],
+                 id="integer-date"),
+    pytest.param({"CVE_Items": {"0": _first_item()}}, 2,
+                 "FeedParseError: no CVE_Items list", id="items-an-object"),
+    pytest.param("[" * 100_000, 2, "FeedParseError: not valid JSON", id="deeply-nested"),
+    pytest.param({"CVE_Items": [_with_bound(2.27)]}, 0,
+                 ["CVE_Items[0].affected[0].versions.max: expected str, got float"],
+                 id="numeric-version-bound"),
+    pytest.param({"CVE_Items": [_first_item(impact={"baseMetricV2": {"cvssV2": {"baseScore": "9.3"}}})]},
+                 0, ["CVE_Items[0].cvss: expected int or float, got str"], id="string-score"),
+]
+
+
+@pytest.mark.parametrize("feed,code,expected", MALFORMED_FEEDS)
+def test_ingest_of_malformed_feed_exits_cleanly(tmp_path, capsys, feed, code, expected):
+    path = tmp_path / "feed.json"
+    path.write_text(feed if isinstance(feed, str) else json.dumps(feed))
+    out = tmp_path / "catalog.json"
+    assert main(["ingest", "--feed", str(path), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith(f"error: {expected}")
+        assert not out.exists()
+    else:
+        assert err == "".join(f"warning: {line}\n" for line in expected)
+        # a single-entry feed keeps its record exactly when nothing was wrong
+        assert len(cat_mod.load_catalog(out).vulnerabilities) == (0 if expected else 1)
+
+
+def _node_paths(node, path=()):
+    """The path of every value in a JSON document, the root included."""
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _node_paths(child, path + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+# Keys and strings of the feed format, so random objects reach the fields read.
+_FEED_KEYS = sorted({key for path in _node_paths(FEED) for key in path if isinstance(key, str)})
+_json_value = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8)
+    | st.sampled_from(["CVE-2020-0001", "CWE-79", "NVD-CWE-Other", "2020-01-01T00:00Z", "5.0",
+                       "cpe:2.3:a:acme:widget:1.0:*:*:*:*:*:*:*", "cpe:2.3:a:acme:widget"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_FEED_KEYS) | st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=CASES, deadline=None)
+@given(st.sampled_from(list(_node_paths(FEED))), _json_value)
+def test_import_of_mutated_feed_returns_loadable_records_or_rejects_the_feed(path, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        feed_path = Path(tmp) / "feed.json"
+        feed_path.write_text(json.dumps(_replaced(FEED, path, value)))
+        try:
+            records, _ = cat_mod.import_nvd_feed(feed_path)
+        except FeedParseError:
+            records = None
+        out = Path(tmp) / "catalog.json"
+        code = main(["ingest", "--feed", str(feed_path), "--out", str(out)])
+        assert code == (2 if records is None or len({r.cve_id for r in records}) < len(records) else 0)
+        if code == 0:
+            # ingest wrote records_to_catalog(records) with save_catalog
+            cat = cat_mod.records_to_catalog(records, "2020-01-01")
+            assert cat_mod.load_catalog(out).vulnerabilities == cat.vulnerabilities
