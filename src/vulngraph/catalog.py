@@ -25,6 +25,7 @@ import csv
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import cpe
 from .cpe import WellFormedName
@@ -48,22 +49,36 @@ _REQUIRED = object()
 
 @dataclass(frozen=True)
 class VersionRange:
-    """Version interval with per-end inclusivity; either end may be open."""
+    """Version interval with per-end inclusivity; either end may be open.
+
+    The :func:`cpe.version_key` of each bound is computed on first use and
+    kept with the range, so repeated tests do not re-tokenise the bounds.
+    """
 
     minimum: str | None = None
     maximum: str | None = None
     min_inclusive: bool = True
     max_inclusive: bool = False
 
+    @cached_property
+    def _min_key(self) -> tuple | None:
+        return None if self.minimum is None else cpe.version_key(self.minimum)
+
+    @cached_property
+    def _max_key(self) -> tuple | None:
+        return None if self.maximum is None else cpe.version_key(self.maximum)
+
     def contains(self, version: str) -> bool:
-        if self.minimum is not None:
-            c = cpe.compare_versions(version, self.minimum)
-            if c < 0 or (c == 0 and not self.min_inclusive):
-                return False
-        if self.maximum is not None:
-            c = cpe.compare_versions(version, self.maximum)
-            if c > 0 or (c == 0 and not self.max_inclusive):
-                return False
+        return self.contains_key(cpe.version_key(version))
+
+    def contains_key(self, key: tuple) -> bool:
+        """:meth:`contains` for a version given by its :func:`cpe.version_key`."""
+        lo = self._min_key
+        if lo is not None and (key < lo or (key == lo and not self.min_inclusive)):
+            return False
+        hi = self._max_key
+        if hi is not None and (key > hi or (key == hi and not self.max_inclusive)):
+            return False
         return True
 
 
@@ -72,7 +87,10 @@ class AffectedProduct:
     pattern: WellFormedName
     versions: VersionRange | None = None
 
-    def matches(self, name: WellFormedName) -> bool:
+    def matches(self, name: WellFormedName, version_key: tuple | None = None) -> bool:
+        """True when ``name`` matches the pattern and its version lies in the
+        range.  ``version_key`` is ``cpe.version_key(name.version)`` when the
+        caller has it already."""
         if not cpe.matches(name, self.pattern):
             return False
         if self.versions is None:
@@ -81,7 +99,9 @@ class AffectedProduct:
         # shown to lie inside the interval.
         if not isinstance(name.version, str):
             return False
-        return self.versions.contains(name.version)
+        if version_key is None:
+            version_key = cpe.version_key(name.version)
+        return self.versions.contains_key(version_key)
 
 
 @dataclass(frozen=True)
@@ -94,10 +114,11 @@ class VulnerabilityRecord:
     exploit_available: bool = False
     published: str = "1999-01-01"
 
-    def applies_to(self, name: WellFormedName, at: str | None = None) -> bool:
+    def applies_to(self, name: WellFormedName, at: str | None = None,
+                   version_key: tuple | None = None) -> bool:
         if at is not None and self.published > at[:10]:
             return False
-        return any(entry.matches(name) for entry in self.affected)
+        return any(entry.matches(name, version_key) for entry in self.affected)
 
 
 @dataclass(frozen=True)
@@ -145,7 +166,8 @@ class Catalog:
         published on or before ``at``, ordered by CVE id.
 
         Only the records indexed under the name's ``(part, vendor, product)``
-        and those with ``ANY`` in one of those fields are tested.
+        and those with ``ANY`` in one of those fields are tested, and the
+        name's version key is computed once for all of them.
         """
         if self._index is None:
             self._index = _product_index(self.vulnerabilities.values())
@@ -153,7 +175,8 @@ class Catalog:
         candidates = by_product.get((name.part, name.vendor, name.product), {})
         if wildcard:
             candidates = candidates | wildcard
-        hits = [r for r in candidates.values() if r.applies_to(name, at)]
+        key = cpe.version_key(name.version) if isinstance(name.version, str) else None
+        hits = [r for r in candidates.values() if r.applies_to(name, at, key)]
         hits.sort(key=lambda r: r.cve_id)
         return hits
 
@@ -241,6 +264,14 @@ def _expect(doc, key, types, path, default=_REQUIRED):
     return value
 
 
+def _id(doc, key, pattern, kind, path) -> str:
+    """The id at ``doc[key]``: a string matching ``pattern``."""
+    value = _expect(doc, key, str, path)
+    if not pattern.fullmatch(value):
+        raise SchemaError(f"bad {kind} id {value!r}", f"{path}.{key}")
+    return value
+
+
 def _ids(doc, key, pattern, kind, path, default=_REQUIRED) -> tuple[str, ...]:
     """The id list at ``doc[key]``; each element is a string matching ``pattern``."""
     ids = tuple(_expect(doc, key, list, path, default))
@@ -275,9 +306,7 @@ def _parse_affected(doc, path, patterns: cpe.ParseTable) -> AffectedProduct:
 
 
 def _parse_vulnerability(doc, path, patterns: cpe.ParseTable) -> VulnerabilityRecord:
-    cve_id = _expect(doc, "cve_id", str, path)
-    if not _CVE_RE.fullmatch(cve_id):
-        raise SchemaError(f"bad CVE id {cve_id!r}", f"{path}.cve_id")
+    cve_id = _id(doc, "cve_id", _CVE_RE, "CVE", path)
     cvss = _expect(doc, "cvss", (int, float), path)
     if not 0.0 <= cvss <= 10.0:
         raise SchemaError(f"cvss {cvss} outside [0.0, 10.0]", f"{path}.cvss")
@@ -306,9 +335,7 @@ def _parse_vulnerability(doc, path, patterns: cpe.ParseTable) -> VulnerabilityRe
 
 
 def _parse_weakness(doc, path) -> WeaknessRecord:
-    cwe_id = _expect(doc, "cwe_id", str, path)
-    if not _CWE_RE.fullmatch(cwe_id):
-        raise SchemaError(f"bad CWE id {cwe_id!r}", f"{path}.cwe_id")
+    cwe_id = _id(doc, "cwe_id", _CWE_RE, "CWE", path)
     related = _ids(doc, "related_capec_ids", _CAPEC_RE, "CAPEC", path, [])
     if cwe_id == CWE_NULL and related:
         raise SchemaError("the null weakness may not reference attack patterns", path)
@@ -321,9 +348,7 @@ def _parse_weakness(doc, path) -> WeaknessRecord:
 
 
 def _parse_attack_pattern(doc, path) -> AttackPatternRecord:
-    capec_id = _expect(doc, "capec_id", str, path)
-    if not _CAPEC_RE.fullmatch(capec_id):
-        raise SchemaError(f"bad CAPEC id {capec_id!r}", f"{path}.capec_id")
+    capec_id = _id(doc, "capec_id", _CAPEC_RE, "CAPEC", path)
     likelihood = _expect(doc, "likelihood", str, path, "medium")
     impact = _expect(doc, "impact", str, path, "medium")
     for label, value in (("likelihood", likelihood), ("impact", impact)):
@@ -400,6 +425,14 @@ def _dangling_references(catalog: Catalog) -> list[str]:
         for capec_id in weakness.related_capec_ids
         if capec_id not in catalog.attack_patterns
     ]
+
+
+def canonical_json(doc) -> str:
+    """The one serialization of every document this package writes: compact,
+    keys sorted, one trailing newline, so equal documents give equal bytes.
+    ``json.dumps`` without ``indent`` runs CPython's C encoder; files written
+    with an indent load the same, and ``python -m json.tool`` pretty-prints."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def load_json(path):
@@ -486,8 +519,7 @@ def catalog_to_dict(catalog: Catalog) -> dict:
 
 def save_catalog(catalog: Catalog, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(catalog_to_dict(catalog), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(canonical_json(catalog_to_dict(catalog)))
 
 
 def merge_catalogs(base: Catalog, extra: Catalog) -> Catalog:
@@ -626,16 +658,24 @@ def records_to_catalog(records, snapshot_date: str) -> Catalog:
 # CSV side-tables (weakness->attack pattern mapping, remediation KB)
 
 
+def _csv_ids(cell: str) -> list[str]:
+    """The ids of one semicolon-separated CSV cell, blanks dropped."""
+    return [c.strip() for c in cell.split(";") if c.strip()]
+
+
 def import_cwe_capec_csv(path) -> dict[str, tuple[str, ...]]:
     """Read the weakness-to-attack-pattern mapping.
 
     Columns: ``cwe_id,capec_ids`` with the CAPEC list semicolon separated.
+    Each row's ids are checked as a catalog's weakness ids are.
     """
     mapping: dict[str, tuple[str, ...]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            capecs = tuple(c.strip() for c in row["capec_ids"].split(";") if c.strip())
-            mapping[row["cwe_id"].strip()] = capecs
+        for i, row in enumerate(csv.DictReader(fh, restval="")):
+            doc = {"cwe_id": row["cwe_id"].strip(), "capec_ids": _csv_ids(row["capec_ids"])}
+            row_path = f"row {i + 1}"
+            mapping[_id(doc, "cwe_id", _CWE_RE, "CWE", row_path)] = _ids(
+                doc, "capec_ids", _CAPEC_RE, "CAPEC", row_path)
     return mapping
 
 
@@ -650,8 +690,8 @@ def import_remediation_csv(path) -> list[RemediationEntry]:
             _parse_remediation(
                 {
                     "kind": row["kind"].strip(),
-                    "cwe_ids": [c.strip() for c in row["cwe_ids"].split(";") if c.strip()],
-                    "capec_ids": [c.strip() for c in row["capec_ids"].split(";") if c.strip()],
+                    "cwe_ids": _csv_ids(row["cwe_ids"]),
+                    "capec_ids": _csv_ids(row["capec_ids"]),
                     "text": row["text"].strip(),
                 },
                 f"row {i + 1}",

@@ -622,15 +622,23 @@ def expand_clusters(g: Edg) -> Edg:
 
 
 def edg_to_dict(g: Edg) -> dict:
-    """Canonical JSON form; lists are sorted so equal graphs serialize equal."""
+    """Canonical JSON form; lists are sorted so equal graphs serialize equal.
+    Each distinct CPE name is bound once per call."""
+    bound: dict[WellFormedName, str] = {}
+
+    def bind(w: WellFormedName) -> str:
+        text = bound.get(w)
+        if text is None:
+            text = bound[w] = cpe.bind_formatted(w)
+        return text
 
     def asset_dict(a: AssetNode):
         return {
             "node_id": a.node_id,
             "asset_id": a.asset_id,
             "order": a.order,
-            "cpe": cpe.bind_formatted(a.cpe_current),
-            "cpe_previous": cpe.bind_formatted(a.cpe_previous) if a.cpe_previous else None,
+            "cpe": bind(a.cpe_current),
+            "cpe_previous": bind(a.cpe_previous) if a.cpe_previous else None,
             "deprecated": a.deprecated,
         }
 
@@ -649,7 +657,7 @@ def edg_to_dict(g: Edg) -> dict:
     return {
         "schema_version": 1,
         "epoch": g.epoch,
-        "root": {"cpe": cpe.bind_formatted(g.root.sut_cpe), "checked_at": g.root.checked_at},
+        "root": {"cpe": bind(g.root.sut_cpe), "checked_at": g.root.checked_at},
         "assets": [asset_dict(a) for a in sorted(g.assets.values(), key=lambda a: a.node_id)],
         "vulns": [vuln_dict(v) for v in sorted(g.vulns.values(), key=lambda v: v.cve_id)],
         "edges": [

@@ -12,12 +12,11 @@ ties are broken by the event sequence number.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field, replace
 
 from . import cpe, graph
-from .catalog import Catalog, _expect, load_json
+from .catalog import Catalog, _expect, canonical_json, load_json
 from .cpe import WellFormedName
 from .errors import MalformedCpe, NonMonotonicTimestamp, SchemaError, VulnGraphError
 from .graph import Edg, Manifest, ManifestEntry
@@ -402,11 +401,6 @@ def timeline_from_dict(doc: dict) -> Timeline:
     )
     tl._cpes = cpes
     return tl
-
-
-def canonical_json(doc: dict) -> str:
-    """The one serialization used wherever byte-identical output matters."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def save_timeline(tl: Timeline, path) -> None:

@@ -4,12 +4,14 @@ use the same wrappers to count replay passes and snapshot decodes."""
 
 import importlib.util
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+from gen import random_timeline
 from helpers import make_catalog, name, record, update_patch_scenario, wstr
-from vulngraph import fixtures, report, timeline as tl_mod
+from vulngraph import catalog as cat_mod, cpe, fixtures, report, timeline as tl_mod
 from vulngraph.report import AlertRule
 
 _SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -63,6 +65,52 @@ def test_lookup_tests_only_candidates(tracer):
     hits = cat.lookup_vulnerabilities(name("v0", "p7", "1.0"), "2030-01-01T00:00:00Z")
     assert len(hits) == 5 + 3
     assert tracer.cur["catalog.applies_to"] == 5 + 3
+
+
+@pytest.fixture()
+def version_keys(monkeypatch):
+    """Counts ``cpe.version_key`` calls while the test runs."""
+    calls = [0]
+    original = cpe.version_key
+
+    def counted(text):
+        calls[0] += 1
+        return original(text)
+
+    monkeypatch.setattr(cpe, "version_key", counted)
+    return calls
+
+
+def test_repeated_lookup_keys_the_name_once(version_keys):
+    records = [record(f"CVE-2020-{i:04d}", 5.0, affected=[(wstr("v", "p"), f"1.{i}", "9.0")])
+               for i in range(5)]
+    cat = make_catalog(records=records)
+    at = "2030-01-01T00:00:00Z"
+    first = cat.lookup_vulnerabilities(name("v", "p", "1.3"), at)
+    assert version_keys[0] <= 1 + 2 * len(records)
+    version_keys[0] = 0
+    assert cat.lookup_vulnerabilities(name("v", "p", "1.3"), at) == first
+    assert len(first) == 4
+    assert version_keys[0] == 1
+
+
+def test_embed_keys_each_bound_once(tracer, version_keys):
+    lookups = calls = ranged_total = 0
+    for seed in range(40):
+        tl, cat = random_timeline(random.Random(seed))
+        # a fresh load, so that no range holds keys from generating the timeline
+        cat = cat_mod.catalog_from_dict(cat_mod.catalog_to_dict(cat))
+        ranged = sum(entry.versions is not None
+                     for r in cat.vulnerabilities.values() for entry in r.affected)
+        tracer.cur.clear()
+        version_keys[0] = 0
+        tl_mod.embed_snapshots(tl, cat)
+        looked_up = tracer.cur.get("catalog.lookup", 0)
+        assert version_keys[0] <= looked_up + 2 * ranged, seed
+        lookups += looked_up
+        calls += version_keys[0]
+        ranged_total += ranged
+    assert lookups and ranged_total and calls
 
 
 def _cpe_strings(doc) -> set[str]:

@@ -308,3 +308,22 @@ def test_remediation_csv_rows_are_checked(tmp_path, row, error):
     with pytest.raises(SchemaError) as err:
         cat_mod.import_remediation_csv(path)
     assert str(err.value) == error
+
+
+@pytest.mark.parametrize("row,error", [
+    ("CWE-119,CAPEC 10;bogus", "row 2.capec_ids[0]: bad CAPEC id 'CAPEC 10'"),
+    ("CWE 119,CAPEC-10", "row 2.cwe_id: bad CWE id 'CWE 119'"),
+])
+def test_cwe_capec_csv_rows_are_checked(tmp_path, row, error):
+    path = tmp_path / "cwe_capec.csv"
+    path.write_text(f"cwe_id,capec_ids\nCWE-20,CAPEC-10\n{row}\n")
+    with pytest.raises(SchemaError) as err:
+        cat_mod.import_cwe_capec_csv(path)
+    assert str(err.value) == error
+
+
+def test_cwe_capec_csv_short_row_maps_to_no_attack_patterns(tmp_path):
+    path = tmp_path / "cwe_capec.csv"
+    path.write_text("cwe_id,capec_ids\nCWE-20,CAPEC-10; CAPEC-14\nCWE-119\n")
+    assert cat_mod.import_cwe_capec_csv(path) == {
+        "CWE-20": ("CAPEC-10", "CAPEC-14"), "CWE-119": ()}

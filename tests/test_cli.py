@@ -7,6 +7,7 @@ from dotcheck import parse_dot
 from helpers import wstr
 from vulngraph import fixtures
 from vulngraph.cli import main
+from vulngraph.timeline import canonical_json
 
 
 @pytest.fixture()
@@ -390,3 +391,21 @@ def test_non_string_remediation_id_exits_2(openplc_files, tmp_path, capsys, kind
     bad.write_text(json.dumps(doc))
     assert main(["report", "--timeline", tl, "--catalog", str(bad)]) == 2
     assert f"SchemaError: remediation[{index}].{key}[0]: bad " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["metrics", "--epoch", "V1", "--json"],
+    ["report"],
+    ["export", "--show-deprecated"],
+])
+def test_indented_timeline_reads_as_its_compact_form(tmp_path, capsys, argv):
+    # Files written before the compact encoding were indented; they read the same.
+    doc = json.loads(fixtures.openplc_timeline_path().read_text())
+    outputs = []
+    for text in (json.dumps(doc, indent=2, sort_keys=True) + "\n", canonical_json(doc)):
+        path = tmp_path / "timeline.json"
+        path.write_text(text)
+        extra = ["--catalog", str(fixtures.openplc_catalog_path())] if argv[0] == "report" else []
+        assert main([argv[0], "--timeline", str(path), *extra, *argv[1:]]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]

@@ -1,10 +1,11 @@
 """Randomized property suites.
 
-Eight suites, each at least 500 cases: CPE round-trip, CPE parsing of
+Nine suites, each at least 500 cases: CPE round-trip, CPE parsing of
 hostile strings, cluster/expand identity, metric equivalence against a naive
 set-enumeration oracle on small graphs, relative-frequency normalization, the
-lifecycle-weakness inequality, event-replay determinism and indexed catalog
-lookup against a linear scan.
+lifecycle-weakness inequality, event-replay determinism, indexed catalog
+lookup against a linear scan, and version ranges tested by cached keys
+against a comparison of the version strings.
 """
 
 import random
@@ -16,9 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gen import random_cluster_case, random_graph, random_timeline
-from helpers import make_catalog, record
+from helpers import make_catalog, record, wstr
 from oracles import brute_metrics
 from vulngraph import cpe, graph, metrics, timeline as tl_mod
+from vulngraph.catalog import VersionRange
 from vulngraph.cpe import ANY, NA, WellFormedName
 from vulngraph.errors import MalformedCpe
 from vulngraph.graph import ClusterRule, cluster_by, expand_clusters
@@ -263,3 +265,52 @@ def test_indexed_lookup_matches_linear_scan(records, data):
         expected = sorted([r for r in cat.vulnerabilities.values() if r.applies_to(name, at)],
                           key=lambda r: r.cve_id)
         assert cat.lookup_vulnerabilities(name, at) == expected
+
+
+def _contains_by_compare(rng: VersionRange, version: str) -> bool:
+    """Range membership from ``cpe.compare_versions`` on the strings: the
+    reference for the keys a range and a lookup compute once and reuse."""
+    if rng.minimum is not None:
+        c = cpe.compare_versions(version, rng.minimum)
+        if c < 0 or (c == 0 and not rng.min_inclusive):
+            return False
+    if rng.maximum is not None:
+        c = cpe.compare_versions(version, rng.maximum)
+        if c > 0 or (c == 0 and not rng.max_inclusive):
+            return False
+    return True
+
+
+# A small alphabet, so that equal keys (and so both inclusivities) come up often.
+_version = st.text(alphabet="0129abzAZ.-_+:", max_size=8)
+_version_range = st.builds(
+    VersionRange,
+    minimum=st.one_of(st.none(), _version),
+    maximum=st.one_of(st.none(), _version),
+    min_inclusive=st.booleans(),
+    max_inclusive=st.booleans(),
+)
+
+
+@settings(max_examples=CASES, deadline=None)
+@given(_version_range, st.lists(st.one_of(_version, st.just(ANY), st.just(NA)),
+                                min_size=1, max_size=6))
+def test_version_range_keys_match_compare_versions(rng, versions):
+    for version in versions:
+        if isinstance(version, str):
+            assert rng.contains(version) == _contains_by_compare(rng, version), version
+    if rng.minimum is None and rng.maximum is None:
+        return  # a catalog range needs a bound
+    bounds = {"min": rng.minimum, "max": rng.maximum,
+              "min_inclusive": rng.min_inclusive, "max_inclusive": rng.max_inclusive}
+    cat = make_catalog(records=[{
+        "cve_id": "CVE-2020-0001", "cvss": 5.0,
+        "affected": [{"cpe": wstr("v", "p"),
+                      "versions": {k: v for k, v in bounds.items() if v is not None}}],
+    }])
+    # Several lookups against one catalog: later ones reuse the bound keys.
+    for version in versions:
+        name = WellFormedName(part="a", vendor="v", product="p", version=version)
+        hit = bool(cat.lookup_vulnerabilities(name, "2030-01-01T00:00:00Z"))
+        # ANY and NA versions are never shown to lie inside a range
+        assert hit == (isinstance(version, str) and _contains_by_compare(rng, version)), version

@@ -322,3 +322,14 @@ def test_shared_parse_table_decodes_random_timelines_as_alone():
         doc = tl_mod.timeline_to_dict(tl_mod.embed_snapshots(tl, cat))
         for alone, shared in _decoded_alone_and_through_the_load(doc):
             assert shared == alone, seed
+
+
+def test_canonical_json_is_compact_and_decodes_to_its_document():
+    docs = [_openplc_doc()]
+    for seed in range(100):
+        tl, cat = random_timeline(random.Random(seed + 60_000))
+        docs.append(tl_mod.timeline_to_dict(tl_mod.embed_snapshots(tl, cat)))
+    for doc in docs:
+        text = tl_mod.canonical_json(doc)
+        assert json.loads(text) == doc
+        assert text.index("\n") == len(text) - 1

@@ -543,8 +543,7 @@ def main():
     tl = build_timeline(catalog)
     check_result(catalog, tl)
 
-    with open(DATA / "openplc_catalog.json", "w", encoding="utf-8") as fh:
-        fh.write(tl_mod.canonical_json(cat_mod.catalog_to_dict(catalog)))
+    cat_mod.save_catalog(catalog, DATA / "openplc_catalog.json")
     with open(DATA / "openplc_manifest.json", "w", encoding="utf-8") as fh:
         fh.write(tl_mod.canonical_json(tl_mod.manifest_to_dict(tl.manifest)))
     tl_mod.save_timeline(tl, DATA / "openplc_timeline.json")
