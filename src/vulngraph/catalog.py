@@ -663,6 +663,16 @@ def _csv_ids(cell: str) -> list[str]:
     return [c.strip() for c in cell.split(";") if c.strip()]
 
 
+def _csv_rows(fh, columns: tuple[str, ...]) -> csv.DictReader:
+    """The rows of a CSV file as dicts, blanks for the cells a short row
+    lacks; a header without one of ``columns`` is a :class:`SchemaError`."""
+    reader = csv.DictReader(fh, restval="")
+    for column in columns:
+        if reader.fieldnames is not None and column not in reader.fieldnames:
+            raise SchemaError(f"missing column {column!r}", "header")
+    return reader
+
+
 def import_cwe_capec_csv(path) -> dict[str, tuple[str, ...]]:
     """Read the weakness-to-attack-pattern mapping.
 
@@ -671,7 +681,7 @@ def import_cwe_capec_csv(path) -> dict[str, tuple[str, ...]]:
     """
     mapping: dict[str, tuple[str, ...]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        for i, row in enumerate(csv.DictReader(fh, restval="")):
+        for i, row in enumerate(_csv_rows(fh, ("cwe_id", "capec_ids"))):
             doc = {"cwe_id": row["cwe_id"].strip(), "capec_ids": _csv_ids(row["capec_ids"])}
             row_path = f"row {i + 1}"
             mapping[_id(doc, "cwe_id", _CWE_RE, "CWE", row_path)] = _ids(
@@ -696,5 +706,5 @@ def import_remediation_csv(path) -> list[RemediationEntry]:
                 },
                 f"row {i + 1}",
             )
-            for i, row in enumerate(csv.DictReader(fh, restval=""))
+            for i, row in enumerate(_csv_rows(fh, ("kind", "cwe_ids", "capec_ids", "text")))
         ]

@@ -44,7 +44,7 @@ def _snapshot(args):
     label = args.epoch or (tl.epochs[-1].label if tl.epochs else None)
     if label is None:
         raise VulnGraphError("timeline has no epochs; pass --epoch after marking one")
-    return tl, timeline_mod.epoch_snapshot(tl, cat, label)
+    return timeline_mod.epoch_snapshot(tl, cat, label)
 
 
 def _resolve_at(value: str) -> str:
@@ -87,11 +87,8 @@ def _cmd_build(args) -> int:
     tl = timeline_mod.mark_epoch(tl, args.epoch, at)
     tl = timeline_mod.embed_snapshots(tl, cat)
     timeline_mod.save_timeline(tl, args.out)
-    g = timeline_mod.epoch_snapshot(tl, cat, args.epoch)
-    print(
-        f"built {args.epoch}: {len(g.active_assets())} assets, "
-        f"{len(g.active_vulns())} vulnerabilities -> {args.out}"
-    )
+    rep = metrics.snapshot_report(timeline_mod.epoch_snapshot(tl, cat, args.epoch))
+    print(f"built {args.epoch}: {rep.n_assets} assets, {rep.m1} vulnerabilities -> {args.out}")
     return 0
 
 
@@ -125,7 +122,7 @@ def _cmd_event(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    _, g = _snapshot(args)
+    g = _snapshot(args)
     rep = metrics.snapshot_report(g)
     _write(json.dumps(rep.to_dict(), indent=2, sort_keys=True) if args.json else rep.to_text(),
            args.out)
@@ -133,7 +130,7 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_prioritize(args) -> int:
-    _, g = _snapshot(args)
+    g = _snapshot(args)
     grouping = "global" if args.global_order else "by_asset"
     rows = metrics.prioritize(g, args.min, args.max, grouping)
     if args.json:
@@ -148,7 +145,7 @@ def _cmd_prioritize(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    _, g = _snapshot(args)
+    g = _snapshot(args)
     rule = _cluster_rule(args)
     if rule is None:
         raise VulnGraphError("pick a criterion: no-vulns or cvss-below")
@@ -162,14 +159,14 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_impact(args) -> int:
-    _, g = _snapshot(args)
+    g = _snapshot(args)
     affected = sorted(graph.impact_set(g, args.cve))
     _write("\n".join(affected) if affected else "(no active asset affected)", args.out)
     return 0
 
 
 def _cmd_export(args) -> int:
-    _, g = _snapshot(args)
+    g = _snapshot(args)
     opts = RenderOptions(
         cluster_rule=_cluster_rule(args),
         show_deprecated=args.show_deprecated,
@@ -190,7 +187,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_alerts(args) -> int:
-    _, g = _snapshot(args)
+    g = _snapshot(args)
     rules = []
     if args.cvss_at_least is not None:
         rules.append(AlertRule.cvss_at_least(args.cvss_at_least))

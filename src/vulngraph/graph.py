@@ -15,8 +15,8 @@ updates; each update adds a new version node (``asset_id@k``) whose
 version chain.  Updating or retiring an asset flips its dependency edges to
 ``deprecated``; a vulnerability edge on the replaced version stays ``normal``
 unless the update fixed that vulnerability.  Deprecated versions are kept in
-the graph for history but never participate in the active view, metrics,
-clustering or impact queries.
+the graph for history; :func:`active_subgraph` alone decides what is active,
+and metrics, clustering and impact queries all read its view.
 """
 
 from __future__ import annotations
@@ -187,13 +187,8 @@ class Edg:
         return self.cves_by_asset().get(node_id, ())
 
     def active_vulns(self) -> dict[str, VulnNode]:
-        """Vulnerability nodes attached by a normal edge to a non-deprecated asset."""
-        active_ids = {a.node_id for a in self.assets.values() if not a.deprecated}
-        out = {}
-        for e in self.edges:
-            if e.kind == NORMAL and e.source in active_ids and e.target in self.vulns:
-                out[e.target] = self.vulns[e.target]
-        return out
+        """The vulnerabilities of :func:`active_subgraph`."""
+        return active_subgraph(self).vulns
 
     def node_count(self) -> int:
         return 1 + len(self.assets) + len(self.vulns) + len(self.clusters)
@@ -452,25 +447,27 @@ def _fmt_cpe(w: WellFormedName | None) -> str:
 
 
 def active_subgraph(g: Edg) -> Edg:
-    """The active configuration: non-deprecated assets, vulnerabilities still
-    attached to one of them, normal edges among those nodes plus the root."""
-    active_assets = {nid: a for nid, a in g.assets.items() if not a.deprecated}
-    vulns = g.active_vulns()
-    keep = set(active_assets) | set(vulns) | set(g.clusters) | {ROOT_ID}
-    edges = {e for e in g.normal_edges() if e.source in keep and e.target in keep}
-    return Edg(
-        root=g.root,
-        epoch=g.epoch,
-        assets=active_assets,
-        vulns=vulns,
-        edges=edges,
-        clusters=dict(g.clusters),
-    )
+    """The active configuration, with clusters expanded: non-deprecated
+    assets, vulnerabilities a normal edge attaches to one of them, and normal
+    edges among those nodes plus the root.  The only rule for what is active."""
+    g = expand_clusters(g)
+    assets = {nid: a for nid, a in g.assets.items() if not a.deprecated}
+    vulns = {}
+    normal = []
+    for e in g.edges:
+        if e.kind == NORMAL:
+            normal.append(e)
+            if e.source in assets and e.target in g.vulns:
+                vulns[e.target] = g.vulns[e.target]
+    keep = assets.keys() | vulns.keys() | {ROOT_ID}
+    edges = {e for e in normal if e.source in keep and e.target in keep}
+    return Edg(root=g.root, epoch=g.epoch, assets=assets, vulns=vulns, edges=edges)
 
 
 def impact_set(g: Edg, cve_id: str) -> set[str]:
     """Asset ids hosting a vulnerability plus all assets that transitively
     depend on them (reverse reachability over active normal edges)."""
+    g = expand_clusters(g)
     if cve_id not in g.vulns:
         raise UnknownCve(cve_id)
     active = active_subgraph(g)
@@ -678,12 +675,13 @@ def edg_to_dict(g: Edg) -> dict:
 
 def edg_from_dict(doc: dict, cpes: cpe.ParseTable | None = None) -> Edg:
     """Inverse of :func:`edg_to_dict`.  ``cpes`` parses each distinct name
-    once; pass one table to share it across the snapshots of one load."""
+    once; pass one table to share it across the snapshots of one load.  A
+    wrongly typed field raises :class:`TypeError` or :class:`ValueError`."""
     if cpes is None:
         cpes = cpe.ParseTable()
 
     def parse_asset(d) -> AssetNode:
-        return AssetNode(
+        node = AssetNode(
             node_id=d["node_id"],
             asset_id=d["asset_id"],
             order=d["order"],
@@ -691,18 +689,30 @@ def edg_from_dict(doc: dict, cpes: cpe.ParseTable | None = None) -> Edg:
             cpe_previous=cpes[d["cpe_previous"]] if d.get("cpe_previous") else None,
             deprecated=d.get("deprecated", False),
         )
+        if not (type(node.node_id) is str and type(node.asset_id) is str
+                and type(node.order) is int and type(node.deprecated) is bool):
+            raise TypeError(f"asset {node.node_id!r}: want string ids, an integer order "
+                            "and a boolean deprecated")
+        return node
 
     def parse_vuln(d) -> VulnNode:
-        return VulnNode(
-            cve_id=d["cve_id"],
-            cvss=d["cvss"],
-            cwe_ids=tuple(d["cwe_ids"]),
-            capec_ids=tuple(d.get("capec_ids", [])),
-            exploit_available=d.get("exploit_available", False),
-        )
+        cve_id, cvss, cwe_ids = d["cve_id"], d["cvss"], d["cwe_ids"]
+        capec_ids, exploit = d.get("capec_ids", []), d.get("exploit_available", False)
+        if not (type(cve_id) is str and type(cvss) in (int, float) and 0 <= cvss <= 10
+                and type(cwe_ids) is list and type(capec_ids) is list
+                and all(type(i) is str for i in cwe_ids + capec_ids)
+                and type(exploit) is bool):
+            raise ValueError(f"vulnerability {cve_id!r}: want a string id, a cvss in [0, 10], "
+                             "lists of string ids and a boolean exploit_available")
+        return VulnNode(cve_id, cvss, tuple(cwe_ids), tuple(capec_ids), exploit)
 
     def parse_edge(d) -> Edge:
-        return Edge(source=d["source"], target=d["target"], kind=d["kind"])
+        source, target, kind = d["source"], d["target"], d["kind"]
+        if not (type(source) is str and type(target) is str
+                and (kind == NORMAL or kind == DEPRECATED)):
+            raise ValueError(f"edge {source!r} -> {target!r}: want string endpoints "
+                             f"and kind {NORMAL!r} or {DEPRECATED!r}, got {kind!r}")
+        return Edge(source, target, kind)
 
     g = Edg(
         root=RootNode(

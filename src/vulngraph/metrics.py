@@ -1,7 +1,8 @@
 """Quantitative metric suite over snapshots and timelines.
 
-All metrics measure the active configuration: deprecated assets and edges
-never count, and cluster nodes are transparently expanded first.  Per-epoch
+All metrics measure the active configuration, read from
+:func:`graph.active_subgraph`: deprecated assets and edges never count, and
+cluster nodes are expanded there.  Per-epoch
 values (M0, M1, M3..M7) take one snapshot; the accumulated values (M2, M8 and
 the lifetime weakness frequency) sum over the timeline's named epochs.
 
@@ -23,14 +24,10 @@ from pathlib import Path
 
 from .catalog import CWE_NULL, Catalog
 from .errors import NoAssets, NoVulnerabilities, UnknownAsset, UnknownMetric
-from .graph import Edg, active_subgraph, expand_clusters
+from .graph import Edg, active_subgraph
 from .timeline import Timeline, epoch_snapshots
 
 METRIC_IDS = tuple(f"M{i}" for i in range(9))
-
-
-def _active(g: Edg) -> Edg:
-    return active_subgraph(expand_clusters(g))
 
 
 def _cwe_sort_key(cwe_id: str):
@@ -144,7 +141,7 @@ def prioritize(
         raise ValueError(f"need 0 <= min <= max <= 10, got [{min_cvss}, {max_cvss}]")
     if grouping not in ("by_asset", "global"):
         raise ValueError(f"grouping must be 'by_asset' or 'global', not {grouping!r}")
-    return _prioritize(_active(g), min_cvss, max_cvss, grouping)
+    return _prioritize(active_subgraph(g), min_cvss, max_cvss, grouping)
 
 
 def _prioritize(
@@ -262,7 +259,7 @@ def _by_cwe(counts: dict[str, int]) -> dict[str, int]:
 
 def snapshot_report(g: Edg) -> MetricReport:
     """M0, M1 and M3..M7 of one snapshot, from its active view."""
-    return _snapshot_report(_active(g))
+    return _snapshot_report(active_subgraph(g))
 
 
 def _snapshot_report(active: Edg) -> MetricReport:
@@ -310,16 +307,6 @@ class LifecycleReport:
     m8_sum: int
     weakness_frequency: dict[str, int]
     per_epoch: list[MetricReport] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "epoch_labels": list(self.epoch_labels),
-            "m2": self.m2,
-            "m8_union": self.m8_union,
-            "m8_sum": self.m8_sum,
-            "weakness_frequency": dict(self.weakness_frequency),
-            "per_epoch": [r.to_dict() for r in self.per_epoch],
-        }
 
     def to_text(self) -> str:
         lines = []

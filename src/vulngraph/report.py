@@ -19,7 +19,6 @@ from .graph import DEPRECATED, ROOT_ID, ClusterRule, Edg, active_subgraph, clust
 from .metrics import (
     METRIC_IDS,
     PrioritizedVulnerability,
-    _active,
     _lifecycle,
     _prioritize,
     _snapshot_report,
@@ -166,7 +165,7 @@ _SCALAR_METRICS = ("M0", "M1", "M7")
 def check_alerts(g: Edg, rules) -> list[AlertFiring]:
     """Evaluate rules against a snapshot; one firing per offending entity."""
     firings: list[AlertFiring] = []
-    active = _active(g)
+    active = active_subgraph(g)
     snapshot_metrics = None
     for rule in rules:
         if rule.kind == "cvss_at_least":
@@ -218,8 +217,8 @@ def _delta(before: Edg, after: Edg) -> dict:
 
 def epoch_diff(tl: Timeline, catalog: Catalog | None, from_label: str, to_label: str) -> dict:
     """Active asset/vulnerability delta between two named epochs."""
-    delta = _delta(_active(epoch_snapshot(tl, catalog, from_label)),
-                   _active(epoch_snapshot(tl, catalog, to_label)))
+    delta = _delta(active_subgraph(epoch_snapshot(tl, catalog, from_label)),
+                   active_subgraph(epoch_snapshot(tl, catalog, to_label)))
     return {"from": from_label, "to": to_label, **delta}
 
 
@@ -243,7 +242,7 @@ def _priority_rows(rows: list[PrioritizedVulnerability]) -> list[dict]:
 def report_payload(tl: Timeline, catalog: Catalog) -> dict:
     """Everything the report shows, as one JSON-serializable dictionary."""
     # One active view per epoch serves its metrics, priorities and deltas.
-    actives = [_active(g) for g in epoch_snapshots(tl, catalog)]
+    actives = [active_subgraph(g) for g in epoch_snapshots(tl, catalog)]
     life = _lifecycle(tl.epoch_labels(), [_snapshot_report(a) for a in actives])
     lo, hi = DEFAULT_PRIORITY_WINDOW
 

@@ -124,14 +124,7 @@ def append_event(tl: Timeline, event: LifecycleEvent) -> Timeline:
         )
     if event.seq <= last_seq:
         event = replace(event, seq=last_seq + 1)
-    return Timeline(
-        sut_cpe=tl.sut_cpe,
-        manifest=tl.manifest,
-        built_at=tl.built_at,
-        events=tl.events + [event],
-        epochs=list(tl.epochs),
-        snapshots=dict(tl.snapshots),
-    )
+    return replace(tl, events=tl.events + [event])
 
 
 def validate_epoch(
@@ -151,14 +144,7 @@ def validate_epoch(
 def mark_epoch(tl: Timeline, label: str, at: str) -> Timeline:
     """Designate the state at ``at`` as a named release snapshot."""
     validate_epoch(EpochMark(label=label, at=at), tl.epochs, tl.built_at)
-    return Timeline(
-        sut_cpe=tl.sut_cpe,
-        manifest=tl.manifest,
-        built_at=tl.built_at,
-        events=list(tl.events),
-        epochs=tl.epochs + [EpochMark(label=label, at=at)],
-        snapshots=dict(tl.snapshots),
-    )
+    return replace(tl, epochs=tl.epochs + [EpochMark(label=label, at=at)])
 
 
 def apply_event(g: Edg, event: LifecycleEvent, catalog: Catalog) -> Edg:
@@ -257,8 +243,9 @@ def _epoch_snapshots(tl: Timeline, catalog: Catalog | None, marks) -> list[Edg]:
 
 
 def _decode_snapshot(tl: Timeline, label: str) -> Edg:
-    # The decoder checks no types, so a malformed snapshot surfaces as one of
-    # these and is reported as a schema error at the snapshot.
+    # The decoder checks field types but not the document's shape, so a
+    # malformed snapshot surfaces as one of these and is reported as a schema
+    # error at the snapshot.
     try:
         return graph.edg_from_dict(tl.snapshots[label], tl._cpes)
     except (KeyError, TypeError, AttributeError, ValueError, MalformedCpe) as exc:
@@ -272,14 +259,8 @@ def embed_snapshots(tl: Timeline, catalog: Catalog) -> Timeline:
     Replays the whole log, so every event is validated against the catalog.
     """
     snapshots = _replay_to(tl, catalog, tl.epochs, whole_log=True)
-    return Timeline(
-        sut_cpe=tl.sut_cpe,
-        manifest=tl.manifest,
-        built_at=tl.built_at,
-        events=list(tl.events),
-        epochs=list(tl.epochs),
-        snapshots={m.label: graph.edg_to_dict(g) for m, g in zip(tl.epochs, snapshots)},
-    )
+    return replace(tl, snapshots={m.label: graph.edg_to_dict(g)
+                                  for m, g in zip(tl.epochs, snapshots)})
 
 
 # ---------------------------------------------------------------------------

@@ -327,3 +327,19 @@ def test_cwe_capec_csv_short_row_maps_to_no_attack_patterns(tmp_path):
     path.write_text("cwe_id,capec_ids\nCWE-20,CAPEC-10; CAPEC-14\nCWE-119\n")
     assert cat_mod.import_cwe_capec_csv(path) == {
         "CWE-20": ("CAPEC-10", "CAPEC-14"), "CWE-119": ()}
+
+
+def test_cwe_capec_csv_without_a_column_is_a_schema_error(tmp_path):
+    path = tmp_path / "cwe_capec.csv"
+    path.write_text("cwe_id\nCWE-119\n")
+    with pytest.raises(SchemaError) as err:
+        cat_mod.import_cwe_capec_csv(path)
+    assert str(err.value) == "header: missing column 'capec_ids'"
+
+
+def test_remediation_csv_without_a_column_is_a_schema_error(tmp_path):
+    path = tmp_path / "remediation.csv"
+    path.write_text("kind,cwe_ids,text\nrequirement,CWE-119,bounds\n")
+    with pytest.raises(SchemaError) as err:
+        cat_mod.import_remediation_csv(path)
+    assert str(err.value) == "header: missing column 'capec_ids'"

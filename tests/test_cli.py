@@ -5,9 +5,9 @@ import pytest
 
 from dotcheck import parse_dot
 from helpers import wstr
-from vulngraph import fixtures
+from vulngraph import fixtures, metrics
 from vulngraph.cli import main
-from vulngraph.timeline import canonical_json
+from vulngraph.timeline import canonical_json, epoch_snapshot, load_timeline
 
 
 @pytest.fixture()
@@ -409,3 +409,48 @@ def test_indented_timeline_reads_as_its_compact_form(tmp_path, capsys, argv):
         assert main([argv[0], "--timeline", str(path), *extra, *argv[1:]]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+def _active_attachment(snap):
+    """An active asset of a snapshot document, a CVE it carries and the edge
+    between them."""
+    active = {a["node_id"] for a in snap["assets"] if not a["deprecated"]}
+    cves = {v["cve_id"]: v for v in snap["vulns"]}
+    edge = next(e for e in snap["edges"]
+                if e["kind"] == "normal" and e["source"] in active and e["target"] in cves)
+    asset = next(a for a in snap["assets"] if a["node_id"] == edge["source"])
+    return asset, cves[edge["target"]], edge
+
+
+_TYPED_DEFECTS = {
+    "cvss-string": lambda asset, vuln, edge: vuln.update(cvss="9.8"),
+    "order-string": lambda asset, vuln, edge: asset.update(order="x"),
+    "cwe-ids-string": lambda asset, vuln, edge: vuln.update(cwe_ids="CWE-119"),
+    "deprecated-string": lambda asset, vuln, edge: asset.update(deprecated="no"),
+    "kind-number": lambda asset, vuln, edge: edge.update(kind=5),
+}
+
+
+@pytest.mark.parametrize("argv", [["metrics"], ["prioritize"],
+                                  ["alerts", "--cvss-at-least", "9.0"]],
+                         ids=["metrics", "prioritize", "alerts"])
+@pytest.mark.parametrize("defect", sorted(_TYPED_DEFECTS))
+def test_wrongly_typed_snapshot_field_exits_2(tmp_path, capsys, defect, argv):
+    doc = json.loads(fixtures.openplc_timeline_path().read_text())
+    _TYPED_DEFECTS[defect](*_active_attachment(doc["snapshots"]["V3"]))
+    path = tmp_path / "timeline.json"
+    path.write_text(json.dumps(doc))
+    assert main([argv[0], "--timeline", str(path), "--epoch", "V3", *argv[1:]]) == 2
+    assert "SchemaError: snapshots.V3: malformed embedded snapshot: " in capsys.readouterr().err
+
+
+def test_build_message_reads_the_snapshot_report(tmp_path, capsys):
+    out = tmp_path / "timeline.json"
+    assert main(["build", "--sut", "cpe:2.3:a:openplc_project:openplc:1.0:*:*:*:*:*:*:*",
+                 "--manifest", str(fixtures.openplc_manifest_path()),
+                 "--catalog", str(fixtures.openplc_catalog_path()),
+                 "--at", "2021-01-01T00:00:00Z", "--epoch", "V1", "--out", str(out)]) == 0
+    rep = metrics.snapshot_report(epoch_snapshot(load_timeline(out), None, "V1"))
+    assert (rep.n_assets, rep.m1) == (19, 91)
+    assert capsys.readouterr().out == (
+        f"built V1: {rep.n_assets} assets, {rep.m1} vulnerabilities -> {out}\n")
