@@ -247,18 +247,24 @@ def _capec_sort_key(capec_id: str):
 # canonical JSON document
 
 
-def _expect(doc, key, types, path, default=_REQUIRED):
+def _check_object(doc, path) -> None:
     if not isinstance(doc, dict):
         raise SchemaError(f"expected an object, got {type(doc).__name__}", path)
+
+
+def _expect(doc, key, types, path, default=_REQUIRED):
+    """``doc[key]``, an instance of ``types``, or ``default`` when the key is
+    absent.  A bool is not taken for a number unless ``bool`` is asked for."""
+    _check_object(doc, path)
     if key not in doc:
         if default is _REQUIRED:
             raise SchemaError("missing required field", f"{path}.{key}" if path else key)
         return default
     value = doc[key]
-    if not isinstance(value, types):
-        expected = " or ".join(t.__name__ for t in types) if isinstance(types, tuple) else types.__name__
+    types = types if isinstance(types, tuple) else (types,)
+    if not isinstance(value, types) or (type(value) is bool and bool not in types):
         raise SchemaError(
-            f"expected {expected}, got {type(value).__name__}",
+            f"expected {' or '.join(t.__name__ for t in types)}, got {type(value).__name__}",
             f"{path}.{key}" if path else key,
         )
     return value
@@ -281,55 +287,90 @@ def _ids(doc, key, pattern, kind, path, default=_REQUIRED) -> tuple[str, ...]:
     return ids
 
 
-def _parse_range(doc, path) -> VersionRange:
-    rng = VersionRange(
-        minimum=_expect(doc, "min", str, path, None),
-        maximum=_expect(doc, "max", str, path, None),
-        min_inclusive=_expect(doc, "min_inclusive", bool, path, True),
-        max_inclusive=_expect(doc, "max_inclusive", bool, path, False),
-    )
-    if rng.minimum is None and rng.maximum is None:
+# The record parsers below read each field with ``get`` and test it inline.
+# Only a value that fails the cheap test goes through ``_expect`` or ``_id``,
+# which raise the field's error or accept what the test was too strict for
+# (a subclass of the wanted type), so a load checks no less than those do.
+
+
+def _parse_range(doc: dict, path) -> VersionRange:
+    lo, hi = doc.get("min"), doc.get("max")
+    lo_inclusive = doc.get("min_inclusive", True)
+    hi_inclusive = doc.get("max_inclusive", False)
+    # A bound given as null is an error, not an open end.
+    if type(lo) is not str and (lo is not None or "min" in doc):
+        lo = _expect(doc, "min", str, path)
+    if type(hi) is not str and (hi is not None or "max" in doc):
+        hi = _expect(doc, "max", str, path)
+    if type(lo_inclusive) is not bool:
+        lo_inclusive = _expect(doc, "min_inclusive", bool, path)
+    if type(hi_inclusive) is not bool:
+        hi_inclusive = _expect(doc, "max_inclusive", bool, path)
+    if lo is None and hi is None:
         raise SchemaError("version range needs at least one bound", path)
-    return rng
+    return VersionRange(lo, hi, lo_inclusive, hi_inclusive)
 
 
-def _parse_affected(doc, path, patterns: cpe.ParseTable) -> AffectedProduct:
-    raw = _expect(doc, "cpe", str, path)
-    try:
-        pattern = patterns[raw]
-    except MalformedCpe as exc:
-        raise SchemaError(str(exc), f"{path}.cpe") from exc
-    versions = None
-    if doc.get("versions") is not None:
-        versions = _parse_range(_expect(doc, "versions", dict, path), f"{path}.versions")
-    return AffectedProduct(pattern=pattern, versions=versions)
+def _parse_affected(entries: list, path, patterns: cpe.ParseTable) -> tuple[AffectedProduct, ...]:
+    """The affected entries of the record at ``path``."""
+    out = []
+    for i, doc in enumerate(entries):
+        raw = doc.get("cpe") if type(doc) is dict else None
+        if type(raw) is not str:
+            raw = _expect(doc, "cpe", str, f"{path}.affected[{i}]")
+        try:
+            pattern = patterns[raw]
+        except MalformedCpe as exc:
+            raise SchemaError(str(exc), f"{path}.affected[{i}].cpe") from exc
+        versions = doc.get("versions")
+        if versions is not None:
+            if type(versions) is not dict:
+                versions = _expect(doc, "versions", dict, f"{path}.affected[{i}]")
+            versions = _parse_range(versions, f"{path}.affected[{i}].versions")
+        out.append(AffectedProduct(pattern, versions))
+    return tuple(out)
 
 
 def _parse_vulnerability(doc, path, patterns: cpe.ParseTable) -> VulnerabilityRecord:
-    cve_id = _id(doc, "cve_id", _CVE_RE, "CVE", path)
-    cvss = _expect(doc, "cvss", (int, float), path)
+    if type(doc) is not dict:
+        _check_object(doc, path)
+    get = doc.get
+    cve_id = get("cve_id")
+    if type(cve_id) is not str or not _CVE_RE.fullmatch(cve_id):
+        cve_id = _id(doc, "cve_id", _CVE_RE, "CVE", path)
+    cvss = get("cvss")
+    if type(cvss) is not float and type(cvss) is not int:
+        cvss = _expect(doc, "cvss", (int, float), path)
     if not 0.0 <= cvss <= 10.0:
         raise SchemaError(f"cvss {cvss} outside [0.0, 10.0]", f"{path}.cvss")
-    scheme = _expect(doc, "cvss_scheme", str, path, "v2")
-    if scheme not in ("v2", "v3"):
+    scheme = get("cvss_scheme", "v2")
+    if type(scheme) is not str:
+        scheme = _expect(doc, "cvss_scheme", str, path)
+    if scheme != "v2" and scheme != "v3":
         raise SchemaError(f"unknown cvss scheme {scheme!r}", f"{path}.cvss_scheme")
-    cwe_ids = _ids(doc, "cwe_ids", _CWE_RE, "CWE", path, [])
-    if not cwe_ids:
-        cwe_ids = (CWE_NULL,)
-    affected = tuple(
-        _parse_affected(entry, f"{path}.affected[{i}]", patterns)
-        for i, entry in enumerate(_expect(doc, "affected", list, path, []))
-    )
-    published = _expect(doc, "published", str, path, "1999-01-01")
+    cwe_ids = get("cwe_ids", [])
+    if type(cwe_ids) is not list or not all(
+            type(c) is str and _CWE_RE.fullmatch(c) for c in cwe_ids):
+        cwe_ids = _ids(doc, "cwe_ids", _CWE_RE, "CWE", path, [])
+    entries = get("affected", [])
+    if type(entries) is not list:
+        entries = _expect(doc, "affected", list, path)
+    affected = _parse_affected(entries, path, patterns)
+    published = get("published", "1999-01-01")
+    if type(published) is not str:
+        published = _expect(doc, "published", str, path)
     if not _DATE_RE.fullmatch(published):
         raise SchemaError(f"bad date {published!r}", f"{path}.published")
+    exploit = get("exploit_available", False)
+    if type(exploit) is not bool:
+        exploit = _expect(doc, "exploit_available", bool, path)
     return VulnerabilityRecord(
         cve_id=cve_id,
         cvss=float(cvss),
         cvss_scheme=scheme,
-        cwe_ids=cwe_ids,
+        cwe_ids=tuple(cwe_ids) or (CWE_NULL,),
         affected=affected,
-        exploit_available=bool(_expect(doc, "exploit_available", bool, path, False)),
+        exploit_available=exploit,
         published=published,
     )
 

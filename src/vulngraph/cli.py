@@ -85,9 +85,9 @@ def _cmd_build(args) -> int:
         sut_cpe=cpe.parse_formatted(args.sut), manifest=manifest, built_at=at
     )
     tl = timeline_mod.mark_epoch(tl, args.epoch, at)
-    tl = timeline_mod.embed_snapshots(tl, cat)
+    tl, (snapshot,) = timeline_mod.replay_and_embed(tl, cat)
     timeline_mod.save_timeline(tl, args.out)
-    rep = metrics.snapshot_report(timeline_mod.epoch_snapshot(tl, cat, args.epoch))
+    rep = metrics.snapshot_report(snapshot)
     print(f"built {args.epoch}: {rep.n_assets} assets, {rep.m1} vulnerabilities -> {args.out}")
     return 0
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NoReturn
 
 from .errors import MalformedCpe
 
@@ -75,7 +76,8 @@ _PARTS = ("a", "o", "h")
 # a backslash escaping one ASCII punctuation character.  Parsing accepts
 # exactly this; binding escapes every character that is not unreserved.
 _UNRESERVED_CHAR = r"[a-z0-9._\-]"
-_LITERAL = re.compile(rf"(?:{_UNRESERVED_CHAR}|\\[!-/:-@\[-`{{-~])*")
+_ESCAPED_CHAR = r"\\[!-/:-@\[-`{-~]"
+_LITERAL = re.compile(rf"(?:{_UNRESERVED_CHAR}|{_ESCAPED_CHAR})*")
 _RESERVED_CHAR = re.compile(rf"(?!{_UNRESERVED_CHAR}).", re.DOTALL)
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
@@ -83,6 +85,13 @@ _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 # escapes whatever follows it, so only the last character of the whole
 # string can be an unpaired backslash.
 _FIELD = re.compile(r"[^\\:]*(?:\\.[^\\:]*)*\\?", re.DOTALL)
+
+# A whole lower-cased name that parses: the prefix, then a part (``a``, ``o``,
+# ``h`` or ``*``) and ten more fields, each ``*`` or a non-empty literal of the
+# grammar above (so ``-`` too).  A group holds its field undecoded.
+_VALUE = rf"(\*|(?:{_UNRESERVED_CHAR}|{_ESCAPED_CHAR})+)"
+_NAME = re.compile(rf"cpe:2\.3:([{''.join(_PARTS)}*])" + rf":{_VALUE}" * 10)
+_LOGICAL = {"*": ANY, "-": NA}
 
 
 @dataclass(frozen=True)
@@ -152,7 +161,23 @@ def parse_formatted(s: str) -> WellFormedName:
 
     Raises :class:`~vulngraph.errors.MalformedCpe` (carrying the character offset)
     on a bad prefix, wrong field count, illegal part value, empty field or
-    illegal escape sequence.
+    illegal escape sequence.  One pattern match accepts a valid name; only a
+    rejected one is walked field by field, to find the error and its offset.
+    """
+    m = _NAME.fullmatch(s.lower())
+    if m is None:
+        _raise_malformed(s)
+    return WellFormedName(*[_ESCAPE.sub(r"\1", v) if "\\" in v else _LOGICAL.get(v, v)
+                            for v in m.groups()])
+
+
+def _raise_malformed(s: str) -> NoReturn:
+    """Raise the :class:`MalformedCpe` for a string that ``_NAME`` rejects.
+
+    The walk splits the fields and decodes them in order, so the error names
+    the first thing wrong and its offset.  It accepts exactly the names
+    ``_NAME`` matches; the last line only keeps a disagreement from letting
+    a name through.
     """
     pieces = _split_fields(s)
     if len(pieces) != 13:
@@ -165,7 +190,7 @@ def parse_formatted(s: str) -> WellFormedName:
     part = values[0]
     if part is NA or (isinstance(part, str) and part not in _PARTS):
         raise MalformedCpe(f"illegal part {pieces[2][1]!r}", pieces[2][0])
-    return WellFormedName(*values)
+    raise MalformedCpe("not a CPE 2.3 formatted string", 0)
 
 
 class ParseTable(dict):

@@ -676,7 +676,8 @@ def edg_to_dict(g: Edg) -> dict:
 def edg_from_dict(doc: dict, cpes: cpe.ParseTable | None = None) -> Edg:
     """Inverse of :func:`edg_to_dict`.  ``cpes`` parses each distinct name
     once; pass one table to share it across the snapshots of one load.  A
-    wrongly typed field raises :class:`TypeError` or :class:`ValueError`."""
+    wrongly typed field or container raises :class:`TypeError` or
+    :class:`ValueError`."""
     if cpes is None:
         cpes = cpe.ParseTable()
 
@@ -714,28 +715,34 @@ def edg_from_dict(doc: dict, cpes: cpe.ParseTable | None = None) -> Edg:
                              f"and kind {NORMAL!r} or {DEPRECATED!r}, got {kind!r}")
         return Edge(source, target, kind)
 
-    g = Edg(
-        root=RootNode(
-            sut_cpe=cpes[doc["root"]["cpe"]],
-            checked_at=doc["root"]["checked_at"],
-        ),
-        epoch=doc.get("epoch"),
-    )
-    for d in doc["assets"]:
+    def items(d, key) -> list:
+        value = d[key]
+        if type(value) is not list:
+            raise TypeError(f"{key}: want a list, got {type(value).__name__}")
+        return value
+
+    root, epoch = doc["root"], doc.get("epoch")
+    if not (type(root) is dict and type(root.get("checked_at")) is str):
+        raise TypeError("root: want an object with a string checked_at")
+    if not (epoch is None or type(epoch) is str):
+        raise TypeError(f"epoch: want a string or null, got {type(epoch).__name__}")
+    g = Edg(root=RootNode(sut_cpe=cpes[root["cpe"]], checked_at=root["checked_at"]),
+            epoch=epoch)
+    for d in items(doc, "assets"):
         node = parse_asset(d)
         g.assets[node.node_id] = node
-    for d in doc["vulns"]:
+    for d in items(doc, "vulns"):
         node = parse_vuln(d)
         g.vulns[node.cve_id] = node
-    for d in doc["edges"]:
+    for d in items(doc, "edges"):
         g.edges.add(parse_edge(d))
-    for d in doc["clusters"]:
+    for d in items(doc, "clusters"):
         cluster = Cluster(
             cluster_id=d["cluster_id"],
-            assets=tuple(parse_asset(a) for a in d["assets"]),
-            vulns=tuple(parse_vuln(v) for v in d["vulns"]),
-            internal_edges=tuple(parse_edge(e) for e in d["internal_edges"]),
-            boundary_edges=tuple(parse_edge(e) for e in d["boundary_edges"]),
+            assets=tuple(parse_asset(a) for a in items(d, "assets")),
+            vulns=tuple(parse_vuln(v) for v in items(d, "vulns")),
+            internal_edges=tuple(parse_edge(e) for e in items(d, "internal_edges")),
+            boundary_edges=tuple(parse_edge(e) for e in items(d, "boundary_edges")),
         )
         g.clusters[cluster.cluster_id] = cluster
     return g

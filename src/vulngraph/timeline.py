@@ -243,9 +243,9 @@ def _epoch_snapshots(tl: Timeline, catalog: Catalog | None, marks) -> list[Edg]:
 
 
 def _decode_snapshot(tl: Timeline, label: str) -> Edg:
-    # The decoder checks field types but not the document's shape, so a
-    # malformed snapshot surfaces as one of these and is reported as a schema
-    # error at the snapshot.
+    # The decoder reports a wrongly typed field or container as TypeError or
+    # ValueError, and a missing key surfaces as KeyError; these and a bad CPE
+    # name are reported as a schema error at the snapshot.
     try:
         return graph.edg_from_dict(tl.snapshots[label], tl._cpes)
     except (KeyError, TypeError, AttributeError, ValueError, MalformedCpe) as exc:
@@ -258,9 +258,15 @@ def embed_snapshots(tl: Timeline, catalog: Catalog) -> Timeline:
 
     Replays the whole log, so every event is validated against the catalog.
     """
+    return replay_and_embed(tl, catalog)[0]
+
+
+def replay_and_embed(tl: Timeline, catalog: Catalog) -> tuple[Timeline, list[Edg]]:
+    """:func:`embed_snapshots`, also returning the epoch snapshots it embedded,
+    in mark order, so a caller that reads them need not decode them again."""
     snapshots = _replay_to(tl, catalog, tl.epochs, whole_log=True)
     return replace(tl, snapshots={m.label: graph.edg_to_dict(g)
-                                  for m, g in zip(tl.epochs, snapshots)})
+                                  for m, g in zip(tl.epochs, snapshots)}), snapshots
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,16 @@ def test_load_parses_each_distinct_cpe_once(tracer):
     assert tracer.cur["cpe.parse"] == len(distinct)
 
 
+def test_catalog_load_parses_each_distinct_pattern_once(tracer):
+    path = fixtures.openplc_catalog_path()
+    doc = json.loads(path.read_text())
+    distinct = {entry["cpe"] for r in doc["vulnerabilities"] for entry in r["affected"]}
+    tracer.cur.clear()
+    cat_mod.load_catalog(path)
+    assert tracer.cur["catalog.load"] == 2  # load_catalog and catalog_from_dict
+    assert tracer.cur["cpe.parse"] == len(distinct)
+
+
 def test_report_builds_one_active_view_per_epoch(tracer):
     tl, cat = update_patch_scenario()
     tl = tl_mod.embed_snapshots(tl, cat)

@@ -51,6 +51,19 @@ def test_cvss_too_large_for_a_float_or_not_a_number_is_a_schema_error():
     assert str(err.value) == "vulnerabilities[0].cvss: expected int or float, got str"
 
 
+def test_bool_cvss_is_a_schema_error():
+    # bool is a subclass of int, so `true` used to load as CVSS 1.0
+    with pytest.raises(SchemaError) as err:
+        make_catalog(records=[record("CVE-2020-0001", True)])
+    assert str(err.value) == "vulnerabilities[0].cvss: expected int or float, got bool"
+
+
+def test_bool_schema_version_is_a_schema_error():
+    with pytest.raises(SchemaError) as err:
+        cat_mod.catalog_from_dict({"schema_version": True, "vulnerabilities": []})
+    assert str(err.value) == "schema_version: expected int, got bool"
+
+
 def test_bad_cve_id_rejected():
     with pytest.raises(SchemaError):
         make_catalog(records=[record("NOT-A-CVE", 5.0)])

@@ -444,6 +444,30 @@ def test_wrongly_typed_snapshot_field_exits_2(tmp_path, capsys, defect, argv):
     assert "SchemaError: snapshots.V3: malformed embedded snapshot: " in capsys.readouterr().err
 
 
+_SHAPE_DEFECTS = {
+    "assets-object": ("assets", {}),
+    "vulns-object": ("vulns", {}),
+    "edges-object": ("edges", {}),
+    "clusters-object": ("clusters", {}),
+    "root-string": ("root", "root"),
+    "checked-at-number": ("root", {"cpe": "cpe:2.3:a:v:p:1:*:*:*:*:*:*:*", "checked_at": 5}),
+    "epoch-number": ("epoch", 5),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_SHAPE_DEFECTS))
+def test_misshapen_snapshot_exits_2(tmp_path, capsys, defect):
+    # An empty object iterates like an empty list, and a number printed as a
+    # timestamp or label reads fine: each of these used to exit 0.
+    doc = json.loads(fixtures.openplc_timeline_path().read_text())
+    key, value = _SHAPE_DEFECTS[defect]
+    doc["snapshots"]["V3"][key] = value
+    path = tmp_path / "timeline.json"
+    path.write_text(json.dumps(doc))
+    assert main(["metrics", "--timeline", str(path), "--epoch", "V3"]) == 2
+    assert "SchemaError: snapshots.V3: malformed embedded snapshot: " in capsys.readouterr().err
+
+
 def test_build_message_reads_the_snapshot_report(tmp_path, capsys):
     out = tmp_path / "timeline.json"
     assert main(["build", "--sut", "cpe:2.3:a:openplc_project:openplc:1.0:*:*:*:*:*:*:*",

@@ -131,6 +131,15 @@ def test_load_validates_each_event(index, key, value, error, path):
         tl_mod.timeline_from_dict(doc)
 
 
+def test_bool_event_seq_is_a_schema_error():
+    tl, _ = update_patch_scenario()
+    doc = tl_mod.timeline_to_dict(tl)
+    doc["events"][1]["seq"] = True
+    with pytest.raises(SchemaError) as err:
+        tl_mod.timeline_from_dict(doc)
+    assert str(err.value) == "events[1].seq: expected int, got bool"
+
+
 def test_epoch_marks_are_ordered_and_unique():
     tl, _ = update_patch_scenario()
     with pytest.raises(SchemaError):
