@@ -54,10 +54,9 @@ def _resolve_at(value: str) -> str:
 
 
 def _cluster_rule(args) -> ClusterRule | None:
-    choice = getattr(args, "cluster", None) or getattr(args, "criterion", None)
-    if choice in (None, "none"):
+    if args.cluster == "none":
         return None
-    if choice == "no-vulns":
+    if args.cluster == "no-vulns":
         return ClusterRule.no_vulnerabilities()
     return ClusterRule.cvss_below(args.threshold)
 
@@ -99,6 +98,9 @@ def _cmd_event(args) -> int:
     cat = _load_catalog(args.catalog)
     at = _resolve_at(args.at)
     if args.kind != "mark-epoch":
+        for pair in args.dep or []:
+            if ":" not in pair:
+                raise VulnGraphError(f"--dep wants SRC:DST, got {pair!r}")
         dependencies = tuple(tuple(pair.split(":", 1)) for pair in args.dep or [])
         event = timeline_mod.LifecycleEvent(
             at=at,
@@ -109,7 +111,7 @@ def _cmd_event(args) -> int:
             cpe_value=cpe.parse_formatted(args.cpe) if args.cpe else None,
             dependencies=dependencies,
             top_level=args.top_level,
-            fixes=tuple(args.fixes.split(",")) if args.fixes else (),
+            fixes=tuple(c.strip() for c in (args.fixes or "").split(",") if c.strip()),
         )
         tl = timeline_mod.append_event(tl, event)
     if args.mark_epoch:
@@ -144,20 +146,6 @@ def _cmd_prioritize(args) -> int:
     return 0
 
 
-def _cmd_cluster(args) -> int:
-    g = _snapshot(args)
-    rule = _cluster_rule(args)
-    if rule is None:
-        raise VulnGraphError("pick a criterion: no-vulns or cvss-below")
-    opts = RenderOptions(
-        cluster_rule=rule,
-        cluster_scope=tuple(args.scope.split(",")) if args.scope else None,
-        show_deprecated=args.show_deprecated,
-    )
-    _write(report.export_dot(g, opts), args.out)
-    return 0
-
-
 def _cmd_impact(args) -> int:
     g = _snapshot(args)
     affected = sorted(graph.impact_set(g, args.cve))
@@ -166,9 +154,11 @@ def _cmd_impact(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    """``export``, and ``cluster``, which is ``export`` with a criterion required."""
     g = _snapshot(args)
     opts = RenderOptions(
         cluster_rule=_cluster_rule(args),
+        cluster_scope=tuple(args.scope.split(",")) if args.scope else None,
         show_deprecated=args.show_deprecated,
         verbosity="full" if args.full_labels else "id",
     )
@@ -257,19 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("event", help="append a lifecycle event")
     p.add_argument("--timeline", required=True)
     p.add_argument("--catalog", required=True)
-    p.add_argument(
-        "--kind",
-        required=True,
-        choices=[
-            "asset-added",
-            "vuln-discovered",
-            "asset-updated",
-            "vuln-patched",
-            "asset-retired",
-            "noop",
-            "mark-epoch",
-        ],
-    )
+    p.add_argument("--kind", required=True,
+                   choices=[k.replace("_", "-") for k in timeline_mod.EVENT_KINDS]
+                   + ["mark-epoch"])
     p.add_argument("--at", required=True, help="ISO 8601 UTC timestamp or 'now'")
     p.add_argument("--asset")
     p.add_argument("--cve")
@@ -300,11 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="export DOT with a clustering applied")
     _add_snapshot_args(p)
-    p.add_argument("--criterion", choices=["no-vulns", "cvss-below"], required=True)
+    p.add_argument("--criterion", dest="cluster", choices=["no-vulns", "cvss-below"],
+                   required=True)
     p.add_argument("--threshold", type=float, default=0.0)
     p.add_argument("--scope", help="comma-separated asset ids to consider")
     p.add_argument("--show-deprecated", action="store_true")
-    p.set_defaults(fn=_cmd_cluster)
+    p.set_defaults(fn=_cmd_export, full_labels=False)
 
     p = sub.add_parser("impact", help="assets reached by exploiting a CVE")
     _add_snapshot_args(p)
@@ -317,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=0.0)
     p.add_argument("--show-deprecated", action="store_true")
     p.add_argument("--full-labels", action="store_true")
-    p.set_defaults(fn=_cmd_export)
+    p.set_defaults(fn=_cmd_export, scope=None)
 
     p = sub.add_parser("report", help="full assessment report")
     p.add_argument("--timeline", required=True)

@@ -226,6 +226,21 @@ def _attach_record(g: Edg, node_id: str, record: VulnerabilityRecord, catalog: C
     g.edges.add(Edge(source=node_id, target=record.cve_id))
 
 
+def _place(g: Edg, node: AssetNode, catalog: Catalog, at: str, skip=frozenset()) -> None:
+    """Insert one asset version and attach every catalog hit for its CPE at
+    ``at`` whose CVE id is not in ``skip``."""
+    g.assets[node.node_id] = node
+    for record in catalog.lookup_vulnerabilities(node.cpe_current, at):
+        if record.cve_id not in skip:
+            _attach_record(g, node.node_id, record, catalog)
+
+
+def _deprecate(g: Edg, edge: Edge) -> None:
+    """Flip one normal edge to deprecated."""
+    g.edges.discard(edge)
+    g.edges.add(replace(edge, kind=DEPRECATED))
+
+
 def build_edg(
     sut: WellFormedName,
     manifest: Manifest,
@@ -244,14 +259,8 @@ def build_edg(
     g = Edg(root=RootNode(sut_cpe=sut, checked_at=at), epoch=epoch)
 
     for order, entry in enumerate(manifest.entries):
-        node = AssetNode(
-            node_id=f"{entry.asset_id}@0",
-            asset_id=entry.asset_id,
-            order=order,
-            cpe_current=entry.cpe,
-        )
-        g.assets[node.node_id] = node
-
+        node = AssetNode(f"{entry.asset_id}@0", entry.asset_id, order, entry.cpe)
+        _place(g, node, catalog, at)
     node_of = {a.asset_id: a.node_id for a in g.assets.values()}
     targets = set()
     for src, dst in manifest.dependencies:
@@ -260,10 +269,6 @@ def build_edg(
     for entry in manifest.entries:
         if entry.asset_id not in targets:
             g.edges.add(Edge(source=ROOT_ID, target=node_of[entry.asset_id]))
-
-    for entry in manifest.entries:
-        for record in catalog.lookup_vulnerabilities(entry.cpe, at):
-            _attach_record(g, node_of[entry.asset_id], record, catalog)
     return g
 
 
@@ -284,14 +289,7 @@ def add_asset(
         raise DuplicateId(entry.asset_id)
     g = g.clone()
     order = max((a.order for a in g.assets.values()), default=-1) + 1
-    node = AssetNode(
-        node_id=f"{entry.asset_id}@0",
-        asset_id=entry.asset_id,
-        order=order,
-        cpe_current=entry.cpe,
-    )
-    g.assets[node.node_id] = node
-
+    node = AssetNode(f"{entry.asset_id}@0", entry.asset_id, order, entry.cpe)
     for src, dst in dependencies:
         if entry.asset_id not in (src, dst):
             raise UnknownDependencyTarget(f"pair ({src}, {dst}) does not touch {entry.asset_id}")
@@ -306,10 +304,7 @@ def add_asset(
         g.edges.add(Edge(source=ends[0], target=ends[1]))
     if top_level:
         g.edges.add(Edge(source=ROOT_ID, target=node.node_id))
-
-    lookup_at = at or g.root.checked_at
-    for record in catalog.lookup_vulnerabilities(entry.cpe, lookup_at):
-        _attach_record(g, node.node_id, record, catalog)
+    _place(g, node, catalog, at or g.root.checked_at)
     return g
 
 
@@ -331,8 +326,7 @@ def patch_vuln(g: Edg, asset_id: str, cve_id: str) -> Edg:
     if cve_id not in g.vulns or edge not in g.edges:
         raise UnknownCve(f"{cve_id} is not attached to {asset_id}")
     g = g.clone()
-    g.edges.discard(edge)
-    g.edges.add(replace(edge, kind=DEPRECATED))
+    _deprecate(g, edge)
     return g
 
 
@@ -372,33 +366,24 @@ def update_asset(
         cpe_previous=old.cpe_current,
     )
     g.assets[old.node_id] = replace(old, deprecated=True)
-    g.assets[successor.node_id] = successor
 
     for edge in list(g.edges):
         if edge.kind != NORMAL or old.node_id not in (edge.source, edge.target):
             continue
-        vuln_edge = edge.source == old.node_id and edge.target in g.vulns
-        if vuln_edge:
+        if edge.source == old.node_id and edge.target in g.vulns:
             if edge.target in fixes:
-                g.edges.discard(edge)
-                g.edges.add(replace(edge, kind=DEPRECATED))
+                _deprecate(g, edge)
             else:
                 # Not corrected by this update: both versions carry it.
                 g.edges.add(Edge(source=successor.node_id, target=edge.target))
         else:
-            g.edges.discard(edge)
-            g.edges.add(replace(edge, kind=DEPRECATED))
+            _deprecate(g, edge)
             if edge.source == old.node_id:
                 g.edges.add(Edge(source=successor.node_id, target=edge.target))
             else:
                 g.edges.add(Edge(source=edge.source, target=successor.node_id))
 
-    lookup_at = at or g.root.checked_at
-    for record in catalog.lookup_vulnerabilities(new_cpe, lookup_at):
-        if record.cve_id not in fixes:
-            _attach_record(g, successor.node_id, record, catalog)
-    if at is not None:
-        g.root = replace(g.root, checked_at=at)
+    _place(g, successor, catalog, at or g.root.checked_at, fixes)
     return g
 
 
@@ -414,8 +399,7 @@ def retire_asset(g: Edg, asset_id: str) -> Edg:
     g.assets[node.node_id] = replace(node, deprecated=True)
     for edge in list(g.edges):
         if edge.kind == NORMAL and node.node_id in (edge.source, edge.target):
-            g.edges.discard(edge)
-            g.edges.add(replace(edge, kind=DEPRECATED))
+            _deprecate(g, edge)
     return g
 
 

@@ -16,20 +16,10 @@ import re
 from dataclasses import dataclass, field, replace
 
 from . import cpe, graph
-from .catalog import Catalog, _expect, canonical_json, load_json
+from .catalog import _CVE_RE, Catalog, _expect, canonical_json, load_json
 from .cpe import WellFormedName
 from .errors import MalformedCpe, NonMonotonicTimestamp, SchemaError, VulnGraphError
 from .graph import Edg, Manifest, ManifestEntry
-
-# Each event kind and the payload fields (document keys) it needs.
-_NEEDED_FIELDS = {
-    "asset_added": ("asset_id", "cpe"),
-    "vuln_discovered": ("asset_id", "cve_id"),
-    "asset_updated": ("asset_id", "cpe"),
-    "vuln_patched": ("asset_id", "cve_id"),
-    "asset_retired": ("asset_id",),
-    "noop": (),
-}
 
 _TS_RE = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z")
 
@@ -92,19 +82,41 @@ class Timeline:
         raise VulnGraphError(f"unknown epoch {label!r}; have {self.epoch_labels()}")
 
 
+# Each event kind: the payload fields (document keys) it needs, and its edit
+# of a snapshot.  An edit looks its function up on the graph module when it
+# runs, so a wrapper installed there later is the one called.
+EVENT_KINDS = {
+    "asset_added": (("asset_id", "cpe"), lambda g, e, cat: graph.add_asset(
+        g, ManifestEntry(asset_id=e.asset_id, cpe=e.cpe_value), e.dependencies, cat,
+        top_level=e.top_level, at=e.at)),
+    "vuln_discovered": (("asset_id", "cve_id"),
+                        lambda g, e, cat: graph.discover_vuln(g, e.asset_id, e.cve_id, cat)),
+    "asset_updated": (("asset_id", "cpe"), lambda g, e, cat: graph.update_asset(
+        g, e.asset_id, e.cpe_value, cat, fixes=e.fixes, at=e.at)),
+    "vuln_patched": (("asset_id", "cve_id"),
+                     lambda g, e, cat: graph.patch_vuln(g, e.asset_id, e.cve_id)),
+    "asset_retired": (("asset_id",), lambda g, e, cat: graph.retire_asset(g, e.asset_id)),
+    "noop": ((), lambda g, e, cat: g.clone()),
+}
+
+
 def validate_event(event: LifecycleEvent, last_at: str, path: str = "event") -> None:
     """Check one event against the log it follows, the same on append and on load.
 
     The timestamp must be well formed and not before ``last_at``, the kind
-    known, and the payload fields that the kind needs present.
+    known, the payload fields that the kind needs present, and every fix a
+    CVE id.
     """
     validate_timestamp(event.at, f"{path}.at")
-    if event.kind not in _NEEDED_FIELDS:
+    if event.kind not in EVENT_KINDS:
         raise SchemaError(f"unknown event kind {event.kind!r}", f"{path}.kind")
     payload = {"asset_id": event.asset_id, "cve_id": event.cve_id, "cpe": event.cpe_value}
-    for key in _NEEDED_FIELDS[event.kind]:
+    for key in EVENT_KINDS[event.kind][0]:
         if payload[key] is None:
             raise SchemaError(f"a {event.kind} event needs {key!r}", f"{path}.{key}")
+    for j, cve_id in enumerate(event.fixes):
+        if not (isinstance(cve_id, str) and _CVE_RE.fullmatch(cve_id)):
+            raise SchemaError(f"bad CVE id {cve_id!r}", f"{path}.fixes[{j}]")
     if event.at < last_at:
         raise NonMonotonicTimestamp(f"{path}.at: {event.at} is before {last_at}")
 
@@ -149,29 +161,9 @@ def mark_epoch(tl: Timeline, label: str, at: str) -> Timeline:
 
 def apply_event(g: Edg, event: LifecycleEvent, catalog: Catalog) -> Edg:
     """Apply one event to a snapshot, yielding the successor snapshot."""
-    if event.kind == "asset_added":
-        g = graph.add_asset(
-            g,
-            ManifestEntry(asset_id=event.asset_id, cpe=event.cpe_value),
-            event.dependencies,
-            catalog,
-            top_level=event.top_level,
-            at=event.at,
-        )
-    elif event.kind == "vuln_discovered":
-        g = graph.discover_vuln(g, event.asset_id, event.cve_id, catalog)
-    elif event.kind == "asset_updated":
-        g = graph.update_asset(
-            g, event.asset_id, event.cpe_value, catalog, fixes=event.fixes, at=event.at
-        )
-    elif event.kind == "vuln_patched":
-        g = graph.patch_vuln(g, event.asset_id, event.cve_id)
-    elif event.kind == "asset_retired":
-        g = graph.retire_asset(g, event.asset_id)
-    elif event.kind == "noop":
-        g = g.clone()
-    else:
+    if event.kind not in EVENT_KINDS:
         raise SchemaError(f"unknown event kind {event.kind!r}")
+    g = EVENT_KINDS[event.kind][1](g, event, catalog)
     g.root = replace(g.root, checked_at=event.at)
     return g
 
@@ -328,9 +320,6 @@ def _event_to_dict(event: LifecycleEvent) -> dict:
 
 
 def _event_from_dict(doc: dict, path: str, cpes: cpe.ParseTable) -> LifecycleEvent:
-    fixes = _expect(doc, "fixes", list, path, [])
-    if not all(isinstance(cve_id, str) for cve_id in fixes):
-        raise SchemaError("expected a list of CVE ids", f"{path}.fixes")
     return LifecycleEvent(
         at=_expect(doc, "at", str, path),
         seq=_expect(doc, "seq", int, path),
@@ -340,7 +329,7 @@ def _event_from_dict(doc: dict, path: str, cpes: cpe.ParseTable) -> LifecycleEve
         cpe_value=_parse_cpe(doc, "cpe", path, cpes) if "cpe" in doc else None,
         dependencies=_pairs(doc, path),
         top_level=_expect(doc, "top_level", bool, path, False),
-        fixes=tuple(fixes),
+        fixes=tuple(_expect(doc, "fixes", list, path, [])),
     )
 
 

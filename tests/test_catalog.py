@@ -356,3 +356,52 @@ def test_remediation_csv_without_a_column_is_a_schema_error(tmp_path):
     with pytest.raises(SchemaError) as err:
         cat_mod.import_remediation_csv(path)
     assert str(err.value) == "header: missing column 'capec_ids'"
+
+
+def _with(**parts) -> dict:
+    doc = {"schema_version": 1, "vulnerabilities": [], "weaknesses": [],
+           "attack_patterns": [], "remediation": []}
+    doc.update(parts)
+    return doc
+
+
+_CWE_119 = {"cwe_id": "CWE-119", "related_capec_ids": []}
+_CAPEC_10 = {"capec_id": "CAPEC-10"}
+_RECORD = record("CVE-2020-0001", 5.0, "CWE-119", affected=[wstr("v", "p", "1.0")])
+
+
+# Each rejected catalog input -> the error and the text it carries.
+@pytest.mark.parametrize(
+    "build,error,text",
+    [
+        pytest.param(lambda: cat_mod.catalog_from_dict([]), SchemaError,
+                     "catalog document must be an object", id="not-an-object"),
+        pytest.param(lambda: cat_mod.catalog_from_dict(_with(schema_version=2)), SchemaError,
+                     "schema_version: unsupported schema_version 2", id="schema-version-2"),
+        pytest.param(lambda: cat_mod.catalog_from_dict(_with(weaknesses=[_CWE_119, _CWE_119])),
+                     DuplicateId, "CWE-119", id="duplicate-cwe"),
+        pytest.param(lambda: cat_mod.catalog_from_dict(
+            _with(attack_patterns=[_CAPEC_10, _CAPEC_10])),
+            DuplicateId, "CAPEC-10", id="duplicate-capec"),
+        pytest.param(lambda: cat_mod.catalog_from_dict(_with(weaknesses=[
+            {"cwe_id": CWE_NULL, "related_capec_ids": ["CAPEC-10"]}])), SchemaError,
+            "weaknesses[0]: the null weakness may not reference attack patterns",
+            id="null-weakness-with-capecs"),
+        pytest.param(lambda: cat_mod.catalog_from_dict(_with(remediation=[
+            {"kind": "prayer", "cwe_ids": ["CWE-119"], "text": "hope"}])), SchemaError,
+            "remediation[0].kind: unknown remediation kind 'prayer'",
+            id="remediation-unknown-kind"),
+        pytest.param(lambda: cat_mod.catalog_from_dict(_with(remediation=[
+            {"kind": "requirement", "cwe_ids": [], "text": "bounds"}])), SchemaError,
+            "remediation[0].cwe_ids: remediation entry needs at least one weakness",
+            id="remediation-without-weakness"),
+        pytest.param(lambda: cat_mod.records_to_catalog(
+            [make_catalog(records=[_RECORD]).vulnerabilities["CVE-2020-0001"]] * 2,
+            snapshot_date="2020-01-01"),
+            DuplicateId, "CVE-2020-0001", id="records-duplicate-cve"),
+    ],
+)
+def test_rejected_catalog_inputs(build, error, text):
+    with pytest.raises(error) as err:
+        build()
+    assert str(err.value) == text

@@ -5,7 +5,8 @@ import pytest
 
 from dotcheck import parse_dot
 from helpers import wstr
-from vulngraph import fixtures, metrics
+from vulngraph import fixtures, metrics, report
+from vulngraph.catalog import load_catalog
 from vulngraph.cli import main
 from vulngraph.timeline import canonical_json, epoch_snapshot, load_timeline
 
@@ -478,3 +479,101 @@ def test_build_message_reads_the_snapshot_report(tmp_path, capsys):
     assert (rep.n_assets, rep.m1) == (19, 91)
     assert capsys.readouterr().out == (
         f"built V1: {rep.n_assets} assets, {rep.m1} vulnerabilities -> {out}\n")
+
+
+def test_event_dep_without_colon_exits_2(openplc_files, capsys):
+    cat, tl = openplc_files
+    assert main(["event", "--timeline", tl, "--catalog", cat, "--kind", "asset-added",
+                 "--asset", "shim", "--cpe", wstr("acme", "shim", "1.0"), "--dep", "shim",
+                 "--at", "2030-01-01T00:00:00Z"]) == 2
+    assert "VulnGraphError: --dep wants SRC:DST, got 'shim'" in capsys.readouterr().err
+    with open(tl, "rb") as fh:
+        assert fh.read() == fixtures.openplc_timeline_path().read_bytes()
+
+
+def _update_libc(cat, tl, fixes):
+    return main(["event", "--timeline", tl, "--catalog", cat, "--kind", "asset-updated",
+                 "--asset", "libc", "--cpe", wstr("gnu", "glibc", "9.99"), "--fixes", fixes,
+                 "--at", "2030-01-01T00:00:00Z"])
+
+
+@pytest.mark.parametrize("fixes,stored", [
+    (",,", None),
+    (" CVE-2018-11236 ,, CVE-2017-18269,", ["CVE-2018-11236", "CVE-2017-18269"]),
+])
+def test_event_drops_blank_fix_ids(openplc_files, fixes, stored):
+    cat, tl = openplc_files
+    assert _update_libc(cat, tl, fixes) == 0
+    with open(tl, encoding="utf-8") as fh:
+        assert json.load(fh)["events"][-1].get("fixes") == stored
+
+
+def test_event_with_a_fix_that_is_not_a_cve_id_exits_2(openplc_files, capsys):
+    cat, tl = openplc_files
+    assert _update_libc(cat, tl, "CVE-2018-11236,libc") == 2
+    assert "SchemaError: event.fixes[1]: bad CVE id 'libc'" in capsys.readouterr().err
+    with open(tl, "rb") as fh:
+        assert fh.read() == fixtures.openplc_timeline_path().read_bytes()
+
+
+def _openplc_timeline_with(tmp_path, **changes):
+    doc = json.loads(fixtures.openplc_timeline_path().read_text())
+    doc.update(changes)
+    path = tmp_path / "timeline.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_metrics_without_snapshot_or_catalog_exits_2(tmp_path, capsys):
+    tl = _openplc_timeline_with(tmp_path, snapshots={})
+    assert main(["metrics", "--timeline", tl]) == 2
+    assert ("VulnGraphError: no embedded snapshot for 'V3' and no catalog to replay"
+            in capsys.readouterr().err)
+
+
+def test_metrics_on_a_timeline_without_epochs_exits_2(tmp_path, capsys):
+    tl = _openplc_timeline_with(tmp_path, epochs=[])
+    cat = str(fixtures.openplc_catalog_path())
+    assert main(["metrics", "--timeline", tl, "--catalog", cat]) == 2
+    assert "timeline has no epochs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bound,error", [
+    ("M0:>=", "VulnGraphError: --metric-bound wants METRIC:CMP:VALUE, got 'M0:>='"),
+    ("M0:>=:abc", "ValueError: could not convert string to float: 'abc'"),
+])
+def test_alerts_with_a_malformed_metric_bound_exits_2(openplc_files, capsys, bound, error):
+    _, tl = openplc_files
+    assert main(["alerts", "--timeline", tl, "--metric-bound", bound]) == 2
+    assert error in capsys.readouterr().err
+
+
+def test_report_json_is_the_generated_report(openplc_files, capsys):
+    cat, tl = openplc_files
+    assert main(["report", "--timeline", tl, "--catalog", cat, "--format", "json"]) == 0
+    expected = report.generate_report(load_timeline(tl), load_catalog(cat), "json")
+    assert json.loads(capsys.readouterr().out) == json.loads(json.dumps(expected))
+
+
+def test_ingest_merges_into_an_existing_catalog(openplc_files, tmp_path, capsys):
+    cat, _ = openplc_files
+    feed = tmp_path / "feed.json"
+    feed.write_text(json.dumps({"CVE_Items": [{
+        "cve": {"CVE_data_meta": {"ID": "CVE-2020-0001"}},
+        "configurations": {"nodes": [{"cpe_match": [
+            {"vulnerable": True, "cpe23Uri": wstr("acme", "widget", "1.0")}]}]},
+        "impact": {"baseMetricV2": {"cvssV2": {"baseScore": 7.5}}},
+        "publishedDate": "2020-01-01T00:00Z",
+    }]}))
+    out = tmp_path / "merged.json"
+    assert main(["ingest", "--feed", str(feed), "--out", str(out),
+                 "--snapshot-date", "2030-01-01", "--merge", cat]) == 0
+    assert "wrote 174 records" in capsys.readouterr().out
+    base, merged = load_catalog(cat), load_catalog(out)
+    assert merged.vulnerabilities.keys() == base.vulnerabilities.keys() | {"CVE-2020-0001"}
+    assert merged.weaknesses == base.weaknesses
+    assert merged.snapshot_date == "2030-01-01"
+    # the feed's record is in the merged catalog now, so a second merge clashes
+    assert main(["ingest", "--feed", str(feed), "--out", str(tmp_path / "again.json"),
+                 "--merge", str(out)]) == 2
+    assert "DuplicateId: CVE-2020-0001" in capsys.readouterr().err

@@ -7,7 +7,7 @@ import pytest
 from gen import random_timeline
 from helpers import make_catalog, manifest, name, ts, update_patch_scenario, wstr
 from vulngraph import fixtures, graph, metrics, timeline as tl_mod
-from vulngraph.errors import NonMonotonicTimestamp, SchemaError
+from vulngraph.errors import NonMonotonicTimestamp, SchemaError, VulnGraphError
 from vulngraph.graph import ROOT_ID, Edge
 from vulngraph.timeline import LifecycleEvent, Timeline
 
@@ -342,3 +342,64 @@ def test_canonical_json_is_compact_and_decodes_to_its_document():
         text = tl_mod.canonical_json(doc)
         assert json.loads(text) == doc
         assert text.index("\n") == len(text) - 1
+
+
+@pytest.mark.parametrize("doc,text", [
+    pytest.param([], "timeline document must be an object", id="not-an-object"),
+    pytest.param({"schema_version": 2}, "unsupported schema_version 2", id="schema-version-2"),
+])
+def test_rejected_timeline_documents(doc, text):
+    with pytest.raises(SchemaError) as err:
+        tl_mod.timeline_from_dict(doc)
+    assert str(err.value) == text
+
+
+# The third event of the scenario is the update that fixes CVE-2020-0001.
+@pytest.mark.parametrize("fix", [5, None, "", "CVE-20-1", "cve-2020-0002"])
+def test_load_rejects_a_fix_that_is_not_a_cve_id(fix):
+    tl, _ = update_patch_scenario()
+    doc = tl_mod.timeline_to_dict(tl)
+    doc["events"][2]["fixes"] = ["CVE-2020-0001", fix]
+    with pytest.raises(SchemaError) as err:
+        tl_mod.timeline_from_dict(doc)
+    assert str(err.value) == f"events[2].fixes[1]: bad CVE id {fix!r}"
+
+
+def test_append_rejects_a_fix_that_is_not_a_cve_id():
+    tl, _ = update_patch_scenario()
+    event = LifecycleEvent(at=ts(5), seq=0, kind="asset_updated", asset_id="a2",
+                           cpe_value=name("acme", "widget", "4.0"), fixes=("",))
+    with pytest.raises(SchemaError) as err:
+        tl_mod.append_event(tl, event)
+    assert str(err.value) == "event.fixes[0]: bad CVE id ''"
+
+
+def test_snapshot_before_built_at_is_an_error():
+    tl, cat = update_patch_scenario()
+    with pytest.raises(VulnGraphError) as err:
+        tl_mod.snapshot_at(tl, cat, "2019-12-31T00:00:00Z")
+    assert str(err.value) == "timeline starts at 2020-01-01T00:00:00Z, after 2019-12-31T00:00:00Z"
+
+
+def test_apply_event_rejects_an_unknown_kind():
+    tl, cat = update_patch_scenario()
+    _, g = next(tl_mod.replay(tl, cat))
+    with pytest.raises(SchemaError) as err:
+        tl_mod.apply_event(g, LifecycleEvent(at=ts(9), seq=0, kind="asset_exploded"), cat)
+    assert str(err.value) == "unknown event kind 'asset_exploded'"
+
+
+def test_event_edits_call_the_graph_function_installed_now(monkeypatch):
+    # A wrapper put on the graph module after import (as a tracer does) must
+    # see every lifecycle edit that a replay makes.
+    tl, cat = update_patch_scenario()
+    seen = []
+    original = graph.update_asset
+
+    def wrapper(*args, **kwargs):
+        seen.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(graph, "update_asset", wrapper)
+    list(tl_mod.replay(tl, cat))
+    assert seen == ["a2", "a2"]
