@@ -184,11 +184,11 @@ def _cmd_alerts(args) -> int:
     for spec_text in args.metric_bound or []:
         try:
             metric, comparator, value = spec_text.split(":")
-        except ValueError:
-            raise VulnGraphError(
-                f"--metric-bound wants METRIC:CMP:VALUE, got {spec_text!r}"
-            ) from None
-        rules.append(AlertRule.metric_bound(metric, comparator, float(value)))
+            value = float(value)
+        except ValueError as exc:
+            raise VulnGraphError(f"--metric-bound wants METRIC:CMP:VALUE, got {spec_text!r} "
+                                 f"({type(exc).__name__}: {exc})") from None
+        rules.append(AlertRule.metric_bound(metric, comparator, value))
     firings = report.check_alerts(g, rules)
     for firing in firings:
         print(f"[{firing.rule.severity}] {firing.message}")

@@ -114,9 +114,6 @@ class WellFormedName:
     target_hw: AttrValue = ANY
     other: AttrValue = ANY
 
-    def attribute(self, name: str) -> AttrValue:
-        return getattr(self, name)
-
     def __str__(self):
         return bind_formatted(self)
 

@@ -1,10 +1,11 @@
 """The dependency-graph core.
 
 A snapshot (:class:`Edg`) is a typed directed graph with one root node (the
-system under test), asset nodes, known-vulnerability nodes and optional
-cluster nodes, joined by ``normal`` and ``deprecated`` edges.  Edges are
-stored as drawn: asset -> thing it depends on, asset -> its vulnerability;
-impact queries traverse against that direction.
+system under test), asset nodes and known-vulnerability nodes, joined by
+``normal`` and ``deprecated`` edges.  Edges are stored as drawn: asset ->
+thing it depends on, asset -> its vulnerability; impact queries traverse
+against that direction.  A clustering (:func:`cluster_by`) only annotates a
+snapshot with groups of nodes, which the DOT export draws as single nodes.
 
 Operations never mutate their input graph: one that changes something
 returns a new graph.
@@ -82,13 +83,11 @@ class Edge:
 
 @dataclass(frozen=True)
 class Cluster:
-    """Summary node: retains its members and their edges for exact expansion."""
+    """A group of a snapshot's nodes, drawn as one summary node."""
 
     cluster_id: str
     assets: tuple[AssetNode, ...]
     vulns: tuple[VulnNode, ...]
-    internal_edges: tuple[Edge, ...]
-    boundary_edges: tuple[Edge, ...]
 
 
 @dataclass(frozen=True)
@@ -136,13 +135,13 @@ class Edg:
     # -- basic views -------------------------------------------------------
 
     def clone(self) -> "Edg":
+        """A copy of the snapshot, without the clusters that annotate it."""
         return Edg(
             root=self.root,
             epoch=self.epoch,
             assets=dict(self.assets),
             vulns=dict(self.vulns),
             edges=set(self.edges),
-            clusters=dict(self.clusters),
         )
 
     def lineage(self, asset_id: str) -> list[AssetNode]:
@@ -191,7 +190,7 @@ class Edg:
         return active_subgraph(self).vulns
 
     def node_count(self) -> int:
-        return 1 + len(self.assets) + len(self.vulns) + len(self.clusters)
+        return 1 + len(self.assets) + len(self.vulns)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +245,6 @@ def build_edg(
     manifest: Manifest,
     catalog: Catalog,
     at: str,
-    epoch: str | None = None,
 ) -> Edg:
     """Build the initial snapshot from an asset manifest and a catalog.
 
@@ -256,7 +254,7 @@ def build_edg(
     CPE at time ``at`` becomes an attached vulnerability node.
     """
     _validate_manifest(manifest)
-    g = Edg(root=RootNode(sut_cpe=sut, checked_at=at), epoch=epoch)
+    g = Edg(root=RootNode(sut_cpe=sut, checked_at=at))
 
     for order, entry in enumerate(manifest.entries):
         node = AssetNode(f"{entry.asset_id}@0", entry.asset_id, order, entry.cpe)
@@ -431,10 +429,9 @@ def _fmt_cpe(w: WellFormedName | None) -> str:
 
 
 def active_subgraph(g: Edg) -> Edg:
-    """The active configuration, with clusters expanded: non-deprecated
-    assets, vulnerabilities a normal edge attaches to one of them, and normal
-    edges among those nodes plus the root.  The only rule for what is active."""
-    g = expand_clusters(g)
+    """The active configuration, without clusters: non-deprecated assets,
+    vulnerabilities a normal edge attaches to one of them, and normal edges
+    among those nodes plus the root.  The only rule for what is active."""
     assets = {nid: a for nid, a in g.assets.items() if not a.deprecated}
     vulns = {}
     normal = []
@@ -451,7 +448,6 @@ def active_subgraph(g: Edg) -> Edg:
 def impact_set(g: Edg, cve_id: str) -> set[str]:
     """Asset ids hosting a vulnerability plus all assets that transitively
     depend on them (reverse reachability over active normal edges)."""
-    g = expand_clusters(g)
     if cve_id not in g.vulns:
         raise UnknownCve(cve_id)
     active = active_subgraph(g)
@@ -482,18 +478,17 @@ def _eligible(g: Edg, cves: tuple[str, ...], rule: ClusterRule) -> bool:
 
 
 def cluster_by(g: Edg, rule: ClusterRule, scope=None) -> Edg:
-    """Replace maximal connected groups of qualifying active assets (and the
-    vulnerabilities attached only inside a group) by cluster nodes.
+    """Group maximal connected sets of qualifying active assets, with the
+    vulnerabilities attached only inside a group, into clusters.
 
     Connectivity is taken over the active normal edges, with the root acting
     as a connector but never a member, so a fully vulnerability-free system
     collapses into a single cluster.  ``scope`` optionally restricts
-    eligibility to a subset of asset ids.  An edge with both ends in one
-    cluster is kept in that cluster's internal edges; any other edge touching
-    a member is kept, in its original form, in the boundary edges of every
-    cluster it touches and drawn between the clusters (or nodes) at its ends,
-    so :func:`expand_clusters` restores the graph exactly.  A graph that
-    already has clusters is refused (:class:`ValueError`): expand it first.
+    eligibility to a subset of asset ids.  The result is a copy of ``g``
+    whose ``clusters`` name the groups; every node and edge is unchanged, and
+    :func:`report.export_dot` draws each group as one node.  ``g`` itself is
+    returned when no asset qualifies.  A graph that already has clusters is
+    refused (:class:`ValueError`): expand it first.
     """
     if g.clusters:
         raise ValueError("graph is already clustered; expand its clusters first")
@@ -547,55 +542,19 @@ def cluster_by(g: Edg, rule: ClusterRule, scope=None) -> Edg:
             owner[cve_id] = cid if owner.get(cve_id, cid) == cid else None
     cluster_of.update((cve_id, cid) for cve_id, cid in owner.items() if cid is not None)
 
-    g2 = g.clone()
-    assets: dict[str, list[AssetNode]] = {cid: [] for cid in ids}
-    vulns: dict[str, list[VulnNode]] = {cid: [] for cid in ids}
+    members: dict[str, list[str]] = {cid: [] for cid in ids}
     for member, cid in sorted(cluster_of.items()):
-        if member in g2.assets:
-            assets[cid].append(g2.assets.pop(member))
-        else:
-            vulns[cid].append(g2.vulns.pop(member))
-
-    internal: dict[str, list[Edge]] = {cid: [] for cid in ids}
-    boundary: dict[str, list[Edge]] = {cid: [] for cid in ids}
-    touching = [e for e in g.edges if e.source in cluster_of or e.target in cluster_of]
-    for e in sorted(touching, key=lambda e: (e.source, e.target, e.kind)):
-        g2.edges.discard(e)
-        source, target = cluster_of.get(e.source, e.source), cluster_of.get(e.target, e.target)
-        if source == target:
-            internal[source].append(e)
-            continue
-        for cid in {source, target} & boundary.keys():
-            boundary[cid].append(e)
-        g2.edges.add(Edge(source=source, target=target, kind=e.kind))
-
-    for cid in ids:
-        g2.clusters[cid] = Cluster(
-            cluster_id=cid,
-            assets=tuple(assets[cid]),
-            vulns=tuple(vulns[cid]),
-            internal_edges=tuple(internal[cid]),
-            boundary_edges=tuple(boundary[cid]),
-        )
+        members[cid].append(member)
+    g2 = g.clone()
+    g2.clusters = {cid: Cluster(cid, tuple(g.assets[m] for m in group if m in g.assets),
+                                tuple(g.vulns[m] for m in group if m in g.vulns))
+                   for cid, group in members.items()}
     return g2
 
 
 def expand_clusters(g: Edg) -> Edg:
-    """Exact inverse of :func:`cluster_by`: restore members and edges."""
-    if not g.clusters:
-        return g
-    g2 = g.clone()
-    cluster_ids = set(g2.clusters)
-    g2.edges = {e for e in g2.edges if e.source not in cluster_ids and e.target not in cluster_ids}
-    for cluster in g2.clusters.values():
-        for asset in cluster.assets:
-            g2.assets[asset.node_id] = asset
-        for vuln in cluster.vulns:
-            g2.vulns[vuln.cve_id] = vuln
-        g2.edges.update(cluster.internal_edges)
-        g2.edges.update(cluster.boundary_edges)
-    g2.clusters = {}
-    return g2
+    """Inverse of :func:`cluster_by`: the graph without its clusters."""
+    return g.clone() if g.clusters else g
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +563,8 @@ def expand_clusters(g: Edg) -> Edg:
 
 def edg_to_dict(g: Edg) -> dict:
     """Canonical JSON form; lists are sorted so equal graphs serialize equal.
-    Each distinct CPE name is bound once per call."""
+    Clusters are a drawing annotation and are not written.  Each distinct
+    CPE name is bound once per call."""
     bound: dict[WellFormedName, str] = {}
 
     def bind(w: WellFormedName) -> str:
@@ -644,24 +604,15 @@ def edg_to_dict(g: Edg) -> dict:
         "edges": [
             edge_dict(e) for e in sorted(g.edges, key=lambda e: (e.source, e.target, e.kind))
         ],
-        "clusters": [
-            {
-                "cluster_id": c.cluster_id,
-                "assets": [asset_dict(a) for a in c.assets],
-                "vulns": [vuln_dict(v) for v in c.vulns],
-                "internal_edges": [edge_dict(e) for e in c.internal_edges],
-                "boundary_edges": [edge_dict(e) for e in c.boundary_edges],
-            }
-            for c in sorted(g.clusters.values(), key=lambda c: c.cluster_id)
-        ],
+        "clusters": [],
     }
 
 
 def edg_from_dict(doc: dict, cpes: cpe.ParseTable | None = None) -> Edg:
     """Inverse of :func:`edg_to_dict`.  ``cpes`` parses each distinct name
     once; pass one table to share it across the snapshots of one load.  A
-    wrongly typed field or container raises :class:`TypeError` or
-    :class:`ValueError`."""
+    wrongly typed field or container, or a non-empty ``clusters`` list,
+    raises :class:`TypeError` or :class:`ValueError`."""
     if cpes is None:
         cpes = cpe.ParseTable()
 
@@ -720,13 +671,6 @@ def edg_from_dict(doc: dict, cpes: cpe.ParseTable | None = None) -> Edg:
         g.vulns[node.cve_id] = node
     for d in items(doc, "edges"):
         g.edges.add(parse_edge(d))
-    for d in items(doc, "clusters"):
-        cluster = Cluster(
-            cluster_id=d["cluster_id"],
-            assets=tuple(parse_asset(a) for a in items(d, "assets")),
-            vulns=tuple(parse_vuln(v) for v in items(d, "vulns")),
-            internal_edges=tuple(parse_edge(e) for e in items(d, "internal_edges")),
-            boundary_edges=tuple(parse_edge(e) for e in items(d, "boundary_edges")),
-        )
-        g.clusters[cluster.cluster_id] = cluster
+    if items(doc, "clusters"):
+        raise ValueError("clusters: want an empty list; a snapshot stores no clusters")
     return g

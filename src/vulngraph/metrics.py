@@ -1,8 +1,8 @@
 """Quantitative metric suite over snapshots and timelines.
 
 All metrics measure the active configuration, read from
-:func:`graph.active_subgraph`: deprecated assets and edges never count, and
-cluster nodes are expanded there.  Per-epoch
+:func:`graph.active_subgraph`: deprecated assets and edges never count, and a
+clustering changes no metric, since it changes no node or edge.  Per-epoch
 values (M0, M1, M3..M7) take one snapshot; the accumulated values (M2, M8 and
 the lifetime weakness frequency) sum over the timeline's named epochs.
 
@@ -19,15 +19,18 @@ Internal values are unrounded; display rounding is two decimals.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
-from pathlib import Path
 
+from . import fixtures
 from .catalog import CWE_NULL, Catalog
 from .errors import NoAssets, NoVulnerabilities, UnknownAsset, UnknownMetric
 from .graph import Edg, active_subgraph
 from .timeline import Timeline, epoch_snapshots
 
 METRIC_IDS = tuple(f"M{i}" for i in range(9))
+#: The metrics that are one number per snapshot, as :meth:`MetricReport.scalar` reads them.
+SCALAR_METRICS = ("M0", "M1", "M7")
 
 
 def _cwe_sort_key(cwe_id: str):
@@ -190,24 +193,21 @@ def _prioritize(
 # ISA/IEC 62443 requirement annotations
 
 
-_MAPPING_PATH = Path(__file__).parent / "data" / "iec62443_mapping.csv"
-_mapping_cache: dict[str, frozenset[str]] | None = None
+@functools.cache
+def _iec62443_mapping() -> dict[str, frozenset[str]]:
+    with open(fixtures.iec62443_mapping_path(), newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        tags = [name for name in reader.fieldnames if name != "metric"]
+        return {row["metric"]: frozenset(t for t in tags if row[t].strip() == "1")
+                for row in reader}
 
 
 def iec62443_annotations(metric_id: str) -> frozenset[str]:
     """Requirement tags a metric supports, from the bundled mapping table."""
-    global _mapping_cache
     metric_id = metric_id.upper()
     if metric_id not in METRIC_IDS:
         raise UnknownMetric(metric_id)
-    if _mapping_cache is None:
-        with open(_MAPPING_PATH, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            tags = [name for name in reader.fieldnames if name != "metric"]
-            _mapping_cache = {
-                row["metric"]: frozenset(t for t in tags if row[t].strip() == "1") for row in reader
-            }
-    return _mapping_cache[metric_id]
+    return _iec62443_mapping()[metric_id]
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +247,12 @@ class MetricReport:
         return _render_metric_table(self)
 
     def scalar(self, metric_id: str) -> float:
-        """The value of the scalar metric M0, M1 or M7."""
+        """The value of one of the :data:`SCALAR_METRICS`."""
+        if metric_id not in SCALAR_METRICS:
+            raise UnknownMetric(f"{metric_id} is not one of {', '.join(SCALAR_METRICS)}")
         if metric_id == "M0" and self.m0 is None:
             raise NoAssets("mean undefined on a graph with no active assets")
-        return {"M0": self.m0, "M1": self.m1, "M7": self.m7}[metric_id]
+        return getattr(self, metric_id.lower())
 
 
 def _by_cwe(counts: dict[str, int]) -> dict[str, int]:

@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 from . import cpe
 from .catalog import CWE_NULL, Catalog
 from .errors import UnknownMetric
-from .graph import DEPRECATED, ROOT_ID, ClusterRule, Edg, active_subgraph, cluster_by
+from .graph import DEPRECATED, ROOT_ID, ClusterRule, Edg, Edge, active_subgraph, cluster_by
 from .metrics import (
     METRIC_IDS,
+    SCALAR_METRICS,
     PrioritizedVulnerability,
     _lifecycle,
     _prioritize,
@@ -44,11 +45,27 @@ def _dot_quote(text: str) -> str:
 
 
 def export_dot(g: Edg, opts: RenderOptions = RenderOptions()) -> str:
-    """Serialize a snapshot as a deterministic Graphviz digraph."""
+    """Serialize a snapshot as a deterministic Graphviz digraph.
+
+    Each cluster is drawn as one node in place of its members.  An edge that
+    touches a member joins the clusters (or nodes) at its two ends, and is
+    not drawn when both ends land in one cluster.
+    """
     if not opts.show_deprecated:
         g = active_subgraph(g)
     if opts.cluster_rule is not None:
         g = cluster_by(g, opts.cluster_rule, scope=opts.cluster_scope)
+    assets, vulns, edges = g.assets, g.vulns, g.edges
+    if g.clusters:
+        cluster_of = {a.node_id: c.cluster_id for c in g.clusters.values() for a in c.assets}
+        cluster_of.update((v.cve_id, c.cluster_id) for c in g.clusters.values() for v in c.vulns)
+        assets = {nid: a for nid, a in assets.items() if nid not in cluster_of}
+        vulns = {cve_id: v for cve_id, v in vulns.items() if cve_id not in cluster_of}
+        edges = {e for e in g.edges if e.source not in cluster_of and e.target not in cluster_of}
+        for e in g.edges - edges:
+            ends = cluster_of.get(e.source, e.source), cluster_of.get(e.target, e.target)
+            if ends[0] != ends[1]:
+                edges.add(Edge(*ends, e.kind))
 
     lines = ["digraph edg {", "  rankdir=TB;"]
     root_label = cpe.bind_formatted(g.root.sut_cpe)
@@ -56,19 +73,19 @@ def export_dot(g: Edg, opts: RenderOptions = RenderOptions()) -> str:
         root_label += f"\\n{g.root.checked_at}"
     lines.append(f"  {_dot_quote(ROOT_ID)} [shape=box, label={_dot_quote(root_label)}];")
 
-    # Full labels list the weaknesses of every attached vulnerability,
+    # Full labels list the weaknesses of every drawn attached vulnerability,
     # whatever the edge kind (a patched one shows when deprecated edges do).
     attached: dict[str, set[str]] = {}
     if opts.verbosity == "full":
-        for e in g.edges:
-            if e.target in g.vulns:
+        for e in edges:
+            if e.target in vulns:
                 attached.setdefault(e.source, set()).add(e.target)
 
-    for asset in sorted(g.assets.values(), key=lambda a: a.node_id):
+    for asset in sorted(assets.values(), key=lambda a: a.node_id):
         label = cpe.bind_formatted(asset.cpe_current)
         if opts.verbosity == "full":
             cwes = sorted(
-                {c for cve_id in attached.get(asset.node_id, ()) for c in g.vulns[cve_id].cwe_ids}
+                {c for cve_id in attached.get(asset.node_id, ()) for c in vulns[cve_id].cwe_ids}
             )
             if asset.cpe_previous is not None:
                 label += f"\\nprev: {cpe.bind_formatted(asset.cpe_previous)}"
@@ -78,7 +95,7 @@ def export_dot(g: Edg, opts: RenderOptions = RenderOptions()) -> str:
             f"  {_dot_quote(asset.node_id)} [shape=ellipse, label={_dot_quote(label)}];"
         )
 
-    for vuln in sorted(g.vulns.values(), key=lambda v: v.cve_id):
+    for vuln in sorted(vulns.values(), key=lambda v: v.cve_id):
         label = vuln.cve_id
         if opts.verbosity == "full":
             label += f"\\nCVSS {vuln.cvss}"
@@ -95,7 +112,7 @@ def export_dot(g: Edg, opts: RenderOptions = RenderOptions()) -> str:
             f"label={_dot_quote(label)}];"
         )
 
-    for edge in sorted(g.edges, key=lambda e: (e.source, e.target, e.kind)):
+    for edge in sorted(edges, key=lambda e: (e.source, e.target, e.kind)):
         attrs = " [style=dashed]" if edge.kind == DEPRECATED else ""
         lines.append(f"  {_dot_quote(edge.source)} -> {_dot_quote(edge.target)}{attrs};")
     lines.append("}")
@@ -133,8 +150,9 @@ class AlertRule:
     ) -> "AlertRule":
         if comparator not in ("<", "<=", ">", ">="):
             raise ValueError(f"bad comparator {comparator!r}")
-        if metric.upper() not in METRIC_IDS:
-            raise UnknownMetric(metric)
+        if metric.upper() not in SCALAR_METRICS:
+            raise UnknownMetric(f"{metric} cannot be bounded on a snapshot; "
+                                f"want one of {', '.join(SCALAR_METRICS)}")
         return cls(
             kind="metric_bound",
             metric=metric.upper(),
@@ -159,8 +177,6 @@ _COMPARATORS = {
     ">=": lambda a, b: a >= b,
 }
 
-_SCALAR_METRICS = ("M0", "M1", "M7")
-
 
 def check_alerts(g: Edg, rules) -> list[AlertFiring]:
     """Evaluate rules against a snapshot; one firing per offending entity."""
@@ -180,8 +196,6 @@ def check_alerts(g: Edg, rules) -> list[AlertFiring]:
                         )
                     )
         elif rule.kind == "metric_bound":
-            if rule.metric not in _SCALAR_METRICS:
-                raise UnknownMetric(f"{rule.metric} cannot be bounded on a snapshot")
             if snapshot_metrics is None:
                 snapshot_metrics = _snapshot_report(active)
             value = snapshot_metrics.scalar(rule.metric)

@@ -82,21 +82,22 @@ class Timeline:
         raise VulnGraphError(f"unknown epoch {label!r}; have {self.epoch_labels()}")
 
 
-# Each event kind: the payload fields (document keys) it needs, and its edit
-# of a snapshot.  An edit looks its function up on the graph module when it
-# runs, so a wrapper installed there later is the one called.
+# Each event kind: the payload fields (document keys) it needs, the ones it
+# may also take, and its edit of a snapshot.  An edit looks its function up
+# on the graph module when it runs, so a wrapper installed there later is the
+# one called.
 EVENT_KINDS = {
-    "asset_added": (("asset_id", "cpe"), lambda g, e, cat: graph.add_asset(
-        g, ManifestEntry(asset_id=e.asset_id, cpe=e.cpe_value), e.dependencies, cat,
-        top_level=e.top_level, at=e.at)),
-    "vuln_discovered": (("asset_id", "cve_id"),
+    "asset_added": (("asset_id", "cpe"), ("dependencies", "top_level"), lambda g, e, cat:
+                    graph.add_asset(g, ManifestEntry(asset_id=e.asset_id, cpe=e.cpe_value),
+                                    e.dependencies, cat, top_level=e.top_level, at=e.at)),
+    "vuln_discovered": (("asset_id", "cve_id"), (),
                         lambda g, e, cat: graph.discover_vuln(g, e.asset_id, e.cve_id, cat)),
-    "asset_updated": (("asset_id", "cpe"), lambda g, e, cat: graph.update_asset(
+    "asset_updated": (("asset_id", "cpe"), ("fixes",), lambda g, e, cat: graph.update_asset(
         g, e.asset_id, e.cpe_value, cat, fixes=e.fixes, at=e.at)),
-    "vuln_patched": (("asset_id", "cve_id"),
+    "vuln_patched": (("asset_id", "cve_id"), (),
                      lambda g, e, cat: graph.patch_vuln(g, e.asset_id, e.cve_id)),
-    "asset_retired": (("asset_id",), lambda g, e, cat: graph.retire_asset(g, e.asset_id)),
-    "noop": ((), lambda g, e, cat: g.clone()),
+    "asset_retired": (("asset_id",), (), lambda g, e, cat: graph.retire_asset(g, e.asset_id)),
+    "noop": ((), (), lambda g, e, cat: g.clone()),
 }
 
 
@@ -104,16 +105,21 @@ def validate_event(event: LifecycleEvent, last_at: str, path: str = "event") -> 
     """Check one event against the log it follows, the same on append and on load.
 
     The timestamp must be well formed and not before ``last_at``, the kind
-    known, the payload fields that the kind needs present, and every fix a
-    CVE id.
+    known, the payload fields that the kind needs present, no other field
+    set than those and the ones the kind may take, and every fix a CVE id.
     """
     validate_timestamp(event.at, f"{path}.at")
     if event.kind not in EVENT_KINDS:
         raise SchemaError(f"unknown event kind {event.kind!r}", f"{path}.kind")
-    payload = {"asset_id": event.asset_id, "cve_id": event.cve_id, "cpe": event.cpe_value}
-    for key in EVENT_KINDS[event.kind][0]:
-        if payload[key] is None:
+    needed, optional, _ = EVENT_KINDS[event.kind]
+    payload = {"asset_id": event.asset_id, "cve_id": event.cve_id, "cpe": event.cpe_value,
+               "dependencies": event.dependencies, "top_level": event.top_level,
+               "fixes": event.fixes}
+    for key, value in payload.items():
+        if key in needed and value is None:
             raise SchemaError(f"a {event.kind} event needs {key!r}", f"{path}.{key}")
+        if key not in needed + optional and value not in (None, (), False):
+            raise SchemaError(f"a {event.kind} event takes no {key!r}", f"{path}.{key}")
     for j, cve_id in enumerate(event.fixes):
         if not (isinstance(cve_id, str) and _CVE_RE.fullmatch(cve_id)):
             raise SchemaError(f"bad CVE id {cve_id!r}", f"{path}.fixes[{j}]")
@@ -163,7 +169,7 @@ def apply_event(g: Edg, event: LifecycleEvent, catalog: Catalog) -> Edg:
     """Apply one event to a snapshot, yielding the successor snapshot."""
     if event.kind not in EVENT_KINDS:
         raise SchemaError(f"unknown event kind {event.kind!r}")
-    g = EVENT_KINDS[event.kind][1](g, event, catalog)
+    g = EVENT_KINDS[event.kind][2](g, event, catalog)
     g.root = replace(g.root, checked_at=event.at)
     return g
 

@@ -469,6 +469,29 @@ def test_misshapen_snapshot_exits_2(tmp_path, capsys, defect):
     assert "SchemaError: snapshots.V3: malformed embedded snapshot: " in capsys.readouterr().err
 
 
+def test_snapshot_with_a_cluster_exits_2(tmp_path, capsys):
+    # A snapshot stores no clusters.  This entry is one the old cluster
+    # encoder would write: a vulnerability-free asset moved into the cluster
+    # with its edges kept as boundary edges, and those edges redrawn to it.
+    doc = json.loads(fixtures.openplc_timeline_path().read_text())
+    snap = doc["snapshots"]["V1"]
+    carriers = {e["source"] for e in snap["edges"] if e["target"].startswith("CVE-")}
+    asset = next(a for a in snap["assets"] if a["node_id"] not in carriers)
+    boundary = [e for e in snap["edges"] if asset["node_id"] in (e["source"], e["target"])]
+    snap["assets"].remove(asset)
+    snap["edges"] = [e for e in snap["edges"] if e not in boundary] + [
+        {key: "cluster-1" if end == asset["node_id"] else end for key, end in e.items()}
+        for e in boundary
+    ]
+    snap["clusters"] = [{"cluster_id": "cluster-1", "assets": [asset], "vulns": [],
+                         "internal_edges": [], "boundary_edges": boundary}]
+    path = tmp_path / "timeline.json"
+    path.write_text(json.dumps(doc))
+    assert main(["metrics", "--timeline", str(path), "--epoch", "V1"]) == 2
+    assert ("SchemaError: snapshots.V1: malformed embedded snapshot: ValueError: clusters: "
+            in capsys.readouterr().err)
+
+
 def test_build_message_reads_the_snapshot_report(tmp_path, capsys):
     out = tmp_path / "timeline.json"
     assert main(["build", "--sut", "cpe:2.3:a:openplc_project:openplc:1.0:*:*:*:*:*:*:*",
@@ -487,6 +510,16 @@ def test_event_dep_without_colon_exits_2(openplc_files, capsys):
                  "--asset", "shim", "--cpe", wstr("acme", "shim", "1.0"), "--dep", "shim",
                  "--at", "2030-01-01T00:00:00Z"]) == 2
     assert "VulnGraphError: --dep wants SRC:DST, got 'shim'" in capsys.readouterr().err
+    with open(tl, "rb") as fh:
+        assert fh.read() == fixtures.openplc_timeline_path().read_bytes()
+
+
+def test_event_with_a_field_its_kind_does_not_take_exits_2(openplc_files, capsys):
+    cat, tl = openplc_files
+    assert main(["event", "--timeline", tl, "--catalog", cat, "--kind", "noop",
+                 "--dep", "libc:libssl", "--fixes", "CVE-2018-11236", "--cve", "CVE-2018-11236",
+                 "--at", "2030-01-01T00:00:00Z"]) == 2
+    assert "SchemaError: event.cve_id: a noop event takes no 'cve_id'" in capsys.readouterr().err
     with open(tl, "rb") as fh:
         assert fh.read() == fixtures.openplc_timeline_path().read_bytes()
 
@@ -546,6 +579,13 @@ def test_alerts_with_a_malformed_metric_bound_exits_2(openplc_files, capsys, bou
     _, tl = openplc_files
     assert main(["alerts", "--timeline", tl, "--metric-bound", bound]) == 2
     assert error in capsys.readouterr().err
+
+
+def test_alerts_names_the_metric_bound_form_for_a_bad_value(openplc_files, capsys):
+    _, tl = openplc_files
+    assert main(["alerts", "--timeline", tl, "--metric-bound", "M0:>=:abc"]) == 2
+    assert ("VulnGraphError: --metric-bound wants METRIC:CMP:VALUE, got 'M0:>=:abc'"
+            in capsys.readouterr().err)
 
 
 def test_report_json_is_the_generated_report(openplc_files, capsys):

@@ -1,5 +1,6 @@
 import pytest
 
+from dotcheck import parse_dot
 from gen import random_cluster_case
 from helpers import make_catalog, manifest, name, record, wstr
 from test_properties import CASES
@@ -43,11 +44,10 @@ def test_vuln_free_system_collapses_to_one_cluster():
     assert len(clustered.clusters) == 1
     cluster = next(iter(clustered.clusters.values()))
     assert {a.asset_id for a in cluster.assets} == {"a1", "a2", "a3"}
-    assert clustered.assets == {}
+    nodes, edges = parse_dot(export_dot(clustered))
+    assert set(nodes) == {"root", cluster.cluster_id}
     # the root keeps one edge into the cluster
-    assert {e for e in clustered.edges} == {
-        Edge(source="root", target=cluster.cluster_id)
-    }
+    assert edges == [("root", cluster.cluster_id, {})]
 
 
 def test_threshold_absorbs_only_low_scores():
@@ -137,9 +137,11 @@ def test_shared_vulnerability_is_not_absorbed_across_groups():
     clustered = cluster_by(g, ClusterRule.cvss_below(6.0))
     assert len(clustered.clusters) == 2
     # the shared vulnerability stays outside, re-attached to both clusters
-    assert "CVE-2020-0001" in clustered.vulns
+    assert not any(c.vulns for c in clustered.clusters.values())
+    nodes, edges = parse_dot(export_dot(clustered))
+    assert "CVE-2020-0001" in nodes
     cluster_ids = set(clustered.clusters)
-    attached_from = {e.source for e in clustered.edges if e.target == "CVE-2020-0001"}
+    attached_from = {source for source, target, _ in edges if target == "CVE-2020-0001"}
     assert attached_from == cluster_ids
     assert graph.edg_to_dict(expand_clusters(clustered)) == graph.edg_to_dict(g)
 
@@ -172,7 +174,9 @@ def test_openplc_v3_low_threshold_absorbs_everything_else(openplc_snapshots):
     g = openplc_snapshots["V3"]
     clustered = cluster_by(g, ClusterRule.no_vulnerabilities())
     # vulnerability-free assets collapse; the two carriers stay visible
-    visible = {a.asset_id for a in clustered.assets.values() if not a.deprecated}
+    members = {a.node_id for c in clustered.clusters.values() for a in c.assets}
+    visible = {a.asset_id for a in clustered.assets.values()
+               if not a.deprecated and a.node_id not in members}
     assert visible == {"libgcc_s", "libc"}
     assert graph.edg_to_dict(expand_clusters(clustered)) == graph.edg_to_dict(g)
 
@@ -199,10 +203,12 @@ def test_patched_edge_between_groups_expands_exactly():
     g = patched_between_groups()
     clustered = cluster_by(g, ClusterRule.cvss_below(5.0))
     assert {v.cve_id for v in clustered.clusters["cluster-1"].vulns} == {"CVE-2020-0001"}
-    assert Edge(source="cluster-2", target="cluster-1", kind="deprecated") in clustered.edges
-    # both clusters keep the edge between them as it was
+    _, edges = parse_dot(export_dot(clustered))
+    assert ("cluster-2", "cluster-1", {"style": "dashed"}) in edges
+    # the edge between the clusters stays in the snapshot as it was
     patched = Edge(source="b@0", target="CVE-2020-0001", kind="deprecated")
-    assert [patched in c.boundary_edges for c in clustered.clusters.values()] == [True, True]
+    assert patched in clustered.edges
+    assert [a.node_id for a in clustered.clusters["cluster-2"].assets] == ["b@0"]
     assert graph.edg_to_dict(expand_clusters(clustered)) == graph.edg_to_dict(g)
 
 
@@ -257,8 +263,6 @@ def _cluster_by_group(g, rule, scope=None):
             cluster_id=cluster_id,
             assets=tuple(sorted((g2.assets[n] for n in group), key=lambda a: a.node_id)),
             vulns=tuple(sorted((g2.vulns[c] for c in absorbed), key=lambda v: v.cve_id)),
-            internal_edges=tuple(internal),
-            boundary_edges=tuple(boundary),
         )
         for nid in group:
             del g2.assets[nid]
@@ -274,13 +278,20 @@ def _cluster_by_group(g, rule, scope=None):
 
 
 def _dot_both_ways(monkeypatch, g, rule, scope=None):
-    opts = [RenderOptions(cluster_rule=rule, cluster_scope=scope, show_deprecated=shown)
-            for shown in (True, False)]
+    opts = [RenderOptions(cluster_rule=rule, cluster_scope=scope, show_deprecated=shown,
+                          verbosity=verbosity)
+            for verbosity in ("id", "full") for shown in (True, False)]
     new = [export_dot(g, o) for o in opts]
     with monkeypatch.context() as m:
         m.setattr(report, "cluster_by", _cluster_by_group)
         reference = [export_dot(g, o) for o in opts]
     return new, reference
+
+
+def test_clustering_changes_no_node_or_edge():
+    for seed in range(CASES):
+        g, rule, scope = random_cluster_case(seed)
+        assert graph.edg_to_dict(cluster_by(g, rule, scope)) == graph.edg_to_dict(g), seed
 
 
 def test_dot_matches_group_at_a_time_reference_on_random_graphs(monkeypatch):

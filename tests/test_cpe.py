@@ -15,13 +15,13 @@ def test_parse_internet_explorer_example():
     assert w.version == "8.0.6001"
     assert w.update == "beta"
     for name in ("edition", "language", "sw_edition", "target_sw", "target_hw", "other"):
-        assert w.attribute(name) is ANY
+        assert getattr(w, name) is ANY
 
 
 def test_parse_wildcard_identity():
     w = cpe.parse_formatted("cpe:2.3:a:v:p:*:*:*:*:*:*:*:*")
     assert w.version is ANY
-    assert all(w.attribute(n) is ANY for n in ("version", "update", "edition", "other"))
+    assert all(getattr(w, n) is ANY for n in ("version", "update", "edition", "other"))
 
 
 def test_bind_reproduces_ie_string():

@@ -113,7 +113,7 @@ def test_alerts_cvss_threshold_sees_clustered_vulnerabilities():
     m = manifest([("high", wstr("v", "high", "1.0")), ("low", wstr("v", "low", "1.0"))])
     g = build_edg(name("v", "sut", "1.0"), m, cat, AT)
     clustered = graph.cluster_by(g, ClusterRule.cvss_below(5.0))
-    assert "CVE-2020-0002" not in clustered.vulns  # absorbed into the cluster
+    assert [v.cve_id for v in clustered.clusters["cluster-1"].vulns] == ["CVE-2020-0002"]
     rule = AlertRule.cvss_at_least(3.0)
     entities = [f.entity for f in check_alerts(clustered, [rule])]
     assert entities == [f.entity for f in check_alerts(g, [rule])]
@@ -145,6 +145,17 @@ def test_alert_rule_validation():
                       make_catalog(), AT),
             [AlertRule.metric_bound("M8", ">=", 1.0)],  # timeline metric, not snapshot
         )
+
+
+def test_metric_bound_rule_takes_only_snapshot_scalars(openplc_snapshots):
+    # refused when the rule is made, not when it is checked
+    for metric in ("M2", "M3", "M8", "M99"):
+        with pytest.raises(UnknownMetric):
+            AlertRule.metric_bound(metric, ">=", 1)
+    rep = metrics.snapshot_report(openplc_snapshots["V1"])
+    assert [rep.scalar(m) for m in metrics.SCALAR_METRICS] == [rep.m0, rep.m1, rep.m7]
+    with pytest.raises(UnknownMetric):
+        rep.scalar("M8")
 
 
 def test_report_root_causes_ranking(openplc_timeline, openplc_catalog):

@@ -374,6 +374,40 @@ def test_append_rejects_a_fix_that_is_not_a_cve_id():
     assert str(err.value) == "event.fixes[0]: bad CVE id ''"
 
 
+# A field that the event's kind neither needs nor takes: (event index, field,
+# value).  The scenario's events are vuln_discovered, then two asset_updated.
+@pytest.mark.parametrize("index,key,value", [
+    (0, "cpe", "cpe:2.3:a:acme:widget:3.0:*:*:*:*:*:*:*"),
+    (0, "fixes", ["CVE-2020-0001"]),
+    (0, "top_level", True),
+    (1, "cve_id", "CVE-2020-0001"),
+    (1, "dependencies", [["a1", "a2"]]),
+])
+def test_load_rejects_a_field_the_event_kind_does_not_take(index, key, value):
+    tl, _ = update_patch_scenario()
+    doc = tl_mod.timeline_to_dict(tl)
+    doc["events"][index][key] = value
+    with pytest.raises(SchemaError) as err:
+        tl_mod.timeline_from_dict(doc)
+    kind = doc["events"][index]["kind"]
+    assert str(err.value) == f"events[{index}].{key}: a {kind} event takes no {key!r}"
+
+
+@pytest.mark.parametrize("kind,payload", [
+    ("noop", {"asset_id": "a1"}),
+    ("noop", {"dependencies": (("a1", "a2"),)}),
+    ("asset_retired", {"asset_id": "a1", "top_level": True}),
+    ("vuln_patched", {"asset_id": "a2", "cve_id": "CVE-2020-0001",
+                      "fixes": ("CVE-2020-0001",)}),
+])
+def test_append_rejects_a_field_the_event_kind_does_not_take(kind, payload):
+    tl, _ = update_patch_scenario()
+    key = list(payload)[-1]
+    with pytest.raises(SchemaError) as err:
+        tl_mod.append_event(tl, LifecycleEvent(at=ts(5), seq=0, kind=kind, **payload))
+    assert str(err.value) == f"event.{key}: a {kind} event takes no {key!r}"
+
+
 def test_snapshot_before_built_at_is_an_error():
     tl, cat = update_patch_scenario()
     with pytest.raises(VulnGraphError) as err:

@@ -415,7 +415,7 @@ def build_timeline(catalog):
     tl = tl_mod.mark_epoch(tl, "V1", BUILD_AT)
 
     def cves_of(g, asset_id):
-        return g.active_cves_of(g.require_active(asset_id).node_id)
+        return g.cves_by_asset().get(g.require_active(asset_id).node_id, ())
 
     def ev(at, **kw):
         return tl_mod.LifecycleEvent(at=at, seq=0, **kw)
@@ -529,8 +529,8 @@ def check_result(catalog, tl):
     ], rows
     top = metrics.prioritize(snap["V1"], 0.0, 10.0, "global")[:3]
     assert [r.cve_id for r in top] == ["CVE-2016-2842", "CVE-2016-0705", "CVE-2016-0799"], top
-    assert graph.impact_set(snap["V1"], cves_of_libc := snap["V1"].active_cves_of(
-        snap["V1"].require_active("libc").node_id)[0]) == {
+    assert graph.impact_set(snap["V1"], cves_of_libc := snap["V1"].cves_by_asset()[
+        snap["V1"].require_active("libc").node_id][0]) == {
         a.asset_id for a in snap["V1"].active_assets()
     }, cves_of_libc
 
