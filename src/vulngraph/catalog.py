@@ -166,15 +166,21 @@ class Catalog:
         published on or before ``at``, ordered by CVE id.
 
         Only the records indexed under the name's ``(part, vendor, product)``
-        and those with ``ANY`` in one of those fields are tested, and the
-        name's version key is computed once for all of them.
+        and those with ``ANY`` in one of those fields are tested, and of
+        these only the ones with an ``ANY`` version pattern or one equal to
+        the name's version.  Every candidate goes through
+        :meth:`VulnerabilityRecord.applies_to`, and the name's version key is
+        computed once for all of them.
         """
         if self._index is None:
             self._index = _product_index(self.vulnerabilities.values())
         by_product, wildcard = self._index
-        candidates = by_product.get((name.part, name.vendor, name.product), {})
-        if wildcard:
-            candidates = candidates | wildcard
+        candidates: dict[str, VulnerabilityRecord] = {}
+        bucket = by_product.get((name.part, name.vendor, name.product), _NO_BUCKET)
+        for keyed, rest in (bucket, wildcard):
+            for record in keyed.get(name.version, ()):
+                candidates[record.cve_id] = record
+            candidates.update(rest)
         key = cpe.version_key(name.version) if isinstance(name.version, str) else None
         hits = [r for r in candidates.values() if r.applies_to(name, at, key)]
         hits.sort(key=lambda r: r.cve_id)
@@ -218,21 +224,33 @@ class Catalog:
         return groups
 
 
-def _product_index(records) -> tuple[dict, dict]:
-    """Records by the ``(part, vendor, product)`` of their affected patterns.
+#: The ``(keyed, rest)`` bucket of a product no pattern names.
+_NO_BUCKET: tuple[dict, dict] = ({}, {})
 
-    A pattern with ``ANY`` in one of those fields files its record in the
-    wildcard bucket instead.  Both map CVE id to record, so a record with
-    several entries appears once per bucket.  A pattern literal or ``NA``
-    matches only the equal value, so no other bucket can hold a match.
+
+def _product_index(records) -> tuple[dict, tuple[dict, dict]]:
+    """Records by the ``(part, vendor, product)`` of their affected patterns,
+    then by version.
+
+    A pattern literal or ``NA`` in a field matches only a name with the equal
+    value there.  So a pattern with ``ANY`` in one of part, vendor and product
+    files its record in the wildcard bucket, and any other in the bucket of
+    its three values.  A bucket is a pair ``(keyed, rest)``: a pattern with
+    ``ANY`` as version files its record in ``rest``, which maps CVE id to
+    record, and any other appends it to the list ``keyed`` holds for its
+    version.  A record with several entries may be filed more than once.
     """
-    by_product: dict[tuple, dict[str, VulnerabilityRecord]] = {}
-    wildcard: dict[str, VulnerabilityRecord] = {}
+    by_product: dict[tuple, tuple[dict, dict]] = {}
+    wildcard: tuple[dict, dict] = ({}, {})
     for record in records:
         for entry in record.affected:
-            key = (entry.pattern.part, entry.pattern.vendor, entry.pattern.product)
-            bucket = wildcard if cpe.ANY in key else by_product.setdefault(key, {})
-            bucket[record.cve_id] = record
+            pattern = entry.pattern
+            key = (pattern.part, pattern.vendor, pattern.product)
+            keyed, rest = wildcard if cpe.ANY in key else by_product.setdefault(key, ({}, {}))
+            if pattern.version is cpe.ANY:
+                rest[record.cve_id] = record
+            else:
+                keyed.setdefault(pattern.version, []).append(record)
     return by_product, wildcard
 
 

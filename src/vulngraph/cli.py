@@ -92,8 +92,16 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_event(args) -> int:
-    if args.kind == "mark-epoch" and not args.mark_epoch:
-        raise VulnGraphError("--kind mark-epoch needs --mark-epoch LABEL")
+    if args.kind == "mark-epoch":
+        if not args.mark_epoch:
+            raise VulnGraphError("--kind mark-epoch needs --mark-epoch LABEL")
+        # An epoch mark carries no event, so a payload option would be dropped.
+        given = [flag for flag, value in (
+            ("--asset", args.asset), ("--cve", args.cve), ("--cpe", args.cpe),
+            ("--fixes", args.fixes), ("--dep", args.dep), ("--top-level", args.top_level))
+            if value]
+        if given:
+            raise VulnGraphError(f"--kind mark-epoch takes no {', '.join(given)}")
     tl = timeline_mod.load_timeline(args.timeline)
     cat = _load_catalog(args.catalog)
     at = _resolve_at(args.at)

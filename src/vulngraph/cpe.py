@@ -205,6 +205,18 @@ class ParseTable(dict):
         return name
 
 
+class BindTable(dict):
+    """Bound names of one document write, keyed by the parsed name.
+
+    ``table[name]`` binds ``name`` on its first lookup only, so a document
+    that repeats a name binds it once: the inverse of :class:`ParseTable`.
+    """
+
+    def __missing__(self, name: WellFormedName) -> str:
+        text = self[name] = bind_formatted(name)
+        return text
+
+
 def _encode_value(value: AttrValue) -> str:
     if value is ANY:
         return "*"

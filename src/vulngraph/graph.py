@@ -8,7 +8,11 @@ against that direction.  A clustering (:func:`cluster_by`) only annotates a
 snapshot with groups of nodes, which the DOT export draws as single nodes.
 
 Operations never mutate their input graph: one that changes something
-returns a new graph.
+returns a new graph.  The one exception is asked for by name: a lifecycle
+operation called with ``in_place=True`` edits the graph it is given and
+returns it.  A replay advances one working graph this way, and indexes it
+(:meth:`Edg.build_index`) so that each event looks up the edges and version
+nodes it touches instead of scanning the whole graph.
 
 Asset identity is a stable opaque token (``asset_id``) that survives version
 updates; each update adds a new version node (``asset_id@k``) whose
@@ -122,6 +126,31 @@ class ClusterRule:
 
 
 @dataclass
+class _Index:
+    """The lookups of a graph edited in place (see :meth:`Edg.build_index`)."""
+
+    incident: dict[str, set[Edge]] = field(default_factory=dict)  # node id -> its edges
+    versions: dict[str, dict[str, AssetNode]] = field(default_factory=dict)  # by asset id
+    active: dict[str, AssetNode] = field(default_factory=dict)  # asset id -> active node
+
+    def link(self, edge: Edge) -> None:
+        self.incident.setdefault(edge.source, set()).add(edge)
+        self.incident.setdefault(edge.target, set()).add(edge)
+
+    def unlink(self, edge: Edge) -> None:
+        self.incident[edge.source].discard(edge)
+        self.incident[edge.target].discard(edge)
+
+    def put_asset(self, node: AssetNode) -> None:
+        self.versions.setdefault(node.asset_id, {})[node.node_id] = node
+        active = self.active.get(node.asset_id)
+        if not node.deprecated:
+            self.active[node.asset_id] = node
+        elif active is not None and active.node_id == node.node_id:
+            del self.active[node.asset_id]
+
+
+@dataclass
 class Edg:
     """One timestamped graph snapshot."""
 
@@ -131,11 +160,14 @@ class Edg:
     vulns: dict[str, VulnNode] = field(default_factory=dict)
     edges: set[Edge] = field(default_factory=set)
     clusters: dict[str, Cluster] = field(default_factory=dict)
+    # Set by build_index; never serialized and never copied by clone.
+    _index: _Index | None = field(default=None, init=False, compare=False, repr=False)
 
     # -- basic views -------------------------------------------------------
 
     def clone(self) -> "Edg":
-        """A copy of the snapshot, without the clusters that annotate it."""
+        """A copy of the snapshot, without the clusters that annotate it and
+        without an index."""
         return Edg(
             root=self.root,
             epoch=self.epoch,
@@ -144,13 +176,29 @@ class Edg:
             edges=set(self.edges),
         )
 
+    def build_index(self) -> None:
+        """Index the edges by the nodes at their ends, and the version nodes
+        and active node by asset, for a graph that many lifecycle operations
+        will edit in place.  The edge and asset edit primitives keep the index
+        current, so edit an indexed graph only through those operations."""
+        self._index = _Index()
+        for node in self.assets.values():
+            self._index.put_asset(node)
+        for edge in self.edges:
+            self._index.link(edge)
+
     def lineage(self, asset_id: str) -> list[AssetNode]:
         """Version nodes of one asset, oldest first."""
-        nodes = [a for a in self.assets.values() if a.asset_id == asset_id]
+        if self._index is not None:
+            nodes = list(self._index.versions.get(asset_id, {}).values())
+        else:
+            nodes = [a for a in self.assets.values() if a.asset_id == asset_id]
         nodes.sort(key=lambda a: a.version_index)
         return nodes
 
     def active_node(self, asset_id: str) -> AssetNode | None:
+        if self._index is not None:
+            return self._index.active.get(asset_id)
         for node in self.assets.values():
             if node.asset_id == asset_id and not node.deprecated:
                 return node
@@ -213,6 +261,38 @@ def _validate_manifest(manifest: Manifest) -> None:
             raise SchemaError("self dependency", f"dependencies[{i}]")
 
 
+# The edit primitives: every change to a graph's asset nodes and edges goes
+# through _put_asset, _add_edge and _deprecate, which keep an index current.
+
+
+def _put_asset(g: Edg, node: AssetNode) -> None:
+    """Insert an asset version node, or replace the one with its node id."""
+    g.assets[node.node_id] = node
+    if g._index is not None:
+        g._index.put_asset(node)
+
+
+def _add_edge(g: Edg, edge: Edge) -> None:
+    g.edges.add(edge)
+    if g._index is not None:
+        g._index.link(edge)
+
+
+def _deprecate(g: Edg, edge: Edge) -> None:
+    """Flip one normal edge of ``g`` to deprecated."""
+    g.edges.discard(edge)
+    if g._index is not None:
+        g._index.unlink(edge)
+    _add_edge(g, Edge(edge.source, edge.target, DEPRECATED))
+
+
+def _normal_edges_at(g: Edg, node_id: str) -> list[Edge]:
+    """The normal edges with ``node_id`` at one end: from the index when
+    ``g`` has one, else from one pass over its edges."""
+    edges = g.edges if g._index is None else g._index.incident.get(node_id, ())
+    return [e for e in edges if e.kind == NORMAL and (e.source == node_id or e.target == node_id)]
+
+
 def _attach_record(g: Edg, node_id: str, record: VulnerabilityRecord, catalog: Catalog) -> None:
     if record.cve_id not in g.vulns:
         g.vulns[record.cve_id] = VulnNode(
@@ -222,22 +302,16 @@ def _attach_record(g: Edg, node_id: str, record: VulnerabilityRecord, catalog: C
             capec_ids=catalog.capec_ids_for_cwes(record.cwe_ids),
             exploit_available=record.exploit_available,
         )
-    g.edges.add(Edge(source=node_id, target=record.cve_id))
+    _add_edge(g, Edge(source=node_id, target=record.cve_id))
 
 
 def _place(g: Edg, node: AssetNode, catalog: Catalog, at: str, skip=frozenset()) -> None:
     """Insert one asset version and attach every catalog hit for its CPE at
     ``at`` whose CVE id is not in ``skip``."""
-    g.assets[node.node_id] = node
+    _put_asset(g, node)
     for record in catalog.lookup_vulnerabilities(node.cpe_current, at):
         if record.cve_id not in skip:
             _attach_record(g, node.node_id, record, catalog)
-
-
-def _deprecate(g: Edg, edge: Edge) -> None:
-    """Flip one normal edge to deprecated."""
-    g.edges.discard(edge)
-    g.edges.add(replace(edge, kind=DEPRECATED))
 
 
 def build_edg(
@@ -262,16 +336,19 @@ def build_edg(
     node_of = {a.asset_id: a.node_id for a in g.assets.values()}
     targets = set()
     for src, dst in manifest.dependencies:
-        g.edges.add(Edge(source=node_of[src], target=node_of[dst]))
+        _add_edge(g, Edge(source=node_of[src], target=node_of[dst]))
         targets.add(dst)
     for entry in manifest.entries:
         if entry.asset_id not in targets:
-            g.edges.add(Edge(source=ROOT_ID, target=node_of[entry.asset_id]))
+            _add_edge(g, Edge(source=ROOT_ID, target=node_of[entry.asset_id]))
     return g
 
 
 # ---------------------------------------------------------------------------
-# lifecycle mutations (each returns a new graph)
+# lifecycle mutations (each returns a new graph, or edits ``g`` with in_place)
+#
+# Each operation checks everything before it edits, so one that raises leaves
+# even an in-place graph unchanged.
 
 
 def add_asset(
@@ -281,13 +358,14 @@ def add_asset(
     catalog: Catalog,
     top_level: bool = False,
     at: str | None = None,
+    in_place: bool = False,
 ) -> Edg:
     """Introduce a new asset with its dependency pairs (which must touch it)."""
     if g.lineage(entry.asset_id):
         raise DuplicateId(entry.asset_id)
-    g = g.clone()
     order = max((a.order for a in g.assets.values()), default=-1) + 1
     node = AssetNode(f"{entry.asset_id}@0", entry.asset_id, order, entry.cpe)
+    edges = []
     for src, dst in dependencies:
         if entry.asset_id not in (src, dst):
             raise UnknownDependencyTarget(f"pair ({src}, {dst}) does not touch {entry.asset_id}")
@@ -299,31 +377,38 @@ def add_asset(
                 ends.append(node.node_id)
             else:
                 ends.append(g.require_active(end).node_id)
-        g.edges.add(Edge(source=ends[0], target=ends[1]))
+        edges.append(Edge(source=ends[0], target=ends[1]))
     if top_level:
-        g.edges.add(Edge(source=ROOT_ID, target=node.node_id))
+        edges.append(Edge(source=ROOT_ID, target=node.node_id))
+    if not in_place:
+        g = g.clone()
+    for edge in edges:
+        _add_edge(g, edge)
     _place(g, node, catalog, at or g.root.checked_at)
     return g
 
 
-def discover_vuln(g: Edg, asset_id: str, cve_id: str, catalog: Catalog) -> Edg:
+def discover_vuln(g: Edg, asset_id: str, cve_id: str, catalog: Catalog,
+                  in_place: bool = False) -> Edg:
     """Attach a newly found catalog vulnerability to an asset."""
     node = g.require_active(asset_id)
     record = catalog.vulnerabilities.get(cve_id)
     if record is None:
         raise UnknownCve(cve_id)
-    g = g.clone()
+    if not in_place:
+        g = g.clone()
     _attach_record(g, node.node_id, record, catalog)
     return g
 
 
-def patch_vuln(g: Edg, asset_id: str, cve_id: str) -> Edg:
+def patch_vuln(g: Edg, asset_id: str, cve_id: str, in_place: bool = False) -> Edg:
     """Mark one asset's vulnerability as patched: its edge becomes deprecated."""
     node = g.require_active(asset_id)
     edge = Edge(source=node.node_id, target=cve_id)
     if cve_id not in g.vulns or edge not in g.edges:
         raise UnknownCve(f"{cve_id} is not attached to {asset_id}")
-    g = g.clone()
+    if not in_place:
+        g = g.clone()
     _deprecate(g, edge)
     return g
 
@@ -335,6 +420,7 @@ def update_asset(
     catalog: Catalog,
     fixes=frozenset(),
     at: str | None = None,
+    in_place: bool = False,
 ) -> Edg:
     """Create the successor version of an asset.
 
@@ -354,7 +440,9 @@ def update_asset(
         if node.cpe_current == new_cpe:
             raise SelfSucc(f"{asset_id}: {cpe.bind_formatted(new_cpe)} already in its chain")
     fixes = frozenset(fixes)
-    g = g.clone()
+    incident = _normal_edges_at(g, old.node_id)
+    if not in_place:
+        g = g.clone()
 
     successor = AssetNode(
         node_id=f"{asset_id}@{old.version_index + 1}",
@@ -363,29 +451,27 @@ def update_asset(
         cpe_current=new_cpe,
         cpe_previous=old.cpe_current,
     )
-    g.assets[old.node_id] = replace(old, deprecated=True)
+    _put_asset(g, replace(old, deprecated=True))
 
-    for edge in list(g.edges):
-        if edge.kind != NORMAL or old.node_id not in (edge.source, edge.target):
-            continue
+    for edge in incident:
         if edge.source == old.node_id and edge.target in g.vulns:
             if edge.target in fixes:
                 _deprecate(g, edge)
             else:
                 # Not corrected by this update: both versions carry it.
-                g.edges.add(Edge(source=successor.node_id, target=edge.target))
+                _add_edge(g, Edge(source=successor.node_id, target=edge.target))
         else:
             _deprecate(g, edge)
             if edge.source == old.node_id:
-                g.edges.add(Edge(source=successor.node_id, target=edge.target))
+                _add_edge(g, Edge(source=successor.node_id, target=edge.target))
             else:
-                g.edges.add(Edge(source=edge.source, target=successor.node_id))
+                _add_edge(g, Edge(source=edge.source, target=successor.node_id))
 
     _place(g, successor, catalog, at or g.root.checked_at, fixes)
     return g
 
 
-def retire_asset(g: Edg, asset_id: str) -> Edg:
+def retire_asset(g: Edg, asset_id: str, in_place: bool = False) -> Edg:
     """Remove an asset from the active configuration.
 
     All its normal edges (dependencies and vulnerability attachments) flip to
@@ -393,11 +479,12 @@ def retire_asset(g: Edg, asset_id: str) -> Edg:
     created, which distinguishes retirement from an update.
     """
     node = g.require_active(asset_id)
-    g = g.clone()
-    g.assets[node.node_id] = replace(node, deprecated=True)
-    for edge in list(g.edges):
-        if edge.kind == NORMAL and node.node_id in (edge.source, edge.target):
-            _deprecate(g, edge)
+    incident = _normal_edges_at(g, node.node_id)
+    if not in_place:
+        g = g.clone()
+    _put_asset(g, replace(node, deprecated=True))
+    for edge in incident:
+        _deprecate(g, edge)
     return g
 
 
@@ -561,17 +648,12 @@ def expand_clusters(g: Edg) -> Edg:
 # serialization
 
 
-def edg_to_dict(g: Edg) -> dict:
+def edg_to_dict(g: Edg, names: cpe.BindTable | None = None) -> dict:
     """Canonical JSON form; lists are sorted so equal graphs serialize equal.
-    Clusters are a drawing annotation and are not written.  Each distinct
-    CPE name is bound once per call."""
-    bound: dict[WellFormedName, str] = {}
-
-    def bind(w: WellFormedName) -> str:
-        text = bound.get(w)
-        if text is None:
-            text = bound[w] = cpe.bind_formatted(w)
-        return text
+    Clusters are a drawing annotation and are not written.  ``names`` binds
+    each distinct CPE name once; pass one table to share it across the
+    snapshots of one write."""
+    bind = (cpe.BindTable() if names is None else names).__getitem__
 
     def asset_dict(a: AssetNode):
         return {
@@ -592,18 +674,14 @@ def edg_to_dict(g: Edg) -> dict:
             "exploit_available": v.exploit_available,
         }
 
-    def edge_dict(e: Edge):
-        return {"source": e.source, "target": e.target, "kind": e.kind}
-
     return {
         "schema_version": 1,
         "epoch": g.epoch,
         "root": {"cpe": bind(g.root.sut_cpe), "checked_at": g.root.checked_at},
-        "assets": [asset_dict(a) for a in sorted(g.assets.values(), key=lambda a: a.node_id)],
-        "vulns": [vuln_dict(v) for v in sorted(g.vulns.values(), key=lambda v: v.cve_id)],
-        "edges": [
-            edge_dict(e) for e in sorted(g.edges, key=lambda e: (e.source, e.target, e.kind))
-        ],
+        "assets": [asset_dict(a) for _, a in sorted(g.assets.items())],
+        "vulns": [vuln_dict(v) for _, v in sorted(g.vulns.items())],
+        "edges": [{"source": e.source, "target": e.target, "kind": e.kind}
+                  for e in sorted(g.edges, key=lambda e: (e.source, e.target, e.kind))],
         "clusters": [],
     }
 

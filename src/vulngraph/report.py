@@ -10,6 +10,7 @@ the markdown and JSON forms carry identical values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from . import cpe
@@ -128,7 +129,9 @@ class AlertRule:
     """Either ``cvss_at_least(threshold)`` or ``metric_bound(metric, cmp, value)``.
 
     A metric-bound rule states the alarm condition: it fires when the metric
-    compares true against the bound.  Scalar metrics only (M0, M1, M7).
+    compares true against the bound.  Scalar metrics only (M0, M1, M7), and a
+    finite bound: no metric compares true against NaN, and none reaches an
+    infinite bound, so such a rule could never fire.
     """
 
     kind: str  # "cvss_at_least" | "metric_bound"
@@ -150,6 +153,8 @@ class AlertRule:
     ) -> "AlertRule":
         if comparator not in ("<", "<=", ">", ">="):
             raise ValueError(f"bad comparator {comparator!r}")
+        if not math.isfinite(value):
+            raise ValueError(f"bound {value!r} for {metric} is not a finite number")
         if metric.upper() not in SCALAR_METRICS:
             raise UnknownMetric(f"{metric} cannot be bounded on a snapshot; "
                                 f"want one of {', '.join(SCALAR_METRICS)}")

@@ -83,21 +83,24 @@ class Timeline:
 
 
 # Each event kind: the payload fields (document keys) it needs, the ones it
-# may also take, and its edit of a snapshot.  An edit looks its function up
-# on the graph module when it runs, so a wrapper installed there later is the
-# one called.
+# may also take, and its edit of a snapshot, which returns a new graph or,
+# with ``in_place``, edits ``g``.  An edit looks its function up on the graph
+# module when it runs, so a wrapper installed there later is the one called.
 EVENT_KINDS = {
-    "asset_added": (("asset_id", "cpe"), ("dependencies", "top_level"), lambda g, e, cat:
+    "asset_added": (("asset_id", "cpe"), ("dependencies", "top_level"), lambda g, e, cat, in_place:
                     graph.add_asset(g, ManifestEntry(asset_id=e.asset_id, cpe=e.cpe_value),
-                                    e.dependencies, cat, top_level=e.top_level, at=e.at)),
-    "vuln_discovered": (("asset_id", "cve_id"), (),
-                        lambda g, e, cat: graph.discover_vuln(g, e.asset_id, e.cve_id, cat)),
-    "asset_updated": (("asset_id", "cpe"), ("fixes",), lambda g, e, cat: graph.update_asset(
-        g, e.asset_id, e.cpe_value, cat, fixes=e.fixes, at=e.at)),
-    "vuln_patched": (("asset_id", "cve_id"), (),
-                     lambda g, e, cat: graph.patch_vuln(g, e.asset_id, e.cve_id)),
-    "asset_retired": (("asset_id",), (), lambda g, e, cat: graph.retire_asset(g, e.asset_id)),
-    "noop": ((), (), lambda g, e, cat: g.clone()),
+                                    e.dependencies, cat, top_level=e.top_level, at=e.at,
+                                    in_place=in_place)),
+    "vuln_discovered": (("asset_id", "cve_id"), (), lambda g, e, cat, in_place:
+                        graph.discover_vuln(g, e.asset_id, e.cve_id, cat, in_place=in_place)),
+    "asset_updated": (("asset_id", "cpe"), ("fixes",), lambda g, e, cat, in_place:
+                      graph.update_asset(g, e.asset_id, e.cpe_value, cat, fixes=e.fixes,
+                                         at=e.at, in_place=in_place)),
+    "vuln_patched": (("asset_id", "cve_id"), (), lambda g, e, cat, in_place:
+                     graph.patch_vuln(g, e.asset_id, e.cve_id, in_place=in_place)),
+    "asset_retired": (("asset_id",), (), lambda g, e, cat, in_place:
+                      graph.retire_asset(g, e.asset_id, in_place=in_place)),
+    "noop": ((), (), lambda g, e, cat, in_place: g if in_place else g.clone()),
 }
 
 
@@ -165,50 +168,59 @@ def mark_epoch(tl: Timeline, label: str, at: str) -> Timeline:
     return replace(tl, epochs=tl.epochs + [EpochMark(label=label, at=at)])
 
 
-def apply_event(g: Edg, event: LifecycleEvent, catalog: Catalog) -> Edg:
-    """Apply one event to a snapshot, yielding the successor snapshot."""
+def apply_event(g: Edg, event: LifecycleEvent, catalog: Catalog, in_place: bool = False) -> Edg:
+    """Apply one event to a snapshot, yielding the successor snapshot: a new
+    graph, or ``g`` itself edited when ``in_place`` is true."""
     if event.kind not in EVENT_KINDS:
         raise SchemaError(f"unknown event kind {event.kind!r}")
-    g = EVENT_KINDS[event.kind][2](g, event, catalog)
+    g = EVENT_KINDS[event.kind][2](g, event, catalog, in_place)
     g.root = replace(g.root, checked_at=event.at)
     return g
 
 
 def replay(tl: Timeline, catalog: Catalog):
     """Yield ``(index, snapshot)`` for the initial build (index -1) and after
-    every event.  Deterministic: same log, same catalog, same snapshots."""
+    every event.  Deterministic: same log, same catalog, same snapshots.
+
+    Every step yields the same working graph, which each event edits in place
+    over its index (:meth:`graph.Edg.build_index`), so one step costs what its
+    event touches, not the size of the graph.  A yielded graph is live until
+    the next step: clone it to keep that state.
+    """
     g = graph.build_edg(tl.sut_cpe, tl.manifest, catalog, tl.built_at)
+    g.build_index()
     yield -1, g
     for i, event in enumerate(tl.events):
-        g = apply_event(g, event, catalog)
+        g = apply_event(g, event, catalog, in_place=True)
         yield i, g
 
 
 def _replay_to(tl: Timeline, catalog: Catalog, marks, whole_log: bool = False) -> list[Edg]:
     """Snapshots for epoch marks from one replay pass.
 
-    A mark takes the state just before the first one checked after its
-    ``at``.  The pass stops once every mark has been passed, unless
-    ``whole_log`` asks for the rest of the log too (which validates every
-    event).  Each snapshot is its own :class:`Edg` with its mark's label as
-    epoch, even when two marks fall on one log position.
+    A mark takes the state just before the first event after its ``at``, so
+    its copy is taken at the last step before that event is applied.  The
+    pass stops once every mark has been taken, unless ``whole_log`` asks for
+    the rest of the log too (which validates every event).  Each snapshot is
+    its own :class:`Edg` with its mark's label as epoch, even when two marks
+    fall on one log position.
     """
     picked: list[Edg | None] = [None] * len(marks)
-    open_marks = list(range(len(marks)))
-    for _, g in replay(tl, catalog):
-        open_marks = [i for i in open_marks if g.root.checked_at <= marks[i].at]
-        for i in open_marks:
-            picked[i] = g
+    # A mark before the build can never be taken.
+    open_marks = [m for m, mark in enumerate(marks) if tl.built_at <= mark.at]
+    for i, g in replay(tl, catalog):
+        following = tl.events[i + 1].at if i + 1 < len(tl.events) else None
+        for m in open_marks:
+            if following is None or following > marks[m].at:
+                picked[m] = g.clone()
+                picked[m].epoch = marks[m].label
+        open_marks = [m for m in open_marks if picked[m] is None]
         if not open_marks and not whole_log:
             break
-    out = []
     for mark, g in zip(marks, picked):
         if g is None:
             raise VulnGraphError(f"timeline starts at {tl.built_at}, after {mark.at}")
-        g = g.clone()
-        g.epoch = mark.label
-        out.append(g)
-    return out
+    return picked
 
 
 def snapshot_at(tl: Timeline, catalog: Catalog, at: str) -> Edg:
@@ -263,7 +275,8 @@ def replay_and_embed(tl: Timeline, catalog: Catalog) -> tuple[Timeline, list[Edg
     """:func:`embed_snapshots`, also returning the epoch snapshots it embedded,
     in mark order, so a caller that reads them need not decode them again."""
     snapshots = _replay_to(tl, catalog, tl.epochs, whole_log=True)
-    return replace(tl, snapshots={m.label: graph.edg_to_dict(g)
+    names = cpe.BindTable()
+    return replace(tl, snapshots={m.label: graph.edg_to_dict(g, names)
                                   for m, g in zip(tl.epochs, snapshots)}), snapshots
 
 

@@ -159,3 +159,24 @@ def test_alerts_build_one_active_view(tracer):
     tracer.cur.clear()
     assert len(report.check_alerts(g, rules)) == 2
     assert tracer.cur["graph.active_subgraph"] == 1
+
+
+def _openplc():
+    return (tl_mod.load_timeline(fixtures.openplc_timeline_path()),
+            cat_mod.load_catalog(fixtures.openplc_catalog_path()))
+
+
+def test_embed_clones_once_per_epoch_mark(tracer):
+    tl, cat = _openplc()
+    assert len(tl.events) > len(tl.epochs)
+    tracer.cur.clear()
+    tl_mod.replay_and_embed(tl, cat)
+    assert tracer.cur["timeline.apply"] == len(tl.events)
+    assert tracer.cur["graph.clone"] == len(tl.epochs)
+
+
+def test_embed_binds_each_distinct_name_once(tracer):
+    tl, cat = _openplc()
+    tracer.cur.clear()
+    embedded, _ = tl_mod.replay_and_embed(tl, cat)
+    assert 0 < tracer.cur["cpe.bind"] <= len(_cpe_strings(embedded.snapshots))

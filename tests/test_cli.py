@@ -364,6 +364,19 @@ def test_mark_epoch_kind_without_label_exits_2(openplc_files, capsys):
         assert fh.read() == fixtures.openplc_timeline_path().read_bytes()
 
 
+@pytest.mark.parametrize("option", [
+    ["--asset", "libc"], ["--cve", "CVE-2018-11236"], ["--cpe", wstr("gnu", "glibc", "9.99")],
+    ["--fixes", "CVE-2018-11236"], ["--dep", "libc:libssl"], ["--top-level"],
+])
+def test_mark_epoch_kind_with_a_payload_option_exits_2(openplc_files, capsys, option):
+    cat, tl = openplc_files
+    assert main(["event", "--timeline", tl, "--catalog", cat, "--kind", "mark-epoch",
+                 "--mark-epoch", "V4", "--at", "2030-01-01T00:00:00Z", *option]) == 2
+    assert f"VulnGraphError: --kind mark-epoch takes no {option[0]}" in capsys.readouterr().err
+    with open(tl, "rb") as fh:
+        assert fh.read() == fixtures.openplc_timeline_path().read_bytes()
+
+
 def test_directory_as_timeline_exits_2(tmp_path, capsys):
     assert main(["metrics", "--timeline", str(tmp_path)]) == 2
     assert "IsADirectoryError" in capsys.readouterr().err
@@ -586,6 +599,17 @@ def test_alerts_names_the_metric_bound_form_for_a_bad_value(openplc_files, capsy
     assert main(["alerts", "--timeline", tl, "--metric-bound", "M0:>=:abc"]) == 2
     assert ("VulnGraphError: --metric-bound wants METRIC:CMP:VALUE, got 'M0:>=:abc'"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_alerts_with_a_non_finite_metric_bound_exits_2(openplc_files, capsys, value):
+    # On V1, M0:>=:1 fires; a bound that can never fire must not read "no alerts".
+    _, tl = openplc_files
+    assert main(["alerts", "--timeline", tl, "--epoch", "V1",
+                 "--metric-bound", f"M0:>=:{value}"]) == 2
+    captured = capsys.readouterr()
+    assert f"ValueError: bound {float(value)!r} for M0 is not a finite number" in captured.err
+    assert "no alerts" not in captured.out
 
 
 def test_report_json_is_the_generated_report(openplc_files, capsys):

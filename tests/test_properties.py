@@ -314,3 +314,65 @@ def test_version_range_keys_match_compare_versions(rng, versions):
         hit = bool(cat.lookup_vulnerabilities(name, "2030-01-01T00:00:00Z"))
         # ANY and NA versions are never shown to lie inside a range
         assert hit == (isinstance(version, str) and _contains_by_compare(rng, version)), version
+
+
+# Records whose entries mix the shapes a lookup treats apart: a literal or
+# NA version (found under that version), and an ANY version with or without
+# a range, next to literal versions with a range.  Patterns and names also
+# vary the update and edition fields after the version.
+_tail = st.sampled_from(["x", "y", ANY, NA])
+_head = dict(part=st.sampled_from(["a", ANY]), vendor=st.sampled_from(["v", "w", ANY, NA]),
+             product=st.sampled_from(["p", "q", ANY]))
+_keyed_entry = st.builds(WellFormedName, **_head,
+                         version=st.sampled_from(["1.0", "1.5", "2.0"])).map(cpe.bind_formatted)
+_ranged_entry = st.builds(WellFormedName, **_head, version=st.sampled_from([ANY, "1.0"]),
+                          update=_tail, edition=_tail).map(
+    lambda w: (cpe.bind_formatted(w), "1.0", "2.0"))
+_other_entry = st.builds(WellFormedName, **_head,
+                         version=st.sampled_from(["1.0", "2.0", ANY, NA]),
+                         update=_tail, edition=_tail).map(cpe.bind_formatted)
+_mixed_record = st.tuples(
+    st.lists(st.one_of(_keyed_entry, _ranged_entry, _other_entry), min_size=1, max_size=4),
+    st.sampled_from(["2019-06-01", "2020-01-01", "2020-06-01"]))
+_tailed_name = st.builds(
+    WellFormedName,
+    part=st.sampled_from(["a", "o"]),
+    vendor=st.sampled_from(["v", "w", "z", NA]),
+    product=st.sampled_from(["p", "q", "z"]),
+    version=st.sampled_from(["1.0", "1.5", "2.0", "3.0", ANY, NA]),
+    update=_tail,
+    edition=_tail,
+)
+
+
+def _applies_by_scan(record, name: WellFormedName, at: str) -> bool:
+    """A record's applicability from ``cpe.matches`` on every field and the
+    range compared on version strings: the reference for indexed lookup."""
+    if record.published > at[:10]:
+        return False
+    return any(cpe.matches(name, entry.pattern)
+               and (entry.versions is None
+                    or (isinstance(name.version, str)
+                        and _contains_by_compare(entry.versions, name.version)))
+               for entry in record.affected)
+
+
+@settings(max_examples=CASES, deadline=None)
+@given(st.lists(_mixed_record, max_size=12), st.data())
+def test_lookup_by_version_key_matches_brute_force(records, data):
+    cat = make_catalog(records=[
+        record(f"CVE-2020-{i:04d}", 5.0, affected=entries, published=published)
+        for i, (entries, published) in enumerate(records)
+    ])
+    patterns = [e.pattern for r in cat.vulnerabilities.values() for e in r.affected]
+    for _ in range(data.draw(st.integers(1, 5))):
+        name = data.draw(_tailed_name)
+        if patterns and data.draw(st.booleans()):
+            # agree with one pattern wherever it is not ANY
+            pattern = data.draw(st.sampled_from(patterns))
+            name = replace(name, **{attr: getattr(pattern, attr) for attr in cpe.ATTRIBUTE_NAMES
+                                    if getattr(pattern, attr) is not ANY})
+        at = data.draw(_at)
+        expected = sorted((r for r in cat.vulnerabilities.values()
+                           if _applies_by_scan(r, name, at)), key=lambda r: r.cve_id)
+        assert cat.lookup_vulnerabilities(name, at) == expected

@@ -147,6 +147,15 @@ def test_alert_rule_validation():
         )
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_metric_bound_rule_refuses_a_non_finite_bound(openplc_snapshots, value):
+    # NaN compares false and no metric reaches an infinite bound: such a rule
+    # could never fire.
+    with pytest.raises(ValueError) as err:
+        AlertRule.metric_bound("M0", ">=", value)
+    assert str(err.value) == f"bound {value!r} for M0 is not a finite number"
+
+
 def test_metric_bound_rule_takes_only_snapshot_scalars(openplc_snapshots):
     # refused when the rule is made, not when it is checked
     for metric in ("M2", "M3", "M8", "M99"):
