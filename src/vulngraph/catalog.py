@@ -491,7 +491,13 @@ def canonical_json(doc) -> str:
     keys sorted, one trailing newline, so equal documents give equal bytes.
     ``json.dumps`` without ``indent`` runs CPython's C encoder; files written
     with an indent load the same, and ``python -m json.tool`` pretty-prints."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return canonical_text(doc) + "\n"
+
+
+def canonical_text(value) -> str:
+    """:func:`canonical_json` without its newline: the text of a value as it
+    stands inside a written document."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 def load_json(path):

@@ -6,22 +6,36 @@ epoch marks ("V1", "V2", ...) designate the release snapshots that the
 accumulated metrics sum over.  Replaying the same log always yields
 byte-identical serialized snapshots.
 
+A released epoch is history: no event can be appended at or before its mark.
+Each embedded epoch snapshot is stored with a digest of what made it (the
+SUT, ``built_at``, the manifest, its mark and the events up to the mark) and
+of its own canonical text.  Appending (:func:`update_snapshots`) continues
+from the last stored snapshot when every digest matches, and replays the whole
+log only when one does not.  Reads decode the stored snapshots without
+checking digests.  The catalog is not part of a digest: a released epoch
+keeps what it was released with, and a catalog serves only the events
+applied after it.
+
 Timestamps are ISO 8601 UTC with seconds precision (``2021-01-01T00:00:00Z``);
 ties are broken by the event sequence number.
 """
 
 from __future__ import annotations
 
+import hashlib
 import re
 from dataclasses import dataclass, field, replace
 
 from . import cpe, graph
-from .catalog import _CVE_RE, Catalog, _expect, canonical_json, load_json
+from .catalog import _CVE_RE, Catalog, _expect, canonical_text, load_json
+from .catalog import canonical_json  # noqa: F401  (the form save_timeline writes)
 from .cpe import WellFormedName
 from .errors import MalformedCpe, NonMonotonicTimestamp, SchemaError, VulnGraphError
 from .graph import Edg, Manifest, ManifestEntry
 
 _TS_RE = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z")
+_DIGEST_RE = re.compile(r"[0-9a-f]{64}")
+_DIGEST_TAG = "vulngraph-snapshot-1"
 
 
 def validate_timestamp(at: str, path: str = "") -> str:
@@ -58,13 +72,19 @@ class Timeline:
     built_at: str
     events: list[LifecycleEvent] = field(default_factory=list)
     epochs: list[EpochMark] = field(default_factory=list)
-    # Optional embedded epoch snapshots (label -> serialized graph); purely a
-    # cache so that read-only commands do not need the catalog.
+    # Optional embedded epoch snapshots (label -> serialized graph), so that
+    # read-only commands do not need the catalog, and their digests (label ->
+    # sha256 hex, see _digester).
     snapshots: dict[str, dict] = field(default_factory=dict)
-    # The CPE names parsed while loading, shared by the snapshot decodes.
-    _cpes: cpe.ParseTable = field(
-        default_factory=cpe.ParseTable, init=False, compare=False, repr=False
-    )
+    digests: dict[str, str] = field(default_factory=dict)
+    # Caches that dataclasses.replace carries over.  The CPE names parsed
+    # while loading, shared by the snapshot decodes; the names bound for the
+    # digests and the writes; and, per label, a snapshot with the canonical
+    # text that was encoded when it was embedded or verified, written as it
+    # is while the snapshot is that same object.
+    _cpes: cpe.ParseTable = field(default_factory=cpe.ParseTable, compare=False, repr=False)
+    _names: cpe.BindTable = field(default_factory=cpe.BindTable, compare=False, repr=False)
+    _texts: dict[str, tuple[dict, str]] = field(default_factory=dict, compare=False, repr=False)
 
     def last_position(self) -> tuple[str, int]:
         if self.events:
@@ -188,14 +208,22 @@ def replay(tl: Timeline, catalog: Catalog):
     the next step: clone it to keep that state.
     """
     g = graph.build_edg(tl.sut_cpe, tl.manifest, catalog, tl.built_at)
+    yield from _replay_from(tl, catalog, -1, g)
+
+
+def _replay_from(tl: Timeline, catalog: Catalog, position: int, g: Edg):
+    """The steps of :func:`replay` from ``g``, the state after event
+    ``position`` (-1 for the build): ``g`` is indexed and yielded, then each
+    later event edits it in place."""
     g.build_index()
-    yield -1, g
-    for i, event in enumerate(tl.events):
-        g = apply_event(g, event, catalog, in_place=True)
+    yield position, g
+    for i in range(position + 1, len(tl.events)):
+        g = apply_event(g, tl.events[i], catalog, in_place=True)
         yield i, g
 
 
-def _replay_to(tl: Timeline, catalog: Catalog, marks, whole_log: bool = False) -> list[Edg]:
+def _replay_to(tl: Timeline, catalog: Catalog, marks, whole_log: bool = False,
+               start: tuple[int, Edg] | None = None) -> list[Edg]:
     """Snapshots for epoch marks from one replay pass.
 
     A mark takes the state just before the first event after its ``at``, so
@@ -203,12 +231,15 @@ def _replay_to(tl: Timeline, catalog: Catalog, marks, whole_log: bool = False) -
     pass stops once every mark has been taken, unless ``whole_log`` asks for
     the rest of the log too (which validates every event).  Each snapshot is
     its own :class:`Edg` with its mark's label as epoch, even when two marks
-    fall on one log position.
+    fall on one log position.  With ``start``, a ``(position, g)`` pair, the
+    pass resumes from ``g``, the state after event ``position``, instead of
+    building the initial snapshot; no mark may come before that state.
     """
     picked: list[Edg | None] = [None] * len(marks)
     # A mark before the build can never be taken.
     open_marks = [m for m, mark in enumerate(marks) if tl.built_at <= mark.at]
-    for i, g in replay(tl, catalog):
+    steps = replay(tl, catalog) if start is None else _replay_from(tl, catalog, *start)
+    for i, g in steps:
         following = tl.events[i + 1].at if i + 1 < len(tl.events) else None
         for m in open_marks:
             if following is None or following > marks[m].at:
@@ -240,6 +271,7 @@ def epoch_snapshots(tl: Timeline, catalog: Catalog | None) -> list[Edg]:
 
 def _epoch_snapshots(tl: Timeline, catalog: Catalog | None, marks) -> list[Edg]:
     # Embedded copies are decoded; the others come from one replay pass.
+    _check_labels(tl)
     missing = [m for m in marks if m.label not in tl.snapshots]
     if missing and catalog is None:
         raise VulnGraphError(
@@ -250,6 +282,16 @@ def _epoch_snapshots(tl: Timeline, catalog: Catalog | None, marks) -> list[Edg]:
         _decode_snapshot(tl, m.label) if m.label in tl.snapshots else next(replayed)
         for m in marks
     ]
+
+
+def _check_labels(tl: Timeline) -> None:
+    """Each embedded snapshot must be of a marked epoch.  Every command that
+    reads or rewrites the snapshots checks this, not the load itself, so that
+    a timeline with no epoch marks is reported as that."""
+    labels = set(tl.epoch_labels())
+    for label in tl.snapshots:
+        if label not in labels:
+            raise SchemaError(f"no epoch {label!r} is marked", f"snapshots.{label}")
 
 
 def _decode_snapshot(tl: Timeline, label: str) -> Edg:
@@ -264,7 +306,8 @@ def _decode_snapshot(tl: Timeline, label: str) -> Edg:
 
 
 def embed_snapshots(tl: Timeline, catalog: Catalog) -> Timeline:
-    """Compute and embed every epoch snapshot (cache for catalog-less reads).
+    """Compute and embed every epoch snapshot with its digest, so that reads
+    need no catalog.
 
     Replays the whole log, so every event is validated against the catalog.
     """
@@ -275,9 +318,92 @@ def replay_and_embed(tl: Timeline, catalog: Catalog) -> tuple[Timeline, list[Edg
     """:func:`embed_snapshots`, also returning the epoch snapshots it embedded,
     in mark order, so a caller that reads them need not decode them again."""
     snapshots = _replay_to(tl, catalog, tl.epochs, whole_log=True)
-    names = cpe.BindTable()
-    return replace(tl, snapshots={m.label: graph.edg_to_dict(g, names)
-                                  for m, g in zip(tl.epochs, snapshots)}), snapshots
+    embedded = replace(tl, snapshots={}, digests={}, _texts={})
+    _embed(embedded, tl.epochs, snapshots, _digester(tl))
+    return embedded, snapshots
+
+
+def update_snapshots(tl: Timeline, catalog: Catalog) -> tuple[Timeline, list[str]]:
+    """Embed a snapshot for every epoch that has none, replaying only what is
+    new when the stored snapshots can be trusted.
+
+    They can when they are the snapshots of the first epochs and each matches
+    its digest.  The last of them is then decoded and replayed from: the
+    events after its mark are applied, each validated against ``catalog``,
+    and only the epochs after it are embedded.  The stored snapshots stay as
+    written, whatever ``catalog`` holds; each one's text is encoded once, for
+    the check and the write.  Otherwise this is :func:`embed_snapshots`.
+    Returns the timeline and the labels of the stored snapshots that do not
+    match their digest.  Only the digests of snapshots are kept.
+    """
+    _check_labels(tl)
+    digest = _digester(tl)
+    texts: dict[str, tuple[dict, str]] = {}
+    stale = []
+    for mark in tl.epochs:
+        snap, expected = tl.snapshots.get(mark.label), tl.digests.get(mark.label)
+        if snap is not None and expected is not None:
+            text = canonical_text(snap)
+            texts[mark.label] = (snap, text)
+            if digest(mark, text) != expected:
+                stale.append(mark.label)
+    kept = tl.epochs[:len(texts)]
+    if (stale or not kept or len(tl.snapshots) != len(kept)
+            or any(mark.label not in texts for mark in kept)):
+        return embed_snapshots(tl, catalog), stale
+    position = sum(event.at <= kept[-1].at for event in tl.events) - 1
+    start = (position, _decode_snapshot(tl, kept[-1].label))
+    marks = tl.epochs[len(kept):]
+    snapshots = _replay_to(tl, catalog, marks, whole_log=True, start=start)
+    updated = replace(tl, snapshots=dict(tl.snapshots),
+                      digests={label: tl.digests[label] for label in texts}, _texts=texts)
+    return _embed(updated, marks, snapshots, digest), stale
+
+
+def _embed(tl: Timeline, marks, snapshots: list[Edg], digest) -> Timeline:
+    """Put each snapshot, with its text and digest, into ``tl`` under its
+    mark's label (editing ``tl``'s own dicts, which the caller made new)."""
+    for mark, g in zip(marks, snapshots):
+        snap = graph.edg_to_dict(g, tl._names)
+        text = canonical_text(snap)
+        tl.snapshots[mark.label] = snap
+        tl.digests[mark.label] = digest(mark, text)
+        tl._texts[mark.label] = (snap, text)
+    return tl
+
+
+def _digester(tl: Timeline):
+    """A function from an epoch mark and its snapshot's canonical text to the
+    snapshot's digest.
+
+    The digest is the sha256 of one line each for a fixed tag, the SUT,
+    ``built_at``, the manifest and each event at or before the mark, then a
+    ``["mark", label, at]`` line and the text.  Every line is canonical JSON,
+    an event an object and the mark an array, so no two inputs run together.
+    Call it for marks in order: it hashes the events as the marks pass them.
+    """
+    names = tl._names
+    head = hashlib.sha256()
+    for part in (_DIGEST_TAG, names[tl.sut_cpe], tl.built_at,
+                 manifest_to_dict(tl.manifest, names)):
+        head.update(_line(part))
+    hashed = 0
+
+    def digest(mark: EpochMark, text: str) -> str:
+        nonlocal hashed
+        while hashed < len(tl.events) and tl.events[hashed].at <= mark.at:
+            head.update(_line(_event_to_dict(tl.events[hashed], names)))
+            hashed += 1
+        h = head.copy()
+        h.update(_line(["mark", mark.label, mark.at]))
+        h.update(text.encode())
+        return h.hexdigest()
+
+    return digest
+
+
+def _line(value) -> bytes:
+    return (canonical_text(value) + "\n").encode()
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +427,12 @@ def _pairs(doc: dict, path: str) -> tuple[tuple[str, str], ...]:
     return tuple((pair[0], pair[1]) for pair in pairs)
 
 
-def manifest_to_dict(manifest: Manifest) -> dict:
+def manifest_to_dict(manifest: Manifest, names: cpe.BindTable | None = None) -> dict:
+    """Canonical form of a manifest; ``names`` shares bound CPE names with
+    the rest of one write, as in :func:`graph.edg_to_dict`."""
+    names = cpe.BindTable() if names is None else names
     return {
-        "assets": [
-            {"id": e.asset_id, "cpe": cpe.bind_formatted(e.cpe)} for e in manifest.entries
-        ],
+        "assets": [{"id": e.asset_id, "cpe": names[e.cpe]} for e in manifest.entries],
         "dependencies": [list(pair) for pair in manifest.dependencies],
     }
 
@@ -321,14 +448,14 @@ def manifest_from_dict(doc: dict, cpes: cpe.ParseTable | None = None) -> Manifes
     return Manifest(entries=tuple(entries), dependencies=_pairs(doc, "manifest"))
 
 
-def _event_to_dict(event: LifecycleEvent) -> dict:
+def _event_to_dict(event: LifecycleEvent, names: cpe.BindTable) -> dict:
     out: dict = {"at": event.at, "seq": event.seq, "kind": event.kind}
     if event.asset_id is not None:
         out["asset_id"] = event.asset_id
     if event.cve_id is not None:
         out["cve_id"] = event.cve_id
     if event.cpe_value is not None:
-        out["cpe"] = cpe.bind_formatted(event.cpe_value)
+        out["cpe"] = names[event.cpe_value]
     if event.dependencies:
         out["dependencies"] = [list(pair) for pair in event.dependencies]
     if event.top_level:
@@ -353,22 +480,26 @@ def _event_from_dict(doc: dict, path: str, cpes: cpe.ParseTable) -> LifecycleEve
 
 
 def timeline_to_dict(tl: Timeline) -> dict:
+    names = tl._names
     return {
         "schema_version": 1,
-        "sut": cpe.bind_formatted(tl.sut_cpe),
+        "sut": names[tl.sut_cpe],
         "built_at": tl.built_at,
-        "manifest": manifest_to_dict(tl.manifest),
+        "manifest": manifest_to_dict(tl.manifest, names),
         "epochs": [{"label": m.label, "at": m.at} for m in tl.epochs],
-        "events": [_event_to_dict(e) for e in tl.events],
+        "events": [_event_to_dict(e, names) for e in tl.events],
         "snapshots": {label: snap for label, snap in sorted(tl.snapshots.items())},
+        "digests": {label: digest for label, digest in sorted(tl.digests.items())},
     }
 
 
 def timeline_from_dict(doc: dict) -> Timeline:
     """Decode a timeline document, checking every event with
-    :func:`validate_event` and every epoch mark with :func:`validate_epoch`.
-    Each distinct CPE name is parsed once, and the embedded snapshots reuse
-    those parses."""
+    :func:`validate_event`, every epoch mark with :func:`validate_epoch` and
+    every embedded snapshot with :func:`_check_snapshot`, and that each
+    digest is a sha256 hex digest (only :func:`update_snapshots` checks that
+    it matches, and drops a digest of no snapshot).  Each distinct CPE name
+    is parsed once, and the embedded snapshots reuse those parses."""
     if not isinstance(doc, dict):
         raise SchemaError("timeline document must be an object")
     if doc.get("schema_version", 1) != 1:
@@ -386,21 +517,69 @@ def timeline_from_dict(doc: dict) -> Timeline:
         mark = EpochMark(label=_expect(raw, "label", str, path), at=_expect(raw, "at", str, path))
         validate_epoch(mark, epochs, built_at, path)
         epochs.append(mark)
-    tl = Timeline(
-        sut_cpe=_parse_cpe(doc, "sut", "", cpes),
+    sut = _parse_cpe(doc, "sut", "", cpes)
+    snapshots = dict(_expect(doc, "snapshots", dict, "", {}))
+    for label, snap in snapshots.items():
+        _check_snapshot(label, snap, sut, cpes)
+    digests = dict(_expect(doc, "digests", dict, "", {}))
+    for label, digest in digests.items():
+        if not (type(digest) is str and _DIGEST_RE.fullmatch(digest)):
+            raise SchemaError(f"want 64 lowercase hex digits, got {digest!r}", f"digests.{label}")
+    return Timeline(
+        sut_cpe=sut,
         manifest=manifest_from_dict(_expect(doc, "manifest", dict, ""), cpes),
         built_at=built_at,
         events=events,
         epochs=epochs,
-        snapshots=dict(_expect(doc, "snapshots", dict, "", {})),
+        snapshots=snapshots,
+        digests=digests,
+        _cpes=cpes,
     )
-    tl._cpes = cpes
-    return tl
+
+
+def _check_snapshot(label: str, snap, sut: WellFormedName, cpes: cpe.ParseTable) -> None:
+    """What loading checks of an embedded snapshot, in constant time: its
+    ``epoch`` is its label and its root is the timeline's SUT.  Its shape is
+    checked when it is decoded, and its label by :func:`_check_labels`."""
+    path = f"snapshots.{label}"
+    if not isinstance(snap, dict):
+        return
+    if snap.get("epoch") != label:
+        raise SchemaError(f"malformed embedded snapshot: epoch {snap.get('epoch')!r} "
+                          "is not its label", path)
+    root = snap.get("root")
+    raw = root.get("cpe") if isinstance(root, dict) else None
+    if type(raw) is str:
+        try:
+            root_cpe = cpes[raw]
+        except MalformedCpe as exc:
+            raise SchemaError(f"malformed embedded snapshot: MalformedCpe: {exc}", path) from exc
+        if root_cpe != sut:
+            raise SchemaError(f"malformed embedded snapshot: root.cpe {raw!r} is not the "
+                              "timeline's sut", path)
 
 
 def save_timeline(tl: Timeline, path) -> None:
+    """Write ``canonical_json(timeline_to_dict(tl))`` to ``path`` one piece at
+    a time, never holding the document as one string.  A snapshot encoded
+    when it was embedded or verified is written as that text, the one its
+    digest covers."""
+    doc = timeline_to_dict(tl)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(timeline_to_dict(tl)))
+        fh.write("{")
+        for n, (key, value) in enumerate(sorted(doc.items())):
+            fh.write(("," if n else "") + canonical_text(key) + ":")
+            if key != "snapshots":
+                fh.write(canonical_text(value))
+                continue
+            fh.write("{")
+            for m, (label, snap) in enumerate(value.items()):
+                known = tl._texts.get(label)
+                fh.write(("," if m else "") + canonical_text(label) + ":")
+                fh.write(known[1] if known is not None and known[0] is snap
+                         else canonical_text(snap))
+            fh.write("}")
+        fh.write("}\n")
 
 
 def load_timeline(path) -> Timeline:

@@ -9,6 +9,7 @@ hundreds of cases.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from helpers import make_catalog, record, wstr
 from vulngraph import cpe, graph, timeline as tl_mod
@@ -148,6 +149,25 @@ def random_timeline(rng: random.Random, max_events: int = 5):
             tl = tl_mod.mark_epoch(tl, f"E{epoch_count}", at)
             epoch_count += 1
     return tl, catalog
+
+
+def split_before_last_event(rng: random.Random, max_events: int = 8):
+    """A random timeline with at least one event, cut before its last event.
+
+    Returns ``(prefix, last, label, whole, catalog)``: ``prefix`` is ``whole``
+    without its last event (``last``) and without the epoch mark made at that
+    event, if any, whose label is ``label`` (else None).  Appending ``last``
+    to ``prefix`` and marking ``label`` at its time gives ``whole`` back.
+    """
+    while True:
+        whole, catalog = random_timeline(rng, max_events)
+        if whole.events:
+            break
+    last = whole.events[-1]
+    prefix = replace(whole, events=whole.events[:-1],
+                     epochs=[mark for mark in whole.epochs if mark.at < last.at])
+    marked = [mark.label for mark in whole.epochs if mark.at >= last.at]
+    return prefix, last, (marked[0] if marked else None), whole, catalog
 
 
 def random_graph(rng: random.Random):

@@ -11,7 +11,7 @@ import pytest
 
 from gen import random_timeline
 from helpers import make_catalog, name, record, update_patch_scenario, wstr
-from vulngraph import catalog as cat_mod, cpe, fixtures, report, timeline as tl_mod
+from vulngraph import catalog as cat_mod, cli, cpe, fixtures, report, timeline as tl_mod
 from vulngraph.report import AlertRule
 
 _SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -180,3 +180,25 @@ def test_embed_binds_each_distinct_name_once(tracer):
     tracer.cur.clear()
     embedded, _ = tl_mod.replay_and_embed(tl, cat)
     assert 0 < tracer.cur["cpe.bind"] <= len(_cpe_strings(embedded.snapshots))
+
+
+@pytest.mark.parametrize("digests", [True, False], ids=["with-digests", "without-digests"])
+def test_event_replays_only_without_verified_snapshots(tracer, tmp_path, digests):
+    doc = json.loads(fixtures.openplc_timeline_path().read_text())
+    if not digests:
+        del doc["digests"]
+    (tmp_path / "in.json").write_text(json.dumps(doc))
+    argv = ["event", "--timeline", str(tmp_path / "in.json"),
+            "--catalog", str(fixtures.openplc_catalog_path()), "--kind", "asset-updated",
+            "--asset", "libc", "--cpe", wstr("gnu", "glibc", "2.99"),
+            "--at", "2030-01-01T00:00:00Z", "--out", str(tmp_path / "out.json")]
+    tracer.cur.clear()
+    assert cli.main(argv) == 0
+    if digests:
+        assert "timeline.replay" not in tracer.cur
+        assert tracer.cur["graph.from_dict"] == 1
+    else:
+        assert tracer.cur["timeline.replay"] == 1
+    written = json.loads((tmp_path / "out.json").read_text())
+    assert written["snapshots"] == json.loads(
+        fixtures.openplc_timeline_path().read_text())["snapshots"]

@@ -1,0 +1,185 @@
+"""``event`` continues from the last stored epoch when every embedded snapshot
+matches its digest.  These tests hold it to embedding the whole timeline
+afresh, pin what a digest mismatch and a changed catalog do, and pin the
+checks that loading makes of the digests and the snapshots."""
+
+import copy
+import json
+import random
+
+import pytest
+
+from gen import split_before_last_event
+from vulngraph import catalog as cat_mod, cpe, fixtures, metrics, timeline as tl_mod
+from vulngraph.cli import main
+
+_AT = "2030-01-01T00:00:00Z"
+
+
+def _event_argv(event) -> list[str]:
+    argv = ["--kind", event.kind.replace("_", "-"), "--at", event.at]
+    for flag, value in (("--asset", event.asset_id), ("--cve", event.cve_id)):
+        if value is not None:
+            argv += [flag, value]
+    if event.cpe_value is not None:
+        argv += ["--cpe", cpe.bind_formatted(event.cpe_value)]
+    if event.fixes:
+        argv += ["--fixes", ",".join(event.fixes)]
+    for src, dst in event.dependencies:
+        argv += ["--dep", f"{src}:{dst}"]
+    if event.top_level:
+        argv.append("--top-level")
+    return argv
+
+
+def test_event_from_the_last_snapshot_writes_what_embedding_the_whole_log_writes(
+        tmp_path, monkeypatch, capsys):
+    replays = []
+    original = tl_mod.replay
+
+    def counted(*args, **kwargs):
+        replays.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tl_mod, "replay", counted)
+    cases = set()
+    for seed in range(240):
+        prefix, last, label, whole, catalog = split_before_last_event(random.Random(seed))
+        cat_path, tl_path = tmp_path / "catalog.json", tmp_path / "timeline.json"
+        cat_mod.save_catalog(catalog, cat_path)
+        catalog = cat_mod.load_catalog(cat_path)
+        embedded = tl_mod.embed_snapshots(prefix, catalog)
+        tl_mod.save_timeline(embedded, tl_path)
+        assert tl_path.read_text() == tl_mod.canonical_json(tl_mod.timeline_to_dict(embedded))
+
+        replays.clear()
+        argv = ["event", "--timeline", str(tl_path), "--catalog", str(cat_path),
+                "--out", str(tmp_path / "out.json"), *_event_argv(last)]
+        assert main(argv + (["--mark-epoch", label] if label else [])) == 0, seed
+        assert not replays, seed
+        assert "warning" not in capsys.readouterr().err
+
+        reference = tl_mod.embed_snapshots(whole, catalog)
+        tl_mod.save_timeline(reference, tmp_path / "reference.json")
+        want = tl_mod.canonical_json(tl_mod.timeline_to_dict(reference))
+        assert (tmp_path / "reference.json").read_text() == want
+        assert (tmp_path / "out.json").read_text() == want, seed
+        after_mark = any(e.at > prefix.epochs[-1].at for e in prefix.events)
+        cases.add((label is not None, after_mark))
+    assert cases == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def _openplc_doc() -> dict:
+    return json.loads(fixtures.openplc_timeline_path().read_text())
+
+
+def _event(tmp_path, doc, catalog_doc=None, kind="noop"):
+    """Run ``event`` on ``doc`` and return its exit code and the document it wrote."""
+    tl_path, cat_path, out = (tmp_path / n for n in ("in.json", "catalog.json", "out.json"))
+    tl_path.write_text(json.dumps(doc))
+    if catalog_doc is None:
+        cat_path.write_bytes(fixtures.openplc_catalog_path().read_bytes())
+    else:
+        cat_path.write_text(json.dumps(catalog_doc))
+    code = main(["event", "--timeline", str(tl_path), "--catalog", str(cat_path),
+                 "--kind", kind, "--at", _AT, "--out", str(out)])
+    return code, json.loads(out.read_text()) if out.exists() else None
+
+
+def test_event_rebuilds_a_snapshot_that_does_not_match_its_digest(tmp_path, capsys):
+    doc = _openplc_doc()
+    v1 = doc["snapshots"]["V1"]
+    cve_edges = [e for e in v1["edges"] if e["target"].startswith("CVE-")]
+    v1["edges"] = [e for e in v1["edges"] if e not in cve_edges] + cve_edges[:3]
+    code, written = _event(tmp_path, doc)
+    assert code == 0
+    assert capsys.readouterr().err == ("warning: snapshot V1 does not match its digest; "
+                                       "rebuilding every epoch from the log\n")
+    tl = tl_mod.timeline_from_dict(written)
+    assert metrics.m1(tl_mod.epoch_snapshot(tl, None, "V1")) == 91
+    assert written["snapshots"] == _openplc_doc()["snapshots"]
+    assert written["digests"] == _openplc_doc()["digests"]
+
+
+def test_event_keeps_released_epochs_under_a_changed_catalog(tmp_path, capsys):
+    # A record for the CVE-2014-0475 versions of glibc under a new id would
+    # attach to libc in V1 if V1 were replayed.
+    catalog_doc = json.loads(fixtures.openplc_catalog_path().read_text())
+    twin = copy.deepcopy(next(r for r in catalog_doc["vulnerabilities"]
+                              if r["cve_id"] == "CVE-2014-0475"))
+    twin["cve_id"] = "CVE-2099-0001"
+    catalog_doc["vulnerabilities"].append(twin)
+    bare = _openplc_doc()
+    del bare["digests"]
+    _, replayed = _event(tmp_path, bare, catalog_doc)
+    assert "CVE-2099-0001" in {v["cve_id"] for v in replayed["snapshots"]["V1"]["vulns"]}
+
+    code, written = _event(tmp_path, _openplc_doc(), catalog_doc)
+    assert code == 0 and not capsys.readouterr().err
+    for label, snap in _openplc_doc()["snapshots"].items():
+        assert tl_mod.canonical_json(written["snapshots"][label]) == tl_mod.canonical_json(snap)
+    assert written["digests"] == _openplc_doc()["digests"]
+
+
+def test_event_gives_a_timeline_without_digests_its_digests(tmp_path, capsys):
+    bare = _openplc_doc()
+    del bare["digests"]
+    code, written = _event(tmp_path, bare)
+    assert code == 0 and not capsys.readouterr().err
+    assert written["digests"] == _openplc_doc()["digests"]
+
+
+def test_event_drops_a_digest_of_no_snapshot(tmp_path):
+    doc = _openplc_doc()
+    doc["digests"]["V9"] = "0" * 64
+    code, written = _event(tmp_path, doc)
+    assert code == 0 and written["digests"] == _openplc_doc()["digests"]
+
+
+@pytest.mark.parametrize("digests,path", [
+    ({"V1": "abc"}, "digests.V1"),
+    ({"V1": "A" * 64}, "digests.V1"),
+    ({"V2": 5}, "digests.V2"),
+    ([], "digests"),
+])
+@pytest.mark.parametrize("command", ["metrics", "event"])
+def test_malformed_digests_exit_2(tmp_path, capsys, digests, path, command):
+    doc = _openplc_doc()
+    doc["digests"] = digests
+    if command == "event":
+        code, written = _event(tmp_path, doc)
+        assert written is None
+    else:
+        (tmp_path / "in.json").write_text(json.dumps(doc))
+        code = main(["metrics", "--timeline", str(tmp_path / "in.json"), "--epoch", "V1"])
+    assert code == 2
+    assert f"SchemaError: {path}: " in capsys.readouterr().err
+
+
+def _orphan(doc):
+    doc["snapshots"]["V9"] = dict(doc["snapshots"]["V3"], epoch="V9")
+
+
+def _mislabelled(doc):
+    doc["snapshots"]["V1"]["epoch"] = "V3"
+
+
+def _other_sut(doc):
+    doc["snapshots"]["V1"]["root"]["cpe"] = "cpe:2.3:a:acme:plc:2.0:*:*:*:*:*:*:*"
+
+
+@pytest.mark.parametrize("defect,label", [(_orphan, "V9"), (_mislabelled, "V1"),
+                                          (_other_sut, "V1")],
+                         ids=["label-not-an-epoch", "epoch-not-its-label", "root-not-the-sut"])
+@pytest.mark.parametrize("command", ["metrics", "event"])
+def test_snapshot_of_another_epoch_or_system_exits_2(tmp_path, capsys, defect, label, command):
+    doc = _openplc_doc()
+    defect(doc)
+    if command == "event":
+        code, written = _event(tmp_path, doc)
+        assert written is None
+    else:
+        (tmp_path / "in.json").write_text(json.dumps(doc))
+        code = main(["metrics", "--timeline", str(tmp_path / "in.json"), "--epoch", "V1"])
+    assert code == 2
+    assert f"SchemaError: snapshots.{label}: " in capsys.readouterr().err
