@@ -54,11 +54,13 @@ def _resolve_at(value: str) -> str:
 
 
 def _cluster_rule(args) -> ClusterRule | None:
-    if args.cluster == "none":
-        return None
-    if args.cluster == "no-vulns":
-        return ClusterRule.no_vulnerabilities()
-    return ClusterRule.cvss_below(args.threshold)
+    if args.cluster == "cvss-below":
+        if args.threshold is None:
+            raise VulnGraphError("cvss-below needs --threshold")
+        return ClusterRule.cvss_below(args.threshold)
+    if args.threshold is not None:
+        raise VulnGraphError(f"--threshold applies only to cvss-below, not {args.cluster}")
+    return None if args.cluster == "none" else ClusterRule.no_vulnerabilities()
 
 
 # -- subcommand bodies -------------------------------------------------------
@@ -169,9 +171,10 @@ def _cmd_impact(args) -> int:
 
 def _cmd_export(args) -> int:
     """``export``, and ``cluster``, which is ``export`` with a criterion required."""
+    rule = _cluster_rule(args)
     g = _snapshot(args)
     opts = RenderOptions(
-        cluster_rule=_cluster_rule(args),
+        cluster_rule=rule,
         cluster_scope=tuple(args.scope.split(",")) if args.scope else None,
         show_deprecated=args.show_deprecated,
         verbosity="full" if args.full_labels else "id",
@@ -191,6 +194,9 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_alerts(args) -> int:
+    if args.cvss_at_least is None and not args.metric_bound:
+        # No rule could ever fire, so a CI gate on this would always pass.
+        raise VulnGraphError("alerts needs --cvss-at-least or --metric-bound")
     g = _snapshot(args)
     rules = []
     if args.cvss_at_least is not None:
@@ -296,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_snapshot_args(p)
     p.add_argument("--criterion", dest="cluster", choices=["no-vulns", "cvss-below"],
                    required=True)
-    p.add_argument("--threshold", type=float, default=0.0)
+    p.add_argument("--threshold", type=float, help="CVSS bound of cvss-below (required there)")
     p.add_argument("--scope", help="comma-separated asset ids to consider")
     p.add_argument("--show-deprecated", action="store_true")
     p.set_defaults(fn=_cmd_export, full_labels=False)
@@ -309,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export", help="export one epoch as Graphviz DOT")
     _add_snapshot_args(p)
     p.add_argument("--cluster", choices=["none", "no-vulns", "cvss-below"], default="none")
-    p.add_argument("--threshold", type=float, default=0.0)
+    p.add_argument("--threshold", type=float, help="CVSS bound of cvss-below (required there)")
     p.add_argument("--show-deprecated", action="store_true")
     p.add_argument("--full-labels", action="store_true")
     p.set_defaults(fn=_cmd_export, scope=None)

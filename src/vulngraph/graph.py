@@ -7,12 +7,14 @@ thing it depends on, asset -> its vulnerability; impact queries traverse
 against that direction.  A clustering (:func:`cluster_by`) only annotates a
 snapshot with groups of nodes, which the DOT export draws as single nodes.
 
-Operations never mutate their input graph: one that changes something
-returns a new graph.  The one exception is asked for by name: a lifecycle
-operation called with ``in_place=True`` edits the graph it is given and
-returns it.  A replay advances one working graph this way, and indexes it
-(:meth:`Edg.build_index`) so that each event looks up the edges and version
-nodes it touches instead of scanning the whole graph.
+A lifecycle operation (:func:`add_asset`, :func:`update_asset`,
+:func:`retire_asset`, :func:`patch_vuln`, :func:`discover_vuln`) edits the
+graph it is given and returns it; one that raises leaves the graph
+unchanged.  A caller that wants to keep a state clones it first
+(:meth:`Edg.clone`).  A replay advances one working graph this way, and
+indexes it (:meth:`Edg.build_index`) so that each event looks up the edges
+and version nodes it touches instead of scanning the whole graph.  Every
+other operation leaves its input unchanged.
 
 Asset identity is a stable opaque token (``asset_id``) that survives version
 updates; each update adds a new version node (``asset_id@k``) whose
@@ -29,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from . import cpe
-from .catalog import Catalog, VulnerabilityRecord
+from .catalog import _CAPEC_RE, _CVE_RE, _CWE_RE, Catalog, VulnerabilityRecord
 from .cpe import WellFormedName
 from .errors import (
     BrokenChain,
@@ -345,10 +347,10 @@ def build_edg(
 
 
 # ---------------------------------------------------------------------------
-# lifecycle mutations (each returns a new graph, or edits ``g`` with in_place)
+# lifecycle mutations (each edits ``g`` and returns it)
 #
-# Each operation checks everything before it edits, so one that raises leaves
-# even an in-place graph unchanged.
+# Each operation checks everything before its first edit, so one that raises
+# leaves ``g`` unchanged.
 
 
 def add_asset(
@@ -358,7 +360,6 @@ def add_asset(
     catalog: Catalog,
     top_level: bool = False,
     at: str | None = None,
-    in_place: bool = False,
 ) -> Edg:
     """Introduce a new asset with its dependency pairs (which must touch it)."""
     if g.lineage(entry.asset_id):
@@ -380,35 +381,28 @@ def add_asset(
         edges.append(Edge(source=ends[0], target=ends[1]))
     if top_level:
         edges.append(Edge(source=ROOT_ID, target=node.node_id))
-    if not in_place:
-        g = g.clone()
     for edge in edges:
         _add_edge(g, edge)
     _place(g, node, catalog, at or g.root.checked_at)
     return g
 
 
-def discover_vuln(g: Edg, asset_id: str, cve_id: str, catalog: Catalog,
-                  in_place: bool = False) -> Edg:
+def discover_vuln(g: Edg, asset_id: str, cve_id: str, catalog: Catalog) -> Edg:
     """Attach a newly found catalog vulnerability to an asset."""
     node = g.require_active(asset_id)
     record = catalog.vulnerabilities.get(cve_id)
     if record is None:
         raise UnknownCve(cve_id)
-    if not in_place:
-        g = g.clone()
     _attach_record(g, node.node_id, record, catalog)
     return g
 
 
-def patch_vuln(g: Edg, asset_id: str, cve_id: str, in_place: bool = False) -> Edg:
+def patch_vuln(g: Edg, asset_id: str, cve_id: str) -> Edg:
     """Mark one asset's vulnerability as patched: its edge becomes deprecated."""
     node = g.require_active(asset_id)
     edge = Edge(source=node.node_id, target=cve_id)
     if cve_id not in g.vulns or edge not in g.edges:
         raise UnknownCve(f"{cve_id} is not attached to {asset_id}")
-    if not in_place:
-        g = g.clone()
     _deprecate(g, edge)
     return g
 
@@ -420,7 +414,6 @@ def update_asset(
     catalog: Catalog,
     fixes=frozenset(),
     at: str | None = None,
-    in_place: bool = False,
 ) -> Edg:
     """Create the successor version of an asset.
 
@@ -441,9 +434,6 @@ def update_asset(
             raise SelfSucc(f"{asset_id}: {cpe.bind_formatted(new_cpe)} already in its chain")
     fixes = frozenset(fixes)
     incident = _normal_edges_at(g, old.node_id)
-    if not in_place:
-        g = g.clone()
-
     successor = AssetNode(
         node_id=f"{asset_id}@{old.version_index + 1}",
         asset_id=asset_id,
@@ -471,7 +461,7 @@ def update_asset(
     return g
 
 
-def retire_asset(g: Edg, asset_id: str, in_place: bool = False) -> Edg:
+def retire_asset(g: Edg, asset_id: str) -> Edg:
     """Remove an asset from the active configuration.
 
     All its normal edges (dependencies and vulnerability attachments) flip to
@@ -480,8 +470,6 @@ def retire_asset(g: Edg, asset_id: str, in_place: bool = False) -> Edg:
     """
     node = g.require_active(asset_id)
     incident = _normal_edges_at(g, node.node_id)
-    if not in_place:
-        g = g.clone()
     _put_asset(g, replace(node, deprecated=True))
     for edge in incident:
         _deprecate(g, edge)
@@ -689,8 +677,9 @@ def edg_to_dict(g: Edg, names: cpe.BindTable | None = None) -> dict:
 def edg_from_dict(doc: dict, cpes: cpe.ParseTable | None = None) -> Edg:
     """Inverse of :func:`edg_to_dict`.  ``cpes`` parses each distinct name
     once; pass one table to share it across the snapshots of one load.  A
-    wrongly typed field or container, or a non-empty ``clusters`` list,
-    raises :class:`TypeError` or :class:`ValueError`."""
+    wrongly typed field or container, a CVE, CWE or CAPEC id that is not of
+    the catalog's form, or a non-empty ``clusters`` list, raises
+    :class:`TypeError` or :class:`ValueError`."""
     if cpes is None:
         cpes = cpe.ParseTable()
 
@@ -747,6 +736,14 @@ def edg_from_dict(doc: dict, cpes: cpe.ParseTable | None = None) -> Edg:
     for d in items(doc, "vulns"):
         node = parse_vuln(d)
         g.vulns[node.cve_id] = node
+    vulns = g.vulns.values()
+    for kind, ids, pattern in (
+            ("CVE", g.vulns, _CVE_RE),
+            ("CWE", {i for v in vulns for i in v.cwe_ids}, _CWE_RE),
+            ("CAPEC", {i for v in vulns for i in v.capec_ids}, _CAPEC_RE)):
+        for i in ids:
+            if not pattern.fullmatch(i):
+                raise ValueError(f"vulns: bad {kind} id {i!r}")
     for d in items(doc, "edges"):
         g.edges.add(parse_edge(d))
     if items(doc, "clusters"):

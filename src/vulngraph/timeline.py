@@ -103,24 +103,21 @@ class Timeline:
 
 
 # Each event kind: the payload fields (document keys) it needs, the ones it
-# may also take, and its edit of a snapshot, which returns a new graph or,
-# with ``in_place``, edits ``g``.  An edit looks its function up on the graph
-# module when it runs, so a wrapper installed there later is the one called.
+# may also take, and its edit, which changes the snapshot ``g`` it is given
+# and returns it.  An edit looks its function up on the graph module when it
+# runs, so a wrapper installed there later is the one called.
 EVENT_KINDS = {
-    "asset_added": (("asset_id", "cpe"), ("dependencies", "top_level"), lambda g, e, cat, in_place:
+    "asset_added": (("asset_id", "cpe"), ("dependencies", "top_level"), lambda g, e, cat:
                     graph.add_asset(g, ManifestEntry(asset_id=e.asset_id, cpe=e.cpe_value),
-                                    e.dependencies, cat, top_level=e.top_level, at=e.at,
-                                    in_place=in_place)),
-    "vuln_discovered": (("asset_id", "cve_id"), (), lambda g, e, cat, in_place:
-                        graph.discover_vuln(g, e.asset_id, e.cve_id, cat, in_place=in_place)),
-    "asset_updated": (("asset_id", "cpe"), ("fixes",), lambda g, e, cat, in_place:
-                      graph.update_asset(g, e.asset_id, e.cpe_value, cat, fixes=e.fixes,
-                                         at=e.at, in_place=in_place)),
-    "vuln_patched": (("asset_id", "cve_id"), (), lambda g, e, cat, in_place:
-                     graph.patch_vuln(g, e.asset_id, e.cve_id, in_place=in_place)),
-    "asset_retired": (("asset_id",), (), lambda g, e, cat, in_place:
-                      graph.retire_asset(g, e.asset_id, in_place=in_place)),
-    "noop": ((), (), lambda g, e, cat, in_place: g if in_place else g.clone()),
+                                    e.dependencies, cat, top_level=e.top_level, at=e.at)),
+    "vuln_discovered": (("asset_id", "cve_id"), (), lambda g, e, cat:
+                        graph.discover_vuln(g, e.asset_id, e.cve_id, cat)),
+    "asset_updated": (("asset_id", "cpe"), ("fixes",), lambda g, e, cat:
+                      graph.update_asset(g, e.asset_id, e.cpe_value, cat, fixes=e.fixes, at=e.at)),
+    "vuln_patched": (("asset_id", "cve_id"), (), lambda g, e, cat:
+                     graph.patch_vuln(g, e.asset_id, e.cve_id)),
+    "asset_retired": (("asset_id",), (), lambda g, e, cat: graph.retire_asset(g, e.asset_id)),
+    "noop": ((), (), lambda g, e, cat: g),
 }
 
 
@@ -188,12 +185,13 @@ def mark_epoch(tl: Timeline, label: str, at: str) -> Timeline:
     return replace(tl, epochs=tl.epochs + [EpochMark(label=label, at=at)])
 
 
-def apply_event(g: Edg, event: LifecycleEvent, catalog: Catalog, in_place: bool = False) -> Edg:
-    """Apply one event to a snapshot, yielding the successor snapshot: a new
-    graph, or ``g`` itself edited when ``in_place`` is true."""
+def apply_event(g: Edg, event: LifecycleEvent, catalog: Catalog) -> Edg:
+    """Apply one event to the snapshot ``g``, editing it into the successor
+    snapshot, and return it.  An event that is refused raises and leaves
+    ``g`` unchanged; clone ``g`` first to keep the state before the event."""
     if event.kind not in EVENT_KINDS:
         raise SchemaError(f"unknown event kind {event.kind!r}")
-    g = EVENT_KINDS[event.kind][2](g, event, catalog, in_place)
+    g = EVENT_KINDS[event.kind][2](g, event, catalog)
     g.root = replace(g.root, checked_at=event.at)
     return g
 
@@ -218,7 +216,7 @@ def _replay_from(tl: Timeline, catalog: Catalog, position: int, g: Edg):
     g.build_index()
     yield position, g
     for i in range(position + 1, len(tl.events)):
-        g = apply_event(g, tl.events[i], catalog, in_place=True)
+        g = apply_event(g, tl.events[i], catalog)
         yield i, g
 
 
@@ -495,7 +493,9 @@ def timeline_to_dict(tl: Timeline) -> dict:
 
 def timeline_from_dict(doc: dict) -> Timeline:
     """Decode a timeline document, checking every event with
-    :func:`validate_event`, every epoch mark with :func:`validate_epoch` and
+    :func:`validate_event` and that its ``seq`` is greater than the previous
+    event's (as :func:`append_event` keeps it), every epoch mark with
+    :func:`validate_epoch` and
     every embedded snapshot with :func:`_check_snapshot`, and that each
     digest is a sha256 hex digest (only :func:`update_snapshots` checks that
     it matches, and drops a digest of no snapshot).  Each distinct CPE name
@@ -510,6 +510,9 @@ def timeline_from_dict(doc: dict) -> Timeline:
     for i, raw in enumerate(_expect(doc, "events", list, "", [])):
         event = _event_from_dict(raw, f"events[{i}]", cpes)
         validate_event(event, events[-1].at if events else built_at, f"events[{i}]")
+        if events and event.seq <= events[-1].seq:
+            raise SchemaError(f"seq {event.seq} is not greater than the previous event's "
+                              f"{events[-1].seq}", f"events[{i}].seq")
         events.append(event)
     epochs = []
     for i, raw in enumerate(_expect(doc, "epochs", list, "", [])):

@@ -641,3 +641,67 @@ def test_ingest_merges_into_an_existing_catalog(openplc_files, tmp_path, capsys)
     assert main(["ingest", "--feed", str(feed), "--out", str(tmp_path / "again.json"),
                  "--merge", str(out)]) == 2
     assert "DuplicateId: CVE-2020-0001" in capsys.readouterr().err
+
+
+_BAD_IDS = {
+    "cwe-without-prefix": ("cwe_ids", ["x"]),
+    "cwe-without-number": ("cwe_ids", ["CWE-x"]),
+    "cwe-as-capec": ("capec_ids", ["CWE-119"]),
+    "capec-without-number": ("capec_ids", ["CAPEC-"]),
+    "cve-short-year": ("cve_id", "CVE-12-2333"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_BAD_IDS))
+def test_snapshot_with_a_malformed_id_exits_2(tmp_path, capsys, defect):
+    # `metrics` parses each CWE id's number; an id of another form must be a
+    # data error (exit 2), not a crash that a CI gate reads as an alert.
+    doc = json.loads(fixtures.openplc_timeline_path().read_text())
+    vuln = next(v for v in doc["snapshots"]["V1"]["vulns"] if v["cve_id"] == "CVE-2012-2333")
+    key, value = _BAD_IDS[defect]
+    vuln[key] = value
+    path = tmp_path / "timeline.json"
+    path.write_text(json.dumps(doc))
+    assert main(["metrics", "--timeline", str(path), "--epoch", "V1"]) == 2
+    assert ("SchemaError: snapshots.V1: malformed embedded snapshot: ValueError: vulns: bad "
+            in capsys.readouterr().err)
+
+
+def test_events_whose_seq_does_not_rise_exit_2(tmp_path, capsys):
+    doc = json.loads(fixtures.openplc_timeline_path().read_text())
+    for event, seq in zip(doc["events"], (7, 3, 3)):
+        event["seq"] = seq
+    path = tmp_path / "timeline.json"
+    path.write_text(json.dumps(doc))
+    assert main(["metrics", "--timeline", str(path)]) == 2
+    assert ("SchemaError: events[1].seq: seq 3 is not greater than the previous event's 7"
+            in capsys.readouterr().err)
+
+
+def test_alerts_without_a_rule_exits_2(openplc_files, capsys):
+    # With no rule nothing can fire, so a CI gate on it would always pass.
+    _, tl = openplc_files
+    assert main(["alerts", "--timeline", tl, "--epoch", "V1"]) == 2
+    captured = capsys.readouterr()
+    assert "alerts needs --cvss-at-least or --metric-bound" in captured.err
+    assert "no alerts" not in captured.out
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["cluster", "--criterion", "no-vulns", "--threshold", "5"],
+     "--threshold applies only to cvss-below, not no-vulns"),
+    (["export", "--cluster", "none", "--threshold", "5"],
+     "--threshold applies only to cvss-below, not none"),
+    (["export", "--cluster", "no-vulns", "--threshold", "5"],
+     "--threshold applies only to cvss-below, not no-vulns"),
+    (["cluster", "--criterion", "cvss-below"], "cvss-below needs --threshold"),
+    (["export", "--cluster", "cvss-below"], "cvss-below needs --threshold"),
+], ids=["cluster-no-vulns", "export-none", "export-no-vulns", "cluster-cvss-below",
+        "export-cvss-below"])
+def test_a_threshold_that_does_nothing_or_is_missing_exits_2(openplc_files, capsys, argv,
+                                                             error):
+    _, tl = openplc_files
+    assert main([argv[0], "--timeline", tl, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert f"VulnGraphError: {error}" in captured.err
+    assert captured.out == ""

@@ -1,12 +1,24 @@
 """Replay edits one working graph in place over an index.  These tests hold
-it to the clone-per-event lifecycle it replaced, kept here as the reference,
-and hold the public lifecycle operations to leaving their input unchanged."""
+it to the clone-per-event lifecycle it replaced, kept here as the reference.
+The lifecycle operations edit the graph they are given; these tests also hold
+each of them to leaving that graph, and its index, unchanged when it refuses
+its input."""
 
 import random
 from dataclasses import replace
 
+import pytest
+
 from gen import random_timeline
 from vulngraph import cpe, graph, timeline as tl_mod
+from vulngraph.errors import (
+    DuplicateId,
+    SchemaError,
+    SelfSucc,
+    UnknownAsset,
+    UnknownCve,
+    UnknownDependencyTarget,
+)
 from vulngraph.graph import DEPRECATED, NORMAL, ROOT_ID, AssetNode, Edge, ManifestEntry, VulnNode
 
 SEEDS = range(200)
@@ -141,39 +153,84 @@ def test_epoch_snapshots_are_the_reference_states_at_their_marks():
             assert got._index is None, (seed, mark.label)
 
 
-def _edits(g, catalog):
-    """One call of each public lifecycle operation that ``g`` can take."""
-    active = g.active_assets()
-    node = active[0]
-    cves = sorted(g.cves_by_asset().get(node.node_id, ()))
-    new_cpe = replace(node.cpe_current, version="99.0")
-    yield "update_asset", lambda: graph.update_asset(g, node.asset_id, new_cpe, catalog,
-                                                     fixes=cves[:1])
-    yield "retire_asset", lambda: graph.retire_asset(g, node.asset_id)
-    entry = ManifestEntry("fresh", cpe.parse_formatted("cpe:2.3:a:acme:alpha:1.0:*:*:*:*:*:*:*"))
-    yield "add_asset", lambda: graph.add_asset(g, entry, [("fresh", node.asset_id)], catalog,
-                                               top_level=True)
-    if cves:
-        yield "patch_vuln", lambda: graph.patch_vuln(g, node.asset_id, cves[0])
-    if catalog.vulnerabilities:
-        cve_id = sorted(catalog.vulnerabilities)[0]
-        yield "discover_vuln", lambda: graph.discover_vuln(g, node.asset_id, cve_id, catalog)
+def _refusals(g, catalog):
+    """``(name, error, call)`` for calls of the lifecycle operations that
+    ``g`` must refuse.  The dependency pairs given to ``add_asset`` start
+    with a valid pair, so a check made after the first edit would show.  A
+    call reads the loop's variables, so make it before drawing the next."""
+    fresh = ManifestEntry("fresh", cpe.parse_formatted("cpe:2.3:a:acme:alpha:1.0:*:*:*:*:*:*:*"))
+    cve_ids = sorted(catalog.vulnerabilities)
+    attached = g.cves_by_asset()
+    yield "add_asset", SchemaError, lambda: graph.add_asset(g, fresh, [("fresh", "fresh")], catalog)
+    yield "discover_vuln", UnknownAsset, lambda: graph.discover_vuln(g, "ghost", "CVE-1999-0001",
+                                                                     catalog)
+    for asset_id in sorted({a.asset_id for a in g.assets.values()}):
+        node = g.active_node(asset_id)
+        existing = ManifestEntry(asset_id, fresh.cpe)
+        yield "add_asset", DuplicateId, lambda: graph.add_asset(g, existing, [], catalog)
+        if node is None:
+            yield "retire_asset", UnknownAsset, lambda: graph.retire_asset(g, asset_id)
+            yield "update_asset", UnknownAsset, lambda: graph.update_asset(
+                g, asset_id, fresh.cpe, catalog)
+            continue
+        for old in g.lineage(asset_id):  # the current CPE and every earlier one
+            name = "update_asset" if old.node_id == node.node_id else "update_asset, earlier CPE"
+            yield name, SelfSucc, lambda: graph.update_asset(
+                g, node.asset_id, old.cpe_current, catalog, fixes=attached.get(node.node_id, ()))
+        valid = ("fresh", node.asset_id)
+        for pair, error in ((("fresh", "fresh"), SchemaError),
+                            ((node.asset_id, node.asset_id), UnknownDependencyTarget),
+                            (("fresh", "ghost"), UnknownAsset)):
+            yield "add_asset", error, lambda: graph.add_asset(g, fresh, [valid, pair], catalog,
+                                                              top_level=True)
+        yield "patch_vuln", UnknownCve, lambda: graph.patch_vuln(g, node.asset_id,
+                                                                 "CVE-1999-0001")
+        unattached = [c for c in cve_ids if c not in attached.get(node.node_id, ())]
+        if unattached:
+            yield "patch_vuln", UnknownCve, lambda: graph.patch_vuln(g, node.asset_id,
+                                                                     unattached[0])
+        yield "discover_vuln", UnknownCve, lambda: graph.discover_vuln(
+            g, node.asset_id, "CVE-1999-0001", catalog)
+        same = tl_mod.LifecycleEvent(at="2099-01-01T00:00:00Z", seq=0, kind="asset_updated",
+                                     asset_id=node.asset_id, cpe_value=node.cpe_current)
+        yield "apply_event", SelfSucc, lambda: tl_mod.apply_event(g, same, catalog)
 
 
-def test_lifecycle_operations_leave_their_input_unchanged():
+def test_a_refused_lifecycle_operation_leaves_the_graph_unchanged():
     called = set()
     for seed in SEEDS:
         tl, catalog = random_timeline(random.Random(seed + 60_000), max_events=12)
         *_, (_, working) = tl_mod.replay(tl, catalog)
-        if not working.active_assets():
-            continue
         for g in (working, working.clone()):  # with and without an index
             before = graph.edg_to_dict(g)
-            for name, edit in _edits(g, catalog):
-                result = edit()
-                assert result is not g, (seed, name)
-                assert graph.edg_to_dict(g) == before, (seed, name)
-                called.add(name)
+            for name, error, call in _refusals(g, catalog):
+                with pytest.raises(error):
+                    call()
+                assert graph.edg_to_dict(g) == before, (seed, name, error)
+                called.add((name, error))
         assert _index_agrees(working), seed
-    assert called == {"update_asset", "retire_asset", "add_asset", "patch_vuln",
-                      "discover_vuln"}
+    assert called == {
+        ("add_asset", DuplicateId), ("add_asset", SchemaError),
+        ("add_asset", UnknownDependencyTarget), ("add_asset", UnknownAsset),
+        ("update_asset", SelfSucc), ("update_asset, earlier CPE", SelfSucc),
+        ("update_asset", UnknownAsset),
+        ("retire_asset", UnknownAsset), ("patch_vuln", UnknownCve),
+        ("discover_vuln", UnknownCve), ("discover_vuln", UnknownAsset),
+        ("apply_event", SelfSucc),
+    }
+
+
+def test_lifecycle_operations_edit_and_return_the_graph_they_are_given():
+    for seed in range(20):
+        tl, catalog = random_timeline(random.Random(seed + 60_000), max_events=12)
+        *_, (_, working) = tl_mod.replay(tl, catalog)
+        node = next(iter(working.active_assets()), None)
+        if node is None:
+            continue
+        g = working.clone()
+        before = graph.edg_to_dict(g)
+        new_cpe = replace(node.cpe_current, version="99.0")
+        assert graph.update_asset(g, node.asset_id, new_cpe, catalog) is g
+        assert graph.edg_to_dict(g) != before, seed
+        assert graph.retire_asset(g, node.asset_id) is g
+        assert g.active_node(node.asset_id) is None, seed

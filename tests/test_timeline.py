@@ -140,6 +140,20 @@ def test_bool_event_seq_is_a_schema_error():
     assert str(err.value) == "events[1].seq: expected int, got bool"
 
 
+@pytest.mark.parametrize("seqs,ok", [((0, 1, 2), True), ((5, 6, 40), True),
+                                      ((0, 1, 1), False), ((0, 2, 1), False)])
+def test_event_seqs_must_rise(seqs, ok):
+    tl, _ = update_patch_scenario()
+    doc = tl_mod.timeline_to_dict(tl)
+    for event, seq in zip(doc["events"], seqs):
+        event["seq"] = seq
+    if ok:
+        assert [e.seq for e in tl_mod.timeline_from_dict(doc).events] == list(seqs)
+        return
+    with pytest.raises(SchemaError, match=r"^events\[2\]\.seq: seq 1 is not greater "):
+        tl_mod.timeline_from_dict(doc)
+
+
 def test_epoch_marks_are_ordered_and_unique():
     tl, _ = update_patch_scenario()
     with pytest.raises(SchemaError):
