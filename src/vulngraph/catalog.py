@@ -506,13 +506,27 @@ def load_json(path):
     Text that is not JSON, or that nests too deeply for the decoder, is a
     :class:`SchemaError`; a path that cannot be read raises its ``OSError``.
     """
+    return parse_json(read_text(path))
+
+
+def read_text(path) -> str:
+    """The text of the file at ``path``; bytes that are not UTF-8 are a
+    :class:`SchemaError`, as in :func:`load_json`."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return fh.read()
         except ValueError as exc:
             raise SchemaError(f"not valid JSON: {exc}") from exc
-        except RecursionError as exc:
-            raise SchemaError("not valid JSON: nested too deeply to decode") from exc
+
+
+def parse_json(text: str):
+    """:func:`load_json` of a text already read."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise SchemaError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError("not valid JSON: nested too deeply to decode") from exc
 
 
 def load_catalog(path) -> Catalog:

@@ -38,12 +38,24 @@ def _load_catalog(path):
     return cat
 
 
+def _warn_stale(tl, cat, labels) -> None:
+    """Warn of each snapshot among ``labels`` that does not match its digest
+    and that a read will therefore rebuild from the log (with a catalog; a
+    read without one refuses it)."""
+    if cat is not None:
+        for label in dict.fromkeys(labels):
+            if label in tl.stale:
+                print(f"warning: snapshot {label} does not match its digest; "
+                      "rebuilding it from the log", file=sys.stderr)
+
+
 def _snapshot(args):
     tl = timeline_mod.load_timeline(args.timeline)
     cat = _load_catalog(args.catalog)
     label = args.epoch or (tl.epochs[-1].label if tl.epochs else None)
     if label is None:
         raise VulnGraphError("timeline has no epochs; pass --epoch after marking one")
+    _warn_stale(tl, cat, [label])
     return timeline_mod.epoch_snapshot(tl, cat, label)
 
 
@@ -173,9 +185,14 @@ def _cmd_export(args) -> int:
     """``export``, and ``cluster``, which is ``export`` with a criterion required."""
     rule = _cluster_rule(args)
     g = _snapshot(args)
+    scope = None if args.scope is None else tuple(args.scope.split(","))
+    for asset_id in scope or ():
+        if g.active_node(asset_id) is None:
+            raise VulnGraphError(f"--scope names {asset_id!r}, which is no active asset "
+                                 f"of epoch {g.epoch}")
     opts = RenderOptions(
         cluster_rule=rule,
-        cluster_scope=tuple(args.scope.split(",")) if args.scope else None,
+        cluster_scope=scope,
         show_deprecated=args.show_deprecated,
         verbosity="full" if args.full_labels else "id",
     )
@@ -186,6 +203,7 @@ def _cmd_export(args) -> int:
 def _cmd_report(args) -> int:
     tl = timeline_mod.load_timeline(args.timeline)
     cat = _load_catalog(args.catalog)
+    _warn_stale(tl, cat, tl.epoch_labels())
     doc = report.generate_report(tl, cat, args.format)
     if args.format == "json":
         doc = json.dumps(doc, indent=2, sort_keys=True)
@@ -220,6 +238,7 @@ def _cmd_alerts(args) -> int:
 def _cmd_diff(args) -> int:
     tl = timeline_mod.load_timeline(args.timeline)
     cat = _load_catalog(args.catalog)
+    _warn_stale(tl, cat, [args.from_epoch, args.to_epoch])
     delta = report.epoch_diff(tl, cat, args.from_epoch, args.to_epoch)
     if args.json:
         _write(json.dumps(delta, indent=2, sort_keys=True), args.out)

@@ -204,6 +204,15 @@ class ParseTable(dict):
         name = self[raw] = parse_formatted(raw)
         return name
 
+    def bindings(self) -> BindTable:
+        """A :class:`BindTable` that holds each name of this table whose raw
+        string is already its binding, so that writing the names back binds
+        only the others.  A raw string that parses, with no backslash and no
+        upper-case letter, is its binding: each field is then ``*``, ``-`` or
+        a run of unreserved characters, which binding writes unchanged."""
+        return BindTable({name: raw for raw, name in self.items()
+                          if "\\" not in raw and raw == raw.lower()})
+
 
 class BindTable(dict):
     """Bound names of one document write, keyed by the parsed name.

@@ -28,7 +28,9 @@ and metrics, clustering and impact queries all read its view.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, replace
+from sys import intern
 
 from . import cpe
 from .catalog import _CAPEC_RE, _CVE_RE, _CWE_RE, Catalog, VulnerabilityRecord
@@ -164,6 +166,11 @@ class Edg:
     clusters: dict[str, Cluster] = field(default_factory=dict)
     # Set by build_index; never serialized and never copied by clone.
     _index: _Index | None = field(default=None, init=False, compare=False, repr=False)
+    # Set by active_subgraph on the view it returns: the view's
+    # cves_by_asset(), built in the pass that builds the view (None on any
+    # other graph).  A view is read, never edited, so the map stays its own.
+    cves_of: dict[str, tuple[str, ...]] | None = field(
+        default=None, init=False, compare=False, repr=False)
 
     # -- basic views -------------------------------------------------------
 
@@ -223,7 +230,8 @@ class Edg:
     def cves_by_asset(self) -> dict[str, tuple[str, ...]]:
         """The active view: for each node with an attached vulnerability, the
         sorted CVE ids its normal edges reach, from one pass over the edges.
-        Metrics, prioritization and clustering read per-asset CVEs here."""
+        Metrics, prioritization and clustering read the map that
+        :func:`active_subgraph` builds with a view (:attr:`cves_of`)."""
         found: dict[str, list[str]] = {}
         for e in self.edges:
             if e.kind == NORMAL and e.target in self.vulns:
@@ -506,18 +514,32 @@ def _fmt_cpe(w: WellFormedName | None) -> str:
 def active_subgraph(g: Edg) -> Edg:
     """The active configuration, without clusters: non-deprecated assets,
     vulnerabilities a normal edge attaches to one of them, and normal edges
-    among those nodes plus the root.  The only rule for what is active."""
+    among those nodes plus the root.  The only rule for what is active.  The
+    view's :attr:`Edg.cves_of` is its :meth:`Edg.cves_by_asset`, built in the
+    same pass."""
     assets = {nid: a for nid, a in g.assets.items() if not a.deprecated}
     vulns = {}
     normal = []
+    found: dict[str, list[str]] = {}
+    other_hosts = []
     for e in g.edges:
         if e.kind == NORMAL:
             normal.append(e)
-            if e.source in assets and e.target in g.vulns:
-                vulns[e.target] = g.vulns[e.target]
+            if e.target in g.vulns:
+                if e.source in assets:
+                    vulns[e.target] = g.vulns[e.target]
+                    found.setdefault(e.source, []).append(e.target)
+                elif e.source == ROOT_ID or e.source in g.vulns:
+                    other_hosts.append(e)
     keep = assets.keys() | vulns.keys() | {ROOT_ID}
     edges = {e for e in normal if e.source in keep and e.target in keep}
-    return Edg(root=g.root, epoch=g.epoch, assets=assets, vulns=vulns, edges=edges)
+    # Only a hand-made snapshot joins the root or a vulnerability to one.
+    for e in other_hosts:
+        if e.source in keep and e.target in vulns:
+            found.setdefault(e.source, []).append(e.target)
+    view = Edg(root=g.root, epoch=g.epoch, assets=assets, vulns=vulns, edges=edges)
+    view.cves_of = {node_id: tuple(sorted(cves)) for node_id, cves in found.items()}
+    return view
 
 
 def impact_set(g: Edg, cve_id: str) -> set[str]:
@@ -569,7 +591,7 @@ def cluster_by(g: Edg, rule: ClusterRule, scope=None) -> Edg:
         raise ValueError("graph is already clustered; expand its clusters first")
     active = active_subgraph(g)
     scope_ids = None if scope is None else set(scope)
-    cves_of = active.cves_by_asset()
+    cves_of = active.cves_of
     eligible = {
         a.node_id
         for a in active.assets.values()
@@ -674,29 +696,36 @@ def edg_to_dict(g: Edg, names: cpe.BindTable | None = None) -> dict:
     }
 
 
-def edg_from_dict(doc: dict, cpes: cpe.ParseTable | None = None) -> Edg:
-    """Inverse of :func:`edg_to_dict`.  ``cpes`` parses each distinct name
-    once; pass one table to share it across the snapshots of one load.  A
-    wrongly typed field or container, a CVE, CWE or CAPEC id that is not of
-    the catalog's form, or a non-empty ``clusters`` list, raises
-    :class:`TypeError` or :class:`ValueError`."""
+def edg_from_dict(doc: dict | str, cpes: cpe.ParseTable | None = None) -> Edg:
+    """Inverse of :func:`edg_to_dict`, of the document or of its JSON text.
+    ``cpes`` parses each distinct name once; pass one table to share it
+    across the snapshots of one load.  Text that is not JSON, a wrongly typed
+    field or container, a CVE, CWE or CAPEC id that is not of the catalog's
+    form, or a non-empty ``clusters`` list, raises :class:`TypeError` or
+    :class:`ValueError`.  Node ids are interned and edge kinds are
+    :data:`NORMAL` or :data:`DEPRECATED` themselves, so that an edge's ends
+    are the very strings that key its nodes, as in a graph built in memory,
+    and a lookup by them compares identities."""
+    if isinstance(doc, str):
+        doc = json.loads(doc)
     if cpes is None:
         cpes = cpe.ParseTable()
 
     def parse_asset(d) -> AssetNode:
-        node = AssetNode(
-            node_id=d["node_id"],
-            asset_id=d["asset_id"],
-            order=d["order"],
+        node_id, asset_id, order = d["node_id"], d["asset_id"], d["order"]
+        deprecated = d.get("deprecated", False)
+        if not (type(node_id) is str and type(asset_id) is str
+                and type(order) is int and type(deprecated) is bool):
+            raise TypeError(f"asset {node_id!r}: want string ids, an integer order "
+                            "and a boolean deprecated")
+        return AssetNode(
+            node_id=intern(node_id),
+            asset_id=asset_id,
+            order=order,
             cpe_current=cpes[d["cpe"]],
             cpe_previous=cpes[d["cpe_previous"]] if d.get("cpe_previous") else None,
-            deprecated=d.get("deprecated", False),
+            deprecated=deprecated,
         )
-        if not (type(node.node_id) is str and type(node.asset_id) is str
-                and type(node.order) is int and type(node.deprecated) is bool):
-            raise TypeError(f"asset {node.node_id!r}: want string ids, an integer order "
-                            "and a boolean deprecated")
-        return node
 
     def parse_vuln(d) -> VulnNode:
         cve_id, cvss, cwe_ids = d["cve_id"], d["cvss"], d["cwe_ids"]
@@ -707,7 +736,7 @@ def edg_from_dict(doc: dict, cpes: cpe.ParseTable | None = None) -> Edg:
                 and type(exploit) is bool):
             raise ValueError(f"vulnerability {cve_id!r}: want a string id, a cvss in [0, 10], "
                              "lists of string ids and a boolean exploit_available")
-        return VulnNode(cve_id, cvss, tuple(cwe_ids), tuple(capec_ids), exploit)
+        return VulnNode(intern(cve_id), cvss, tuple(cwe_ids), tuple(capec_ids), exploit)
 
     def parse_edge(d) -> Edge:
         source, target, kind = d["source"], d["target"], d["kind"]
@@ -715,7 +744,7 @@ def edg_from_dict(doc: dict, cpes: cpe.ParseTable | None = None) -> Edg:
                 and (kind == NORMAL or kind == DEPRECATED)):
             raise ValueError(f"edge {source!r} -> {target!r}: want string endpoints "
                              f"and kind {NORMAL!r} or {DEPRECATED!r}, got {kind!r}")
-        return Edge(source, target, kind)
+        return Edge(intern(source), intern(target), NORMAL if kind == NORMAL else DEPRECATED)
 
     def items(d, key) -> list:
         value = d[key]

@@ -151,7 +151,7 @@ def _prioritize(
     active: Edg, min_cvss: float, max_cvss: float, grouping: str
 ) -> list[PrioritizedVulnerability]:
     # The body of prioritize, on an active view the caller already holds.
-    cves_of = active.cves_by_asset()
+    cves_of = active.cves_of
     rows: list[tuple[int, str, object]] = []
     for asset in active.active_assets():
         for cve_id in cves_of.get(asset.node_id, ()):
@@ -267,7 +267,7 @@ def snapshot_report(g: Edg) -> MetricReport:
 def _snapshot_report(active: Edg) -> MetricReport:
     # The body of snapshot_report, on an active view the caller already
     # holds; the view keeps the snapshot's epoch and root.
-    cves_of = active.cves_by_asset()
+    cves_of = active.cves_of
     m3_map: dict[str, int] = {}
     m5_map: dict[str, dict[str, int]] = {}
     for asset in active.active_assets():

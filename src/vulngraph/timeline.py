@@ -7,14 +7,21 @@ accumulated metrics sum over.  Replaying the same log always yields
 byte-identical serialized snapshots.
 
 A released epoch is history: no event can be appended at or before its mark.
-Each embedded epoch snapshot is stored with a digest of what made it (the
-SUT, ``built_at``, the manifest, its mark and the events up to the mark) and
-of its own canonical text.  Appending (:func:`update_snapshots`) continues
-from the last stored snapshot when every digest matches, and replays the whole
-log only when one does not.  Reads decode the stored snapshots without
-checking digests.  The catalog is not part of a digest: a released epoch
-keeps what it was released with, and a catalog serves only the events
-applied after it.
+Each embedded epoch snapshot is held as its canonical JSON text, with a
+digest of what made it (the SUT, ``built_at``, the manifest, its mark and the
+events up to the mark) and of that text.  :func:`save_timeline` writes each
+snapshot on a line of its own inside the one JSON document, so
+:func:`load_timeline` decodes the rest of the file once, verifies each
+snapshot by hashing the text of its line, and decodes a snapshot only when a
+command reads that epoch.  A file in any other layout is decoded whole, each
+snapshot's text kept as the file holds it, and a snapshot is encoded only when
+that text does not match its digest.  A read rebuilds a snapshot that does
+not match its digest by replaying the log when it has a catalog, and refuses
+it without one; a snapshot without a digest is read unverified.  Appending
+(:func:`update_snapshots`) continues from the last stored snapshot when every
+digest matches, and replays the whole log only when one does not.  The
+catalog is not part of a digest: a released epoch keeps what it was released
+with, and a catalog serves only the events applied after it.
 
 Timestamps are ISO 8601 UTC with seconds precision (``2021-01-01T00:00:00Z``);
 ties are broken by the event sequence number.
@@ -23,11 +30,13 @@ ties are broken by the event sequence number.
 from __future__ import annotations
 
 import hashlib
+import json
 import re
 from dataclasses import dataclass, field, replace
+from json.decoder import scanstring
 
 from . import cpe, graph
-from .catalog import _CVE_RE, Catalog, _expect, canonical_text, load_json
+from .catalog import _CVE_RE, Catalog, _expect, canonical_text, load_json, parse_json, read_text
 from .catalog import canonical_json  # noqa: F401  (the form save_timeline writes)
 from .cpe import WellFormedName
 from .errors import MalformedCpe, NonMonotonicTimestamp, SchemaError, VulnGraphError
@@ -72,19 +81,21 @@ class Timeline:
     built_at: str
     events: list[LifecycleEvent] = field(default_factory=list)
     epochs: list[EpochMark] = field(default_factory=list)
-    # Optional embedded epoch snapshots (label -> serialized graph), so that
-    # read-only commands do not need the catalog, and their digests (label ->
-    # sha256 hex, see _digester).
-    snapshots: dict[str, dict] = field(default_factory=dict)
+    # Optional embedded epoch snapshots (label -> the snapshot's canonical
+    # JSON text), so that read-only commands do not need the catalog; their
+    # digests (label -> sha256 hex, see _digester); and the labels of the
+    # snapshots with a digest that loading did not verify (see _verify).
+    snapshots: dict[str, str] = field(default_factory=dict)
     digests: dict[str, str] = field(default_factory=dict)
-    # Caches that dataclasses.replace carries over.  The CPE names parsed
+    stale: frozenset[str] = frozenset()
+    # Caches that dataclasses.replace carries over: the CPE names parsed
     # while loading, shared by the snapshot decodes; the names bound for the
-    # digests and the writes; and, per label, a snapshot with the canonical
-    # text that was encoded when it was embedded or verified, written as it
-    # is while the snapshot is that same object.
+    # digests and the writes, which start as the loaded names that were read
+    # as their binding; and the snapshot texts that loading decoded (text ->
+    # value), which a decode of that text reuses.
     _cpes: cpe.ParseTable = field(default_factory=cpe.ParseTable, compare=False, repr=False)
     _names: cpe.BindTable = field(default_factory=cpe.BindTable, compare=False, repr=False)
-    _texts: dict[str, tuple[dict, str]] = field(default_factory=dict, compare=False, repr=False)
+    _values: dict[str, object] = field(default_factory=dict, compare=False, repr=False)
 
     def last_position(self) -> tuple[str, int]:
         if self.events:
@@ -268,18 +279,24 @@ def epoch_snapshots(tl: Timeline, catalog: Catalog | None) -> list[Edg]:
 
 
 def _epoch_snapshots(tl: Timeline, catalog: Catalog | None, marks) -> list[Edg]:
-    # Embedded copies are decoded; the others come from one replay pass.
+    # Embedded copies are decoded; the others, and a stale one when there is
+    # a catalog, come from one replay pass.
     _check_labels(tl)
-    missing = [m for m in marks if m.label not in tl.snapshots]
+    for mark in marks:
+        if mark.label in tl.stale and catalog is None:
+            _decode_snapshot(tl, mark.label)  # a malformed snapshot is reported as that
+            raise SchemaError(f"does not match its digest {tl.digests[mark.label]}, and there "
+                              "is no catalog to rebuild it from the log",
+                              f"snapshots.{mark.label}")
+    embedded = [m.label in tl.snapshots and m.label not in tl.stale for m in marks]
+    missing = [m for m, stored in zip(marks, embedded) if not stored]
     if missing and catalog is None:
         raise VulnGraphError(
             f"no embedded snapshot for {missing[0].label!r} and no catalog to replay"
         )
     replayed = iter(_replay_to(tl, catalog, missing) if missing else ())
-    return [
-        _decode_snapshot(tl, m.label) if m.label in tl.snapshots else next(replayed)
-        for m in marks
-    ]
+    return [_decode_snapshot(tl, m.label) if stored else next(replayed)
+            for m, stored in zip(marks, embedded)]
 
 
 def _check_labels(tl: Timeline) -> None:
@@ -296,8 +313,9 @@ def _decode_snapshot(tl: Timeline, label: str) -> Edg:
     # The decoder reports a wrongly typed field or container as TypeError or
     # ValueError, and a missing key surfaces as KeyError; these and a bad CPE
     # name are reported as a schema error at the snapshot.
+    text = tl.snapshots[label]
     try:
-        return graph.edg_from_dict(tl.snapshots[label], tl._cpes)
+        return graph.edg_from_dict(tl._values[text] if text in tl._values else text, tl._cpes)
     except (KeyError, TypeError, AttributeError, ValueError, MalformedCpe) as exc:
         raise SchemaError(f"malformed embedded snapshot: {type(exc).__name__}: {exc}",
                           f"snapshots.{label}") from exc
@@ -316,7 +334,7 @@ def replay_and_embed(tl: Timeline, catalog: Catalog) -> tuple[Timeline, list[Edg
     """:func:`embed_snapshots`, also returning the epoch snapshots it embedded,
     in mark order, so a caller that reads them need not decode them again."""
     snapshots = _replay_to(tl, catalog, tl.epochs, whole_log=True)
-    embedded = replace(tl, snapshots={}, digests={}, _texts={})
+    embedded = replace(tl, snapshots={}, digests={}, stale=frozenset())
     _embed(embedded, tl.epochs, snapshots, _digester(tl))
     return embedded, snapshots
 
@@ -325,48 +343,41 @@ def update_snapshots(tl: Timeline, catalog: Catalog) -> tuple[Timeline, list[str
     """Embed a snapshot for every epoch that has none, replaying only what is
     new when the stored snapshots can be trusted.
 
-    They can when they are the snapshots of the first epochs and each matches
-    its digest.  The last of them is then decoded and replayed from: the
-    events after its mark are applied, each validated against ``catalog``,
-    and only the epochs after it are embedded.  The stored snapshots stay as
-    written, whatever ``catalog`` holds; each one's text is encoded once, for
-    the check and the write.  Otherwise this is :func:`embed_snapshots`.
-    Returns the timeline and the labels of the stored snapshots that do not
-    match their digest.  Only the digests of snapshots are kept.
+    They can when they are the snapshots of the first epochs, each has a
+    digest, and none is :attr:`Timeline.stale`.  The last of them is then
+    decoded and replayed from: the events after its mark are applied, each
+    validated against ``catalog``, and only the epochs after it are embedded.
+    The stored snapshots are kept as the texts they were verified as,
+    whatever ``catalog`` holds; none is decoded but the last, and none
+    encoded.  Otherwise this is :func:`embed_snapshots`.  Returns the
+    timeline and the labels of the stale snapshots, in mark order.  Only the
+    digests of snapshots are kept.
     """
     _check_labels(tl)
-    digest = _digester(tl)
-    texts: dict[str, tuple[dict, str]] = {}
-    stale = []
+    stale = [mark.label for mark in tl.epochs if mark.label in tl.stale]
+    kept = []
     for mark in tl.epochs:
-        snap, expected = tl.snapshots.get(mark.label), tl.digests.get(mark.label)
-        if snap is not None and expected is not None:
-            text = canonical_text(snap)
-            texts[mark.label] = (snap, text)
-            if digest(mark, text) != expected:
-                stale.append(mark.label)
-    kept = tl.epochs[:len(texts)]
-    if (stale or not kept or len(tl.snapshots) != len(kept)
-            or any(mark.label not in texts for mark in kept)):
+        if mark.label not in tl.snapshots or mark.label not in tl.digests:
+            break
+        kept.append(mark)
+    if stale or not kept or len(tl.snapshots) != len(kept):
         return embed_snapshots(tl, catalog), stale
     position = sum(event.at <= kept[-1].at for event in tl.events) - 1
     start = (position, _decode_snapshot(tl, kept[-1].label))
     marks = tl.epochs[len(kept):]
     snapshots = _replay_to(tl, catalog, marks, whole_log=True, start=start)
     updated = replace(tl, snapshots=dict(tl.snapshots),
-                      digests={label: tl.digests[label] for label in texts}, _texts=texts)
-    return _embed(updated, marks, snapshots, digest), stale
+                      digests={mark.label: tl.digests[mark.label] for mark in kept})
+    return _embed(updated, marks, snapshots, _digester(tl)), stale
 
 
 def _embed(tl: Timeline, marks, snapshots: list[Edg], digest) -> Timeline:
-    """Put each snapshot, with its text and digest, into ``tl`` under its
-    mark's label (editing ``tl``'s own dicts, which the caller made new)."""
+    """Put each snapshot's text and digest into ``tl`` under its mark's label
+    (editing ``tl``'s own dicts, which the caller made new)."""
     for mark, g in zip(marks, snapshots):
-        snap = graph.edg_to_dict(g, tl._names)
-        text = canonical_text(snap)
-        tl.snapshots[mark.label] = snap
+        text = canonical_text(graph.edg_to_dict(g, tl._names))
+        tl.snapshots[mark.label] = text
         tl.digests[mark.label] = digest(mark, text)
-        tl._texts[mark.label] = (snap, text)
     return tl
 
 
@@ -378,17 +389,24 @@ def _digester(tl: Timeline):
     ``built_at``, the manifest and each event at or before the mark, then a
     ``["mark", label, at]`` line and the text.  Every line is canonical JSON,
     an event an object and the mark an array, so no two inputs run together.
-    Call it for marks in order: it hashes the events as the marks pass them.
+    The SUT, manifest and events are hashed as :func:`timeline_to_dict`
+    writes them, their names bound in ``tl._names``, which the write of the
+    timeline shares and which holds a loaded name already when the file held
+    its binding (:meth:`cpe.ParseTable.bindings`).  Nothing is hashed until
+    the first call.  Call it for marks in order: it hashes the events as the
+    marks pass them.
     """
     names = tl._names
-    head = hashlib.sha256()
-    for part in (_DIGEST_TAG, names[tl.sut_cpe], tl.built_at,
-                 manifest_to_dict(tl.manifest, names)):
-        head.update(_line(part))
+    head = None
     hashed = 0
 
     def digest(mark: EpochMark, text: str) -> str:
-        nonlocal hashed
+        nonlocal head, hashed
+        if head is None:
+            head = hashlib.sha256()
+            for part in (_DIGEST_TAG, names[tl.sut_cpe], tl.built_at,
+                         manifest_to_dict(tl.manifest, names)):
+                head.update(_line(part))
         while hashed < len(tl.events) and tl.events[hashed].at <= mark.at:
             head.update(_line(_event_to_dict(tl.events[hashed], names)))
             hashed += 1
@@ -402,6 +420,52 @@ def _digester(tl: Timeline):
 
 def _line(value) -> bytes:
     return (canonical_text(value) + "\n").encode()
+
+
+def _verify(tl: Timeline, decoded: dict) -> None:
+    """Check each embedded snapshot of ``tl`` against its digest, and set
+    ``tl.stale`` to the labels of the snapshots with a digest that do not
+    verify: one that does not match it, and one of a label that no epoch is
+    marked with, which has no mark to be checked with.
+
+    A snapshot that matches was written by this package, and stays the text
+    it was read as.  Any other is decoded (``decoded`` holds the values that
+    loading decoded already) and checked by :func:`_check_snapshot`; a text
+    that is not the canonical text of its value is replaced by that text and
+    checked again, so a timeline reads the same from every layout.  The
+    value of each canonical text that is decoded by now goes into
+    ``tl._values``.
+    """
+    digest = _digester(tl)
+
+    def decode(label: str):
+        text = tl.snapshots[label]
+        if text not in tl._values:
+            value = decoded[label] if label in decoded else _parse_line(text)
+            text = tl.snapshots[label] = canonical_text(value)
+            tl._values[text] = value
+        return tl._values[text]
+
+    verified = set()
+    for mark in tl.epochs:
+        label = mark.label
+        if label not in tl.snapshots or label not in tl.digests:
+            continue
+        text = tl.snapshots[label]
+        if digest(mark, text) == tl.digests[label]:
+            verified.add(label)
+            if label in decoded:
+                tl._values[text] = decoded[label]
+        elif text not in tl._values:
+            decode(label)
+            canonical = tl.snapshots[label]
+            if canonical != text and digest(mark, canonical) == tl.digests[label]:
+                verified.add(label)
+    for label in list(tl.snapshots):
+        if label not in verified:
+            _check_snapshot(label, decode(label), tl.sut_cpe, tl._cpes)
+    tl.stale = frozenset(label for label in tl.snapshots
+                         if label in tl.digests and label not in verified)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +541,8 @@ def _event_from_dict(doc: dict, path: str, cpes: cpe.ParseTable) -> LifecycleEve
     )
 
 
-def timeline_to_dict(tl: Timeline) -> dict:
+def _head_dict(tl: Timeline) -> dict:
+    """:func:`timeline_to_dict` without its snapshots."""
     names = tl._names
     return {
         "schema_version": 1,
@@ -486,20 +551,34 @@ def timeline_to_dict(tl: Timeline) -> dict:
         "manifest": manifest_to_dict(tl.manifest, names),
         "epochs": [{"label": m.label, "at": m.at} for m in tl.epochs],
         "events": [_event_to_dict(e, names) for e in tl.events],
-        "snapshots": {label: snap for label, snap in sorted(tl.snapshots.items())},
         "digests": {label: digest for label, digest in sorted(tl.digests.items())},
     }
+
+
+def timeline_to_dict(tl: Timeline) -> dict:
+    """The timeline as a JSON document, each snapshot decoded from its text;
+    :func:`save_timeline` writes this document."""
+    doc = _head_dict(tl)
+    doc["snapshots"] = {label: json.loads(text) for label, text in sorted(tl.snapshots.items())}
+    return doc
 
 
 def timeline_from_dict(doc: dict) -> Timeline:
     """Decode a timeline document, checking every event with
     :func:`validate_event` and that its ``seq`` is greater than the previous
     event's (as :func:`append_event` keeps it), every epoch mark with
-    :func:`validate_epoch` and
-    every embedded snapshot with :func:`_check_snapshot`, and that each
-    digest is a sha256 hex digest (only :func:`update_snapshots` checks that
-    it matches, and drops a digest of no snapshot).  Each distinct CPE name
-    is parsed once, and the embedded snapshots reuse those parses."""
+    :func:`validate_epoch`, that each digest is a sha256 hex digest, and each
+    embedded snapshot against its digest (:func:`_verify`).  Each distinct
+    CPE name is parsed once, and the embedded snapshots reuse those parses."""
+    return _from_dict(doc)
+
+
+def _from_dict(doc: dict, lines: dict[str, str] | None = None,
+               decoded: dict | None = None) -> Timeline:
+    """:func:`timeline_from_dict`; given ``lines`` (label -> text, see
+    :func:`_split_lines` and :func:`_split_spans`), of a head document whose
+    snapshots are those, with ``decoded`` (label -> value) holding the ones
+    already decoded."""
     if not isinstance(doc, dict):
         raise SchemaError("timeline document must be an object")
     if doc.get("schema_version", 1) != 1:
@@ -521,29 +600,38 @@ def timeline_from_dict(doc: dict) -> Timeline:
         validate_epoch(mark, epochs, built_at, path)
         epochs.append(mark)
     sut = _parse_cpe(doc, "sut", "", cpes)
-    snapshots = dict(_expect(doc, "snapshots", dict, "", {}))
-    for label, snap in snapshots.items():
-        _check_snapshot(label, snap, sut, cpes)
+    values = {}
+    if lines is None:
+        lines = {}
+        for label, snap in _expect(doc, "snapshots", dict, "", {}).items():
+            lines[label] = text = canonical_text(snap)
+            values[text] = snap
     digests = dict(_expect(doc, "digests", dict, "", {}))
     for label, digest in digests.items():
         if not (type(digest) is str and _DIGEST_RE.fullmatch(digest)):
             raise SchemaError(f"want 64 lowercase hex digits, got {digest!r}", f"digests.{label}")
-    return Timeline(
+    manifest = manifest_from_dict(_expect(doc, "manifest", dict, ""), cpes)
+    tl = Timeline(
         sut_cpe=sut,
-        manifest=manifest_from_dict(_expect(doc, "manifest", dict, ""), cpes),
+        manifest=manifest,
         built_at=built_at,
         events=events,
         epochs=epochs,
-        snapshots=snapshots,
+        snapshots=lines,
         digests=digests,
         _cpes=cpes,
+        _names=cpes.bindings(),
+        _values=values,
     )
+    _verify(tl, decoded or {})
+    return tl
 
 
 def _check_snapshot(label: str, snap, sut: WellFormedName, cpes: cpe.ParseTable) -> None:
-    """What loading checks of an embedded snapshot, in constant time: its
-    ``epoch`` is its label and its root is the timeline's SUT.  Its shape is
-    checked when it is decoded, and its label by :func:`_check_labels`."""
+    """What loading checks of an embedded snapshot that does not match its
+    digest or has none, in constant time once it is decoded: its ``epoch`` is
+    its label and its root is the timeline's SUT.  Its shape is checked when
+    a command decodes it, and its label by :func:`_check_labels`."""
     path = f"snapshots.{label}"
     if not isinstance(snap, dict):
         return
@@ -563,30 +651,172 @@ def _check_snapshot(label: str, snap, sut: WellFormedName, cpes: cpe.ParseTable)
 
 
 def save_timeline(tl: Timeline, path) -> None:
-    """Write ``canonical_json(timeline_to_dict(tl))`` to ``path`` one piece at
-    a time, never holding the document as one string.  A snapshot encoded
-    when it was embedded or verified is written as that text, the one its
-    digest covers."""
-    doc = timeline_to_dict(tl)
+    """Write ``tl`` to ``path`` as one JSON document that decodes to
+    ``timeline_to_dict(tl)``.  It is the canonical JSON of that document,
+    except that each embedded snapshot stands on a line of its own as
+    ``"<label>":<text>``, the text that ``tl`` holds and its digest covers,
+    followed by a comma on every line but the last.  Canonical JSON never
+    holds a raw newline, so :func:`load_timeline` can split the file into
+    its snapshots without decoding them."""
+    head = _head_dict(tl)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("{")
-        for n, (key, value) in enumerate(sorted(doc.items())):
+        for n, key in enumerate(sorted([*head, "snapshots"])):
             fh.write(("," if n else "") + canonical_text(key) + ":")
             if key != "snapshots":
-                fh.write(canonical_text(value))
+                fh.write(canonical_text(head[key]))
                 continue
             fh.write("{")
-            for m, (label, snap) in enumerate(value.items()):
-                known = tl._texts.get(label)
-                fh.write(("," if m else "") + canonical_text(label) + ":")
-                fh.write(known[1] if known is not None and known[0] is snap
-                         else canonical_text(snap))
-            fh.write("}")
+            for m, (label, text) in enumerate(sorted(tl.snapshots.items())):
+                fh.write((",\n" if m else "\n") + canonical_text(label) + ":")
+                fh.write(text)
+            fh.write("\n}" if tl.snapshots else "}")
         fh.write("}\n")
 
 
+# The first line of the layout save_timeline writes ends by opening the
+# snapshots; _split_lines and _split_spans decode the head with this string
+# in their place.
+_OPEN = '"snapshots":{'
+_PLACEHOLDER = "\x00snapshot lines"
+
+
+_WS = re.compile(r"[ \t\n\r]*")
+_scan_value = json.JSONDecoder().scan_once  # (text, index) -> (value, index after it)
+
+
+class _NotJson(Exception):
+    """A snapshot line that does not match its digest is not JSON."""
+
+
+def _parse_line(text: str):
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise _NotJson from exc
+
+
+def _split_lines(text: str) -> tuple[dict, dict[str, str]] | None:
+    """The head document and the snapshot texts (label -> text) of ``text``
+    in the layout :func:`save_timeline` writes, or None for any other text.
+
+    The head is the first line, which opens the snapshots, and the last,
+    which closes them, decoded with a placeholder string spliced in between.
+    Finding that placeholder as the top-level ``snapshots`` shows that the
+    lines between stand there, so ``json.loads`` of the whole text gives the
+    head with those snapshots, provided each snapshot text is JSON:
+    :func:`_verify` decodes each one that does not match its digest.
+    """
+    if not text.endswith(_OPEN, 0, max(text.find("\n"), 0)):
+        return None
+    parts = text.split("\n")
+    while len(parts) > 2 and not parts[-1].strip(" \t\r"):
+        parts.pop()
+    if len(parts) < 2 or not (parts[0].endswith(_OPEN) and parts[-1].startswith("}")):
+        return None
+    try:
+        head = json.loads(parts[0][:-1] + json.dumps(_PLACEHOLDER) + parts[-1][1:])
+    except (ValueError, RecursionError):
+        return None
+    if type(head) is not dict or head.get("snapshots") != _PLACEHOLDER:
+        return None
+    lines = parts[1:-1]
+    texts = {}
+    for n, line in enumerate(lines):
+        if n < len(lines) - 1:
+            if not line.endswith(","):
+                return None
+            line = line[:-1]
+        if not line.startswith('"'):
+            return None
+        try:
+            label, end = scanstring(line, 1)
+        except ValueError:
+            return None
+        if line[end:end + 1] != ":":
+            return None
+        texts[label] = line[end + 1:]
+    return head, texts
+
+
+def _scan_object(text: str, i: int, member) -> int:
+    """Scan the JSON object that opens at ``text[i]``, calling ``member(key,
+    j)`` for each member, with ``j`` the index of its value, which returns
+    the index after that value; returns the index after the object.  Text
+    that is not such an object raises ValueError, IndexError or
+    StopIteration."""
+    i = _WS.match(text, i + 1).end()
+    if text[i] == "}":
+        return i + 1
+    while True:
+        if text[i] != '"':
+            raise ValueError("want a key")
+        key, i = scanstring(text, i + 1)
+        i = _WS.match(text, i).end()
+        if text[i] != ":":
+            raise ValueError("want ':'")
+        i = _WS.match(text, member(key, _WS.match(text, i + 1).end())).end()
+        if text[i] == "}":
+            return i + 1
+        if text[i] != ",":
+            raise ValueError("want ',' or '}'")
+        i = _WS.match(text, i + 1).end()
+
+
+def _split_spans(text: str) -> tuple[dict, dict[str, str], dict] | None:
+    """The head document, the snapshot texts (label -> the text of the file
+    that holds the snapshot) and the decoded snapshots (label -> value) of
+    ``text``, a JSON object whose ``snapshots`` is an object, in any layout;
+    None for any other text.
+
+    It decodes what ``json.loads`` decodes, member by member with the same
+    scanner, and keeps each snapshot's text, so that :func:`_verify` hashes
+    the text a file holds before it encodes a snapshot: a file written as
+    one canonical document is verified without encoding any.
+    """
+    head, texts, values = {}, {}, {}
+
+    def snapshot(label: str, j: int) -> int:
+        values[label], end = _scan_value(text, j)
+        texts[label] = text[j:end]
+        return end
+
+    def member(key: str, j: int) -> int:
+        if key == "snapshots" and text[j:j + 1] == "{":
+            texts.clear()
+            values.clear()
+            head[key] = _PLACEHOLDER
+            return _scan_object(text, j, snapshot)
+        head[key], end = _scan_value(text, j)
+        return end
+
+    start = _WS.match(text).end()
+    if text[start:start + 1] != "{":
+        return None
+    try:
+        end = _scan_object(text, start, member)
+    except (ValueError, IndexError, StopIteration, RecursionError):
+        return None
+    if _WS.match(text, end).end() != len(text) or head.get("snapshots") != _PLACEHOLDER:
+        return None
+    return head, texts, values
+
+
 def load_timeline(path) -> Timeline:
-    return timeline_from_dict(load_json(path))
+    """The timeline in the file at ``path``.  A file in the layout
+    :func:`save_timeline` writes is read by its lines (:func:`_split_lines`),
+    and any other JSON document with its snapshots by their spans
+    (:func:`_split_spans`); both give what :func:`timeline_from_dict` gives
+    on the decoded document, and text that neither reads goes to it."""
+    text = read_text(path)
+    for split in (_split_lines, _split_spans):
+        parts = split(text)
+        if parts is not None:
+            try:
+                return _from_dict(*parts)
+            except _NotJson:
+                pass
+    return timeline_from_dict(parse_json(text))
 
 
 def load_manifest(path) -> Manifest:

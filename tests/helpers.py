@@ -4,7 +4,7 @@ four-step update/patch reference scenario."""
 from __future__ import annotations
 
 from vulngraph import cpe, timeline as tl_mod
-from vulngraph.catalog import Catalog, catalog_from_dict
+from vulngraph.catalog import Catalog, canonical_json, canonical_text, catalog_from_dict
 from vulngraph.graph import Manifest, ManifestEntry
 from vulngraph.timeline import LifecycleEvent, Timeline
 
@@ -142,3 +142,17 @@ def update_patch_scenario():
     )
     tl = tl_mod.mark_epoch(tl, "t3", ts(4))
     return tl, cat
+
+
+def timeline_text(doc: dict) -> str:
+    """The text ``timeline.save_timeline`` writes for the timeline document
+    ``doc``: its canonical JSON, except that each snapshot stands on a line
+    of its own as ``"<label>":<canonical text>``, with a comma ending every
+    such line but the last."""
+    snapshots = doc["snapshots"]
+    text = canonical_json({**doc, "snapshots": {}})
+    if not snapshots:
+        return text
+    lines = ",\n".join(canonical_text(label) + ":" + canonical_text(snap)
+                       for label, snap in sorted(snapshots.items()))
+    return text.replace('"snapshots":{}', '"snapshots":{\n' + lines + "\n}", 1)

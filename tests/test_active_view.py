@@ -51,6 +51,7 @@ def _assert_same_view(g, case):
     assert not view.clusters, case
     assert edg_to_dict(view) == edg_to_dict(_active_reference(g)), case
     assert g.active_vulns() == view.vulns, case
+    assert view.cves_of == view.cves_by_asset(), case
 
 
 def test_active_view_matches_reference_on_random_graphs_raw_and_clustered():
@@ -97,6 +98,26 @@ def test_active_view_matches_reference_with_odd_normal_edges():
                 else:
                     dropped += 1
     assert kept and dropped
+
+
+def test_view_cve_map_keeps_every_host_a_hand_made_snapshot_gives():
+    # The view's CVE map, built while the view is, lists what cves_by_asset
+    # lists, also for a root or a vulnerability that hosts one.
+    odd_hosts = 0
+    for seed in range(CASES):
+        rng = random.Random(seed + 90_000)
+        g, _ = random_graph(rng)
+        if len(g.vulns) < 2:
+            continue
+        g = g.clone()
+        cves = sorted(g.vulns)
+        for _ in range(3):
+            a, b = rng.sample(cves, 2)
+            g.edges |= {Edge(ROOT_ID, a), Edge(a, b)}
+        view = active_subgraph(g)
+        assert view.cves_of == view.cves_by_asset(), seed
+        odd_hosts += sum(1 for host in view.cves_of if host == ROOT_ID or host in view.vulns)
+    assert odd_hosts
 
 
 def _cves(g):

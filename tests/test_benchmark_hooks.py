@@ -176,10 +176,22 @@ def test_embed_clones_once_per_epoch_mark(tracer):
 
 
 def test_embed_binds_each_distinct_name_once(tracer):
-    tl, cat = _openplc()
+    loaded, cat = _openplc()
+    tl = tl_mod.Timeline(sut_cpe=loaded.sut_cpe, manifest=loaded.manifest,
+                         built_at=loaded.built_at, events=loaded.events, epochs=loaded.epochs)
     tracer.cur.clear()
     embedded, _ = tl_mod.replay_and_embed(tl, cat)
-    assert 0 < tracer.cur["cpe.bind"] <= len(_cpe_strings(embedded.snapshots))
+    binds = tracer.cur["cpe.bind"]
+    assert 0 < binds <= len(_cpe_strings(tl_mod.timeline_to_dict(embedded)["snapshots"]))
+
+
+def test_a_loaded_timeline_binds_no_name_the_file_held_as_its_binding(tracer):
+    # Every CPE name of the bundled file is written as its binding, so
+    # verifying the digests and embedding again bind none.
+    tracer.cur.clear()
+    tl, cat = _openplc()
+    tl_mod.replay_and_embed(tl, cat)
+    assert tracer.cur["cpe.parse"] > 0 and tracer.cur.get("cpe.bind", 0) == 0
 
 
 @pytest.mark.parametrize("digests", [True, False], ids=["with-digests", "without-digests"])

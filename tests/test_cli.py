@@ -230,6 +230,28 @@ def test_cluster_subcommand(openplc_files, capsys):
     assert any(attrs.get("style") == "dashed" for attrs in nodes.values())
 
 
+@pytest.mark.parametrize("scope,named", [("libc,ghost", "'ghost'"), ("", "''")],
+                         ids=["no-such-asset", "empty"])
+def test_cluster_scope_naming_no_active_asset_exits_2(openplc_files, capsys, scope, named):
+    _, tl = openplc_files
+    assert main(["cluster", "--timeline", tl, "--epoch", "V1", "--criterion", "no-vulns",
+                 "--scope", scope]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert f"--scope names {named}, which is no active asset of epoch V1" in captured.err
+
+
+def test_cluster_scope_of_active_assets_clusters_only_them(openplc_files, capsys):
+    _, tl = openplc_files
+    argv = ["cluster", "--timeline", tl, "--epoch", "V3", "--criterion", "cvss-below",
+            "--threshold", "6.0"]
+    assert main(argv) == 0
+    everywhere = capsys.readouterr().out
+    assert main([*argv, "--scope", "libc,openplc"]) == 0
+    scoped = capsys.readouterr().out
+    assert '"cluster-1" [shape=ellipse, style=dashed' in scoped and scoped != everywhere
+
+
 def test_out_flag_writes_file(openplc_files, tmp_path):
     _, tl = openplc_files
     out = tmp_path / "graph.dot"

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vulngraph import cpe
 from vulngraph.cpe import ANY, NA, WellFormedName
@@ -243,3 +245,21 @@ def test_compare_versions_equal(same):
 
 def test_compare_versions_separator_insensitive():
     assert cpe.compare_versions("1-0", "1.0") == 0
+
+
+_FIELDS = st.one_of(
+    st.sampled_from(["*", "-"]),
+    st.lists(st.sampled_from(["a", "Z", "0", ".", "_", "-", "\\-", "\\!", "\\*", "\\:"]),
+             min_size=1, max_size=4).map("".join))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from("aohA*"), st.lists(_FIELDS, min_size=10, max_size=10))
+def test_bindings_hold_each_name_read_as_its_binding(part, fields):
+    raw = ":".join(["cpe:2.3", part, *fields])
+    table = cpe.ParseTable()
+    name = table[raw]
+    plain = "\\" not in raw and raw == raw.lower()
+    assert table.bindings() == ({name: raw} if plain else {})
+    if plain:
+        assert cpe.bind_formatted(name) == raw

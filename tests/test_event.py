@@ -10,7 +10,8 @@ import random
 import pytest
 
 from gen import split_before_last_event
-from vulngraph import catalog as cat_mod, cpe, fixtures, metrics, timeline as tl_mod
+from helpers import timeline_text
+from vulngraph import catalog as cat_mod, cpe, fixtures, graph, metrics, timeline as tl_mod
 from vulngraph.cli import main
 
 _AT = "2030-01-01T00:00:00Z"
@@ -50,7 +51,8 @@ def test_event_from_the_last_snapshot_writes_what_embedding_the_whole_log_writes
         catalog = cat_mod.load_catalog(cat_path)
         embedded = tl_mod.embed_snapshots(prefix, catalog)
         tl_mod.save_timeline(embedded, tl_path)
-        assert tl_path.read_text() == tl_mod.canonical_json(tl_mod.timeline_to_dict(embedded))
+        assert tl_path.read_text() == timeline_text(tl_mod.timeline_to_dict(embedded))
+        assert json.loads(tl_path.read_text()) == tl_mod.timeline_to_dict(embedded)
 
         replays.clear()
         argv = ["event", "--timeline", str(tl_path), "--catalog", str(cat_path),
@@ -61,8 +63,9 @@ def test_event_from_the_last_snapshot_writes_what_embedding_the_whole_log_writes
 
         reference = tl_mod.embed_snapshots(whole, catalog)
         tl_mod.save_timeline(reference, tmp_path / "reference.json")
-        want = tl_mod.canonical_json(tl_mod.timeline_to_dict(reference))
+        want = timeline_text(tl_mod.timeline_to_dict(reference))
         assert (tmp_path / "reference.json").read_text() == want
+        assert json.loads(want) == tl_mod.timeline_to_dict(reference)
         assert (tmp_path / "out.json").read_text() == want, seed
         after_mark = any(e.at > prefix.epochs[-1].at for e in prefix.events)
         cases.add((label is not None, after_mark))
@@ -136,6 +139,31 @@ def test_event_drops_a_digest_of_no_snapshot(tmp_path):
     assert code == 0 and written["digests"] == _openplc_doc()["digests"]
 
 
+@pytest.mark.parametrize("layout", ["lines", "json-dumps"])
+def test_event_rebuilds_a_snapshot_it_marks_that_loading_could_not_verify(
+        tmp_path, capsys, layout):
+    # A snapshot and digest under a label that no epoch is marked with have no
+    # mark to be checked with when loaded; marking the label must not make
+    # the snapshot trusted.
+    doc = _openplc_doc()
+    v4 = dict(copy.deepcopy(doc["snapshots"]["V3"]), epoch="V4")
+    v4["edges"] = [e for e in v4["edges"] if not e["target"].startswith("CVE-")]
+    doc["snapshots"]["V4"] = v4
+    doc["digests"]["V4"] = "0" * 64
+    tl_path, out = tmp_path / "in.json", tmp_path / "out.json"
+    tl_path.write_text(timeline_text(doc) if layout == "lines" else json.dumps(doc))
+    assert main(["event", "--timeline", str(tl_path),
+                 "--catalog", str(fixtures.openplc_catalog_path()), "--kind", "mark-epoch",
+                 "--mark-epoch", "V4", "--at", _AT, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ("warning: snapshot V4 does not match its digest; "
+                                       "rebuilding every epoch from the log\n")
+    written = json.loads(out.read_text())
+    assert written["snapshots"]["V4"] == dict(_openplc_doc()["snapshots"]["V3"], epoch="V4")
+    assert written["digests"]["V4"] != "0" * 64
+    tl = tl_mod.load_timeline(out)
+    assert not tl.stale and metrics.m1(tl_mod.epoch_snapshot(tl, None, "V4")) > 0
+
+
 @pytest.mark.parametrize("digests,path", [
     ({"V1": "abc"}, "digests.V1"),
     ({"V1": "A" * 64}, "digests.V1"),
@@ -183,3 +211,30 @@ def test_snapshot_of_another_epoch_or_system_exits_2(tmp_path, capsys, defect, l
         code = main(["metrics", "--timeline", str(tmp_path / "in.json"), "--epoch", "V1"])
     assert code == 2
     assert f"SchemaError: snapshots.{label}: " in capsys.readouterr().err
+
+
+def test_event_on_the_line_layout_encodes_no_stored_snapshot(tmp_path, monkeypatch):
+    # Each stored snapshot is verified by hashing its line and written back
+    # as that line; only the last is decoded, to replay the new event from.
+    encoded, decoded, replays = [], [], []
+
+    def spy(calls, fn, counts=lambda *args: True):
+        def wrapper(*args, **kwargs):
+            if counts(*args):
+                calls.append(args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def is_snapshot(value):
+        return isinstance(value, dict) and "edges" in value
+
+    monkeypatch.setattr(json, "dumps", spy(encoded, json.dumps, is_snapshot))
+    monkeypatch.setattr(graph, "edg_from_dict", spy(decoded, graph.edg_from_dict))
+    monkeypatch.setattr(tl_mod, "replay", spy(replays, tl_mod.replay))
+    out = tmp_path / "out.json"
+    assert main(["event", "--timeline", str(fixtures.openplc_timeline_path()),
+                 "--catalog", str(fixtures.openplc_catalog_path()), "--kind", "noop",
+                 "--at", _AT, "--out", str(out)]) == 0
+    assert (len(encoded), len(decoded), len(replays)) == (0, 1, 0)
+    lines = fixtures.openplc_timeline_path().read_text().split("\n")
+    assert out.read_text().split("\n")[1:-2] == lines[1:-2]

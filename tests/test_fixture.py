@@ -8,10 +8,12 @@ up to the epoch totals, and the epoch totals to the lifecycle accumulation.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
+from helpers import timeline_text
 from vulngraph import catalog as cat_mod
 from vulngraph import metrics, timeline as tl_mod
 
@@ -163,4 +165,7 @@ def test_fixture_tool_rebuilds_the_bundled_files():
         "openplc_timeline.json": tl_mod.timeline_to_dict(tl),
     }
     for name, doc in built.items():
-        assert tl_mod.canonical_json(doc) == (tool.DATA / name).read_text(encoding="utf-8"), name
+        written = (timeline_text(doc) if name == "openplc_timeline.json"
+                   else tl_mod.canonical_json(doc))
+        assert written == (tool.DATA / name).read_text(encoding="utf-8"), name
+        assert json.loads(written) == doc, name

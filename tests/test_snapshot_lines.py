@@ -1,0 +1,263 @@
+"""Reading a timeline by its snapshot lines.
+
+``save_timeline`` writes each embedded snapshot on a line of its own, and
+``load_timeline`` verifies each line by hashing it against its digest.  These
+tests hold the line reader to the whole-document decoder on edited texts, and
+pin what a read does with a snapshot that does not match its digest: with a
+catalog it warns and rebuilds that epoch, without one it exits 2.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import timeline_text
+from vulngraph import fixtures, timeline as tl_mod
+from vulngraph.catalog import canonical_json
+from vulngraph.cli import main
+from vulngraph.errors import SchemaError
+
+TEXT = fixtures.openplc_timeline_path().read_text()
+CATALOG = str(fixtures.openplc_catalog_path())
+LINES = TEXT.split("\n")
+SNAPSHOT_LINES = range(1, len(LINES) - 2)  # the first line opens them, the last closes them
+
+
+def _whole(text: str):
+    """What decoding ``text`` whole gives: a Timeline, or a SchemaError."""
+    try:
+        return tl_mod.timeline_from_dict(json.loads(text))
+    except (ValueError, SchemaError) as exc:
+        return exc
+
+
+def test_the_bundled_timeline_is_read_by_its_lines(monkeypatch):
+    assert len(SNAPSHOT_LINES) == 3 and TEXT.count("\n") == 5
+    whole = _whole(TEXT)
+
+    def refused(doc):
+        raise AssertionError("decoded whole")
+
+    monkeypatch.setattr(tl_mod, "timeline_from_dict", refused)
+    tl = tl_mod.load_timeline(fixtures.openplc_timeline_path())
+    assert tl == whole and not tl.stale
+    assert all(type(text) is str for text in tl.snapshots.values())
+
+
+def test_a_line_that_is_not_canonical_text_reads_as_its_canonical_text(tmp_path):
+    path = tmp_path / "timeline.json"
+    path.write_text(TEXT.replace('"V2":{"assets":', '"V2": {"assets" :', 1))
+    tl = tl_mod.load_timeline(path)
+    assert tl == _whole(TEXT) and not tl.stale
+
+
+def test_the_digests_hash_the_head_as_the_timeline_writes_it(tmp_path):
+    # An explicit default is not in the written head, so the file's own text
+    # of the head would not match the digests.
+    doc = json.loads(TEXT)
+    doc["events"][0]["top_level"] = False
+    path = tmp_path / "timeline.json"
+    path.write_text(json.dumps(doc, indent=1))
+    tl = tl_mod.load_timeline(path)
+    assert tl == _whole(TEXT) and not tl.stale
+
+
+_OTHER_LAYOUTS = {
+    "one-canonical-document": canonical_json,
+    "json-dumps": json.dumps,
+    "indented": lambda doc: json.dumps(doc, indent=2),
+    "snapshots-twice": lambda doc: canonical_json(doc).replace(
+        '"snapshots":{', '"snapshots":{"V9":[]},"snapshots":{', 1),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(_OTHER_LAYOUTS))
+def test_a_document_in_another_layout_is_read_by_its_snapshot_spans(
+        tmp_path, monkeypatch, layout):
+    # The file written before snapshot lines, one canonical document, holds
+    # each snapshot's canonical text, so it is verified without encoding any.
+    text = _OTHER_LAYOUTS[layout](json.loads(TEXT))
+    whole = _whole(text)
+    encoded = []
+
+    def spy(value, *args, **kwargs):
+        if isinstance(value, dict) and "edges" in value:
+            encoded.append(value)
+        return dumps(value, *args, **kwargs)
+
+    dumps = json.dumps
+    monkeypatch.setattr(json, "dumps", spy)
+    path = tmp_path / "timeline.json"
+    path.write_text(text)
+    assert tl_mod._split_lines(text) is None and tl_mod._split_spans(text) is not None
+    tl = tl_mod.load_timeline(path)
+    assert tl == whole and (tl.snapshots, tl.stale) == (whole.snapshots, whole.stale)
+    assert not tl.stale
+    canonical = layout in ("one-canonical-document", "snapshots-twice")
+    assert len(encoded) == (0 if canonical else 3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_an_edited_document_reads_by_its_spans_as_it_reads_whole(data):
+    text = canonical_json(json.loads(TEXT))
+    at = data.draw(st.integers(0, len(text) - 1), "at")
+    piece = data.draw(st.sampled_from(["", *_BYTES]), "with")
+    text = text[:at] + piece + text[at + 1:]
+    whole = _whole(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "timeline.json"
+        path.write_text(text)
+        try:
+            loaded = tl_mod.load_timeline(path)
+        except SchemaError:
+            return
+    assert loaded == whole
+    assert (loaded.snapshots, loaded.stale) == (whole.snapshots, whole.stale)
+
+
+_BYTES = ['"', "{", "}", "[", "]", ",", ":", "\n", " ", "0", "x", "\\"]
+
+
+def _edit(data, lines: list[str]) -> str:
+    """Delete, duplicate or replace a byte of a line, or a whole line, or swap
+    two snapshot lines."""
+    kind = data.draw(st.sampled_from(["byte", "line", "swap"]), "kind")
+    if kind == "swap":
+        i, j = (data.draw(st.sampled_from(SNAPSHOT_LINES), "line") for _ in range(2))
+        lines[i], lines[j] = lines[j], lines[i]
+        return "\n".join(lines)
+    n = data.draw(st.integers(0, len(lines) - 1), "line")
+    action = data.draw(st.sampled_from(["delete", "duplicate", "replace"]), "action")
+    if kind == "line":
+        replacement = {"delete": [], "duplicate": [lines[n]] * 2,
+                       "replace": [data.draw(st.sampled_from(LINES), "with")]}[action]
+        lines[n:n + 1] = replacement
+        return "\n".join(lines)
+    line = lines[n]
+    at = data.draw(st.integers(0, max(len(line) - 1, 0)), "at")
+    piece = {"delete": "", "duplicate": line[at:at + 1] * 2,
+             "replace": data.draw(st.sampled_from(_BYTES), "with")}[action]
+    lines[n] = line[:at] + piece + line[at + 1:]
+    return "\n".join(lines)
+
+
+def _commands(tl: str, out: str):
+    """Each read command, with and without a catalog where it takes one."""
+    for catalog in ([], ["--catalog", CATALOG]):
+        args = ["--timeline", tl, *catalog]
+        yield ["metrics", *args, "--epoch", "V1"]
+        yield ["prioritize", *args, "--epoch", "V2"]
+        yield ["diff", *args, "--from-epoch", "V1", "--to-epoch", "V3"]
+        yield ["export", *args, "--show-deprecated"]
+        yield ["impact", *args, "--epoch", "V1", "--cve", "CVE-2012-2333"]
+        yield ["alerts", *args, "--cvss-at-least", "9.0"]
+    yield ["report", "--timeline", tl, "--catalog", CATALOG, "--out", out]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_an_edited_text_reads_as_its_whole_document_or_not_at_all(data):
+    text = _edit(data, list(LINES))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "timeline.json"
+        path.write_text(text)
+        whole = _whole(text)
+        try:
+            loaded = tl_mod.load_timeline(path)
+        except SchemaError:
+            pass
+        else:
+            assert loaded == whole
+            assert (loaded.snapshots, loaded.stale) == (whole.snapshots, whole.stale)
+        for argv in _commands(str(path), str(Path(tmp) / "out.txt")):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), (argv[0], code, err.getvalue())
+            if code == 1:
+                assert argv[0] == "alerts" and out.getvalue().startswith("["), out.getvalue()
+
+
+# -- a snapshot that does not match its digest --------------------------------
+
+
+def _cut_v1(doc: dict) -> dict:
+    """``doc`` with its V1 snapshot cut to 3 CVE edges (M1 = 3, not 91)."""
+    v1 = doc["snapshots"]["V1"]
+    cve_edges = [e for e in v1["edges"] if e["target"].startswith("CVE-")]
+    v1["edges"] = [e for e in v1["edges"] if e not in cve_edges] + cve_edges[:3]
+    return doc
+
+
+_LAYOUTS = {"lines": timeline_text, "json-dumps": json.dumps}
+_READS = {
+    "metrics": ["metrics", "--epoch", "V1", "--json"],
+    "report": ["report", "--format", "json"],
+    "diff": ["diff", "--from-epoch", "V1", "--to-epoch", "V2", "--json"],
+    "prioritize": ["prioritize", "--epoch", "V1", "--json"],
+    "alerts": ["alerts", "--epoch", "V1", "--metric-bound", "M1:>=:91"],
+}
+
+
+def _run(argv, path, catalog, capsys):
+    code = main([argv[0], "--timeline", str(path), *(["--catalog", CATALOG] if catalog else []),
+                 *argv[1:]])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+@pytest.mark.parametrize("command", sorted(_READS))
+def test_a_read_with_a_catalog_rebuilds_a_snapshot_that_does_not_match(
+        tmp_path, capsys, layout, command):
+    doc = json.loads(TEXT)
+    argv = _READS[command]
+    want = _run(argv, fixtures.openplc_timeline_path(), True, capsys)
+    path = tmp_path / "cut.json"
+    path.write_text(_LAYOUTS[layout](_cut_v1(doc)))
+    code, out, err = _run(argv, path, True, capsys)
+    assert (code, out) == want[:2]
+    assert err == "warning: snapshot V1 does not match its digest; rebuilding it from the log\n"
+    if command == "metrics":
+        assert json.loads(out)["m1"] == 91
+    if command == "alerts":
+        assert code == 1 and out == "[warning] M1 = 91 >= 91.0\n"
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+@pytest.mark.parametrize("command", sorted(set(_READS) - {"report"}))  # report needs a catalog
+def test_a_read_without_a_catalog_refuses_a_snapshot_that_does_not_match(
+        tmp_path, capsys, layout, command):
+    doc = json.loads(TEXT)
+    digest = doc["digests"]["V1"]
+    path = tmp_path / "cut.json"
+    path.write_text(_LAYOUTS[layout](_cut_v1(doc)))
+    code, out, err = _run(_READS[command], path, False, capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"error: SchemaError: snapshots.V1: does not match its digest {digest}, "
+                   "and there is no catalog to rebuild it from the log\n")
+
+
+def test_a_read_checks_only_the_snapshots_it_decodes(tmp_path, capsys):
+    path = tmp_path / "cut.json"
+    path.write_text(timeline_text(_cut_v1(json.loads(TEXT))))
+    argv = ["prioritize", "--epoch", "V3", "--json"]
+    want = _run(argv, fixtures.openplc_timeline_path(), False, capsys)
+    assert _run(argv, path, False, capsys) == want
+    assert want[0] == 0 and not want[2]
+
+
+def test_a_timeline_without_digests_reads_unverified(tmp_path, capsys):
+    doc = _cut_v1(json.loads(TEXT))
+    del doc["digests"]
+    path = tmp_path / "cut.json"
+    path.write_text(timeline_text(doc))
+    code, out, err = _run(_READS["metrics"], path, False, capsys)
+    assert (code, json.loads(out)["m1"], err) == (0, 3, "")

@@ -5,7 +5,8 @@ import re
 import pytest
 
 from gen import random_timeline
-from helpers import make_catalog, manifest, name, ts, update_patch_scenario, wstr
+from helpers import (make_catalog, manifest, name, timeline_text, ts, update_patch_scenario,
+                     wstr)
 from vulngraph import fixtures, graph, metrics, timeline as tl_mod
 from vulngraph.errors import NonMonotonicTimestamp, SchemaError, VulnGraphError
 from vulngraph.graph import ROOT_ID, Edge
@@ -246,8 +247,9 @@ def test_build_then_events_single_asset():
 
 def test_embed_reproduces_bundled_openplc_timeline(openplc_timeline, openplc_catalog):
     embedded = tl_mod.embed_snapshots(openplc_timeline, openplc_catalog)
-    text = tl_mod.canonical_json(tl_mod.timeline_to_dict(embedded))
+    text = timeline_text(tl_mod.timeline_to_dict(embedded))
     assert text.encode("utf-8") == fixtures.openplc_timeline_path().read_bytes()
+    assert json.loads(text) == tl_mod.timeline_to_dict(embedded)
 
 
 def test_two_epochs_at_one_timestamp_stay_apart():
@@ -259,8 +261,8 @@ def test_two_epochs_at_one_timestamp_stay_apart():
     assert same is not again and same.edges is not again.edges
     assert graph.edg_to_dict(same)["edges"] == graph.edg_to_dict(again)["edges"]
     embedded = tl_mod.embed_snapshots(tl, cat)
-    assert embedded.snapshots["t3"]["epoch"] == "t3"
-    assert embedded.snapshots["t3-again"]["epoch"] == "t3-again"
+    assert json.loads(embedded.snapshots["t3"])["epoch"] == "t3"
+    assert json.loads(embedded.snapshots["t3-again"])["epoch"] == "t3-again"
     assert [g.epoch for g in tl_mod.epoch_snapshots(embedded, None)] == [
         "t0", "t1", "t2", "t3", "t3-again"]
 
