@@ -10,12 +10,11 @@ A released epoch is history: no event can be appended at or before its mark.
 Each embedded epoch snapshot is held as its canonical JSON text, with a
 digest of what made it (the SUT, ``built_at``, the manifest, its mark and the
 events up to the mark) and of that text.  :func:`save_timeline` writes each
-snapshot on a line of its own inside the one JSON document, so
-:func:`load_timeline` decodes the rest of the file once, verifies each
-snapshot by hashing the text of its line, and decodes a snapshot only when a
-command reads that epoch.  A file in any other layout is decoded whole, each
-snapshot's text kept as the file holds it, and a snapshot is encoded only when
-that text does not match its digest.  A read rebuilds a snapshot that does
+snapshot on a line of its own inside the one JSON document.  When every line
+of a file in that layout matches its digest, :func:`load_timeline` decodes
+the rest of the file once and decodes a snapshot only when a command reads
+that epoch.  Any other text is decoded whole, and each snapshot encoded once
+to be verified by its canonical text.  A read rebuilds a snapshot that does
 not match its digest by replaying the log when it has a catalog, and refuses
 it without one; a snapshot without a digest is read unverified.  Appending
 (:func:`update_snapshots`) continues from the last stored snapshot when every
@@ -31,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 from dataclasses import dataclass, field, replace
 from json.decoder import scanstring
@@ -84,15 +84,16 @@ class Timeline:
     # Optional embedded epoch snapshots (label -> the snapshot's canonical
     # JSON text), so that read-only commands do not need the catalog; their
     # digests (label -> sha256 hex, see _digester); and the labels of the
-    # snapshots with a digest that loading did not verify (see _verify).
+    # snapshots with a digest that loading could not verify: one that does
+    # not match it, and one under a label that no epoch is marked with.
     snapshots: dict[str, str] = field(default_factory=dict)
     digests: dict[str, str] = field(default_factory=dict)
     stale: frozenset[str] = frozenset()
     # Caches that dataclasses.replace carries over: the CPE names parsed
     # while loading, shared by the snapshot decodes; the names bound for the
     # digests and the writes, which start as the loaded names that were read
-    # as their binding; and the snapshot texts that loading decoded (text ->
-    # value), which a decode of that text reuses.
+    # as their binding; and the snapshots of a document decoded whole (text
+    # -> value), which a decode of that text reuses.
     _cpes: cpe.ParseTable = field(default_factory=cpe.ParseTable, compare=False, repr=False)
     _names: cpe.BindTable = field(default_factory=cpe.BindTable, compare=False, repr=False)
     _values: dict[str, object] = field(default_factory=dict, compare=False, repr=False)
@@ -422,50 +423,14 @@ def _line(value) -> bytes:
     return (canonical_text(value) + "\n").encode()
 
 
-def _verify(tl: Timeline, decoded: dict) -> None:
-    """Check each embedded snapshot of ``tl`` against its digest, and set
-    ``tl.stale`` to the labels of the snapshots with a digest that do not
-    verify: one that does not match it, and one of a label that no epoch is
-    marked with, which has no mark to be checked with.
-
-    A snapshot that matches was written by this package, and stays the text
-    it was read as.  Any other is decoded (``decoded`` holds the values that
-    loading decoded already) and checked by :func:`_check_snapshot`; a text
-    that is not the canonical text of its value is replaced by that text and
-    checked again, so a timeline reads the same from every layout.  The
-    value of each canonical text that is decoded by now goes into
-    ``tl._values``.
-    """
+def _verify(tl: Timeline) -> set[str]:
+    """The labels of the embedded snapshots of ``tl`` whose text matches
+    their digest.  A snapshot under a label that no epoch is marked with has
+    no mark to be checked with, so it is never among them."""
     digest = _digester(tl)
-
-    def decode(label: str):
-        text = tl.snapshots[label]
-        if text not in tl._values:
-            value = decoded[label] if label in decoded else _parse_line(text)
-            text = tl.snapshots[label] = canonical_text(value)
-            tl._values[text] = value
-        return tl._values[text]
-
-    verified = set()
-    for mark in tl.epochs:
-        label = mark.label
-        if label not in tl.snapshots or label not in tl.digests:
-            continue
-        text = tl.snapshots[label]
-        if digest(mark, text) == tl.digests[label]:
-            verified.add(label)
-            if label in decoded:
-                tl._values[text] = decoded[label]
-        elif text not in tl._values:
-            decode(label)
-            canonical = tl.snapshots[label]
-            if canonical != text and digest(mark, canonical) == tl.digests[label]:
-                verified.add(label)
-    for label in list(tl.snapshots):
-        if label not in verified:
-            _check_snapshot(label, decode(label), tl.sut_cpe, tl._cpes)
-    tl.stale = frozenset(label for label in tl.snapshots
-                         if label in tl.digests and label not in verified)
+    return {mark.label for mark in tl.epochs
+            if mark.label in tl.snapshots and mark.label in tl.digests
+            and digest(mark, tl.snapshots[mark.label]) == tl.digests[mark.label]}
 
 
 # ---------------------------------------------------------------------------
@@ -568,17 +533,18 @@ def timeline_from_dict(doc: dict) -> Timeline:
     :func:`validate_event` and that its ``seq`` is greater than the previous
     event's (as :func:`append_event` keeps it), every epoch mark with
     :func:`validate_epoch`, that each digest is a sha256 hex digest, and each
-    embedded snapshot against its digest (:func:`_verify`).  Each distinct
-    CPE name is parsed once, and the embedded snapshots reuse those parses."""
+    embedded snapshot against its digest, by its canonical text.  A snapshot
+    that does not match its digest, or has none, is checked with
+    :func:`_check_snapshot`; one with a digest is :attr:`Timeline.stale`.  Each
+    distinct CPE name is parsed once, and the embedded snapshots reuse those
+    parses."""
     return _from_dict(doc)
 
 
-def _from_dict(doc: dict, lines: dict[str, str] | None = None,
-               decoded: dict | None = None) -> Timeline:
+def _from_dict(doc: dict, lines: dict[str, str] | None = None) -> Timeline | None:
     """:func:`timeline_from_dict`; given ``lines`` (label -> text, see
-    :func:`_split_lines` and :func:`_split_spans`), of a head document whose
-    snapshots are those, with ``decoded`` (label -> value) holding the ones
-    already decoded."""
+    :func:`_split_lines`) of a head document whose snapshots are those, the
+    timeline when every line matches its digest, and None when one does not."""
     if not isinstance(doc, dict):
         raise SchemaError("timeline document must be an object")
     if doc.get("schema_version", 1) != 1:
@@ -601,7 +567,8 @@ def _from_dict(doc: dict, lines: dict[str, str] | None = None,
         epochs.append(mark)
     sut = _parse_cpe(doc, "sut", "", cpes)
     values = {}
-    if lines is None:
+    by_lines = lines is not None
+    if not by_lines:
         lines = {}
         for label, snap in _expect(doc, "snapshots", dict, "", {}).items():
             lines[label] = text = canonical_text(snap)
@@ -623,7 +590,13 @@ def _from_dict(doc: dict, lines: dict[str, str] | None = None,
         _names=cpes.bindings(),
         _values=values,
     )
-    _verify(tl, decoded or {})
+    verified = _verify(tl)
+    unverified = [label for label in lines if label not in verified]
+    if by_lines and unverified:
+        return None
+    for label in unverified:
+        _check_snapshot(label, values[lines[label]], sut, cpes)
+    tl.stale = frozenset(label for label in unverified if label in digests)
     return tl
 
 
@@ -657,43 +630,39 @@ def save_timeline(tl: Timeline, path) -> None:
     ``"<label>":<text>``, the text that ``tl`` holds and its digest covers,
     followed by a comma on every line but the last.  Canonical JSON never
     holds a raw newline, so :func:`load_timeline` can split the file into
-    its snapshots without decoding them."""
+    its snapshots without decoding them.
+
+    The document is written to a new file beside the target and renamed onto
+    it, so a write that fails or is interrupted leaves the target as it was
+    and no file of its own behind."""
     head = _head_dict(tl)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("{")
-        for n, key in enumerate(sorted([*head, "snapshots"])):
-            fh.write(("," if n else "") + canonical_text(key) + ":")
-            if key != "snapshots":
-                fh.write(canonical_text(head[key]))
-                continue
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
             fh.write("{")
-            for m, (label, text) in enumerate(sorted(tl.snapshots.items())):
-                fh.write((",\n" if m else "\n") + canonical_text(label) + ":")
-                fh.write(text)
-            fh.write("\n}" if tl.snapshots else "}")
-        fh.write("}\n")
+            for n, key in enumerate(sorted([*head, "snapshots"])):
+                fh.write(("," if n else "") + canonical_text(key) + ":")
+                if key != "snapshots":
+                    fh.write(canonical_text(head[key]))
+                    continue
+                fh.write("{")
+                for m, (label, text) in enumerate(sorted(tl.snapshots.items())):
+                    fh.write((",\n" if m else "\n") + canonical_text(label) + ":")
+                    fh.write(text)
+                fh.write("\n}" if tl.snapshots else "}")
+            fh.write("}\n")
+        os.replace(tmp, target)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 # The first line of the layout save_timeline writes ends by opening the
-# snapshots; _split_lines and _split_spans decode the head with this string
-# in their place.
+# snapshots; _split_lines decodes the head with this string in their place.
 _OPEN = '"snapshots":{'
 _PLACEHOLDER = "\x00snapshot lines"
-
-
-_WS = re.compile(r"[ \t\n\r]*")
-_scan_value = json.JSONDecoder().scan_once  # (text, index) -> (value, index after it)
-
-
-class _NotJson(Exception):
-    """A snapshot line that does not match its digest is not JSON."""
-
-
-def _parse_line(text: str):
-    try:
-        return json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise _NotJson from exc
 
 
 def _split_lines(text: str) -> tuple[dict, dict[str, str]] | None:
@@ -704,8 +673,9 @@ def _split_lines(text: str) -> tuple[dict, dict[str, str]] | None:
     which closes them, decoded with a placeholder string spliced in between.
     Finding that placeholder as the top-level ``snapshots`` shows that the
     lines between stand there, so ``json.loads`` of the whole text gives the
-    head with those snapshots, provided each snapshot text is JSON:
-    :func:`_verify` decodes each one that does not match its digest.
+    head with those snapshots, provided each snapshot text is JSON.  A line
+    that matches its digest is the canonical text this package wrote;
+    :func:`load_timeline` decodes the file whole when any line does not.
     """
     if not text.endswith(_OPEN, 0, max(text.find("\n"), 0)):
         return None
@@ -739,84 +709,17 @@ def _split_lines(text: str) -> tuple[dict, dict[str, str]] | None:
     return head, texts
 
 
-def _scan_object(text: str, i: int, member) -> int:
-    """Scan the JSON object that opens at ``text[i]``, calling ``member(key,
-    j)`` for each member, with ``j`` the index of its value, which returns
-    the index after that value; returns the index after the object.  Text
-    that is not such an object raises ValueError, IndexError or
-    StopIteration."""
-    i = _WS.match(text, i + 1).end()
-    if text[i] == "}":
-        return i + 1
-    while True:
-        if text[i] != '"':
-            raise ValueError("want a key")
-        key, i = scanstring(text, i + 1)
-        i = _WS.match(text, i).end()
-        if text[i] != ":":
-            raise ValueError("want ':'")
-        i = _WS.match(text, member(key, _WS.match(text, i + 1).end())).end()
-        if text[i] == "}":
-            return i + 1
-        if text[i] != ",":
-            raise ValueError("want ',' or '}'")
-        i = _WS.match(text, i + 1).end()
-
-
-def _split_spans(text: str) -> tuple[dict, dict[str, str], dict] | None:
-    """The head document, the snapshot texts (label -> the text of the file
-    that holds the snapshot) and the decoded snapshots (label -> value) of
-    ``text``, a JSON object whose ``snapshots`` is an object, in any layout;
-    None for any other text.
-
-    It decodes what ``json.loads`` decodes, member by member with the same
-    scanner, and keeps each snapshot's text, so that :func:`_verify` hashes
-    the text a file holds before it encodes a snapshot: a file written as
-    one canonical document is verified without encoding any.
-    """
-    head, texts, values = {}, {}, {}
-
-    def snapshot(label: str, j: int) -> int:
-        values[label], end = _scan_value(text, j)
-        texts[label] = text[j:end]
-        return end
-
-    def member(key: str, j: int) -> int:
-        if key == "snapshots" and text[j:j + 1] == "{":
-            texts.clear()
-            values.clear()
-            head[key] = _PLACEHOLDER
-            return _scan_object(text, j, snapshot)
-        head[key], end = _scan_value(text, j)
-        return end
-
-    start = _WS.match(text).end()
-    if text[start:start + 1] != "{":
-        return None
-    try:
-        end = _scan_object(text, start, member)
-    except (ValueError, IndexError, StopIteration, RecursionError):
-        return None
-    if _WS.match(text, end).end() != len(text) or head.get("snapshots") != _PLACEHOLDER:
-        return None
-    return head, texts, values
-
-
 def load_timeline(path) -> Timeline:
-    """The timeline in the file at ``path``.  A file in the layout
-    :func:`save_timeline` writes is read by its lines (:func:`_split_lines`),
-    and any other JSON document with its snapshots by their spans
-    (:func:`_split_spans`); both give what :func:`timeline_from_dict` gives
-    on the decoded document, and text that neither reads goes to it."""
+    """The timeline in the file at ``path``, as :func:`timeline_from_dict`
+    gives it for the decoded document.  A file in the layout
+    :func:`save_timeline` writes whose every snapshot line is of a marked
+    epoch and matches its digest is read by its lines (:func:`_split_lines`),
+    none of them decoded; any other text is decoded whole, which encodes
+    each of its snapshots once to verify it."""
     text = read_text(path)
-    for split in (_split_lines, _split_spans):
-        parts = split(text)
-        if parts is not None:
-            try:
-                return _from_dict(*parts)
-            except _NotJson:
-                pass
-    return timeline_from_dict(parse_json(text))
+    parts = _split_lines(text)
+    tl = None if parts is None else _from_dict(*parts)
+    return timeline_from_dict(parse_json(text)) if tl is None else tl
 
 
 def load_manifest(path) -> Manifest:

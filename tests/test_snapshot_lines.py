@@ -10,6 +10,7 @@ catalog it warns and rebuilds that epoch, without one it exits 2.
 import contextlib
 import io
 import json
+import random
 import tempfile
 from pathlib import Path
 
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gen import random_timeline
 from helpers import timeline_text
 from vulngraph import fixtures, timeline as tl_mod
 from vulngraph.catalog import canonical_json
@@ -68,6 +70,30 @@ def test_the_digests_hash_the_head_as_the_timeline_writes_it(tmp_path):
     assert tl == _whole(TEXT) and not tl.stale
 
 
+def test_every_timeline_the_package_writes_is_read_by_its_lines(tmp_path, monkeypatch):
+    # A random embedded timeline is read by its lines as the whole decode of
+    # its document reads it, and reads the same from other layouts.
+    rng = random.Random(0)
+    for case in range(100):
+        tl, catalog = random_timeline(rng)
+        tl = tl_mod.embed_snapshots(tl, catalog)
+        doc = tl_mod.timeline_to_dict(tl)
+        want = tl_mod.timeline_from_dict(doc)
+        path = tmp_path / f"{case}.json"
+        tl_mod.save_timeline(tl, path)
+        with monkeypatch.context() as patched:
+            patched.setattr(tl_mod, "timeline_from_dict", _decoded_whole)
+            loaded = tl_mod.load_timeline(path)
+        assert loaded == want and not loaded.stale, case
+        for write in (canonical_json, lambda value: json.dumps(value, indent=2)):
+            path.write_text(write(doc))
+            assert tl_mod.load_timeline(path) == want, case
+
+
+def _decoded_whole(doc):
+    raise AssertionError("decoded whole")
+
+
 _OTHER_LAYOUTS = {
     "one-canonical-document": canonical_json,
     "json-dumps": json.dumps,
@@ -78,10 +104,7 @@ _OTHER_LAYOUTS = {
 
 
 @pytest.mark.parametrize("layout", sorted(_OTHER_LAYOUTS))
-def test_a_document_in_another_layout_is_read_by_its_snapshot_spans(
-        tmp_path, monkeypatch, layout):
-    # The file written before snapshot lines, one canonical document, holds
-    # each snapshot's canonical text, so it is verified without encoding any.
+def test_other_layouts_read_whole_encoding_each_once(tmp_path, monkeypatch, layout):
     text = _OTHER_LAYOUTS[layout](json.loads(TEXT))
     whole = _whole(text)
     encoded = []
@@ -95,17 +118,16 @@ def test_a_document_in_another_layout_is_read_by_its_snapshot_spans(
     monkeypatch.setattr(json, "dumps", spy)
     path = tmp_path / "timeline.json"
     path.write_text(text)
-    assert tl_mod._split_lines(text) is None and tl_mod._split_spans(text) is not None
+    assert tl_mod._split_lines(text) is None
     tl = tl_mod.load_timeline(path)
     assert tl == whole and (tl.snapshots, tl.stale) == (whole.snapshots, whole.stale)
     assert not tl.stale
-    canonical = layout in ("one-canonical-document", "snapshots-twice")
-    assert len(encoded) == (0 if canonical else 3)
+    assert len(encoded) == 3
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.data())
-def test_an_edited_document_reads_by_its_spans_as_it_reads_whole(data):
+def test_an_edited_document_reads_as_its_whole_decode(data):
     text = canonical_json(json.loads(TEXT))
     at = data.draw(st.integers(0, len(text) - 1), "at")
     piece = data.draw(st.sampled_from(["", *_BYTES]), "with")

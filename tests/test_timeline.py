@@ -192,6 +192,28 @@ def test_timeline_file_roundtrip_bit_exact(tmp_path, openplc_timeline):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_a_save_that_fails_partway_leaves_the_old_file_and_nothing_else(
+        tmp_path, monkeypatch, openplc_timeline):
+    path = tmp_path / "timeline.json"
+    tl_mod.save_timeline(openplc_timeline, path)
+    before = path.read_bytes()
+    encode = tl_mod.canonical_text
+    calls = []
+
+    def interrupted(value):
+        calls.append(value)
+        if len(calls) > 3:
+            raise KeyboardInterrupt
+        return encode(value)
+
+    monkeypatch.setattr(tl_mod, "canonical_text", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        tl_mod.save_timeline(openplc_timeline, path)
+    assert len(calls) == 4
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["timeline.json"]
+
+
 def test_replay_is_deterministic():
     tl, cat = update_patch_scenario()
     one = [tl_mod.canonical_json(graph.edg_to_dict(g)) for _, g in tl_mod.replay(tl, cat)]
