@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -519,6 +521,23 @@ def read_text(path) -> str:
             raise SchemaError(f"not valid JSON: {exc}") from exc
 
 
+@contextmanager
+def open_replacing(path):
+    """A new text file beside ``path``, renamed onto it when the block ends;
+    a block that raises, ``KeyboardInterrupt`` too, removes the file and
+    leaves ``path`` as it was.  No fsync; the file takes the umask's mode."""
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def parse_json(text: str):
     """:func:`load_json` of a text already read."""
     try:
@@ -597,7 +616,7 @@ def catalog_to_dict(catalog: Catalog) -> dict:
 
 
 def save_catalog(catalog: Catalog, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_replacing(path) as fh:
         fh.write(canonical_json(catalog_to_dict(catalog)))
 
 

@@ -228,10 +228,12 @@ class Edg:
         return (e for e in self.edges if e.kind == NORMAL)
 
     def cves_by_asset(self) -> dict[str, tuple[str, ...]]:
-        """The active view: for each node with an attached vulnerability, the
-        sorted CVE ids its normal edges reach, from one pass over the edges.
-        Metrics, prioritization and clustering read the map that
-        :func:`active_subgraph` builds with a view (:attr:`cves_of`)."""
+        """For each node with an attached vulnerability, the sorted CVE ids
+        its normal edges reach, from one pass over the edges.  This is not
+        the active view: a version node that an update without fixes
+        replaced keeps its normal edges, so it is here with their CVEs.
+        Metrics, prioritization and clustering read the active view's map,
+        the :attr:`cves_of` of :func:`active_subgraph`, which leaves it out."""
         found: dict[str, list[str]] = {}
         for e in self.edges:
             if e.kind == NORMAL and e.target in self.vulns:
@@ -239,8 +241,9 @@ class Edg:
         return {node_id: tuple(sorted(cves)) for node_id, cves in found.items()}
 
     def active_cves_of(self, node_id: str) -> tuple[str, ...]:
-        """CVE ids attached to one asset node by normal edges (a lookup into
-        :meth:`cves_by_asset`, which serves many nodes in one pass)."""
+        """CVE ids attached to one asset node by normal edges, a deprecated
+        node's too despite the name (a lookup into :meth:`cves_by_asset`,
+        which serves many nodes in one pass)."""
         return self.cves_by_asset().get(node_id, ())
 
     def active_vulns(self) -> dict[str, VulnNode]:

@@ -12,11 +12,13 @@ digest of what made it (the SUT, ``built_at``, the manifest, its mark and the
 events up to the mark) and of that text.  :func:`save_timeline` writes each
 snapshot on a line of its own inside the one JSON document.  When every line
 of a file in that layout matches its digest, :func:`load_timeline` decodes
-the rest of the file once and decodes a snapshot only when a command reads
-that epoch.  Any other text is decoded whole, and each snapshot encoded once
-to be verified by its canonical text.  A read rebuilds a snapshot that does
-not match its digest by replaying the log when it has a catalog, and refuses
-it without one; a snapshot without a digest is read unverified.  Appending
+the rest of the file once; any other text is decoded whole, and each
+snapshot encoded once to verify its canonical text.  Either way a snapshot
+is decoded, and checked (its shape, its ``epoch`` its label, its root the
+SUT), only when a command reads that epoch, so a bad one never stops a read
+of another.  A read rebuilds a snapshot that does not match its digest by
+replaying the log when it has a catalog, and refuses it without one; a
+snapshot without a digest is read unverified.  Appending
 (:func:`update_snapshots`) continues from the last stored snapshot when every
 digest matches, and replays the whole log only when one does not.  The
 catalog is not part of a digest: a released epoch keeps what it was released
@@ -30,13 +32,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import re
 from dataclasses import dataclass, field, replace
 from json.decoder import scanstring
 
 from . import cpe, graph
-from .catalog import _CVE_RE, Catalog, _expect, canonical_text, load_json, parse_json, read_text
+from .catalog import (_CVE_RE, Catalog, _expect, canonical_text, load_json, open_replacing,
+                      parse_json, read_text)
 from .catalog import canonical_json  # noqa: F401  (the form save_timeline writes)
 from .cpe import WellFormedName
 from .errors import MalformedCpe, NonMonotonicTimestamp, SchemaError, VulnGraphError
@@ -90,13 +92,11 @@ class Timeline:
     digests: dict[str, str] = field(default_factory=dict)
     stale: frozenset[str] = frozenset()
     # Caches that dataclasses.replace carries over: the CPE names parsed
-    # while loading, shared by the snapshot decodes; the names bound for the
-    # digests and the writes, which start as the loaded names that were read
-    # as their binding; and the snapshots of a document decoded whole (text
-    # -> value), which a decode of that text reuses.
+    # while loading, shared by the snapshot decodes; and the names bound for
+    # the digests and the writes, which start as the loaded names that were
+    # read as their binding.
     _cpes: cpe.ParseTable = field(default_factory=cpe.ParseTable, compare=False, repr=False)
     _names: cpe.BindTable = field(default_factory=cpe.BindTable, compare=False, repr=False)
-    _values: dict[str, object] = field(default_factory=dict, compare=False, repr=False)
 
     def last_position(self) -> tuple[str, int]:
         if self.events:
@@ -280,8 +280,9 @@ def epoch_snapshots(tl: Timeline, catalog: Catalog | None) -> list[Edg]:
 
 
 def _epoch_snapshots(tl: Timeline, catalog: Catalog | None, marks) -> list[Edg]:
-    # Embedded copies are decoded; the others, and a stale one when there is
-    # a catalog, come from one replay pass.
+    # Embedded copies are decoded, which checks them; the others, and a stale
+    # one when there is a catalog, come from one replay pass.  Only the
+    # snapshots of ``marks`` are decoded, so a bad one elsewhere goes unseen.
     _check_labels(tl)
     for mark in marks:
         if mark.label in tl.stale and catalog is None:
@@ -311,15 +312,24 @@ def _check_labels(tl: Timeline) -> None:
 
 
 def _decode_snapshot(tl: Timeline, label: str) -> Edg:
-    # The decoder reports a wrongly typed field or container as TypeError or
-    # ValueError, and a missing key surfaces as KeyError; these and a bad CPE
-    # name are reported as a schema error at the snapshot.
-    text = tl.snapshots[label]
+    # Every decoded snapshot is checked here, whether or not it matched its
+    # digest.  The decoder reports a wrongly typed field or container as
+    # TypeError or ValueError and a missing key as KeyError; these, a bad CPE
+    # name, an epoch other than the label and a root other than the SUT are
+    # schema errors at the snapshot.
+    path = f"snapshots.{label}"
     try:
-        return graph.edg_from_dict(tl._values[text] if text in tl._values else text, tl._cpes)
+        g = graph.edg_from_dict(tl.snapshots[label], tl._cpes)
     except (KeyError, TypeError, AttributeError, ValueError, MalformedCpe) as exc:
         raise SchemaError(f"malformed embedded snapshot: {type(exc).__name__}: {exc}",
-                          f"snapshots.{label}") from exc
+                          path) from exc
+    if g.epoch != label:
+        raise SchemaError(f"malformed embedded snapshot: epoch {g.epoch!r} is not its label",
+                          path)
+    if g.root.sut_cpe != tl.sut_cpe:
+        raise SchemaError(f"malformed embedded snapshot: root.cpe {tl._names[g.root.sut_cpe]!r} "
+                          "is not the timeline's sut", path)
+    return g
 
 
 def embed_snapshots(tl: Timeline, catalog: Catalog) -> Timeline:
@@ -533,18 +543,20 @@ def timeline_from_dict(doc: dict) -> Timeline:
     :func:`validate_event` and that its ``seq`` is greater than the previous
     event's (as :func:`append_event` keeps it), every epoch mark with
     :func:`validate_epoch`, that each digest is a sha256 hex digest, and each
-    embedded snapshot against its digest, by its canonical text.  A snapshot
-    that does not match its digest, or has none, is checked with
-    :func:`_check_snapshot`; one with a digest is :attr:`Timeline.stale`.  Each
-    distinct CPE name is parsed once, and the embedded snapshots reuse those
-    parses."""
+    embedded snapshot against its digest, by its canonical text.  One that
+    does not match its digest is :attr:`Timeline.stale`.  No snapshot is
+    decoded or checked here: each is held as its canonical text, encoded
+    once, and :func:`_decode_snapshot` decodes and checks it when a command
+    reads that epoch.  Each distinct CPE name is parsed once, and the
+    snapshot decodes reuse those parses."""
     return _from_dict(doc)
 
 
 def _from_dict(doc: dict, lines: dict[str, str] | None = None) -> Timeline | None:
     """:func:`timeline_from_dict`; given ``lines`` (label -> text, see
     :func:`_split_lines`) of a head document whose snapshots are those, the
-    timeline when every line matches its digest, and None when one does not."""
+    timeline when every line matches its digest, and None when one does not.
+    Either way a snapshot is checked only when it is decoded."""
     if not isinstance(doc, dict):
         raise SchemaError("timeline document must be an object")
     if doc.get("schema_version", 1) != 1:
@@ -566,13 +578,10 @@ def _from_dict(doc: dict, lines: dict[str, str] | None = None) -> Timeline | Non
         validate_epoch(mark, epochs, built_at, path)
         epochs.append(mark)
     sut = _parse_cpe(doc, "sut", "", cpes)
-    values = {}
     by_lines = lines is not None
     if not by_lines:
-        lines = {}
-        for label, snap in _expect(doc, "snapshots", dict, "", {}).items():
-            lines[label] = text = canonical_text(snap)
-            values[text] = snap
+        lines = {label: canonical_text(snap)
+                 for label, snap in _expect(doc, "snapshots", dict, "", {}).items()}
     digests = dict(_expect(doc, "digests", dict, "", {}))
     for label, digest in digests.items():
         if not (type(digest) is str and _DIGEST_RE.fullmatch(digest)):
@@ -588,39 +597,13 @@ def _from_dict(doc: dict, lines: dict[str, str] | None = None) -> Timeline | Non
         digests=digests,
         _cpes=cpes,
         _names=cpes.bindings(),
-        _values=values,
     )
     verified = _verify(tl)
     unverified = [label for label in lines if label not in verified]
     if by_lines and unverified:
         return None
-    for label in unverified:
-        _check_snapshot(label, values[lines[label]], sut, cpes)
     tl.stale = frozenset(label for label in unverified if label in digests)
     return tl
-
-
-def _check_snapshot(label: str, snap, sut: WellFormedName, cpes: cpe.ParseTable) -> None:
-    """What loading checks of an embedded snapshot that does not match its
-    digest or has none, in constant time once it is decoded: its ``epoch`` is
-    its label and its root is the timeline's SUT.  Its shape is checked when
-    a command decodes it, and its label by :func:`_check_labels`."""
-    path = f"snapshots.{label}"
-    if not isinstance(snap, dict):
-        return
-    if snap.get("epoch") != label:
-        raise SchemaError(f"malformed embedded snapshot: epoch {snap.get('epoch')!r} "
-                          "is not its label", path)
-    root = snap.get("root")
-    raw = root.get("cpe") if isinstance(root, dict) else None
-    if type(raw) is str:
-        try:
-            root_cpe = cpes[raw]
-        except MalformedCpe as exc:
-            raise SchemaError(f"malformed embedded snapshot: MalformedCpe: {exc}", path) from exc
-        if root_cpe != sut:
-            raise SchemaError(f"malformed embedded snapshot: root.cpe {raw!r} is not the "
-                              "timeline's sut", path)
 
 
 def save_timeline(tl: Timeline, path) -> None:
@@ -632,31 +615,23 @@ def save_timeline(tl: Timeline, path) -> None:
     holds a raw newline, so :func:`load_timeline` can split the file into
     its snapshots without decoding them.
 
-    The document is written to a new file beside the target and renamed onto
-    it, so a write that fails or is interrupted leaves the target as it was
-    and no file of its own behind."""
+    The document is written with :func:`catalog.open_replacing`, so a write
+    that fails or is interrupted leaves the target as it was and no file of
+    its own behind."""
     head = _head_dict(tl)
-    target = os.path.realpath(path)
-    tmp = f"{target}.{os.getpid()}.tmp"
-    fh = open(tmp, "x", encoding="utf-8")
-    try:
-        with fh:
+    with open_replacing(path) as fh:
+        fh.write("{")
+        for n, key in enumerate(sorted([*head, "snapshots"])):
+            fh.write(("," if n else "") + canonical_text(key) + ":")
+            if key != "snapshots":
+                fh.write(canonical_text(head[key]))
+                continue
             fh.write("{")
-            for n, key in enumerate(sorted([*head, "snapshots"])):
-                fh.write(("," if n else "") + canonical_text(key) + ":")
-                if key != "snapshots":
-                    fh.write(canonical_text(head[key]))
-                    continue
-                fh.write("{")
-                for m, (label, text) in enumerate(sorted(tl.snapshots.items())):
-                    fh.write((",\n" if m else "\n") + canonical_text(label) + ":")
-                    fh.write(text)
-                fh.write("\n}" if tl.snapshots else "}")
-            fh.write("}\n")
-        os.replace(tmp, target)
-    except BaseException:
-        os.remove(tmp)
-        raise
+            for m, (label, text) in enumerate(sorted(tl.snapshots.items())):
+                fh.write((",\n" if m else "\n") + canonical_text(label) + ":")
+                fh.write(text)
+            fh.write("\n}" if tl.snapshots else "}")
+        fh.write("}\n")
 
 
 # The first line of the layout save_timeline writes ends by opening the

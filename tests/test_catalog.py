@@ -405,3 +405,19 @@ def test_rejected_catalog_inputs(build, error, text):
     with pytest.raises(error) as err:
         build()
     assert str(err.value) == text
+
+
+def test_an_interrupted_save_leaves_the_old_catalog_and_nothing_else(
+        tmp_path, monkeypatch, openplc_catalog):
+    path = tmp_path / "catalog.json"
+    path.write_bytes(fixtures.openplc_catalog_path().read_bytes())
+    before = path.read_bytes()
+
+    def interrupted(catalog):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cat_mod, "catalog_to_dict", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cat_mod.save_catalog(openplc_catalog, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["catalog.json"]

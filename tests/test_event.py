@@ -1,7 +1,7 @@
 """``event`` continues from the last stored epoch when every embedded snapshot
 matches its digest.  These tests hold it to embedding the whole timeline
 afresh, pin what a digest mismatch and a changed catalog do, and pin the
-checks that loading makes of the digests and the snapshots."""
+checks of the digests and the snapshots."""
 
 import copy
 import json
@@ -196,6 +196,10 @@ def _other_sut(doc):
     doc["snapshots"]["V1"]["root"]["cpe"] = "cpe:2.3:a:acme:plc:2.0:*:*:*:*:*:*:*"
 
 
+def _v1_line(path) -> list[str]:
+    return [line for line in path.read_text().split("\n") if line.startswith('"V1":')]
+
+
 @pytest.mark.parametrize("defect,label", [(_orphan, "V9"), (_mislabelled, "V1"),
                                           (_other_sut, "V1")],
                          ids=["label-not-an-epoch", "epoch-not-its-label", "root-not-the-sut"])
@@ -205,6 +209,16 @@ def test_snapshot_of_another_epoch_or_system_exits_2(tmp_path, capsys, defect, l
     defect(doc)
     if command == "event":
         code, written = _event(tmp_path, doc)
+        if label == "V1":
+            # The edited V1 no longer matches its digest, so event rebuilds
+            # it from the log as it does any stale snapshot.
+            assert code == 0
+            assert ("warning: snapshot V1 does not match its digest; rebuilding every "
+                    "epoch from the log\n") in capsys.readouterr().err
+            out = tmp_path / "out.json"
+            assert _v1_line(out) == _v1_line(fixtures.openplc_timeline_path())
+            assert not tl_mod.load_timeline(out).stale
+            return
         assert written is None
     else:
         (tmp_path / "in.json").write_text(json.dumps(doc))

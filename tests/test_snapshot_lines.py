@@ -4,7 +4,9 @@
 ``load_timeline`` verifies each line by hashing it against its digest.  These
 tests hold the line reader to the whole-document decoder on edited texts, and
 pin what a read does with a snapshot that does not match its digest: with a
-catalog it warns and rebuilds that epoch, without one it exits 2.
+catalog it warns and rebuilds that epoch, without one it exits 2.  A read
+refuses a snapshot of another epoch or system that it decodes, whether or
+not it matches its digest.
 """
 
 import contextlib
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 from gen import random_timeline
 from helpers import timeline_text
 from vulngraph import fixtures, timeline as tl_mod
-from vulngraph.catalog import canonical_json
+from vulngraph.catalog import canonical_json, canonical_text
 from vulngraph.cli import main
 from vulngraph.errors import SchemaError
 
@@ -283,3 +285,67 @@ def test_a_timeline_without_digests_reads_unverified(tmp_path, capsys):
     path.write_text(timeline_text(doc))
     code, out, err = _run(_READS["metrics"], path, False, capsys)
     assert (code, json.loads(out)["m1"], err) == (0, 3, "")
+
+
+# -- a snapshot of another epoch or system -----------------------------------
+
+
+def _mislabelled(doc: dict) -> dict:
+    doc["snapshots"]["V1"]["epoch"] = "V3"
+    return doc
+
+
+def _other_sut(doc: dict) -> dict:
+    doc["snapshots"]["V1"]["root"]["cpe"] = "cpe:2.3:a:acme:plc:2.0:*:*:*:*:*:*:*"
+    return doc
+
+
+_DEFECTS = {
+    "epoch-not-its-label": (_mislabelled, "epoch 'V3' is not its label"),
+    "root-not-the-sut": (_other_sut, "root.cpe 'cpe:2.3:a:acme:plc:2.0:*:*:*:*:*:*:*' "
+                                     "is not the timeline's sut"),
+}
+_CHECKED_LAYOUTS = {"lines": timeline_text, "indented": lambda doc: json.dumps(doc, indent=2)}
+_V1_READS = {**_READS, "export": ["export", "--epoch", "V1"]}
+_V1_RUNS = [pytest.param(command, catalog, id=f"{command}-{'' if catalog else 'no-'}catalog")
+            for command in sorted(_V1_READS) for catalog in (True, False)
+            if catalog or command != "report"]  # report needs a catalog
+
+
+def _redigested(doc: dict) -> dict:
+    """``doc`` with every digest recomputed from the snapshots as they stand."""
+    digest = tl_mod._digester(tl_mod.timeline_from_dict({**doc, "snapshots": {}}))
+    doc["digests"] = {mark["label"]: digest(tl_mod.EpochMark(**mark),
+                                            canonical_text(doc["snapshots"][mark["label"]]))
+                      for mark in doc["epochs"]}
+    return doc
+
+
+@pytest.mark.parametrize("defect", sorted(_DEFECTS))
+@pytest.mark.parametrize("layout", sorted(_CHECKED_LAYOUTS))
+@pytest.mark.parametrize("command,catalog", _V1_RUNS)
+def test_a_read_refuses_a_snapshot_of_another_epoch_or_system_that_matches_its_digest(
+        tmp_path, capsys, command, catalog, layout, defect):
+    edit, message = _DEFECTS[defect]
+    path = tmp_path / "edited.json"
+    path.write_text(_CHECKED_LAYOUTS[layout](_redigested(edit(json.loads(TEXT)))))
+    assert not tl_mod.load_timeline(path).stale
+    code, out, err = _run(_V1_READS[command], path, catalog, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: SchemaError: snapshots.V1: malformed embedded snapshot: {message}\n"
+
+
+def test_a_snapshot_is_checked_only_when_a_command_reads_it(tmp_path, capsys):
+    # V1 has no digest and is of another epoch: a read of V2 never decodes
+    # it, and a read of V1 refuses it, verified or not.
+    doc = _mislabelled(json.loads(TEXT))
+    del doc["digests"]["V1"]
+    path = tmp_path / "edited.json"
+    path.write_text(timeline_text(doc))
+    argv = ["metrics", "--epoch", "V2", "--json"]
+    want = _run(argv, fixtures.openplc_timeline_path(), False, capsys)
+    assert _run(argv, path, False, capsys) == want and want[0] == 0
+    code, out, err = _run(_READS["metrics"], path, False, capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: SchemaError: snapshots.V1: malformed embedded snapshot: "
+                   "epoch 'V3' is not its label\n")
