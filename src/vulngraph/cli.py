@@ -52,7 +52,9 @@ def _warn_stale(tl, cat, labels) -> None:
 def _snapshot(args):
     tl = timeline_mod.load_timeline(args.timeline)
     cat = _load_catalog(args.catalog)
-    label = args.epoch or (tl.epochs[-1].label if tl.epochs else None)
+    label = args.epoch
+    if label is None and tl.epochs:
+        label = tl.epochs[-1].label
     if label is None:
         raise VulnGraphError("timeline has no epochs; pass --epoch after marking one")
     _warn_stale(tl, cat, [label])
@@ -107,7 +109,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_event(args) -> int:
     if args.kind == "mark-epoch":
-        if not args.mark_epoch:
+        if args.mark_epoch is None:
             raise VulnGraphError("--kind mark-epoch needs --mark-epoch LABEL")
         # An epoch mark carries no event, so a payload option would be dropped.
         given = [flag for flag, value in (
@@ -136,7 +138,7 @@ def _cmd_event(args) -> int:
             fixes=tuple(c.strip() for c in (args.fixes or "").split(",") if c.strip()),
         )
         tl = timeline_mod.append_event(tl, event)
-    if args.mark_epoch:
+    if args.mark_epoch is not None:
         tl = timeline_mod.mark_epoch(tl, args.mark_epoch, at)
     # The stored epochs are released history.  When each matches its digest,
     # the replay starts from the last one and applies only the events after
@@ -253,10 +255,9 @@ def _cmd_diff(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def _add_snapshot_args(p, catalog_required=False):
+def _add_snapshot_args(p):
     p.add_argument("--timeline", required=True, help="timeline JSON file")
-    p.add_argument("--catalog", required=catalog_required,
-                   help="catalog JSON file (optional when snapshots are embedded)")
+    p.add_argument("--catalog", help="catalog JSON file (optional when snapshots are embedded)")
     p.add_argument("--epoch", help="epoch label (default: the latest)")
     p.add_argument("--out", help="write output here instead of stdout")
 

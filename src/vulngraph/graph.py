@@ -12,9 +12,10 @@ A lifecycle operation (:func:`add_asset`, :func:`update_asset`,
 graph it is given and returns it; one that raises leaves the graph
 unchanged.  A caller that wants to keep a state clones it first
 (:meth:`Edg.clone`).  A replay advances one working graph this way, and
-indexes it (:meth:`Edg.build_index`) so that each event looks up the edges
-and version nodes it touches instead of scanning the whole graph.  Every
-other operation leaves its input unchanged.
+indexes its edges by node (:meth:`Edg.build_index`) so that each event looks
+up the edges it touches instead of scanning every edge; an asset's version
+nodes and active node are found by scanning the asset nodes, on every graph
+alike.  Every other operation leaves its input unchanged.
 
 Asset identity is a stable opaque token (``asset_id``) that survives version
 updates; each update adds a new version node (``asset_id@k``) whose
@@ -130,31 +131,6 @@ class ClusterRule:
 
 
 @dataclass
-class _Index:
-    """The lookups of a graph edited in place (see :meth:`Edg.build_index`)."""
-
-    incident: dict[str, set[Edge]] = field(default_factory=dict)  # node id -> its edges
-    versions: dict[str, dict[str, AssetNode]] = field(default_factory=dict)  # by asset id
-    active: dict[str, AssetNode] = field(default_factory=dict)  # asset id -> active node
-
-    def link(self, edge: Edge) -> None:
-        self.incident.setdefault(edge.source, set()).add(edge)
-        self.incident.setdefault(edge.target, set()).add(edge)
-
-    def unlink(self, edge: Edge) -> None:
-        self.incident[edge.source].discard(edge)
-        self.incident[edge.target].discard(edge)
-
-    def put_asset(self, node: AssetNode) -> None:
-        self.versions.setdefault(node.asset_id, {})[node.node_id] = node
-        active = self.active.get(node.asset_id)
-        if not node.deprecated:
-            self.active[node.asset_id] = node
-        elif active is not None and active.node_id == node.node_id:
-            del self.active[node.asset_id]
-
-
-@dataclass
 class Edg:
     """One timestamped graph snapshot."""
 
@@ -164,8 +140,10 @@ class Edg:
     vulns: dict[str, VulnNode] = field(default_factory=dict)
     edges: set[Edge] = field(default_factory=set)
     clusters: dict[str, Cluster] = field(default_factory=dict)
-    # Set by build_index; never serialized and never copied by clone.
-    _index: _Index | None = field(default=None, init=False, compare=False, repr=False)
+    # Set by build_index: node id -> the edges with that node at one end.
+    # Never serialized and never copied by clone.
+    _incident: dict[str, set[Edge]] | None = field(
+        default=None, init=False, compare=False, repr=False)
     # Set by active_subgraph on the view it returns: the view's
     # cves_by_asset(), built in the pass that builds the view (None on any
     # other graph).  A view is read, never edited, so the map stays its own.
@@ -186,28 +164,21 @@ class Edg:
         )
 
     def build_index(self) -> None:
-        """Index the edges by the nodes at their ends, and the version nodes
-        and active node by asset, for a graph that many lifecycle operations
-        will edit in place.  The edge and asset edit primitives keep the index
-        current, so edit an indexed graph only through those operations."""
-        self._index = _Index()
-        for node in self.assets.values():
-            self._index.put_asset(node)
+        """Index the edges by the nodes at their ends, for a graph that many
+        lifecycle operations will edit in place.  The edge edit primitives
+        keep the index current, so edit an indexed graph's edges only through
+        those operations."""
+        self._incident = {}
         for edge in self.edges:
-            self._index.link(edge)
+            _link(self._incident, edge)
 
     def lineage(self, asset_id: str) -> list[AssetNode]:
         """Version nodes of one asset, oldest first."""
-        if self._index is not None:
-            nodes = list(self._index.versions.get(asset_id, {}).values())
-        else:
-            nodes = [a for a in self.assets.values() if a.asset_id == asset_id]
+        nodes = [a for a in self.assets.values() if a.asset_id == asset_id]
         nodes.sort(key=lambda a: a.version_index)
         return nodes
 
     def active_node(self, asset_id: str) -> AssetNode | None:
-        if self._index is not None:
-            return self._index.active.get(asset_id)
         for node in self.assets.values():
             if node.asset_id == asset_id and not node.deprecated:
                 return node
@@ -242,9 +213,10 @@ class Edg:
 
     def active_cves_of(self, node_id: str) -> tuple[str, ...]:
         """CVE ids attached to one asset node by normal edges, a deprecated
-        node's too despite the name (a lookup into :meth:`cves_by_asset`,
-        which serves many nodes in one pass)."""
-        return self.cves_by_asset().get(node_id, ())
+        node's too despite the name: its entry of :meth:`cves_by_asset`,
+        from one pass over the edges that looks at no other node."""
+        return tuple(sorted(e.target for e in self.edges if e.source == node_id
+                            and e.kind == NORMAL and e.target in self.vulns))
 
     def active_vulns(self) -> dict[str, VulnNode]:
         """The vulnerabilities of :func:`active_subgraph`."""
@@ -274,35 +246,34 @@ def _validate_manifest(manifest: Manifest) -> None:
             raise SchemaError("self dependency", f"dependencies[{i}]")
 
 
-# The edit primitives: every change to a graph's asset nodes and edges goes
-# through _put_asset, _add_edge and _deprecate, which keep an index current.
+# The edit primitives: every change to a graph's edges goes through
+# _add_edge and _deprecate, which keep an index current.
 
 
-def _put_asset(g: Edg, node: AssetNode) -> None:
-    """Insert an asset version node, or replace the one with its node id."""
-    g.assets[node.node_id] = node
-    if g._index is not None:
-        g._index.put_asset(node)
+def _link(incident: dict[str, set[Edge]], edge: Edge) -> None:
+    incident.setdefault(edge.source, set()).add(edge)
+    incident.setdefault(edge.target, set()).add(edge)
 
 
 def _add_edge(g: Edg, edge: Edge) -> None:
     g.edges.add(edge)
-    if g._index is not None:
-        g._index.link(edge)
+    if g._incident is not None:
+        _link(g._incident, edge)
 
 
 def _deprecate(g: Edg, edge: Edge) -> None:
     """Flip one normal edge of ``g`` to deprecated."""
     g.edges.discard(edge)
-    if g._index is not None:
-        g._index.unlink(edge)
+    if g._incident is not None:
+        g._incident[edge.source].discard(edge)
+        g._incident[edge.target].discard(edge)
     _add_edge(g, Edge(edge.source, edge.target, DEPRECATED))
 
 
 def _normal_edges_at(g: Edg, node_id: str) -> list[Edge]:
     """The normal edges with ``node_id`` at one end: from the index when
     ``g`` has one, else from one pass over its edges."""
-    edges = g.edges if g._index is None else g._index.incident.get(node_id, ())
+    edges = g.edges if g._incident is None else g._incident.get(node_id, ())
     return [e for e in edges if e.kind == NORMAL and (e.source == node_id or e.target == node_id)]
 
 
@@ -321,7 +292,7 @@ def _attach_record(g: Edg, node_id: str, record: VulnerabilityRecord, catalog: C
 def _place(g: Edg, node: AssetNode, catalog: Catalog, at: str, skip=frozenset()) -> None:
     """Insert one asset version and attach every catalog hit for its CPE at
     ``at`` whose CVE id is not in ``skip``."""
-    _put_asset(g, node)
+    g.assets[node.node_id] = node
     for record in catalog.lookup_vulnerabilities(node.cpe_current, at):
         if record.cve_id not in skip:
             _attach_record(g, node.node_id, record, catalog)
@@ -452,7 +423,7 @@ def update_asset(
         cpe_current=new_cpe,
         cpe_previous=old.cpe_current,
     )
-    _put_asset(g, replace(old, deprecated=True))
+    g.assets[old.node_id] = replace(old, deprecated=True)
 
     for edge in incident:
         if edge.source == old.node_id and edge.target in g.vulns:
@@ -481,7 +452,7 @@ def retire_asset(g: Edg, asset_id: str) -> Edg:
     """
     node = g.require_active(asset_id)
     incident = _normal_edges_at(g, node.node_id)
-    _put_asset(g, replace(node, deprecated=True))
+    g.assets[node.node_id] = replace(node, deprecated=True)
     for edge in incident:
         _deprecate(g, edge)
     return g

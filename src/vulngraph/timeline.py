@@ -181,9 +181,11 @@ def validate_epoch(
     mark: EpochMark, earlier: list[EpochMark], built_at: str, path: str = ""
 ) -> None:
     """Check one epoch mark against the marks before it, the same on
-    :func:`mark_epoch` and on load: a new label, at or after the last mark
-    (or ``built_at`` for the first one)."""
+    :func:`mark_epoch` and on load: a new, non-empty label, at or after the
+    last mark (or ``built_at`` for the first one)."""
     validate_timestamp(mark.at, f"{path}.at" if path else "")
+    if not mark.label:
+        raise SchemaError("epoch label is empty", f"{path}.label" if path else "")
     if any(m.label == mark.label for m in earlier):
         raise SchemaError(f"epoch {mark.label!r} already marked", path)
     last_at = earlier[-1].at if earlier else built_at
@@ -212,10 +214,11 @@ def replay(tl: Timeline, catalog: Catalog):
     """Yield ``(index, snapshot)`` for the initial build (index -1) and after
     every event.  Deterministic: same log, same catalog, same snapshots.
 
-    Every step yields the same working graph, which each event edits in place
-    over its index (:meth:`graph.Edg.build_index`), so one step costs what its
-    event touches, not the size of the graph.  A yielded graph is live until
-    the next step: clone it to keep that state.
+    Every step yields the same working graph, which each event edits in
+    place.  Its edges are indexed by node (:meth:`graph.Edg.build_index`), so
+    an event finds the edges it touches without a pass over every edge; it
+    finds an asset's version nodes by a pass over the asset nodes.  A yielded
+    graph is live until the next step: clone it to keep that state.
     """
     g = graph.build_edg(tl.sut_cpe, tl.manifest, catalog, tl.built_at)
     yield from _replay_from(tl, catalog, -1, g)
@@ -223,8 +226,8 @@ def replay(tl: Timeline, catalog: Catalog):
 
 def _replay_from(tl: Timeline, catalog: Catalog, position: int, g: Edg):
     """The steps of :func:`replay` from ``g``, the state after event
-    ``position`` (-1 for the build): ``g`` is indexed and yielded, then each
-    later event edits it in place."""
+    ``position`` (-1 for the build): ``g``'s edges are indexed by node and
+    ``g`` is yielded, then each later event edits it in place."""
     g.build_index()
     yield position, g
     for i in range(position + 1, len(tl.events)):

@@ -52,6 +52,9 @@ def _assert_same_view(g, case):
     assert edg_to_dict(view) == edg_to_dict(_active_reference(g)), case
     assert g.active_vulns() == view.vulns, case
     assert view.cves_of == view.cves_by_asset(), case
+    cves = g.cves_by_asset()
+    for node_id in [ROOT_ID, *g.assets, *g.vulns]:  # deprecated assets too
+        assert g.active_cves_of(node_id) == cves.get(node_id, ()), (case, node_id)
 
 
 def test_active_view_matches_reference_on_random_graphs_raw_and_clustered():

@@ -140,10 +140,36 @@ def test_data_error_exits_2(tmp_path, capsys):
     assert "SchemaError" in err
 
 
-def test_unknown_epoch_exits_2(openplc_files, capsys):
+@pytest.mark.parametrize("label", ["V9", ""], ids=["unmarked", "empty"])
+def test_unknown_epoch_exits_2(openplc_files, capsys, label):
     _, tl = openplc_files
-    assert main(["metrics", "--timeline", tl, "--epoch", "V9"]) == 2
-    assert "unknown epoch" in capsys.readouterr().err
+    assert main(["metrics", "--timeline", tl, "--epoch", label]) == 2
+    assert f"unknown epoch {label!r}" in capsys.readouterr().err
+
+
+def test_build_with_an_empty_epoch_label_exits_2(tmp_path, openplc_files, capsys):
+    cat, _ = openplc_files
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(json.dumps({
+        "assets": [{"id": "a", "cpe": wstr("acme", "thing", "1.0")}],
+        "dependencies": [],
+    }))
+    out = tmp_path / "tl.json"
+    assert main(["build", "--sut", wstr("acme", "box", "1.0"),
+                 "--manifest", str(manifest_path), "--catalog", cat,
+                 "--at", "2021-01-01T00:00:00Z", "--epoch", "", "--out", str(out)]) == 2
+    assert "SchemaError: epoch label is empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["noop", "mark-epoch"])
+def test_event_marking_an_empty_epoch_label_exits_2(openplc_files, capsys, kind):
+    cat, tl = openplc_files
+    assert main(["event", "--timeline", tl, "--catalog", cat, "--kind", kind,
+                 "--mark-epoch", "", "--at", "2030-01-01T00:00:00Z"]) == 2
+    assert "SchemaError: epoch label is empty" in capsys.readouterr().err
+    with open(tl, "rb") as fh:
+        assert fh.read() == fixtures.openplc_timeline_path().read_bytes()
 
 
 def test_ingest_build_event_roundtrip(tmp_path, capsys):
@@ -289,6 +315,7 @@ _DELETE = object()
                      id="one-element-pair"),
         pytest.param(("epochs", 0, "label"), _DELETE, "epochs[0].label",
                      id="epoch-without-label"),
+        pytest.param(("epochs", 0, "label"), "", "epochs[0].label", id="empty-epoch-label"),
         pytest.param(("events",), "nope", "events", id="events-not-a-list"),
         pytest.param(("events", 0, "kind"), "bogus", "events[0].kind", id="unknown-kind"),
         pytest.param(("epochs", 2), {"label": "V1", "at": "2020-01-01T00:00:00Z"}, "epochs[2]",

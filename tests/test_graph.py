@@ -218,8 +218,11 @@ def test_version_chain_two_updates():
     ]
 
 
-def test_version_chain_detects_corruption():
+@pytest.mark.parametrize("indexed", [False, True], ids=["plain", "indexed"])
+def test_version_chain_detects_corruption(indexed):
     g, cat = chain_system()
+    if indexed:  # as a replay's working graph is
+        g.build_index()
     g = graph.update_asset(g, "a3", name("v", "p3", "2.0"), cat)
     import dataclasses
     bad = dataclasses.replace(g.assets["a3@1"], cpe_previous=name("v", "p3", "0.9"))
