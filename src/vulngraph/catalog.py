@@ -200,7 +200,7 @@ class Catalog:
             for c in weakness.related_capec_ids
             if c in self.attack_patterns
         ]
-        out.sort(key=lambda p: _capec_sort_key(p.capec_id))
+        out.sort(key=lambda p: _id_sort_key(p.capec_id))
         return out
 
     def capec_ids_for_cwes(self, cwe_ids) -> tuple[str, ...]:
@@ -210,7 +210,7 @@ class Catalog:
             weakness = self.weaknesses.get(cwe_id)
             if weakness is not None:
                 ids.update(c for c in weakness.related_capec_ids if c in self.attack_patterns)
-        return tuple(sorted(ids, key=_capec_sort_key))
+        return tuple(sorted(ids, key=_id_sort_key))
 
     def remediation_for_weaknesses(self, cwe_ids) -> dict[str, list[RemediationEntry]]:
         """Entries whose weakness list intersects the query, grouped by kind.
@@ -256,9 +256,11 @@ def _product_index(records) -> tuple[dict, tuple[dict, dict]]:
     return by_product, wildcard
 
 
-def _capec_sort_key(capec_id: str):
+def _id_sort_key(item_id: str):
+    """Order ids such as ``CWE-79`` and ``CAPEC-66`` by their number, with a
+    non-numeric tail such as ``CWE-NULL`` last."""
     try:
-        return (0, int(capec_id.rsplit("-", 1)[1]))
+        return (0, int(item_id.rsplit("-", 1)[1]))
     except (IndexError, ValueError):
         return (1, 0)
 
@@ -601,7 +603,7 @@ def catalog_to_dict(catalog: Catalog) -> dict:
                 "likelihood": p.likelihood,
                 "impact": p.impact,
             }
-            for p in sorted(catalog.attack_patterns.values(), key=lambda p: _capec_sort_key(p.capec_id))
+            for p in sorted(catalog.attack_patterns.values(), key=lambda p: _id_sort_key(p.capec_id))
         ],
         "remediation": [
             {
@@ -635,7 +637,7 @@ def merge_catalogs(base: Catalog, extra: Catalog) -> Catalog:
             merged.vulnerabilities[cve_id] = source.vulnerabilities[cve_id]
         for cwe_id in sorted(source.weaknesses):
             merged.weaknesses.setdefault(cwe_id, source.weaknesses[cwe_id])
-        for capec_id in sorted(source.attack_patterns, key=_capec_sort_key):
+        for capec_id in sorted(source.attack_patterns, key=_id_sort_key):
             merged.attack_patterns.setdefault(capec_id, source.attack_patterns[capec_id])
     merged.weaknesses.setdefault(CWE_NULL, _NULL_WEAKNESS)
     merged.remediation = base.remediation + [e for e in extra.remediation if e not in base.remediation]

@@ -140,14 +140,15 @@ def _cmd_event(args) -> int:
         tl = timeline_mod.append_event(tl, event)
     if args.mark_epoch is not None:
         tl = timeline_mod.mark_epoch(tl, args.mark_epoch, at)
-    # The stored epochs are released history.  When each matches its digest,
-    # the replay starts from the last one and applies only the events after
-    # its mark, the new one among them, which validates it against the
-    # catalog; otherwise the whole log is replayed and every epoch rebuilt.
-    tl, stale = timeline_mod.update_snapshots(tl, cat)
+    # The stored epochs are released history.  The replay starts from the
+    # last epoch of the run, from the first, whose snapshots match their
+    # digests, and applies the events after its mark, the new one among
+    # them, which validates it against the catalog; later epochs are rebuilt.
+    stale = [label for label in tl.epoch_labels() if label in tl.stale]
+    tl, _ = timeline_mod.update_snapshots(tl, cat)
     for label in stale:
         print(f"warning: snapshot {label} does not match its digest; "
-              "rebuilding every epoch from the log", file=sys.stderr)
+              "rebuilding it and every later epoch from the log", file=sys.stderr)
     timeline_mod.save_timeline(tl, args.out or args.timeline)
     print(f"appended {args.kind} at {at}")
     return 0

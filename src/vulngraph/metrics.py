@@ -23,7 +23,7 @@ import functools
 from dataclasses import dataclass, field
 
 from . import fixtures
-from .catalog import CWE_NULL, Catalog
+from .catalog import CWE_NULL, Catalog, _id_sort_key
 from .errors import NoAssets, NoVulnerabilities, UnknownAsset, UnknownMetric
 from .graph import Edg, active_subgraph
 from .timeline import Timeline, epoch_snapshots
@@ -31,11 +31,6 @@ from .timeline import Timeline, epoch_snapshots
 METRIC_IDS = tuple(f"M{i}" for i in range(9))
 #: The metrics that are one number per snapshot, as :meth:`MetricReport.scalar` reads them.
 SCALAR_METRICS = ("M0", "M1", "M7")
-
-
-def _cwe_sort_key(cwe_id: str):
-    tail = cwe_id.rsplit("-", 1)[1]
-    return (1, 0) if tail == "NULL" else (0, int(tail))
 
 
 def n_assets(g: Edg) -> int:
@@ -256,7 +251,7 @@ class MetricReport:
 
 
 def _by_cwe(counts: dict[str, int]) -> dict[str, int]:
-    return dict(sorted(counts.items(), key=lambda kv: _cwe_sort_key(kv[0])))
+    return dict(sorted(counts.items(), key=lambda kv: _id_sort_key(kv[0])))
 
 
 def snapshot_report(g: Edg) -> MetricReport:
@@ -342,7 +337,7 @@ def _lifecycle(epoch_labels: list[str], reports: list[MetricReport]) -> Lifecycl
         m8_union=len(totals),
         m8_sum=sum(r.m7 for r in reports),
         weakness_frequency=dict(
-            sorted(totals.items(), key=lambda kv: (-kv[1], _cwe_sort_key(kv[0])))
+            sorted(totals.items(), key=lambda kv: (-kv[1], _id_sort_key(kv[0])))
         ),
         per_epoch=reports,
     )
@@ -380,7 +375,7 @@ def _render_metric_table(report: MetricReport) -> str:
     rows.append(
         ["M4"] + [fmt2(report.m4_by_asset[a]) for a in vulnerable] + [fmt2(others_m4)]
     )
-    all_cwes = sorted(report.m6_by_cwe, key=_cwe_sort_key)
+    all_cwes = sorted(report.m6_by_cwe, key=_id_sort_key)
     for cwe_id in all_cwes:
         cells = []
         for a in vulnerable:

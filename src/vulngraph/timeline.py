@@ -18,11 +18,14 @@ is decoded, and checked (its shape, its ``epoch`` its label, its root the
 SUT), only when a command reads that epoch, so a bad one never stops a read
 of another.  A read rebuilds a snapshot that does not match its digest by
 replaying the log when it has a catalog, and refuses it without one; a
-snapshot without a digest is read unverified.  Appending
-(:func:`update_snapshots`) continues from the last stored snapshot when every
-digest matches, and replays the whole log only when one does not.  The
-catalog is not part of a digest: a released epoch keeps what it was released
-with, and a catalog serves only the events applied after it.
+snapshot without a digest is read unverified.  Every replay starts at the
+last epoch of the verified prefix (the epochs, from the first, whose
+snapshot matches its digest) that is not after the first epoch it must
+produce, decoded, or at the build (:func:`_replay_to`); an embed
+(:func:`update_snapshots`) keeps that prefix as stored and embeds every later
+epoch, even a verified one after a stale one, which a read takes as stored.
+The catalog is not part of a digest: a released epoch keeps what it was
+released with, and a catalog serves only the events applied after it.
 
 Timestamps are ISO 8601 UTC with seconds precision (``2021-01-01T00:00:00Z``);
 ties are broken by the event sequence number.
@@ -34,6 +37,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field, replace
+from itertools import takewhile
 from json.decoder import scanstring
 
 from . import cpe, graph
@@ -235,45 +239,61 @@ def _replay_from(tl: Timeline, catalog: Catalog, position: int, g: Edg):
         yield i, g
 
 
-def _replay_to(tl: Timeline, catalog: Catalog, marks, whole_log: bool = False,
-               start: tuple[int, Edg] | None = None) -> list[Edg]:
+def _step(tl: Timeline, at: str) -> int:
+    """The log step a mark at ``at`` takes: the state after the last event at
+    or before ``at``, as that event's index (-1 for the build)."""
+    return sum(event.at <= at for event in tl.events) - 1
+
+
+def _verified_prefix(tl: Timeline) -> list[EpochMark]:
+    """The run of epochs, from the first, whose snapshot has a digest and is
+    not :attr:`Timeline.stale`."""
+    return list(takewhile(lambda m: m.label in tl.snapshots and m.label in tl.digests
+                          and m.label not in tl.stale, tl.epochs))
+
+
+def _replay_to(tl: Timeline, catalog: Catalog, marks, whole_log: bool = False) -> list[Edg]:
     """Snapshots for epoch marks from one replay pass.
 
-    A mark takes the state just before the first event after its ``at``, so
-    its copy is taken at the last step before that event is applied.  The
-    pass stops once every mark has been taken, unless ``whole_log`` asks for
-    the rest of the log too (which validates every event).  Each snapshot is
-    its own :class:`Edg` with its mark's label as epoch, even when two marks
-    fall on one log position.  With ``start``, a ``(position, g)`` pair, the
-    pass resumes from ``g``, the state after event ``position``, instead of
-    building the initial snapshot; no mark may come before that state.
+    The pass starts at the last epoch of the verified prefix
+    (:func:`_verified_prefix`) whose mark is not after any of ``marks``,
+    decoded, or at the build when there is none; a released
+    epoch is history, so nothing before it is replayed again.  Each mark
+    takes the state at its :func:`_step`.  The pass stops once every mark
+    has been taken, unless ``whole_log`` asks for the rest of the log too
+    (which validates every later event).  Each snapshot is its own
+    :class:`Edg` with its mark's label as epoch, even when two marks fall on
+    one log position.
     """
+    for mark in marks:
+        if mark.at < tl.built_at:
+            raise VulnGraphError(f"timeline starts at {tl.built_at}, after {mark.at}")
+    first = min((mark.at for mark in marks), default=None)
+    starts = [m for m in _verified_prefix(tl) if first is None or m.at <= first]
+    replayed = (_replay_from(tl, catalog, _step(tl, starts[-1].at),
+                             _decode_snapshot(tl, starts[-1].label))
+                if starts else replay(tl, catalog))
+    steps = [_step(tl, mark.at) for mark in marks]
     picked: list[Edg | None] = [None] * len(marks)
-    # A mark before the build can never be taken.
-    open_marks = [m for m, mark in enumerate(marks) if tl.built_at <= mark.at]
-    steps = replay(tl, catalog) if start is None else _replay_from(tl, catalog, *start)
-    for i, g in steps:
-        following = tl.events[i + 1].at if i + 1 < len(tl.events) else None
-        for m in open_marks:
-            if following is None or following > marks[m].at:
+    for i, g in replayed:
+        for m, step in enumerate(steps):
+            if step == i:
                 picked[m] = g.clone()
                 picked[m].epoch = marks[m].label
-        open_marks = [m for m in open_marks if picked[m] is None]
-        if not open_marks and not whole_log:
+        if i >= max(steps, default=-1) and not whole_log:
             break
-    for mark, g in zip(marks, picked):
-        if g is None:
-            raise VulnGraphError(f"timeline starts at {tl.built_at}, after {mark.at}")
     return picked
 
 
 def snapshot_at(tl: Timeline, catalog: Catalog, at: str) -> Edg:
-    """State after replaying all events with timestamp <= ``at``."""
+    """State after replaying all events with timestamp <= ``at``, from the
+    last verified epoch at or before ``at`` (see :func:`_replay_to`)."""
     return _replay_to(tl, catalog, [EpochMark(label=None, at=at)])[0]
 
 
 def epoch_snapshot(tl: Timeline, catalog: Catalog | None, label: str) -> Edg:
-    """Snapshot for a named epoch (embedded copy when present, else replay)."""
+    """Snapshot for a named epoch: its embedded copy when present and not
+    stale, else a replay from the last verified epoch before it."""
     return _epoch_snapshots(tl, catalog, [tl.find_epoch(label)])[0]
 
 
@@ -346,53 +366,32 @@ def embed_snapshots(tl: Timeline, catalog: Catalog) -> Timeline:
 
 def replay_and_embed(tl: Timeline, catalog: Catalog) -> tuple[Timeline, list[Edg]]:
     """:func:`embed_snapshots`, also returning the epoch snapshots it embedded,
-    in mark order, so a caller that reads them need not decode them again."""
-    snapshots = _replay_to(tl, catalog, tl.epochs, whole_log=True)
-    embedded = replace(tl, snapshots={}, digests={}, stale=frozenset())
-    _embed(embedded, tl.epochs, snapshots, _digester(tl))
-    return embedded, snapshots
+    in mark order, so a caller that reads them need not decode them again:
+    :func:`update_snapshots` of ``tl`` with its snapshots cleared."""
+    return update_snapshots(replace(tl, snapshots={}, digests={}, stale=frozenset()), catalog)
 
 
-def update_snapshots(tl: Timeline, catalog: Catalog) -> tuple[Timeline, list[str]]:
-    """Embed a snapshot for every epoch that has none, replaying only what is
-    new when the stored snapshots can be trusted.
-
-    They can when they are the snapshots of the first epochs, each has a
-    digest, and none is :attr:`Timeline.stale`.  The last of them is then
-    decoded and replayed from: the events after its mark are applied, each
-    validated against ``catalog``, and only the epochs after it are embedded.
-    The stored snapshots are kept as the texts they were verified as,
-    whatever ``catalog`` holds; none is decoded but the last, and none
-    encoded.  Otherwise this is :func:`embed_snapshots`.  Returns the
-    timeline and the labels of the stale snapshots, in mark order.  Only the
-    digests of snapshots are kept.
+def update_snapshots(tl: Timeline, catalog: Catalog) -> tuple[Timeline, list[Edg]]:
+    """Keep the verified prefix (:func:`_verified_prefix`) as the texts it was
+    verified as, whatever ``catalog`` holds, and embed every later epoch,
+    replayed by :func:`_replay_to` to the end of the log: only the last kept
+    snapshot is decoded, none encoded, and every event after its mark is
+    validated against ``catalog``.  So an epoch after a stale one is embedded
+    anew even when it matches its digest.  Returns the timeline, which keeps
+    only the digests of snapshots, and the later epochs' snapshots.
     """
     _check_labels(tl)
-    stale = [mark.label for mark in tl.epochs if mark.label in tl.stale]
-    kept = []
-    for mark in tl.epochs:
-        if mark.label not in tl.snapshots or mark.label not in tl.digests:
-            break
-        kept.append(mark)
-    if stale or not kept or len(tl.snapshots) != len(kept):
-        return embed_snapshots(tl, catalog), stale
-    position = sum(event.at <= kept[-1].at for event in tl.events) - 1
-    start = (position, _decode_snapshot(tl, kept[-1].label))
+    kept = _verified_prefix(tl)
     marks = tl.epochs[len(kept):]
-    snapshots = _replay_to(tl, catalog, marks, whole_log=True, start=start)
-    updated = replace(tl, snapshots=dict(tl.snapshots),
-                      digests={mark.label: tl.digests[mark.label] for mark in kept})
-    return _embed(updated, marks, snapshots, _digester(tl)), stale
-
-
-def _embed(tl: Timeline, marks, snapshots: list[Edg], digest) -> Timeline:
-    """Put each snapshot's text and digest into ``tl`` under its mark's label
-    (editing ``tl``'s own dicts, which the caller made new)."""
+    snapshots = _replay_to(tl, catalog, marks, whole_log=True)
+    updated = replace(tl, snapshots={m.label: tl.snapshots[m.label] for m in kept},
+                      digests={m.label: tl.digests[m.label] for m in kept}, stale=frozenset())
+    digest = _digester(tl)
     for mark, g in zip(marks, snapshots):
         text = canonical_text(graph.edg_to_dict(g, tl._names))
-        tl.snapshots[mark.label] = text
-        tl.digests[mark.label] = digest(mark, text)
-    return tl
+        updated.snapshots[mark.label] = text
+        updated.digests[mark.label] = digest(mark, text)
+    return updated, snapshots
 
 
 def _digester(tl: Timeline):

@@ -97,7 +97,7 @@ def test_event_rebuilds_a_snapshot_that_does_not_match_its_digest(tmp_path, caps
     code, written = _event(tmp_path, doc)
     assert code == 0
     assert capsys.readouterr().err == ("warning: snapshot V1 does not match its digest; "
-                                       "rebuilding every epoch from the log\n")
+                                       "rebuilding it and every later epoch from the log\n")
     tl = tl_mod.timeline_from_dict(written)
     assert metrics.m1(tl_mod.epoch_snapshot(tl, None, "V1")) == 91
     assert written["snapshots"] == _openplc_doc()["snapshots"]
@@ -122,6 +122,37 @@ def test_event_keeps_released_epochs_under_a_changed_catalog(tmp_path, capsys):
     for label, snap in _openplc_doc()["snapshots"].items():
         assert tl_mod.canonical_json(written["snapshots"][label]) == tl_mod.canonical_json(snap)
     assert written["digests"] == _openplc_doc()["digests"]
+
+
+def test_event_keeps_released_epochs_before_a_stale_one_under_a_changed_catalog(
+        tmp_path, capsys):
+    # With V2 stale, event resumes from V1 as stored; the V2 it writes is the
+    # one a read with the same catalog rebuilds.
+    catalog_doc = json.loads(fixtures.openplc_catalog_path().read_text())
+    twin = copy.deepcopy(next(r for r in catalog_doc["vulnerabilities"]
+                              if r["cve_id"] == "CVE-2014-0475"))
+    twin["cve_id"] = "CVE-2099-0001"
+    catalog_doc["vulnerabilities"].append(twin)
+    doc = _openplc_doc()
+    v2 = doc["snapshots"]["V2"]
+    cve_edges = [e for e in v2["edges"] if e["target"].startswith("CVE-")]
+    v2["edges"] = [e for e in v2["edges"] if e not in cve_edges] + cve_edges[:3]
+    tl_path, cat_path, out = (tmp_path / n for n in ("in.json", "catalog.json", "out.json"))
+    tl_path.write_text(timeline_text(doc))
+    cat_path.write_text(json.dumps(catalog_doc))
+    read = ["metrics", "--epoch", "V2", "--json"]
+    assert main([*read, "--timeline", str(tl_path), "--catalog", str(cat_path)]) == 0
+    rebuilt = capsys.readouterr().out
+    assert main(["event", "--timeline", str(tl_path), "--catalog", str(cat_path),
+                 "--kind", "noop", "--at", _AT, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ("warning: snapshot V2 does not match its digest; "
+                                       "rebuilding it and every later epoch from the log\n")
+    assert _v1_line(out) == _v1_line(fixtures.openplc_timeline_path())
+    tl = tl_mod.load_timeline(out)
+    assert not tl.stale and metrics.m1(tl_mod.epoch_snapshot(tl, None, "V1")) == 91
+    assert main([*read, "--timeline", str(out)]) == 0
+    assert capsys.readouterr().out == rebuilt
+    assert json.loads(rebuilt)["m1"] == 77
 
 
 def test_event_gives_a_timeline_without_digests_its_digests(tmp_path, capsys):
@@ -156,7 +187,7 @@ def test_event_rebuilds_a_snapshot_it_marks_that_loading_could_not_verify(
                  "--catalog", str(fixtures.openplc_catalog_path()), "--kind", "mark-epoch",
                  "--mark-epoch", "V4", "--at", _AT, "--out", str(out)]) == 0
     assert capsys.readouterr().err == ("warning: snapshot V4 does not match its digest; "
-                                       "rebuilding every epoch from the log\n")
+                                       "rebuilding it and every later epoch from the log\n")
     written = json.loads(out.read_text())
     assert written["snapshots"]["V4"] == dict(_openplc_doc()["snapshots"]["V3"], epoch="V4")
     assert written["digests"]["V4"] != "0" * 64
@@ -213,8 +244,8 @@ def test_snapshot_of_another_epoch_or_system_exits_2(tmp_path, capsys, defect, l
             # The edited V1 no longer matches its digest, so event rebuilds
             # it from the log as it does any stale snapshot.
             assert code == 0
-            assert ("warning: snapshot V1 does not match its digest; rebuilding every "
-                    "epoch from the log\n") in capsys.readouterr().err
+            assert ("warning: snapshot V1 does not match its digest; rebuilding it and "
+                    "every later epoch from the log\n") in capsys.readouterr().err
             out = tmp_path / "out.json"
             assert _v1_line(out) == _v1_line(fixtures.openplc_timeline_path())
             assert not tl_mod.load_timeline(out).stale

@@ -256,6 +256,30 @@ def test_a_read_with_a_catalog_rebuilds_a_snapshot_that_does_not_match(
 
 
 @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+def test_a_read_with_a_catalog_rebuilds_from_the_last_verified_epoch(
+        tmp_path, capsys, monkeypatch, layout):
+    doc = json.loads(TEXT)
+    v3 = doc["snapshots"]["V3"]
+    v3["edges"] = [e for e in v3["edges"] if not e["target"].startswith("CVE-")]
+    path = tmp_path / "cut.json"
+    path.write_text(_LAYOUTS[layout](doc))
+    applied = []
+    original = tl_mod.apply_event
+
+    def counted(g, event, catalog):
+        applied.append(event)
+        return original(g, event, catalog)
+
+    monkeypatch.setattr(tl_mod, "apply_event", counted)
+    code, out, err = _run(["metrics", "--epoch", "V3", "--json"], path, True, capsys)
+    assert (code, json.loads(out)["m1"]) == (0, 5)
+    assert err == "warning: snapshot V3 does not match its digest; rebuilding it from the log\n"
+    tl = tl_mod.load_timeline(path)
+    assert applied == [e for e in tl.events if e.at > tl.find_epoch("V2").at]
+    assert len(applied) == 8
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
 @pytest.mark.parametrize("command", sorted(set(_READS) - {"report"}))  # report needs a catalog
 def test_a_read_without_a_catalog_refuses_a_snapshot_that_does_not_match(
         tmp_path, capsys, layout, command):
