@@ -178,12 +178,13 @@ class Catalog:
             self._index = _product_index(self.vulnerabilities.values())
         by_product, wildcard = self._index
         candidates: dict[str, VulnerabilityRecord] = {}
-        bucket = by_product.get((name.part, name.vendor, name.product), _NO_BUCKET)
-        for keyed, rest in (bucket, wildcard):
-            for record in keyed.get(name.version, ()):
+        # By position: name[:3] is (part, vendor, product), name[3] the version.
+        version = name[3]
+        for keyed, rest in (by_product.get(name[:3], _NO_BUCKET), wildcard):
+            for record in keyed.get(version, ()):
                 candidates[record.cve_id] = record
             candidates.update(rest)
-        key = cpe.version_key(name.version) if isinstance(name.version, str) else None
+        key = cpe.version_key(version) if isinstance(version, str) else None
         hits = [r for r in candidates.values() if r.applies_to(name, at, key)]
         hits.sort(key=lambda r: r.cve_id)
         return hits
@@ -247,12 +248,12 @@ def _product_index(records) -> tuple[dict, tuple[dict, dict]]:
     for record in records:
         for entry in record.affected:
             pattern = entry.pattern
-            key = (pattern.part, pattern.vendor, pattern.product)
+            key, version = pattern[:3], pattern[3]
             keyed, rest = wildcard if cpe.ANY in key else by_product.setdefault(key, ({}, {}))
-            if pattern.version is cpe.ANY:
+            if version is cpe.ANY:
                 rest[record.cve_id] = record
             else:
-                keyed.setdefault(pattern.version, []).append(record)
+                keyed.setdefault(version, []).append(record)
     return by_product, wildcard
 
 

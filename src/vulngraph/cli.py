@@ -100,7 +100,7 @@ def _cmd_build(args) -> int:
         sut_cpe=cpe.parse_formatted(args.sut), manifest=manifest, built_at=at
     )
     tl = timeline_mod.mark_epoch(tl, args.epoch, at)
-    tl, (snapshot,) = timeline_mod.replay_and_embed(tl, cat)
+    tl, (snapshot,) = timeline_mod.update_snapshots(tl, cat)
     timeline_mod.save_timeline(tl, args.out)
     rep = metrics.snapshot_report(snapshot)
     print(f"built {args.epoch}: {rep.n_assets} assets, {rep.m1} vulnerabilities -> {args.out}")

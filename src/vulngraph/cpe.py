@@ -21,12 +21,19 @@ names exactly or via whole-attribute wildcards, never via embedded globs.
 
 Locally minted names (for assets without a published CPE) are ordinary names,
 conventionally under vendor ``local``; nothing here treats them specially.
+
+A :class:`WellFormedName` is a tuple of its eleven values, so hashing and
+equality run in tuple's C code.  Equality never crosses types: a name equals
+only another name, never the plain tuple of its values, and names have no
+order.  Hot loops read its fields by position (``name[3]`` is the version),
+because Python 3.11 does not specialize attribute reads on a tuple; the rest
+of the code reads them by name.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import NoReturn
 
 from .errors import MalformedCpe
@@ -92,27 +99,37 @@ _FIELD = re.compile(r"[^\\:]*(?:\\.[^\\:]*)*\\?", re.DOTALL)
 _VALUE = rf"(\*|(?:{_UNRESERVED_CHAR}|{_ESCAPED_CHAR})+)"
 _NAME = re.compile(rf"cpe:2\.3:([{''.join(_PARTS)}*])" + rf":{_VALUE}" * 10)
 _LOGICAL = {"*": ANY, "-": NA}
+# Builds a tuple subclass instance from a sequence in one C call, without the
+# generated ``__new__``'s Python frame.
+_new = tuple.__new__
 
 
-@dataclass(frozen=True)
-class WellFormedName:
-    """The eleven attributes of a CPE 2.3 name.
+class WellFormedName(namedtuple("WellFormedName", _ATTRIBUTES, defaults=(ANY,) * 8)):
+    """The eleven attributes of a CPE 2.3 name, as a tuple in that order,
+    each an :data:`AttrValue`; all but part, vendor and product default to
+    ``ANY``.
 
     ``part`` is ``a`` (application), ``o`` (operating system) or ``h``
     (hardware); it may be ``ANY`` in a match pattern but never ``NA``.
+    A name equals only another name with the same values, hashes as the
+    tuple of its values and has no order.  :meth:`_replace` makes a copy
+    with some fields changed.
     """
 
-    part: AttrValue
-    vendor: AttrValue
-    product: AttrValue
-    version: AttrValue = ANY
-    update: AttrValue = ANY
-    edition: AttrValue = ANY
-    language: AttrValue = ANY
-    sw_edition: AttrValue = ANY
-    target_sw: AttrValue = ANY
-    target_hw: AttrValue = ANY
-    other: AttrValue = ANY
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is WellFormedName and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not (type(other) is WellFormedName and tuple.__eq__(self, other))
+
+    __hash__ = tuple.__hash__
+
+    def __lt__(self, other):
+        raise TypeError("CPE names have no order")
+
+    __le__ = __gt__ = __ge__ = __lt__
 
     def __str__(self):
         return bind_formatted(self)
@@ -164,8 +181,8 @@ def parse_formatted(s: str) -> WellFormedName:
     m = _NAME.fullmatch(s.lower())
     if m is None:
         _raise_malformed(s)
-    return WellFormedName(*[_ESCAPE.sub(r"\1", v) if "\\" in v else _LOGICAL.get(v, v)
-                            for v in m.groups()])
+    return _new(WellFormedName, [_ESCAPE.sub(r"\1", v) if "\\" in v else _LOGICAL.get(v, v)
+                                 for v in m.groups()])
 
 
 def _raise_malformed(s: str) -> NoReturn:
@@ -242,8 +259,7 @@ def bind_formatted(w: WellFormedName) -> str:
     Inverse of :func:`parse_formatted`: ``parse_formatted(bind_formatted(w))``
     equals ``w`` for every valid WFN.
     """
-    encoded = ":".join(_encode_value(getattr(w, a)) for a in _ATTRIBUTES)
-    return f"cpe:2.3:{encoded}"
+    return "cpe:2.3:" + ":".join(map(_encode_value, w))
 
 
 def matches(candidate: WellFormedName, pattern: WellFormedName) -> bool:
@@ -253,11 +269,9 @@ def matches(candidate: WellFormedName, pattern: WellFormedName) -> bool:
     literal matches only the equal literal (values are already lower-cased).
     The candidate is expected to be concrete in part/vendor/product.
     """
-    for name in _ATTRIBUTES:
-        pat = getattr(pattern, name)
+    for pat, cand in zip(pattern, candidate):
         if pat is ANY:
             continue
-        cand = getattr(candidate, name)
         if pat is NA:
             if cand is not NA:
                 return False

@@ -25,11 +25,20 @@ version chain.  Updating or retiring an asset flips its dependency edges to
 unless the update fixed that vulnerability.  Deprecated versions are kept in
 the graph for history; :func:`active_subgraph` alone decides what is active,
 and metrics, clustering and impact queries all read its view.
+
+An :class:`Edge` is the tuple ``(source, target, kind)``, so a set of edges
+hashes and compares them in tuple's C code, and sorting edges sorts them by
+source, then target, then kind.  An edge compares as that plain tuple; the
+package only ever compares it with edges.  Hot loops over the edges read
+their fields by position (``e[0]``, ``e[1]``, ``e[2]``), because Python 3.11
+does not specialize attribute reads on a tuple; the rest of the code reads
+them by name.
 """
 
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from sys import intern
 
@@ -83,11 +92,13 @@ class VulnNode:
     exploit_available: bool = False
 
 
-@dataclass(frozen=True)
-class Edge:
-    source: str
-    target: str
-    kind: str = NORMAL
+#: A directed edge: node ids ``source`` and ``target`` and its ``kind``,
+#: :data:`NORMAL` unless given.
+Edge = namedtuple("Edge", ["source", "target", "kind"], defaults=[NORMAL])
+
+# Builds an edge from a tuple in one C call, without the generated
+# ``__new__``'s Python frame.
+_new = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -207,16 +218,16 @@ class Edg:
         the :attr:`cves_of` of :func:`active_subgraph`, which leaves it out."""
         found: dict[str, list[str]] = {}
         for e in self.edges:
-            if e.kind == NORMAL and e.target in self.vulns:
-                found.setdefault(e.source, []).append(e.target)
+            if e[2] == NORMAL and e[1] in self.vulns:
+                found.setdefault(e[0], []).append(e[1])
         return {node_id: tuple(sorted(cves)) for node_id, cves in found.items()}
 
     def active_cves_of(self, node_id: str) -> tuple[str, ...]:
         """CVE ids attached to one asset node by normal edges, a deprecated
         node's too despite the name: its entry of :meth:`cves_by_asset`,
         from one pass over the edges that looks at no other node."""
-        return tuple(sorted(e.target for e in self.edges if e.source == node_id
-                            and e.kind == NORMAL and e.target in self.vulns))
+        return tuple(sorted(e[1] for e in self.edges if e[0] == node_id
+                            and e[2] == NORMAL and e[1] in self.vulns))
 
     def active_vulns(self) -> dict[str, VulnNode]:
         """The vulnerabilities of :func:`active_subgraph`."""
@@ -251,8 +262,8 @@ def _validate_manifest(manifest: Manifest) -> None:
 
 
 def _link(incident: dict[str, set[Edge]], edge: Edge) -> None:
-    incident.setdefault(edge.source, set()).add(edge)
-    incident.setdefault(edge.target, set()).add(edge)
+    incident.setdefault(edge[0], set()).add(edge)
+    incident.setdefault(edge[1], set()).add(edge)
 
 
 def _add_edge(g: Edg, edge: Edge) -> None:
@@ -267,14 +278,14 @@ def _deprecate(g: Edg, edge: Edge) -> None:
     if g._incident is not None:
         g._incident[edge.source].discard(edge)
         g._incident[edge.target].discard(edge)
-    _add_edge(g, Edge(edge.source, edge.target, DEPRECATED))
+    _add_edge(g, _new(Edge, (edge.source, edge.target, DEPRECATED)))
 
 
 def _normal_edges_at(g: Edg, node_id: str) -> list[Edge]:
     """The normal edges with ``node_id`` at one end: from the index when
     ``g`` has one, else from one pass over its edges."""
     edges = g.edges if g._incident is None else g._incident.get(node_id, ())
-    return [e for e in edges if e.kind == NORMAL and (e.source == node_id or e.target == node_id)]
+    return [e for e in edges if e[2] == NORMAL and (e[0] == node_id or e[1] == node_id)]
 
 
 def _attach_record(g: Edg, node_id: str, record: VulnerabilityRecord, catalog: Catalog) -> None:
@@ -286,7 +297,7 @@ def _attach_record(g: Edg, node_id: str, record: VulnerabilityRecord, catalog: C
             capec_ids=catalog.capec_ids_for_cwes(record.cwe_ids),
             exploit_available=record.exploit_available,
         )
-    _add_edge(g, Edge(source=node_id, target=record.cve_id))
+    _add_edge(g, _new(Edge, (node_id, record.cve_id, NORMAL)))
 
 
 def _place(g: Edg, node: AssetNode, catalog: Catalog, at: str, skip=frozenset()) -> None:
@@ -425,19 +436,21 @@ def update_asset(
     )
     g.assets[old.node_id] = replace(old, deprecated=True)
 
+    old_id, new_id = old.node_id, successor.node_id
     for edge in incident:
-        if edge.source == old.node_id and edge.target in g.vulns:
-            if edge.target in fixes:
+        source, target = edge[0], edge[1]
+        if source == old_id and target in g.vulns:
+            if target in fixes:
                 _deprecate(g, edge)
             else:
                 # Not corrected by this update: both versions carry it.
-                _add_edge(g, Edge(source=successor.node_id, target=edge.target))
+                _add_edge(g, _new(Edge, (new_id, target, NORMAL)))
         else:
             _deprecate(g, edge)
-            if edge.source == old.node_id:
-                _add_edge(g, Edge(source=successor.node_id, target=edge.target))
+            if source == old_id:
+                _add_edge(g, _new(Edge, (new_id, target, NORMAL)))
             else:
-                _add_edge(g, Edge(source=edge.source, target=successor.node_id))
+                _add_edge(g, _new(Edge, (source, new_id, NORMAL)))
 
     _place(g, successor, catalog, at or g.root.checked_at, fixes)
     return g
@@ -497,16 +510,18 @@ def active_subgraph(g: Edg) -> Edg:
     found: dict[str, list[str]] = {}
     other_hosts = []
     for e in g.edges:
-        if e.kind == NORMAL:
+        if e[2] == NORMAL:
             normal.append(e)
-            if e.target in g.vulns:
-                if e.source in assets:
-                    vulns[e.target] = g.vulns[e.target]
-                    found.setdefault(e.source, []).append(e.target)
-                elif e.source == ROOT_ID or e.source in g.vulns:
+            target = e[1]
+            if target in g.vulns:
+                source = e[0]
+                if source in assets:
+                    vulns[target] = g.vulns[target]
+                    found.setdefault(source, []).append(target)
+                elif source == ROOT_ID or source in g.vulns:
                     other_hosts.append(e)
     keep = assets.keys() | vulns.keys() | {ROOT_ID}
-    edges = {e for e in normal if e.source in keep and e.target in keep}
+    edges = {e for e in normal if e[0] in keep and e[1] in keep}
     # Only a hand-made snapshot joins the root or a vulnerability to one.
     for e in other_hosts:
         if e.source in keep and e.target in vulns:
@@ -522,11 +537,11 @@ def impact_set(g: Edg, cve_id: str) -> set[str]:
     if cve_id not in g.vulns:
         raise UnknownCve(cve_id)
     active = active_subgraph(g)
-    hosts = {e.source for e in active.edges if e.target == cve_id}
+    hosts = {e[0] for e in active.edges if e[1] == cve_id}
     incoming: dict[str, set[str]] = {}
     for e in active.edges:
-        if e.source != ROOT_ID and e.target in active.assets and e.source in active.assets:
-            incoming.setdefault(e.target, set()).add(e.source)
+        if e[0] != ROOT_ID and e[1] in active.assets and e[0] in active.assets:
+            incoming.setdefault(e[1], set()).add(e[0])
     seen = set(hosts)
     frontier = list(hosts)
     while frontier:
@@ -591,8 +606,8 @@ def cluster_by(g: Edg, rule: ClusterRule, scope=None) -> Edg:
             parent[max(ra, rb)] = min(ra, rb)
 
     for e in active.edges:
-        if e.source in parent and e.target in parent:
-            union(e.source, e.target)
+        if e[0] in parent and e[1] in parent:
+            union(e[0], e[1])
 
     components: dict[str, set[str]] = {}
     for nid in eligible:
@@ -664,8 +679,7 @@ def edg_to_dict(g: Edg, names: cpe.BindTable | None = None) -> dict:
         "root": {"cpe": bind(g.root.sut_cpe), "checked_at": g.root.checked_at},
         "assets": [asset_dict(a) for _, a in sorted(g.assets.items())],
         "vulns": [vuln_dict(v) for _, v in sorted(g.vulns.items())],
-        "edges": [{"source": e.source, "target": e.target, "kind": e.kind}
-                  for e in sorted(g.edges, key=lambda e: (e.source, e.target, e.kind))],
+        "edges": [{"source": s, "target": t, "kind": k} for s, t, k in sorted(g.edges)],
         "clusters": [],
     }
 
@@ -718,7 +732,8 @@ def edg_from_dict(doc: dict | str, cpes: cpe.ParseTable | None = None) -> Edg:
                 and (kind == NORMAL or kind == DEPRECATED)):
             raise ValueError(f"edge {source!r} -> {target!r}: want string endpoints "
                              f"and kind {NORMAL!r} or {DEPRECATED!r}, got {kind!r}")
-        return Edge(intern(source), intern(target), NORMAL if kind == NORMAL else DEPRECATED)
+        return _new(Edge, (intern(source), intern(target),
+                           NORMAL if kind == NORMAL else DEPRECATED))
 
     def items(d, key) -> list:
         value = d[key]

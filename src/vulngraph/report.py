@@ -62,11 +62,11 @@ def export_dot(g: Edg, opts: RenderOptions = RenderOptions()) -> str:
         cluster_of.update((v.cve_id, c.cluster_id) for c in g.clusters.values() for v in c.vulns)
         assets = {nid: a for nid, a in assets.items() if nid not in cluster_of}
         vulns = {cve_id: v for cve_id, v in vulns.items() if cve_id not in cluster_of}
-        edges = {e for e in g.edges if e.source not in cluster_of and e.target not in cluster_of}
-        for e in g.edges - edges:
-            ends = cluster_of.get(e.source, e.source), cluster_of.get(e.target, e.target)
+        edges = {e for e in g.edges if e[0] not in cluster_of and e[1] not in cluster_of}
+        for source, target, kind in g.edges - edges:
+            ends = cluster_of.get(source, source), cluster_of.get(target, target)
             if ends[0] != ends[1]:
-                edges.add(Edge(*ends, e.kind))
+                edges.add(Edge(*ends, kind))
 
     lines = ["digraph edg {", "  rankdir=TB;"]
     root_label = cpe.bind_formatted(g.root.sut_cpe)
@@ -113,9 +113,9 @@ def export_dot(g: Edg, opts: RenderOptions = RenderOptions()) -> str:
             f"label={_dot_quote(label)}];"
         )
 
-    for edge in sorted(edges, key=lambda e: (e.source, e.target, e.kind)):
-        attrs = " [style=dashed]" if edge.kind == DEPRECATED else ""
-        lines.append(f"  {_dot_quote(edge.source)} -> {_dot_quote(edge.target)}{attrs};")
+    for source, target, kind in sorted(edges):
+        attrs = " [style=dashed]" if kind == DEPRECATED else ""
+        lines.append(f"  {_dot_quote(source)} -> {_dot_quote(target)}{attrs};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

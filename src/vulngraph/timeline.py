@@ -357,18 +357,13 @@ def _decode_snapshot(tl: Timeline, label: str) -> Edg:
 
 def embed_snapshots(tl: Timeline, catalog: Catalog) -> Timeline:
     """Compute and embed every epoch snapshot with its digest, so that reads
-    need no catalog.
+    need no catalog: :func:`update_snapshots` of ``tl`` with its snapshots
+    cleared.
 
     Replays the whole log, so every event is validated against the catalog.
     """
-    return replay_and_embed(tl, catalog)[0]
-
-
-def replay_and_embed(tl: Timeline, catalog: Catalog) -> tuple[Timeline, list[Edg]]:
-    """:func:`embed_snapshots`, also returning the epoch snapshots it embedded,
-    in mark order, so a caller that reads them need not decode them again:
-    :func:`update_snapshots` of ``tl`` with its snapshots cleared."""
-    return update_snapshots(replace(tl, snapshots={}, digests={}, stale=frozenset()), catalog)
+    return update_snapshots(replace(tl, snapshots={}, digests={}, stale=frozenset()),
+                            catalog)[0]
 
 
 def update_snapshots(tl: Timeline, catalog: Catalog) -> tuple[Timeline, list[Edg]]:
@@ -378,7 +373,10 @@ def update_snapshots(tl: Timeline, catalog: Catalog) -> tuple[Timeline, list[Edg
     snapshot is decoded, none encoded, and every event after its mark is
     validated against ``catalog``.  So an epoch after a stale one is embedded
     anew even when it matches its digest.  Returns the timeline, which keeps
-    only the digests of snapshots, and the later epochs' snapshots.
+    only the digests of snapshots, and the later epochs' snapshots, in mark
+    order, so a caller that reads them need not decode them again.  On a
+    timeline with no snapshots, such as a fresh build's, it embeds every
+    epoch, as :func:`embed_snapshots` does.
     """
     _check_labels(tl)
     kept = _verified_prefix(tl)
@@ -435,14 +433,21 @@ def _line(value) -> bytes:
     return (canonical_text(value) + "\n").encode()
 
 
-def _verify(tl: Timeline) -> set[str]:
-    """The labels of the embedded snapshots of ``tl`` whose text matches
-    their digest.  A snapshot under a label that no epoch is marked with has
-    no mark to be checked with, so it is never among them."""
+def _unverified(tl: Timeline):
+    """Yield the labels of the embedded snapshots of ``tl`` whose text does
+    not match their digest: first those under a label that no epoch is
+    marked with, which have no mark to be checked with, then those of marked
+    epochs in mark order.  A snapshot is hashed only when the labels before
+    it have been taken, so a caller that stops at the first one hashes no
+    snapshot after it."""
+    marked = set(tl.epoch_labels())
+    yield from (label for label in tl.snapshots if label not in marked)
     digest = _digester(tl)
-    return {mark.label for mark in tl.epochs
-            if mark.label in tl.snapshots and mark.label in tl.digests
-            and digest(mark, tl.snapshots[mark.label]) == tl.digests[mark.label]}
+    for mark in tl.epochs:
+        label = mark.label
+        if label in tl.snapshots and (label not in tl.digests or
+                                      digest(mark, tl.snapshots[label]) != tl.digests[label]):
+            yield label
 
 
 # ---------------------------------------------------------------------------
@@ -557,8 +562,9 @@ def timeline_from_dict(doc: dict) -> Timeline:
 def _from_dict(doc: dict, lines: dict[str, str] | None = None) -> Timeline | None:
     """:func:`timeline_from_dict`; given ``lines`` (label -> text, see
     :func:`_split_lines`) of a head document whose snapshots are those, the
-    timeline when every line matches its digest, and None when one does not.
-    Either way a snapshot is checked only when it is decoded."""
+    timeline when every line matches its digest, and None as soon as one
+    does not, hashing no line after it.  Either way a snapshot is checked
+    only when it is decoded."""
     if not isinstance(doc, dict):
         raise SchemaError("timeline document must be an object")
     if doc.get("schema_version", 1) != 1:
@@ -600,10 +606,9 @@ def _from_dict(doc: dict, lines: dict[str, str] | None = None) -> Timeline | Non
         _cpes=cpes,
         _names=cpes.bindings(),
     )
-    verified = _verify(tl)
-    unverified = [label for label in lines if label not in verified]
-    if by_lines and unverified:
-        return None
+    unverified = _unverified(tl)
+    if by_lines:
+        return None if next(unverified, None) is not None else tl
     tl.stale = frozenset(label for label in unverified if label in digests)
     return tl
 
@@ -692,7 +697,8 @@ def load_timeline(path) -> Timeline:
     :func:`save_timeline` writes whose every snapshot line is of a marked
     epoch and matches its digest is read by its lines (:func:`_split_lines`),
     none of them decoded; any other text is decoded whole, which encodes
-    each of its snapshots once to verify it."""
+    each of its snapshots once to verify it.  The line read stops hashing at
+    the first line that does not match its digest."""
     text = read_text(path)
     parts = _split_lines(text)
     tl = None if parts is None else _from_dict(*parts)

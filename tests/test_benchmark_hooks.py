@@ -170,7 +170,7 @@ def test_embed_clones_once_per_epoch_mark(tracer):
     tl, cat = _openplc()
     assert len(tl.events) > len(tl.epochs)
     tracer.cur.clear()
-    tl_mod.replay_and_embed(tl, cat)
+    tl_mod.embed_snapshots(tl, cat)
     assert tracer.cur["timeline.apply"] == len(tl.events)
     assert tracer.cur["graph.clone"] == len(tl.epochs)
 
@@ -180,7 +180,7 @@ def test_embed_binds_each_distinct_name_once(tracer):
     tl = tl_mod.Timeline(sut_cpe=loaded.sut_cpe, manifest=loaded.manifest,
                          built_at=loaded.built_at, events=loaded.events, epochs=loaded.epochs)
     tracer.cur.clear()
-    embedded, _ = tl_mod.replay_and_embed(tl, cat)
+    embedded, _ = tl_mod.update_snapshots(tl, cat)
     binds = tracer.cur["cpe.bind"]
     assert 0 < binds <= len(_cpe_strings(tl_mod.timeline_to_dict(embedded)["snapshots"]))
 
@@ -190,7 +190,7 @@ def test_a_loaded_timeline_binds_no_name_the_file_held_as_its_binding(tracer):
     # verifying the digests and embedding again bind none.
     tracer.cur.clear()
     tl, cat = _openplc()
-    tl_mod.replay_and_embed(tl, cat)
+    tl_mod.embed_snapshots(tl, cat)
     assert tracer.cur["cpe.parse"] > 0 and tracer.cur.get("cpe.bind", 0) == 0
 
 

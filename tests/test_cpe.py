@@ -1,3 +1,6 @@
+import copy
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -199,9 +202,7 @@ def test_matches_monotone_widening():
     assert cpe.matches(candidate, pattern)
     # widening any attribute to ANY keeps the match
     for attr in cpe.ATTRIBUTE_NAMES:
-        import dataclasses
-
-        widened = dataclasses.replace(pattern, **{attr: ANY})
+        widened = pattern._replace(**{attr: ANY})
         assert cpe.matches(candidate, widened)
 
 
@@ -263,3 +264,47 @@ def test_bindings_hold_each_name_read_as_its_binding(part, fields):
     assert table.bindings() == ({name: raw} if plain else {})
     if plain:
         assert cpe.bind_formatted(name) == raw
+
+
+_WFN_VALUES = st.one_of(st.just(ANY), st.just(NA), st.sampled_from(["1.0", "-", "a:b", "x*"]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from("aoh"), st.lists(_WFN_VALUES, min_size=10, max_size=10))
+def test_equality_and_hash_agree_with_a_round_trip(part, values):
+    name = WellFormedName(part, *values)
+    again = cpe.parse_formatted(cpe.bind_formatted(name))
+    assert again is not name
+    assert again == name and not again != name
+    assert hash(again) == hash(name)
+    assert {name: 1}[again] == 1
+
+
+def test_a_name_never_equals_its_plain_tuple():
+    name = cpe.parse_formatted(IE_STRING)
+    plain = tuple(name)
+    assert isinstance(name, tuple) and plain == tuple(name)
+    assert not name == plain and name != plain
+    assert not plain == name and plain != name
+    assert name not in {plain} and plain not in {name}
+    assert name != cpe.bind_formatted(name)
+
+
+@pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge],
+                         ids=["lt", "le", "gt", "ge"])
+def test_names_have_no_order(op):
+    a = cpe.parse_formatted("cpe:2.3:a:v:p:1.0:*:*:*:*:*:*:*")
+    b = cpe.parse_formatted("cpe:2.3:a:v:p:2.0:*:*:*:*:*:*:*")
+    for left, right in ((a, b), (a, a), (a, tuple(b)), (tuple(a), b)):
+        with pytest.raises(TypeError):
+            op(left, right)
+    with pytest.raises(TypeError):
+        sorted([b, a])
+
+
+def test_deepcopy_keeps_the_logical_values():
+    name = cpe.parse_formatted("cpe:2.3:a:v:p:*:-:*:*:*:*:*:*")
+    copied = copy.deepcopy(name)
+    assert type(copied) is WellFormedName and copied == name
+    assert copied.version is ANY and copied.update is NA
+    assert copy.copy(name).version is ANY

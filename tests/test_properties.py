@@ -10,8 +10,6 @@ against a comparison of the version strings.
 
 import random
 import string
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -258,7 +256,7 @@ def test_indexed_lookup_matches_linear_scan(records, data):
         if patterns and data.draw(st.booleans()):
             # agree with one pattern's part, vendor and product where they are not ANY
             pattern = data.draw(st.sampled_from(patterns))
-            name = replace(name, **{
+            name = name._replace(**{
                 attr: getattr(pattern, attr) for attr in ("part", "vendor", "product")
                 if getattr(pattern, attr) is not ANY})
         at = data.draw(_at)
@@ -370,8 +368,8 @@ def test_lookup_by_version_key_matches_brute_force(records, data):
         if patterns and data.draw(st.booleans()):
             # agree with one pattern wherever it is not ANY
             pattern = data.draw(st.sampled_from(patterns))
-            name = replace(name, **{attr: getattr(pattern, attr) for attr in cpe.ATTRIBUTE_NAMES
-                                    if getattr(pattern, attr) is not ANY})
+            name = name._replace(**{attr: getattr(pattern, attr) for attr in cpe.ATTRIBUTE_NAMES
+                                     if getattr(pattern, attr) is not ANY})
         at = data.draw(_at)
         expected = sorted((r for r in cat.vulnerabilities.values()
                            if _applies_by_scan(r, name, at)), key=lambda r: r.cve_id)

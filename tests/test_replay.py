@@ -226,7 +226,7 @@ def test_lifecycle_operations_edit_and_return_the_graph_they_are_given():
             continue
         g = working.clone()
         before = graph.edg_to_dict(g)
-        new_cpe = replace(node.cpe_current, version="99.0")
+        new_cpe = node.cpe_current._replace(version="99.0")
         assert graph.update_asset(g, node.asset_id, new_cpe, catalog) is g
         assert graph.edg_to_dict(g) != before, seed
         assert graph.retire_asset(g, node.asset_id) is g

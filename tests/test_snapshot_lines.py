@@ -61,6 +61,38 @@ def test_a_line_that_is_not_canonical_text_reads_as_its_canonical_text(tmp_path)
     assert tl == _whole(TEXT) and not tl.stale
 
 
+@pytest.mark.parametrize("edit", [
+    pytest.param(('"V1":{"assets":', '"V1": {"assets" :'), id="not-canonical"),
+    pytest.param(('"cvss":', '"cvss":0.5,"x":'), id="content"),
+])
+def test_a_line_read_stops_hashing_at_the_first_line_that_does_not_match(
+        tmp_path, monkeypatch, edit):
+    # V1 is the first snapshot line and the first mark.  The line read hashes
+    # it alone and gives up; the whole decode then hashes all three.
+    text = TEXT.replace(*edit, 1)
+    assert text.split("\n")[1] != LINES[1] and text.split("\n")[2:] == LINES[2:]
+    hashed = []
+    digester = tl_mod._digester
+
+    def counting(tl):
+        digest = digester(tl)
+        hashed.append(0)
+        n = len(hashed) - 1
+
+        def counted(mark, snapshot_text):
+            hashed[n] += 1
+            return digest(mark, snapshot_text)
+        return counted
+
+    monkeypatch.setattr(tl_mod, "_digester", counting)
+    path = tmp_path / "timeline.json"
+    path.write_text(text)
+    tl = tl_mod.load_timeline(path)
+    assert hashed == [1, 3]
+    assert tl == _whole(text)
+    assert tl.stale == (frozenset() if edit[0].startswith('"V1"') else {"V1"})
+
+
 def test_the_digests_hash_the_head_as_the_timeline_writes_it(tmp_path):
     # An explicit default is not in the written head, so the file's own text
     # of the head would not match the digests.
