@@ -40,8 +40,8 @@ def _load_catalog(path):
 
 def _warn_stale(tl, cat, labels) -> None:
     """Warn of each snapshot among ``labels`` that does not match its digest
-    and that a read will therefore rebuild from the log (with a catalog; a
-    read without one refuses it)."""
+    and that a command will therefore rebuild from the log (with a catalog;
+    a read without one refuses it)."""
     if cat is not None:
         for label in dict.fromkeys(labels):
             if label in tl.stale:
@@ -140,15 +140,11 @@ def _cmd_event(args) -> int:
         tl = timeline_mod.append_event(tl, event)
     if args.mark_epoch is not None:
         tl = timeline_mod.mark_epoch(tl, args.mark_epoch, at)
-    # The stored epochs are released history.  The replay starts from the
-    # last epoch of the run, from the first, whose snapshots match their
-    # digests, and applies the events after its mark, the new one among
-    # them, which validates it against the catalog; later epochs are rebuilt.
-    stale = [label for label in tl.epoch_labels() if label in tl.stale]
+    # The verified epochs are released history and are kept as stored; the
+    # replay from the last of them applies the events after its mark, the new
+    # one among them, which validates it against the catalog.
+    _warn_stale(tl, cat, tl.epoch_labels())
     tl, _ = timeline_mod.update_snapshots(tl, cat)
-    for label in stale:
-        print(f"warning: snapshot {label} does not match its digest; "
-              "rebuilding it and every later epoch from the log", file=sys.stderr)
     timeline_mod.save_timeline(tl, args.out or args.timeline)
     print(f"appended {args.kind} at {at}")
     return 0

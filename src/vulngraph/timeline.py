@@ -16,16 +16,13 @@ the rest of the file once; any other text is decoded whole, and each
 snapshot encoded once to verify its canonical text.  Either way a snapshot
 is decoded, and checked (its shape, its ``epoch`` its label, its root the
 SUT), only when a command reads that epoch, so a bad one never stops a read
-of another.  A read rebuilds a snapshot that does not match its digest by
-replaying the log when it has a catalog, and refuses it without one; a
-snapshot without a digest is read unverified.  Every replay starts at the
-last epoch of the verified prefix (the epochs, from the first, whose
-snapshot matches its digest) that is not after the first epoch it must
-produce, decoded, or at the build (:func:`_replay_to`); an embed
-(:func:`update_snapshots`) keeps that prefix as stored and embeds every later
-epoch, even a verified one after a stale one, which a read takes as stored.
-The catalog is not part of a digest: a released epoch keeps what it was
-released with, and a catalog serves only the events applied after it.
+of another.  Every command keeps a verified epoch, one whose snapshot has a
+digest and matches it (:func:`_verified`), as stored.  It rebuilds any other
+from the last verified epoch before it, decoded, or from the build
+(:func:`_replay_to`), except that a read takes a snapshot without a digest
+unverified and, without a catalog, refuses one that does not match.  The
+catalog is not part of a digest: a released epoch keeps what it was released
+with, and a catalog serves only the events applied after it.
 
 Timestamps are ISO 8601 UTC with seconds precision (``2021-01-01T00:00:00Z``);
 ties are broken by the event sequence number.
@@ -37,7 +34,6 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field, replace
-from itertools import takewhile
 from json.decoder import scanstring
 
 from . import cpe, graph
@@ -245,55 +241,61 @@ def _step(tl: Timeline, at: str) -> int:
     return sum(event.at <= at for event in tl.events) - 1
 
 
-def _verified_prefix(tl: Timeline) -> list[EpochMark]:
-    """The run of epochs, from the first, whose snapshot has a digest and is
-    not :attr:`Timeline.stale`."""
-    return list(takewhile(lambda m: m.label in tl.snapshots and m.label in tl.digests
-                          and m.label not in tl.stale, tl.epochs))
+def _verified(tl: Timeline, mark: EpochMark) -> bool:
+    """Whether the epoch's snapshot has a digest and matches it."""
+    return mark.label in tl.snapshots and mark.label in tl.digests and mark.label not in tl.stale
+
+
+def _start(tl: Timeline, mark: EpochMark | None) -> EpochMark | None:
+    """The last verified epoch before ``mark`` in mark order, or None: an
+    unnamed mark comes after every epoch at or before its time, and ``mark``
+    None after every epoch."""
+    before = tl.epochs[:tl.epochs.index(mark)] if mark in tl.epochs else tl.epochs
+    return next((m for m in reversed(before)
+                 if (mark is None or m.at <= mark.at) and _verified(tl, m)), None)
 
 
 def _replay_to(tl: Timeline, catalog: Catalog, marks, whole_log: bool = False) -> list[Edg]:
-    """Snapshots for epoch marks from one replay pass.
-
-    The pass starts at the last epoch of the verified prefix
-    (:func:`_verified_prefix`) whose mark is not after any of ``marks``,
-    decoded, or at the build when there is none; a released
-    epoch is history, so nothing before it is replayed again.  Each mark
-    takes the state at its :func:`_step`.  The pass stops once every mark
-    has been taken, unless ``whole_log`` asks for the rest of the log too
-    (which validates every later event).  Each snapshot is its own
-    :class:`Edg` with its mark's label as epoch, even when two marks fall on
-    one log position.
-    """
+    """Snapshots for epoch marks, each its own :class:`Edg` with its mark's
+    label as epoch.  Marks with the same :func:`_start` share one pass from
+    it, decoded, or from the build, which stops at their last :func:`_step`,
+    so no pass carries a rebuilt state past a verified epoch; ``whole_log``
+    runs the pass from the last verified epoch to the end of the log, which
+    validates every later event."""
     for mark in marks:
         if mark.at < tl.built_at:
             raise VulnGraphError(f"timeline starts at {tl.built_at}, after {mark.at}")
-    first = min((mark.at for mark in marks), default=None)
-    starts = [m for m in _verified_prefix(tl) if first is None or m.at <= first]
-    replayed = (_replay_from(tl, catalog, _step(tl, starts[-1].at),
-                             _decode_snapshot(tl, starts[-1].label))
-                if starts else replay(tl, catalog))
     steps = [_step(tl, mark.at) for mark in marks]
+    passes: dict[EpochMark | None, list[int]] = {}
+    for n, mark in enumerate(marks):
+        passes.setdefault(_start(tl, mark), []).append(n)
+    ends = {start: max(steps[n] for n in taken) for start, taken in passes.items()}
+    if whole_log:
+        ends[_start(tl, None)] = len(tl.events) - 1
     picked: list[Edg | None] = [None] * len(marks)
-    for i, g in replayed:
-        for m, step in enumerate(steps):
-            if step == i:
-                picked[m] = g.clone()
-                picked[m].epoch = marks[m].label
-        if i >= max(steps, default=-1) and not whole_log:
-            break
+    for start, end in ends.items():
+        replayed = (_replay_from(tl, catalog, _step(tl, start.at),
+                                 _decode_snapshot(tl, start.label))
+                    if start else replay(tl, catalog))
+        for i, g in replayed:
+            for n in passes.get(start, ()):
+                if steps[n] == i:
+                    picked[n] = g.clone()
+                    picked[n].epoch = marks[n].label
+            if i >= end:
+                break
     return picked
 
 
 def snapshot_at(tl: Timeline, catalog: Catalog, at: str) -> Edg:
     """State after replaying all events with timestamp <= ``at``, from the
-    last verified epoch at or before ``at`` (see :func:`_replay_to`)."""
+    last verified epoch at or before ``at`` (:func:`_start`)."""
     return _replay_to(tl, catalog, [EpochMark(label=None, at=at)])[0]
 
 
 def epoch_snapshot(tl: Timeline, catalog: Catalog | None, label: str) -> Edg:
-    """Snapshot for a named epoch: its embedded copy when present and not
-    stale, else a replay from the last verified epoch before it."""
+    """Snapshot for a named epoch: its embedded copy when it is verified or
+    has no digest, else a replay from the last verified epoch before it."""
     return _epoch_snapshots(tl, catalog, [tl.find_epoch(label)])[0]
 
 
@@ -313,7 +315,8 @@ def _epoch_snapshots(tl: Timeline, catalog: Catalog | None, marks) -> list[Edg]:
             raise SchemaError(f"does not match its digest {tl.digests[mark.label]}, and there "
                               "is no catalog to rebuild it from the log",
                               f"snapshots.{mark.label}")
-    embedded = [m.label in tl.snapshots and m.label not in tl.stale for m in marks]
+    embedded = [_verified(tl, m) or m.label in tl.snapshots and m.label not in tl.digests
+                for m in marks]
     missing = [m for m, stored in zip(marks, embedded) if not stored]
     if missing and catalog is None:
         raise VulnGraphError(
@@ -367,23 +370,21 @@ def embed_snapshots(tl: Timeline, catalog: Catalog) -> Timeline:
 
 
 def update_snapshots(tl: Timeline, catalog: Catalog) -> tuple[Timeline, list[Edg]]:
-    """Keep the verified prefix (:func:`_verified_prefix`) as the texts it was
-    verified as, whatever ``catalog`` holds, and embed every later epoch,
-    replayed by :func:`_replay_to` to the end of the log: only the last kept
-    snapshot is decoded, none encoded, and every event after its mark is
-    validated against ``catalog``.  So an epoch after a stale one is embedded
-    anew even when it matches its digest.  Returns the timeline, which keeps
-    only the digests of snapshots, and the later epochs' snapshots, in mark
-    order, so a caller that reads them need not decode them again.  On a
+    """Keep every verified epoch (:func:`_verified`) as the text it was
+    verified as, whatever ``catalog`` holds, and embed every other one,
+    replayed by :func:`_replay_to` with the whole log: only the verified
+    epochs a pass starts at are decoded, none encoded, and every event after
+    the last one's mark is validated against ``catalog``.  Returns the
+    timeline, which keeps only the digests of snapshots, and the embedded
+    snapshots, in mark order, so a caller need not decode them again.  On a
     timeline with no snapshots, such as a fresh build's, it embeds every
-    epoch, as :func:`embed_snapshots` does.
-    """
+    epoch, as :func:`embed_snapshots` does."""
     _check_labels(tl)
-    kept = _verified_prefix(tl)
-    marks = tl.epochs[len(kept):]
+    kept = [m.label for m in tl.epochs if _verified(tl, m)]
+    marks = [m for m in tl.epochs if not _verified(tl, m)]
     snapshots = _replay_to(tl, catalog, marks, whole_log=True)
-    updated = replace(tl, snapshots={m.label: tl.snapshots[m.label] for m in kept},
-                      digests={m.label: tl.digests[m.label] for m in kept}, stale=frozenset())
+    updated = replace(tl, snapshots={label: tl.snapshots[label] for label in kept},
+                      digests={label: tl.digests[label] for label in kept}, stale=frozenset())
     digest = _digester(tl)
     for mark, g in zip(marks, snapshots):
         text = canonical_text(graph.edg_to_dict(g, tl._names))

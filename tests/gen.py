@@ -89,10 +89,11 @@ def random_timeline(rng: random.Random, max_events: int = 5):
         choices = ["noop", "asset_added"]
         if active:
             choices += ["asset_updated", "asset_retired", "vuln_discovered"]
+        cves = g.cves_by_asset()
         attached = [
             (a.asset_id, cve)
             for a in g.active_assets()
-            for cve in g.active_cves_of(a.node_id)
+            for cve in cves.get(a.node_id, ())
         ]
         if attached:
             choices.append("vuln_patched")
@@ -119,9 +120,7 @@ def random_timeline(rng: random.Random, max_events: int = 5):
             bump = version_bump[asset_id] = version_bump.get(asset_id, 0) + 1
             vendor = node.cpe_current.vendor
             product = node.cpe_current.product
-            fixes = tuple(
-                cve for cve in g.active_cves_of(node.node_id) if rng.random() < 0.5
-            )
+            fixes = tuple(cve for cve in cves.get(node.node_id, ()) if rng.random() < 0.5)
             event = LifecycleEvent(
                 at=at, seq=0, kind="asset_updated", asset_id=asset_id,
                 cpe_value=cpe.parse_formatted(wstr(vendor, product, f"9.{bump}")),

@@ -1,6 +1,7 @@
 """The traced benchmark (``perfbench/spans.py``) wraps public names of every
 module from outside the package; these tests keep those names in place and
-use the same wrappers to count replay passes and snapshot decodes."""
+use the same wrappers to count replay passes and snapshot decodes.  They
+also check that the benchmark's generated inputs hold no stale epoch."""
 
 import importlib.util
 import json
@@ -14,7 +15,8 @@ from helpers import make_catalog, name, record, update_patch_scenario, wstr
 from vulngraph import catalog as cat_mod, cli, cpe, fixtures, report, timeline as tl_mod
 from vulngraph.report import AlertRule
 
-_SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+_ROOT = Path(__file__).resolve().parents[1]
+_SPANS_PATH = _ROOT / "perfbench" / "spans.py"
 
 
 @pytest.fixture()
@@ -214,3 +216,17 @@ def test_event_replays_only_without_verified_snapshots(tracer, tmp_path, digests
     written = json.loads((tmp_path / "out.json").read_text())
     assert written["snapshots"] == json.loads(
         fixtures.openplc_timeline_path().read_text())["snapshots"]
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in json.loads(
+    (_ROOT / "BENCHMARK.json").read_text())["workloads"]])
+def test_benchmark_inputs_hold_no_stale_epoch(tmp_path, workload):
+    # Every benchmark command then keeps every stored epoch and replays only
+    # from the last one, so the benchmark times no rebuild of a stale epoch.
+    spec = importlib.util.spec_from_file_location("perfbench_gen", _ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    gen.make_inputs(workload, 1, tmp_path)
+    tl = tl_mod.load_timeline(tmp_path / "timeline.json")
+    assert tl.stale == frozenset()
+    assert set(tl.digests) == set(tl.snapshots) == set(tl.epoch_labels())
