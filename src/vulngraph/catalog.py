@@ -17,6 +17,17 @@ A catalog is loaded from one canonical JSON document::
 record documents and checks them as a load does.  Catalogs are immutable
 after load; all lookups are read-only.  The first lookup indexes the records
 by product, so changing ``vulnerabilities`` after it is unsupported.
+
+A :class:`VulnerabilityRecord` and an :class:`AffectedProduct` are tuples of
+their fields, in the order of the record document, so a load builds each one
+with a single ``tuple.__new__`` call, and hashing and equality run in tuple's
+C code.  A record compares as its plain tuple; the package only ever
+compares records with records.  The hot loops (the product index, the
+lookup and its sort, ``applies_to`` and ``matches``) read their fields by
+position, because Python 3.11 does not specialize attribute reads on a
+tuple; the rest of the code reads them by name.  The other records are
+frozen dataclasses, and a :class:`VersionRange` keeps the version keys of
+its bounds once a lookup has computed them.
 """
 
 from __future__ import annotations
@@ -25,9 +36,11 @@ import csv
 import json
 import os
 import re
+from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 from . import cpe
 from .cpe import WellFormedName
@@ -47,6 +60,10 @@ _DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}")
 
 #: Default of :func:`_expect` for a required field.
 _REQUIRED = object()
+
+# Builds a record from a tuple in one C call, without the generated
+# ``__new__``'s Python frame.
+_new = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -84,43 +101,52 @@ class VersionRange:
         return True
 
 
-@dataclass(frozen=True)
-class AffectedProduct:
-    pattern: WellFormedName
-    versions: VersionRange | None = None
+class AffectedProduct(namedtuple("AffectedProduct", ["pattern", "versions"], defaults=[None])):
+    """A CPE ``pattern`` and the optional :class:`VersionRange` of the
+    versions it affects, as the tuple ``(pattern, versions)``."""
+
+    __slots__ = ()
 
     def matches(self, name: WellFormedName, version_key: tuple | None = None) -> bool:
         """True when ``name`` matches the pattern and its version lies in the
         range.  ``version_key`` is ``cpe.version_key(name.version)`` when the
         caller has it already."""
-        if not cpe.matches(name, self.pattern):
+        # By position: self[0] is the pattern, self[1] the range, name[3]
+        # the version.
+        if not cpe.matches(name, self[0]):
             return False
-        if self.versions is None:
+        versions = self[1]
+        if versions is None:
             return True
         # A range needs a literal version to test against; ANY/NA cannot be
         # shown to lie inside the interval.
-        if not isinstance(name.version, str):
+        version = name[3]
+        if not isinstance(version, str):
             return False
         if version_key is None:
-            version_key = cpe.version_key(name.version)
-        return self.versions.contains_key(version_key)
+            version_key = cpe.version_key(version)
+        return versions.contains_key(version_key)
 
 
-@dataclass(frozen=True)
-class VulnerabilityRecord:
-    cve_id: str
-    cvss: float
-    cvss_scheme: str = "v2"
-    cwe_ids: tuple[str, ...] = (CWE_NULL,)
-    affected: tuple[AffectedProduct, ...] = ()
-    exploit_available: bool = False
-    published: str = "1999-01-01"
+class VulnerabilityRecord(namedtuple(
+        "VulnerabilityRecord",
+        ["cve_id", "cvss", "cvss_scheme", "cwe_ids", "affected", "exploit_available", "published"],
+        defaults=["v2", (CWE_NULL,), (), False, "1999-01-01"])):
+    """One CVE: its id, CVSS base score and scheme, CWE ids, affected
+    products (:class:`AffectedProduct`), whether an exploit is known and its
+    publication date, as a tuple in that order."""
+
+    __slots__ = ()
 
     def applies_to(self, name: WellFormedName, at: str | None = None,
                    version_key: tuple | None = None) -> bool:
-        if at is not None and self.published > at[:10]:
+        # By position: self[6] is the publication date, self[4] the entries.
+        if at is not None and self[6] > at[:10]:
             return False
-        return any(entry.matches(name, version_key) for entry in self.affected)
+        for entry in self[4]:
+            if entry.matches(name, version_key):
+                return True
+        return False
 
 
 @dataclass(frozen=True)
@@ -178,15 +204,16 @@ class Catalog:
             self._index = _product_index(self.vulnerabilities.values())
         by_product, wildcard = self._index
         candidates: dict[str, VulnerabilityRecord] = {}
-        # By position: name[:3] is (part, vendor, product), name[3] the version.
+        # By position: name[:3] is (part, vendor, product), name[3] the
+        # version, and a record's [0] its CVE id.
         version = name[3]
         for keyed, rest in (by_product.get(name[:3], _NO_BUCKET), wildcard):
             for record in keyed.get(version, ()):
-                candidates[record.cve_id] = record
+                candidates[record[0]] = record
             candidates.update(rest)
         key = cpe.version_key(version) if isinstance(version, str) else None
         hits = [r for r in candidates.values() if r.applies_to(name, at, key)]
-        hits.sort(key=lambda r: r.cve_id)
+        hits.sort(key=_CVE_ID)
         return hits
 
     def capecs_for_weakness(self, cwe_id: str) -> list[AttackPatternRecord]:
@@ -230,6 +257,9 @@ class Catalog:
 #: The ``(keyed, rest)`` bucket of a product no pattern names.
 _NO_BUCKET: tuple[dict, dict] = ({}, {})
 
+#: A record's CVE id, read by position.
+_CVE_ID = itemgetter(0)
+
 
 def _product_index(records) -> tuple[dict, tuple[dict, dict]]:
     """Records by the ``(part, vendor, product)`` of their affected patterns,
@@ -245,13 +275,15 @@ def _product_index(records) -> tuple[dict, tuple[dict, dict]]:
     """
     by_product: dict[tuple, tuple[dict, dict]] = {}
     wildcard: tuple[dict, dict] = ({}, {})
+    # By position: a record's [0] is its CVE id and [4] its entries, an
+    # entry's [0] its pattern.
     for record in records:
-        for entry in record.affected:
-            pattern = entry.pattern
+        for entry in record[4]:
+            pattern = entry[0]
             key, version = pattern[:3], pattern[3]
             keyed, rest = wildcard if cpe.ANY in key else by_product.setdefault(key, ({}, {}))
             if version is cpe.ANY:
-                rest[record.cve_id] = record
+                rest[record[0]] = record
             else:
                 keyed.setdefault(version, []).append(record)
     return by_product, wildcard
@@ -350,7 +382,7 @@ def _parse_affected(entries: list, path, patterns: cpe.ParseTable) -> tuple[Affe
             if type(versions) is not dict:
                 versions = _expect(doc, "versions", dict, f"{path}.affected[{i}]")
             versions = _parse_range(versions, f"{path}.affected[{i}].versions")
-        out.append(AffectedProduct(pattern, versions))
+        out.append(_new(AffectedProduct, (pattern, versions)))
     return tuple(out)
 
 
@@ -372,8 +404,12 @@ def _parse_vulnerability(doc, path, patterns: cpe.ParseTable) -> VulnerabilityRe
     if scheme != "v2" and scheme != "v3":
         raise SchemaError(f"unknown cvss scheme {scheme!r}", f"{path}.cvss_scheme")
     cwe_ids = get("cwe_ids", [])
-    if type(cwe_ids) is not list or not all(
-            type(c) is str and _CWE_RE.fullmatch(c) for c in cwe_ids):
+    if type(cwe_ids) is list:
+        for c in cwe_ids:
+            if type(c) is not str or not _CWE_RE.fullmatch(c):
+                cwe_ids = None  # _ids below checks the list again
+                break
+    if type(cwe_ids) is not list:
         cwe_ids = _ids(doc, "cwe_ids", _CWE_RE, "CWE", path, [])
     entries = get("affected", [])
     if type(entries) is not list:
@@ -387,15 +423,8 @@ def _parse_vulnerability(doc, path, patterns: cpe.ParseTable) -> VulnerabilityRe
     exploit = get("exploit_available", False)
     if type(exploit) is not bool:
         exploit = _expect(doc, "exploit_available", bool, path)
-    return VulnerabilityRecord(
-        cve_id=cve_id,
-        cvss=float(cvss),
-        cvss_scheme=scheme,
-        cwe_ids=tuple(cwe_ids) or (CWE_NULL,),
-        affected=affected,
-        exploit_available=exploit,
-        published=published,
-    )
+    return _new(VulnerabilityRecord, (cve_id, float(cvss), scheme, tuple(cwe_ids) or (CWE_NULL,),
+                                      affected, exploit, published))
 
 
 def _parse_weakness(doc, path) -> WeaknessRecord:

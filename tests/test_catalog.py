@@ -1,7 +1,9 @@
 import json
+import random
 
 import pytest
 
+from gen import random_catalog
 from helpers import make_catalog, name, record, wstr
 from vulngraph import catalog as cat_mod
 from vulngraph import fixtures
@@ -223,6 +225,61 @@ def test_catalog_roundtrip(openplc_catalog):
     doc = cat_mod.catalog_to_dict(openplc_catalog)
     again = cat_mod.catalog_from_dict(doc)
     assert cat_mod.catalog_to_dict(again) == doc
+
+
+def test_record_fields_and_defaults_match_the_record_document():
+    doc = cat_mod.catalog_to_dict(make_catalog(records=[
+        record("CVE-2020-0001", 5.0, affected=[(wstr("v", "p", "*"), "1.0", "2.0")])]))
+    vuln = doc["vulnerabilities"][0]
+    assert cat_mod.VulnerabilityRecord._fields == tuple(vuln)
+    assert cat_mod.AffectedProduct._fields == ("pattern", "versions")
+    assert [*vuln["affected"][0]] == ["cpe", "versions"]
+    # A record document that gives only the required fields loads as the
+    # record type's defaults.
+    loaded = make_catalog(records=[{"cve_id": "CVE-2020-0002", "cvss": 1.0,
+                                    "affected": [{"cpe": wstr("v", "p", "1.0")}]}])
+    got = loaded.vulnerabilities["CVE-2020-0002"]
+    assert got == cat_mod.VulnerabilityRecord(
+        "CVE-2020-0002", 1.0, affected=(cat_mod.AffectedProduct(name("v", "p", "1.0")),))
+    assert cat_mod.VulnerabilityRecord._field_defaults == {
+        "cvss_scheme": "v2", "cwe_ids": (CWE_NULL,), "affected": (),
+        "exploit_available": False, "published": "1999-01-01"}
+    assert cat_mod.AffectedProduct._field_defaults == {"versions": None}
+
+
+def test_records_are_immutable_and_hashable(openplc_catalog):
+    records = list(openplc_catalog.vulnerabilities.values())
+    entries = [entry for r in records for entry in r.affected]
+    assert any(entry.versions is not None for entry in entries)
+    for value, field in [(records[0], "cvss"), (entries[0], "versions")]:
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        assert not hasattr(value, "__dict__")
+    assert len(set(records)) == len(records)
+    assert all(hash(value) == hash(tuple(value)) for value in [*records, *entries])
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_two_loads_of_one_catalog_give_equal_records(tmp_path, seed):
+    if seed is None:
+        path = fixtures.openplc_catalog_path()
+    else:
+        path = tmp_path / "catalog.json"
+        cat_mod.save_catalog(random_catalog(random.Random(seed)), path)
+    first, second = cat_mod.load_catalog(path), cat_mod.load_catalog(path)
+    assert first.vulnerabilities == second.vulnerabilities
+    assert all(first.vulnerabilities[k] is not r and hash(first.vulnerabilities[k]) == hash(r)
+               for k, r in second.vulnerabilities.items())
+
+
+def test_the_round_trip_gives_the_input_document_byte_for_byte():
+    texts = [fixtures.openplc_catalog_path().read_text()]
+    texts += [cat_mod.canonical_json(cat_mod.catalog_to_dict(random_catalog(random.Random(seed))))
+              for seed in range(100)]
+    assert sum(text.count('"cve_id"') for text in texts) > 300
+    for text in texts:
+        again = cat_mod.catalog_from_dict(json.loads(text))
+        assert cat_mod.canonical_json(cat_mod.catalog_to_dict(again)) == text
 
 
 def test_merge_catalogs_duplicate_rejected():

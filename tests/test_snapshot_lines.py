@@ -93,6 +93,59 @@ def test_a_line_read_stops_hashing_at_the_first_line_that_does_not_match(
     assert tl.stale == (frozenset() if edit[0].startswith('"V1"') else {"V1"})
 
 
+@pytest.mark.parametrize("edit", [
+    pytest.param(('"V2":{"assets":', '"V2": {"assets" :'), id="not-canonical"),
+    pytest.param(('"cvss":', '"cvss":0.5,"x":'), id="content"),
+])
+def test_a_line_that_does_not_match_keeps_the_head_the_line_read_parsed(
+        tmp_path, monkeypatch, edit):
+    text = TEXT.replace(*edit, 1)
+    whole = _whole(text)
+    parsed = []
+    manifest_from_dict = tl_mod.manifest_from_dict
+
+    def counting(*args):
+        parsed.append(1)
+        return manifest_from_dict(*args)
+
+    monkeypatch.setattr(tl_mod, "manifest_from_dict", counting)
+    path = tmp_path / "timeline.json"
+    path.write_text(text)
+    tl = tl_mod.load_timeline(path)
+    assert len(parsed) == 1
+    assert tl == whole and (tl.snapshots, tl.stale) == (whole.snapshots, whole.stale)
+    assert tl.stale == (frozenset() if edit[0].startswith('"V2"') else {"V1"})
+
+
+# A snapshot line that closes the snapshots and gives other top-level keys,
+# which the whole decode reads and the head of the line read lacks.
+_ESCAPES = {
+    "events-emptied": (-3, lambda line: line + '},"events":[],"zz":{"a":1'),
+    "events-not-a-list": (-3, lambda line: line + '},"events":5,"zz":{"a":1'),
+    "key-added": (-3, lambda line: line + '},"zz":{"a":1'),
+    "snapshots-reopened": (1, lambda line: line[:-1] + '},"events":[],"snapshots":{' + line),
+}
+
+
+@pytest.mark.parametrize("escape", sorted(_ESCAPES))
+def test_a_line_that_changes_the_head_reads_as_the_whole_decode(tmp_path, escape):
+    at, edit = _ESCAPES[escape]
+    lines = list(LINES)
+    lines[at] = edit(lines[at])
+    text = "\n".join(lines)
+    assert tl_mod._split_lines(text) is not None
+    whole = _whole(text)
+    path = tmp_path / "timeline.json"
+    path.write_text(text)
+    try:
+        tl = tl_mod.load_timeline(path)
+    except SchemaError as exc:
+        assert isinstance(whole, SchemaError) and str(exc) == str(whole)
+        return
+    assert tl == whole and (tl.snapshots, tl.stale) == (whole.snapshots, whole.stale)
+    assert len(tl.events) == (20 if escape == "key-added" else 0)
+
+
 def test_the_digests_hash_the_head_as_the_timeline_writes_it(tmp_path):
     # An explicit default is not in the written head, so the file's own text
     # of the head would not match the digests.
