@@ -213,7 +213,7 @@ class Catalog:
             candidates.update(rest)
         key = cpe.version_key(version) if isinstance(version, str) else None
         hits = [r for r in candidates.values() if r.applies_to(name, at, key)]
-        hits.sort(key=_CVE_ID)
+        hits.sort(key=itemgetter(0))
         return hits
 
     def capecs_for_weakness(self, cwe_id: str) -> list[AttackPatternRecord]:
@@ -256,10 +256,6 @@ class Catalog:
 
 #: The ``(keyed, rest)`` bucket of a product no pattern names.
 _NO_BUCKET: tuple[dict, dict] = ({}, {})
-
-#: A record's CVE id, read by position.
-_CVE_ID = itemgetter(0)
-
 
 def _product_index(records) -> tuple[dict, tuple[dict, dict]]:
     """Records by the ``(part, vendor, product)`` of their affected patterns,
