@@ -23,7 +23,7 @@ their fields, in the order of the record document, so a load builds each one
 with a single ``tuple.__new__`` call, and hashing and equality run in tuple's
 C code.  A record compares as its plain tuple; the package only ever
 compares records with records.  The hot loops (the product index, the
-lookup and its sort, ``applies_to`` and ``matches``) read their fields by
+lookup, ``applies_to`` and ``matches``) read their fields by
 position, because Python 3.11 does not specialize attribute reads on a
 tuple; the rest of the code reads them by name.  The other records are
 frozen dataclasses, and a :class:`VersionRange` keeps the version keys of
@@ -40,7 +40,6 @@ from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
 
 from . import cpe
 from .cpe import WellFormedName
@@ -213,7 +212,8 @@ class Catalog:
             candidates.update(rest)
         key = cpe.version_key(version) if isinstance(version, str) else None
         hits = [r for r in candidates.values() if r.applies_to(name, at, key)]
-        hits.sort(key=itemgetter(0))
+        # Ordered by CVE id: the ids are unique, so the tuples' own order is it.
+        hits.sort()
         return hits
 
     def capecs_for_weakness(self, cwe_id: str) -> list[AttackPatternRecord]:

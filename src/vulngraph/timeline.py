@@ -560,11 +560,12 @@ def timeline_from_dict(doc: dict) -> Timeline:
     return _from_dict(doc)
 
 
-def _from_dict(doc: dict, lines: dict[str, str] | None = None) -> Timeline:
+def _from_dict(doc: dict, lines: dict[str, str] | None = None) -> Timeline | None:
     """:func:`timeline_from_dict`; given ``lines`` (label -> text, see
     :func:`_split_lines`) of a head document whose snapshots are those, the
-    timeline with those snapshots, none of them hashed or marked stale.
-    Either way a snapshot is checked only when it is decoded."""
+    timeline when every line matches its digest, and None as soon as one
+    does not, hashing no line after it.  Either way a snapshot is checked
+    only when it is decoded."""
     if not isinstance(doc, dict):
         raise SchemaError("timeline document must be an object")
     if doc.get("schema_version", 1) != 1:
@@ -606,15 +607,11 @@ def _from_dict(doc: dict, lines: dict[str, str] | None = None) -> Timeline:
         _cpes=cpes,
         _names=cpes.bindings(),
     )
-    if not by_lines:
-        tl.stale = _stale(tl)
+    unverified = _unverified(tl)
+    if by_lines:
+        return None if next(unverified, None) is not None else tl
+    tl.stale = frozenset(label for label in unverified if label in digests)
     return tl
-
-
-def _stale(tl: Timeline) -> frozenset[str]:
-    """The labels of the snapshots of ``tl`` that have a digest and do not
-    match it."""
-    return frozenset(label for label in _unverified(tl) if label in tl.digests)
 
 
 def save_timeline(tl: Timeline, path) -> None:
@@ -702,26 +699,11 @@ def load_timeline(path) -> Timeline:
     epoch and matches its digest is read by its lines (:func:`_split_lines`),
     none of them decoded; any other text is decoded whole, which encodes
     each of its snapshots once to verify it.  The line read stops hashing at
-    the first line that does not match its digest.  Then, when each line
-    holds one JSON value, the lines cannot have changed the head (by closing
-    the snapshots and giving other keys), so the whole document is the head
-    the line read parsed with those values as its snapshots: only they are
-    decoded.  A file with any other line is parsed whole anew."""
+    the first line that does not match its digest."""
     text = read_text(path)
     parts = _split_lines(text)
-    if parts is None:
-        return timeline_from_dict(parse_json(text))
-    head, lines = parts
-    tl = _from_dict(head, lines)
-    if next(_unverified(tl), None) is None:
-        return tl
-    try:
-        snapshots = {label: json.loads(line) for label, line in lines.items()}
-    except (ValueError, RecursionError):
-        return timeline_from_dict(parse_json(text))
-    tl.snapshots = {label: canonical_text(snap) for label, snap in snapshots.items()}
-    tl.stale = _stale(tl)
-    return tl
+    tl = None if parts is None else _from_dict(*parts)
+    return timeline_from_dict(parse_json(text)) if tl is None else tl
 
 
 def load_manifest(path) -> Manifest:

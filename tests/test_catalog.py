@@ -221,10 +221,16 @@ def test_remediation_test_case_needs_capec():
                                    "capec_ids": [], "text": "t"}])
 
 
-def test_catalog_roundtrip(openplc_catalog):
-    doc = cat_mod.catalog_to_dict(openplc_catalog)
-    again = cat_mod.catalog_from_dict(doc)
-    assert cat_mod.catalog_to_dict(again) == doc
+@pytest.mark.parametrize("seed", [None, *range(100)])
+def test_catalog_roundtrip(seed):
+    # The bundled catalog, or a tests/gen.py catalog; either way the round
+    # trip gives the input document byte for byte.
+    if seed is None:
+        text = fixtures.openplc_catalog_path().read_text()
+    else:
+        text = cat_mod.canonical_json(cat_mod.catalog_to_dict(random_catalog(random.Random(seed))))
+    again = cat_mod.catalog_from_dict(json.loads(text))
+    assert cat_mod.canonical_json(cat_mod.catalog_to_dict(again)) == text
 
 
 def test_record_fields_and_defaults_match_the_record_document():
@@ -270,16 +276,6 @@ def test_two_loads_of_one_catalog_give_equal_records(tmp_path, seed):
     assert first.vulnerabilities == second.vulnerabilities
     assert all(first.vulnerabilities[k] is not r and hash(first.vulnerabilities[k]) == hash(r)
                for k, r in second.vulnerabilities.items())
-
-
-def test_the_round_trip_gives_the_input_document_byte_for_byte():
-    texts = [fixtures.openplc_catalog_path().read_text()]
-    texts += [cat_mod.canonical_json(cat_mod.catalog_to_dict(random_catalog(random.Random(seed))))
-              for seed in range(100)]
-    assert sum(text.count('"cve_id"') for text in texts) > 300
-    for text in texts:
-        again = cat_mod.catalog_from_dict(json.loads(text))
-        assert cat_mod.canonical_json(cat_mod.catalog_to_dict(again)) == text
 
 
 def test_merge_catalogs_duplicate_rejected():

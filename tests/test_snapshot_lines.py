@@ -93,30 +93,6 @@ def test_a_line_read_stops_hashing_at_the_first_line_that_does_not_match(
     assert tl.stale == (frozenset() if edit[0].startswith('"V1"') else {"V1"})
 
 
-@pytest.mark.parametrize("edit", [
-    pytest.param(('"V2":{"assets":', '"V2": {"assets" :'), id="not-canonical"),
-    pytest.param(('"cvss":', '"cvss":0.5,"x":'), id="content"),
-])
-def test_a_line_that_does_not_match_keeps_the_head_the_line_read_parsed(
-        tmp_path, monkeypatch, edit):
-    text = TEXT.replace(*edit, 1)
-    whole = _whole(text)
-    parsed = []
-    manifest_from_dict = tl_mod.manifest_from_dict
-
-    def counting(*args):
-        parsed.append(1)
-        return manifest_from_dict(*args)
-
-    monkeypatch.setattr(tl_mod, "manifest_from_dict", counting)
-    path = tmp_path / "timeline.json"
-    path.write_text(text)
-    tl = tl_mod.load_timeline(path)
-    assert len(parsed) == 1
-    assert tl == whole and (tl.snapshots, tl.stale) == (whole.snapshots, whole.stale)
-    assert tl.stale == (frozenset() if edit[0].startswith('"V2"') else {"V1"})
-
-
 # A snapshot line that closes the snapshots and gives other top-level keys,
 # which the whole decode reads and the head of the line read lacks.
 _ESCAPES = {
