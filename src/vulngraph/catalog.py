@@ -257,6 +257,7 @@ class Catalog:
 #: The ``(keyed, rest)`` bucket of a product no pattern names.
 _NO_BUCKET: tuple[dict, dict] = ({}, {})
 
+
 def _product_index(records) -> tuple[dict, tuple[dict, dict]]:
     """Records by the ``(part, vendor, product)`` of their affected patterns,
     then by version.
