@@ -32,7 +32,6 @@ its bounds once a lookup has computed them.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import re
@@ -790,9 +789,11 @@ def _csv_ids(cell: str) -> list[str]:
     return [c.strip() for c in cell.split(";") if c.strip()]
 
 
-def _csv_rows(fh, columns: tuple[str, ...]) -> csv.DictReader:
+def _csv_rows(fh, columns: tuple[str, ...]):
     """The rows of a CSV file as dicts, blanks for the cells a short row
     lacks; a header without one of ``columns`` is a :class:`SchemaError`."""
+    import csv
+
     reader = csv.DictReader(fh, restval="")
     for column in columns:
         if reader.fieldnames is not None and column not in reader.fieldnames:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from datetime import datetime, timezone
 
 from . import catalog as catalog_mod
 from . import cpe, graph, metrics, report, timeline as timeline_mod
@@ -63,6 +62,8 @@ def _snapshot(args):
 
 def _resolve_at(value: str) -> str:
     if value == "now":
+        from datetime import datetime, timezone
+
         return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
     return timeline_mod.validate_timestamp(value)
 
@@ -259,11 +260,7 @@ def _add_snapshot_args(p):
     p.add_argument("--out", help="write output here instead of stdout")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="vulngraph", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="convert an NVD 1.1 feed to a canonical catalog")
+def _ingest_args(p):
     p.add_argument("--feed", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--snapshot-date", default="1999-01-01")
@@ -272,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--merge", help="merge into an existing catalog file")
     p.set_defaults(fn=_cmd_ingest)
 
-    p = sub.add_parser("build", help="build a timeline from a manifest and catalog")
+
+def _build_args(p):
     p.add_argument("--sut", required=True, help="CPE 2.3 name of the system under test")
     p.add_argument("--manifest", required=True)
     p.add_argument("--catalog", required=True)
@@ -281,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_build)
 
-    p = sub.add_parser("event", help="append a lifecycle event")
+
+def _event_args(p):
     p.add_argument("--timeline", required=True)
     p.add_argument("--catalog", required=True)
     p.add_argument("--kind", required=True,
@@ -301,12 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write here instead of updating in place")
     p.set_defaults(fn=_cmd_event)
 
-    p = sub.add_parser("metrics", help="print the metric table for one epoch")
+
+def _metrics_args(p):
     _add_snapshot_args(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_metrics)
 
-    p = sub.add_parser("prioritize", help="CVSS-sorted patch queue")
+
+def _prioritize_args(p):
     _add_snapshot_args(p)
     p.add_argument("--min", type=float, default=0.0)
     p.add_argument("--max", type=float, default=10.0)
@@ -315,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_prioritize)
 
-    p = sub.add_parser("cluster", help="export DOT with a clustering applied")
+
+def _cluster_args(p):
     _add_snapshot_args(p)
     p.add_argument("--criterion", dest="cluster", choices=["no-vulns", "cvss-below"],
                    required=True)
@@ -324,12 +326,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--show-deprecated", action="store_true")
     p.set_defaults(fn=_cmd_export, full_labels=False)
 
-    p = sub.add_parser("impact", help="assets reached by exploiting a CVE")
+
+def _impact_args(p):
     _add_snapshot_args(p)
     p.add_argument("--cve", required=True)
     p.set_defaults(fn=_cmd_impact)
 
-    p = sub.add_parser("export", help="export one epoch as Graphviz DOT")
+
+def _export_args(p):
     _add_snapshot_args(p)
     p.add_argument("--cluster", choices=["none", "no-vulns", "cvss-below"], default="none")
     p.add_argument("--threshold", type=float, help="CVSS bound of cvss-below (required there)")
@@ -337,21 +341,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full-labels", action="store_true")
     p.set_defaults(fn=_cmd_export, scope=None)
 
-    p = sub.add_parser("report", help="full assessment report")
+
+def _report_args(p):
     p.add_argument("--timeline", required=True)
     p.add_argument("--catalog", required=True)
     p.add_argument("--format", choices=["markdown", "json"], default="markdown")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_report)
 
-    p = sub.add_parser("alerts", help="evaluate alert rules (exit 1 when any fires)")
+
+def _alerts_args(p):
     _add_snapshot_args(p)
     p.add_argument("--cvss-at-least", type=float)
     p.add_argument("--metric-bound", action="append", metavar="METRIC:CMP:VALUE",
                    help="e.g. M0:>=:1.0 (repeatable)")
     p.set_defaults(fn=_cmd_alerts)
 
-    p = sub.add_parser("diff", help="asset/vulnerability delta between two epochs")
+
+def _diff_args(p):
     p.add_argument("--timeline", required=True)
     p.add_argument("--catalog")
     p.add_argument("--from-epoch", required=True)
@@ -360,11 +367,50 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_diff)
 
+
+# name -> (help, adds the arguments), in the order ``-h`` lists them.
+SUBCOMMANDS = {
+    "ingest": ("convert an NVD 1.1 feed to a canonical catalog", _ingest_args),
+    "build": ("build a timeline from a manifest and catalog", _build_args),
+    "event": ("append a lifecycle event", _event_args),
+    "metrics": ("print the metric table for one epoch", _metrics_args),
+    "prioritize": ("CVSS-sorted patch queue", _prioritize_args),
+    "cluster": ("export DOT with a clustering applied", _cluster_args),
+    "impact": ("assets reached by exploiting a CVE", _impact_args),
+    "export": ("export one epoch as Graphviz DOT", _export_args),
+    "report": ("full assessment report", _report_args),
+    "alerts": ("evaluate alert rules (exit 1 when any fires)", _alerts_args),
+    "diff": ("asset/vulnerability delta between two epochs", _diff_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser: every subcommand's, or only ``command``'s.
+
+    The parser of one subcommand parses an argv that starts with it as the
+    full parser does, at a fraction of the cost to build.  Its usage line
+    spells the subcommand list as the full parser's does.  The full parser
+    keeps no metavar: argparse names the subcommand action by it in the
+    "required" and "invalid choice" errors, which only that parser prints.
+    """
+    parser = argparse.ArgumentParser(prog="vulngraph", description=__doc__)
+    metavar = None
+    if command is not None:
+        metavar = "{" + ",".join(SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, add_args) in SUBCOMMANDS.items():
+        if command is None or name == command:
+            add_args(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # Only a known subcommand gets its own parser: help, usage errors and an
+    # unknown command need the full one to print what they print.
+    command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
+    parser = build_parser(command)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -385,7 +385,7 @@ def discover_vuln(g: Edg, asset_id: str, cve_id: str, catalog: Catalog) -> Edg:
     node = g.require_active(asset_id)
     record = catalog.vulnerabilities.get(cve_id)
     if record is None:
-        raise UnknownCve(cve_id)
+        raise UnknownCve(f"{cve_id!r} is not in the catalog (discovered on {asset_id!r})")
     _attach_record(g, node.node_id, record, catalog)
     return g
 
@@ -395,7 +395,7 @@ def patch_vuln(g: Edg, asset_id: str, cve_id: str) -> Edg:
     node = g.require_active(asset_id)
     edge = Edge(source=node.node_id, target=cve_id)
     if cve_id not in g.vulns or edge not in g.edges:
-        raise UnknownCve(f"{cve_id} is not attached to {asset_id}")
+        raise UnknownCve(f"{cve_id!r} is not attached to {asset_id!r}")
     _deprecate(g, edge)
     return g
 
@@ -535,7 +535,7 @@ def impact_set(g: Edg, cve_id: str) -> set[str]:
     """Asset ids hosting a vulnerability plus all assets that transitively
     depend on them (reverse reachability over active normal edges)."""
     if cve_id not in g.vulns:
-        raise UnknownCve(cve_id)
+        raise UnknownCve(f"{cve_id!r} is not a vulnerability of epoch {g.epoch}")
     active = active_subgraph(g)
     hosts = {e[0] for e in active.edges if e[1] == cve_id}
     incoming: dict[str, set[str]] = {}

@@ -18,7 +18,6 @@ Internal values are unrounded; display rounding is two decimals.
 
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass, field
 
@@ -190,6 +189,8 @@ def _prioritize(
 
 @functools.cache
 def _iec62443_mapping() -> dict[str, frozenset[str]]:
+    import csv
+
     with open(fixtures.iec62443_mapping_path(), newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         tags = [name for name in reader.fieldnames if name != "metric"]

@@ -121,6 +121,25 @@ def test_impact_subcommand(openplc_files, capsys):
     assert "libc" in out and "webserver_py" in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["impact", "--cve", ""], "'' is not a vulnerability of epoch V3"),
+    (["impact", "--epoch", "V1", "--cve", "CVE-1999-0001"],
+     "'CVE-1999-0001' is not a vulnerability of epoch V1"),
+    (["event", "--kind", "vuln-discovered", "--asset", "libc", "--cve", "CVE-1999-0001"],
+     "'CVE-1999-0001' is not in the catalog (discovered on 'libc')"),
+    (["event", "--kind", "vuln-patched", "--asset", "libc", "--cve", "CVE-1999-0001"],
+     "'CVE-1999-0001' is not attached to 'libc'"),
+])
+def test_unknown_cve_message_quotes_the_id(openplc_files, capsys, argv, message):
+    cat, tl = openplc_files
+    if argv[0] == "event":
+        argv = [*argv, "--catalog", cat, "--at", "2030-01-01T00:00:00Z"]
+    before = open(tl, "rb").read()
+    assert main([*argv, "--timeline", tl]) == 2
+    assert capsys.readouterr().err == f"error: UnknownCve: {message}\n"
+    assert open(tl, "rb").read() == before
+
+
 def test_usage_error_exits_2(openplc_files, capsys):
     _, tl = openplc_files
     assert main(["prioritize", "--timeline", tl, "--epoch", "V1", "--min", "nope"]) == 2
