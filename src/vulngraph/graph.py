@@ -4,8 +4,8 @@ A snapshot (:class:`Edg`) is a typed directed graph with one root node (the
 system under test), asset nodes and known-vulnerability nodes, joined by
 ``normal`` and ``deprecated`` edges.  Edges are stored as drawn: asset ->
 thing it depends on, asset -> its vulnerability; impact queries traverse
-against that direction.  A clustering (:func:`cluster_by`) only annotates a
-snapshot with groups of nodes, which the DOT export draws as single nodes.
+against that direction.  A clustering (:func:`cluster_by`) maps member nodes
+to group ids, which the DOT export draws as single nodes.
 
 A lifecycle operation (:func:`add_asset`, :func:`update_asset`,
 :func:`retire_asset`, :func:`patch_vuln`, :func:`discover_vuln`) edits the
@@ -102,15 +102,6 @@ _new = tuple.__new__
 
 
 @dataclass(frozen=True)
-class Cluster:
-    """A group of a snapshot's nodes, drawn as one summary node."""
-
-    cluster_id: str
-    assets: tuple[AssetNode, ...]
-    vulns: tuple[VulnNode, ...]
-
-
-@dataclass(frozen=True)
 class ManifestEntry:
     asset_id: str
     cpe: WellFormedName
@@ -150,7 +141,8 @@ class Edg:
     assets: dict[str, AssetNode] = field(default_factory=dict)
     vulns: dict[str, VulnNode] = field(default_factory=dict)
     edges: set[Edge] = field(default_factory=set)
-    clusters: dict[str, Cluster] = field(default_factory=dict)
+    # Always empty: kept while perfbench/spans.py's _count_clone reads len(g.clusters).
+    clusters: dict = field(default_factory=dict)
     # Set by build_index: node id -> the edges with that node at one end.
     # Never serialized and never copied by clone.
     _incident: dict[str, set[Edge]] | None = field(
@@ -164,8 +156,7 @@ class Edg:
     # -- basic views -------------------------------------------------------
 
     def clone(self) -> "Edg":
-        """A copy of the snapshot, without the clusters that annotate it and
-        without an index."""
+        """A copy of the snapshot, without an index."""
         return Edg(
             root=self.root,
             epoch=self.epoch,
@@ -499,11 +490,11 @@ def _fmt_cpe(w: WellFormedName | None) -> str:
 
 
 def active_subgraph(g: Edg) -> Edg:
-    """The active configuration, without clusters: non-deprecated assets,
-    vulnerabilities a normal edge attaches to one of them, and normal edges
-    among those nodes plus the root.  The only rule for what is active.  The
-    view's :attr:`Edg.cves_of` is its :meth:`Edg.cves_by_asset`, built in the
-    same pass."""
+    """The active configuration: non-deprecated assets, vulnerabilities a
+    normal edge attaches to one of them, and normal edges among those nodes
+    plus the root.  The only rule for what is active.  The view's
+    :attr:`Edg.cves_of` is its :meth:`Edg.cves_by_asset`, built in the same
+    pass."""
     assets = {nid: a for nid, a in g.assets.items() if not a.deprecated}
     vulns = {}
     normal = []
@@ -563,21 +554,18 @@ def _eligible(g: Edg, cves: tuple[str, ...], rule: ClusterRule) -> bool:
     return all(g.vulns[c].cvss < rule.threshold for c in cves)
 
 
-def cluster_by(g: Edg, rule: ClusterRule, scope=None) -> Edg:
+def cluster_by(g: Edg, rule: ClusterRule, scope=None) -> dict[str, str]:
     """Group maximal connected sets of qualifying active assets, with the
-    vulnerabilities attached only inside a group, into clusters.
+    vulnerabilities attached only inside a group, into clusters: the map of
+    each member node id (the assets, then the absorbed vulnerabilities) to
+    its cluster id, ``cluster-1``, ``cluster-2`` and so on.
 
     Connectivity is taken over the active normal edges, with the root acting
     as a connector but never a member, so a fully vulnerability-free system
     collapses into a single cluster.  ``scope`` optionally restricts
-    eligibility to a subset of asset ids.  The result is a copy of ``g``
-    whose ``clusters`` name the groups; every node and edge is unchanged, and
-    :func:`report.export_dot` draws each group as one node.  ``g`` itself is
-    returned when no asset qualifies.  A graph that already has clusters is
-    refused (:class:`ValueError`): expand it first.
+    eligibility to a subset of asset ids.  The map is empty when no asset
+    qualifies.  :func:`report.export_dot` draws each group as one node.
     """
-    if g.clusters:
-        raise ValueError("graph is already clustered; expand its clusters first")
     active = active_subgraph(g)
     scope_ids = None if scope is None else set(scope)
     cves_of = active.cves_of
@@ -588,7 +576,7 @@ def cluster_by(g: Edg, rule: ClusterRule, scope=None) -> Edg:
         and _eligible(g, cves_of.get(a.node_id, ()), rule)
     }
     if not eligible:
-        return g
+        return {}
 
     # Union-find over eligible assets; the root joins components but the
     # root itself never becomes a member.
@@ -627,20 +615,13 @@ def cluster_by(g: Edg, rule: ClusterRule, scope=None) -> Edg:
         for cve_id in cves:
             owner[cve_id] = cid if owner.get(cve_id, cid) == cid else None
     cluster_of.update((cve_id, cid) for cve_id, cid in owner.items() if cid is not None)
-
-    members: dict[str, list[str]] = {cid: [] for cid in ids}
-    for member, cid in sorted(cluster_of.items()):
-        members[cid].append(member)
-    g2 = g.clone()
-    g2.clusters = {cid: Cluster(cid, tuple(g.assets[m] for m in group if m in g.assets),
-                                tuple(g.vulns[m] for m in group if m in g.vulns))
-                   for cid, group in members.items()}
-    return g2
+    return cluster_of
 
 
+# Kept while perfbench/spans.py's Tracer.install() looks it up in this module.
 def expand_clusters(g: Edg) -> Edg:
-    """Inverse of :func:`cluster_by`: the graph without its clusters."""
-    return g.clone() if g.clusters else g
+    """``g`` itself: a snapshot holds no clusters."""
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Quantitative metric suite over snapshots and timelines.
 
 All metrics measure the active configuration, read from
-:func:`graph.active_subgraph`: deprecated assets and edges never count, and a
-clustering changes no metric, since it changes no node or edge.  Per-epoch
-values (M0, M1, M3..M7) take one snapshot; the accumulated values (M2, M8 and
-the lifetime weakness frequency) sum over the timeline's named epochs.
+:func:`graph.active_subgraph`: deprecated assets and edges never count.
+Per-epoch values (M0, M1, M3..M7) take one snapshot; the accumulated values
+(M2, M8 and the lifetime weakness frequency) sum over the timeline's named
+epochs.
 
 Counting rules: a CVE shared by several assets counts once in the system
 union (M1, M6, M7) but once per asset in the per-asset sums (the M4
@@ -305,19 +305,6 @@ class LifecycleReport:
     m8_sum: int
     weakness_frequency: dict[str, int]
     per_epoch: list[MetricReport] = field(default_factory=list)
-
-    def to_text(self) -> str:
-        lines = []
-        for report in self.per_epoch:
-            lines.append(report.to_text())
-            lines.append("")
-        lines.append(f"M2 (accumulated vulnerabilities) = {self.m2}")
-        lines.append(f"M8 (lifecycle weaknesses, union) = {self.m8_union}")
-        lines.append(f"M8 (lifecycle weaknesses, sum)   = {self.m8_sum}")
-        lines.append("weakness frequency over the life cycle:")
-        for cwe_id, count in self.weakness_frequency.items():
-            lines.append(f"  {cwe_id}: {count}")
-        return "\n".join(lines)
 
 
 def lifecycle_report(tl: Timeline, catalog: Catalog | None = None) -> LifecycleReport:

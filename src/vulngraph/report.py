@@ -54,12 +54,13 @@ def export_dot(g: Edg, opts: RenderOptions = RenderOptions()) -> str:
     """
     if not opts.show_deprecated:
         g = active_subgraph(g)
-    if opts.cluster_rule is not None:
-        g = cluster_by(g, opts.cluster_rule, scope=opts.cluster_scope)
+    cluster_of = ({} if opts.cluster_rule is None
+                  else cluster_by(g, opts.cluster_rule, scope=opts.cluster_scope))
     assets, vulns, edges = g.assets, g.vulns, g.edges
-    if g.clusters:
-        cluster_of = {a.node_id: c.cluster_id for c in g.clusters.values() for a in c.assets}
-        cluster_of.update((v.cve_id, c.cluster_id) for c in g.clusters.values() for v in c.vulns)
+    sizes: dict[str, list[int]] = {}  # cluster id -> [member assets, member vulns]
+    for member, cid in cluster_of.items():
+        sizes.setdefault(cid, [0, 0])[member in vulns] += 1
+    if cluster_of:
         assets = {nid: a for nid, a in assets.items() if nid not in cluster_of}
         vulns = {cve_id: v for cve_id, v in vulns.items() if cve_id not in cluster_of}
         edges = {e for e in g.edges if e[0] not in cluster_of and e[1] not in cluster_of}
@@ -106,11 +107,10 @@ def export_dot(g: Edg, opts: RenderOptions = RenderOptions()) -> str:
             f"  {_dot_quote(vuln.cve_id)} [shape=invtriangle, label={_dot_quote(label)}];"
         )
 
-    for cluster in sorted(g.clusters.values(), key=lambda c: c.cluster_id):
-        label = f"{cluster.cluster_id} ({len(cluster.assets)} assets, {len(cluster.vulns)} vulns)"
+    for cid, (n_assets, n_vulns) in sorted(sizes.items()):
+        label = f"{cid} ({n_assets} assets, {n_vulns} vulns)"
         lines.append(
-            f"  {_dot_quote(cluster.cluster_id)} [shape=ellipse, style=dashed, "
-            f"label={_dot_quote(label)}];"
+            f"  {_dot_quote(cid)} [shape=ellipse, style=dashed, label={_dot_quote(label)}];"
         )
 
     for source, target, kind in sorted(edges):

@@ -5,15 +5,7 @@ from gen import random_cluster_case
 from helpers import make_catalog, manifest, name, record, wstr
 from test_properties import CASES
 from vulngraph import graph, report
-from vulngraph.graph import (
-    Cluster,
-    ClusterRule,
-    Edge,
-    active_subgraph,
-    build_edg,
-    cluster_by,
-    expand_clusters,
-)
+from vulngraph.graph import DEPRECATED, ClusterRule, Edge, active_subgraph, build_edg, cluster_by
 from vulngraph.report import RenderOptions, export_dot
 
 AT = "2020-06-01T00:00:00Z"
@@ -38,66 +30,64 @@ def two_severity_system():
     return build_edg(name("v", "sut", "1.0"), m, cat, AT), cat
 
 
+def _groups(cluster_of):
+    """Cluster id -> its sorted member ids."""
+    out = {}
+    for member, cid in cluster_of.items():
+        out.setdefault(cid, []).append(member)
+    return {cid: sorted(members) for cid, members in out.items()}
+
+
+def _drawn(g, rule, scope=None):
+    return parse_dot(export_dot(g, RenderOptions(cluster_rule=rule, cluster_scope=scope)))
+
+
 def test_vuln_free_system_collapses_to_one_cluster():
     g = vuln_free_system()
-    clustered = cluster_by(g, ClusterRule.no_vulnerabilities())
-    assert len(clustered.clusters) == 1
-    cluster = next(iter(clustered.clusters.values()))
-    assert {a.asset_id for a in cluster.assets} == {"a1", "a2", "a3"}
-    nodes, edges = parse_dot(export_dot(clustered))
-    assert set(nodes) == {"root", cluster.cluster_id}
+    rule = ClusterRule.no_vulnerabilities()
+    assert cluster_by(g, rule) == {"a1@0": "cluster-1", "a2@0": "cluster-1",
+                                   "a3@0": "cluster-1"}
+    nodes, edges = _drawn(g, rule)
+    assert set(nodes) == {"root", "cluster-1"}
     # the root keeps one edge into the cluster
-    assert edges == [("root", cluster.cluster_id, {})]
+    assert edges == [("root", "cluster-1", {})]
 
 
 def test_threshold_absorbs_only_low_scores():
     g, _ = two_severity_system()
-    clustered = cluster_by(g, ClusterRule.cvss_below(6.0))
-    assert len(clustered.clusters) == 1
-    cluster = next(iter(clustered.clusters.values()))
-    assert {a.asset_id for a in cluster.assets} == {"low"}
-    assert {v.cve_id for v in cluster.vulns} == {"CVE-2020-0002"}
-    # the severe carrier stays visible with its vulnerability
-    assert "high@0" in clustered.assets
-    assert "CVE-2020-0001" in clustered.vulns
+    # the assets first, then the absorbed vulnerabilities; the severe carrier
+    # stays outside with its vulnerability
+    assert list(cluster_by(g, ClusterRule.cvss_below(6.0)).items()) == [
+        ("low@0", "cluster-1"), ("CVE-2020-0002", "cluster-1")]
 
 
 def test_threshold_zero_equals_no_vulnerabilities():
     g, _ = two_severity_system()
-    a = cluster_by(g, ClusterRule.cvss_below(0.0))
-    b = cluster_by(g, ClusterRule.no_vulnerabilities())
-    assert graph.edg_to_dict(a) == graph.edg_to_dict(b)
     # neither carrier qualifies; nothing to group
-    assert a.clusters == {}
+    assert cluster_by(g, ClusterRule.cvss_below(0.0)) == {}
+    assert cluster_by(g, ClusterRule.no_vulnerabilities()) == {}
 
 
-def test_no_eligible_group_returns_graph_unchanged():
+def test_no_eligible_asset_gives_an_empty_map():
     g, _ = two_severity_system()
-    out = cluster_by(g, ClusterRule.cvss_below(1.0))
-    assert out is g
+    assert cluster_by(g, ClusterRule.cvss_below(1.0)) == {}
 
 
-def test_expand_restores_exactly():
+def test_clustering_leaves_hand_built_systems_unchanged():
     for build in (vuln_free_system, lambda: two_severity_system()[0]):
         g = build()
+        before = graph.edg_to_dict(g)
         for rule in (ClusterRule.no_vulnerabilities(), ClusterRule.cvss_below(6.0),
                      ClusterRule.cvss_below(10.0)):
-            clustered = cluster_by(g, rule)
-            assert graph.edg_to_dict(expand_clusters(clustered)) == graph.edg_to_dict(g)
-
-
-def test_expand_without_clusters_is_identity():
-    g = vuln_free_system()
-    assert expand_clusters(g) is g
+            cluster_by(g, rule)
+            assert graph.edg_to_dict(g) == before
+            assert g.clusters == {}
 
 
 def test_scope_limits_membership():
     g = vuln_free_system()
-    clustered = cluster_by(g, ClusterRule.no_vulnerabilities(), scope={"a1", "a3"})
-    cluster = next(iter(clustered.clusters.values()))
-    assert {a.asset_id for a in cluster.assets} == {"a1", "a3"}
-    assert "a2@0" in clustered.assets
-    assert graph.edg_to_dict(expand_clusters(clustered)) == graph.edg_to_dict(g)
+    cluster_of = cluster_by(g, ClusterRule.no_vulnerabilities(), scope={"a1", "a3"})
+    assert _groups(cluster_of) == {"cluster-1": ["a1@0", "a3@0"]}
 
 
 def test_ineligible_asset_splits_components():
@@ -111,14 +101,9 @@ def test_ineligible_asset_splits_components():
         [("left", "mid"), ("mid", "right")],
     )
     g = build_edg(name("v", "sut", "1.0"), m, cat, AT)
-    clustered = cluster_by(g, ClusterRule.no_vulnerabilities())
     # 'left' hangs off the root, 'right' only off 'mid': two singleton groups
-    assert len(clustered.clusters) == 2
-    members = sorted(
-        tuple(sorted(a.asset_id for a in c.assets)) for c in clustered.clusters.values()
-    )
-    assert members == [("left",), ("right",)]
-    assert graph.edg_to_dict(expand_clusters(clustered)) == graph.edg_to_dict(g)
+    assert _groups(cluster_by(g, ClusterRule.no_vulnerabilities())) == {
+        "cluster-1": ["left@0"], "cluster-2": ["right@0"]}
 
 
 def test_shared_vulnerability_is_not_absorbed_across_groups():
@@ -134,51 +119,40 @@ def test_shared_vulnerability_is_not_absorbed_across_groups():
         [("left", "mid"), ("mid", "right")],
     )
     g = build_edg(name("v", "sut", "1.0"), m, cat, AT)
-    clustered = cluster_by(g, ClusterRule.cvss_below(6.0))
-    assert len(clustered.clusters) == 2
-    # the shared vulnerability stays outside, re-attached to both clusters
-    assert not any(c.vulns for c in clustered.clusters.values())
-    nodes, edges = parse_dot(export_dot(clustered))
+    rule = ClusterRule.cvss_below(6.0)
+    # the shared vulnerability stays outside, attached to both clusters
+    assert cluster_by(g, rule) == {"left@0": "cluster-1", "right@0": "cluster-2"}
+    nodes, edges = _drawn(g, rule)
     assert "CVE-2020-0001" in nodes
-    cluster_ids = set(clustered.clusters)
     attached_from = {source for source, target, _ in edges if target == "CVE-2020-0001"}
-    assert attached_from == cluster_ids
-    assert graph.edg_to_dict(expand_clusters(clustered)) == graph.edg_to_dict(g)
+    assert attached_from == {"cluster-1", "cluster-2"}
 
 
 def test_deprecated_assets_never_cluster():
     g, cat = two_severity_system()
     g = graph.update_asset(g, "low", name("v", "low", "2.0"), cat,
                            fixes={"CVE-2020-0002"})
-    clustered = cluster_by(g, ClusterRule.no_vulnerabilities())
-    member_ids = {a.node_id for c in clustered.clusters.values() for a in c.assets}
-    assert "low@0" not in member_ids  # the replaced version stays as history
-    assert "low@1" in member_ids
-    assert graph.edg_to_dict(expand_clusters(clustered)) == graph.edg_to_dict(g)
+    cluster_of = cluster_by(g, ClusterRule.no_vulnerabilities())
+    assert "low@0" not in cluster_of  # the replaced version stays as history
+    assert "low@1" in cluster_of
 
 
 def test_cluster_keeps_boundary_to_deprecated_history():
     g, cat = two_severity_system()
     g = graph.update_asset(g, "low", name("v", "low", "2.0"), cat,
                            fixes={"CVE-2020-0002"})
-    clustered = cluster_by(g, ClusterRule.no_vulnerabilities())
-    # the deprecated root->low@0 edge now points at the cluster that holds low@1
-    deprecated = [e for e in clustered.edges if e.kind == "deprecated"]
-    assert any(e.target in clustered.clusters for e in deprecated) or any(
-        e.target == "low@0" for e in deprecated
-    )
-    assert graph.edg_to_dict(expand_clusters(clustered)) == graph.edg_to_dict(g)
+    _, edges = _drawn(g, ClusterRule.no_vulnerabilities())
+    # the root reaches the cluster that holds low@1 and, dashed, the replaced low@0
+    assert ("root", "cluster-1", {}) in edges
+    assert ("root", "low@0", {"style": "dashed"}) in edges
 
 
 def test_openplc_v3_low_threshold_absorbs_everything_else(openplc_snapshots):
     g = openplc_snapshots["V3"]
-    clustered = cluster_by(g, ClusterRule.no_vulnerabilities())
+    cluster_of = cluster_by(g, ClusterRule.no_vulnerabilities())
     # vulnerability-free assets collapse; the two carriers stay visible
-    members = {a.node_id for c in clustered.clusters.values() for a in c.assets}
-    visible = {a.asset_id for a in clustered.assets.values()
-               if not a.deprecated and a.node_id not in members}
+    visible = {a.asset_id for a in g.active_assets() if a.node_id not in cluster_of}
     assert visible == {"libgcc_s", "libc"}
-    assert graph.edg_to_dict(expand_clusters(clustered)) == graph.edg_to_dict(g)
 
 
 def patched_between_groups():
@@ -199,22 +173,20 @@ def patched_between_groups():
     return graph.patch_vuln(g, "b", "CVE-2020-0001")
 
 
-def test_patched_edge_between_groups_expands_exactly():
+def test_patched_edge_joins_two_groups():
     g = patched_between_groups()
-    clustered = cluster_by(g, ClusterRule.cvss_below(5.0))
-    assert {v.cve_id for v in clustered.clusters["cluster-1"].vulns} == {"CVE-2020-0001"}
-    _, edges = parse_dot(export_dot(clustered))
+    rule = ClusterRule.cvss_below(5.0)
+    assert _groups(cluster_by(g, rule)) == {"cluster-1": ["CVE-2020-0001", "a@0"],
+                                            "cluster-2": ["b@0"]}
+    _, edges = _drawn(g, rule)
     assert ("cluster-2", "cluster-1", {"style": "dashed"}) in edges
     # the edge between the clusters stays in the snapshot as it was
-    patched = Edge(source="b@0", target="CVE-2020-0001", kind="deprecated")
-    assert patched in clustered.edges
-    assert [a.node_id for a in clustered.clusters["cluster-2"].assets] == ["b@0"]
-    assert graph.edg_to_dict(expand_clusters(clustered)) == graph.edg_to_dict(g)
+    assert Edge(source="b@0", target="CVE-2020-0001", kind="deprecated") in g.edges
 
 
 def _cluster_by_group(g, rule, scope=None):
-    """Clustering one group at a time: each group's edges are read from the
-    graph as the groups before it left it."""
+    """The member map built one group at a time: each group absorbs the
+    vulnerabilities whose every active host lies inside it."""
     active = active_subgraph(g)
     scope_ids = None if scope is None else set(scope)
     cves_of = g.cves_by_asset()
@@ -224,8 +196,6 @@ def _cluster_by_group(g, rule, scope=None):
         if (scope_ids is None or a.asset_id in scope_ids)
         and graph._eligible(g, cves_of.get(a.node_id, ()), rule)
     }
-    if not eligible:
-        return g
     parent = {nid: nid for nid in eligible | {graph.ROOT_ID}}
 
     def find(x):
@@ -243,38 +213,48 @@ def _cluster_by_group(g, rule, scope=None):
         components.setdefault(find(nid), set()).add(nid)
 
     active_ids = {nid for nid, a in g.assets.items() if not a.deprecated}
-    g2 = g.clone()
-    for index, group in enumerate(sorted(components.values(), key=min), len(g.clusters) + 1):
-        absorbed = set()
+    cluster_of = {}
+    for index, group in enumerate(sorted(components.values(), key=min), 1):
+        cluster_id = f"cluster-{index}"
+        cluster_of.update(dict.fromkeys(group, cluster_id))
         for cve_id in {e.target for e in g.normal_edges()
                        if e.source in group and e.target in g.vulns}:
             if {e.source for e in g.normal_edges()
                     if e.target == cve_id and e.source in active_ids} <= group:
-                absorbed.add(cve_id)
-        members = group | absorbed
-        cluster_id = f"cluster-{index}"
-        internal, boundary = [], []
-        for e in sorted(g2.edges, key=lambda e: (e.source, e.target, e.kind)):
-            if e.source in members and e.target in members:
-                internal.append(e)
-            elif e.source in members or e.target in members:
-                boundary.append(e)
-        g2.clusters[cluster_id] = Cluster(
-            cluster_id=cluster_id,
-            assets=tuple(sorted((g2.assets[n] for n in group), key=lambda a: a.node_id)),
-            vulns=tuple(sorted((g2.vulns[c] for c in absorbed), key=lambda v: v.cve_id)),
-        )
-        for nid in group:
-            del g2.assets[nid]
-        for cve_id in absorbed:
-            del g2.vulns[cve_id]
-        g2.edges.difference_update(internal + boundary)
-        for e in boundary:
-            if e.source in members:
-                g2.edges.add(Edge(source=cluster_id, target=e.target, kind=e.kind))
-            else:
-                g2.edges.add(Edge(source=e.source, target=cluster_id, kind=e.kind))
-    return g2
+                cluster_of[cve_id] = cluster_id
+    return cluster_of
+
+
+def _assert_drawn_fold(g, rule, scope, dot):
+    """Check a DOT drawing of ``g`` against the reference map node by node
+    and edge by edge: a drawn node is a cluster or a node no cluster holds,
+    and a drawn edge of a kind joins two drawn nodes (or one that no cluster
+    holds to itself) when some edge of that kind joins their members."""
+    cluster_of = _cluster_by_group(g, rule, scope)
+    assert cluster_by(g, rule, scope=scope) == cluster_of
+    members = {nid: {nid} for nid in [graph.ROOT_ID, *g.assets, *g.vulns]
+               if nid not in cluster_of}
+    for member, cid in cluster_of.items():
+        members.setdefault(cid, set()).add(member)
+    cluster_ids = set(cluster_of.values())
+    nodes, edges = parse_dot(dot)
+    assert set(nodes) == set(members)
+    for cid in cluster_ids:
+        n_assets = sum(1 for m in members[cid] if m in g.assets)
+        n_vulns = len(members[cid]) - n_assets
+        assert nodes[cid]["label"] == f"{cid} ({n_assets} assets, {n_vulns} vulns)"
+    drawn = [(s, t, attrs.get("style") == "dashed") for s, t, attrs in edges]
+    assert len(drawn) == len(set(drawn))
+    have = {(e.source, e.target, e.kind == DEPRECATED) for e in g.edges}
+    want = set()
+    for u in members:
+        for v in members:
+            if u == v and u in cluster_ids:
+                continue  # an edge inside one cluster is not drawn
+            for dashed in (False, True):
+                if any((s, t, dashed) in have for s in members[u] for t in members[v]):
+                    want.add((u, v, dashed))
+    assert set(drawn) == want
 
 
 def _dot_both_ways(monkeypatch, g, rule, scope=None):
@@ -285,13 +265,9 @@ def _dot_both_ways(monkeypatch, g, rule, scope=None):
     with monkeypatch.context() as m:
         m.setattr(report, "cluster_by", _cluster_by_group)
         reference = [export_dot(g, o) for o in opts]
+    for o, dot in zip(opts, new):
+        _assert_drawn_fold(g if o.show_deprecated else active_subgraph(g), rule, scope, dot)
     return new, reference
-
-
-def test_clustering_changes_no_node_or_edge():
-    for seed in range(CASES):
-        g, rule, scope = random_cluster_case(seed)
-        assert graph.edg_to_dict(cluster_by(g, rule, scope)) == graph.edg_to_dict(g), seed
 
 
 def test_dot_matches_group_at_a_time_reference_on_random_graphs(monkeypatch):
@@ -302,7 +278,6 @@ def test_dot_matches_group_at_a_time_reference_on_random_graphs(monkeypatch):
 
 
 def test_dot_matches_group_at_a_time_reference_across_groups(monkeypatch):
-    # the reference stores the edge between the groups retargeted, but draws it the same
     new, reference = _dot_both_ways(monkeypatch, patched_between_groups(),
                                     ClusterRule.cvss_below(5.0))
     assert '"cluster-2" -> "cluster-1" [style=dashed];' in new[0]
@@ -317,14 +292,3 @@ def test_dot_matches_group_at_a_time_reference_on_openplc(monkeypatch, openplc_s
                                                           label, rule):
     new, reference = _dot_both_ways(monkeypatch, openplc_snapshots[label], rule)
     assert new == reference
-
-
-def test_clustering_a_clustered_graph_is_refused():
-    g, _ = two_severity_system()
-    clustered = cluster_by(g, ClusterRule.cvss_below(6.0))
-    with pytest.raises(ValueError, match="expand"):
-        cluster_by(clustered, ClusterRule.cvss_below(9.9))
-    # after expansion the same clustering comes back, ids starting at cluster-1
-    again = cluster_by(expand_clusters(clustered), ClusterRule.cvss_below(6.0))
-    assert set(again.clusters) == {"cluster-1"}
-    assert graph.edg_to_dict(again) == graph.edg_to_dict(clustered)

@@ -3,7 +3,7 @@ import pytest
 from helpers import make_catalog, manifest, name, record, ts, update_patch_scenario, wstr
 from vulngraph import graph, metrics, timeline as tl_mod
 from vulngraph.errors import NoAssets, NoVulnerabilities, UnknownAsset, UnknownMetric
-from vulngraph.graph import ClusterRule, build_edg, cluster_by
+from vulngraph.graph import build_edg
 from vulngraph.timeline import Timeline
 
 AT = "2020-06-01T00:00:00Z"
@@ -161,14 +161,6 @@ def test_lifecycle_weakness_frequency_empty():
     assert metrics.lifecycle_weakness_frequency(tl, cat) == {}
 
 
-def test_metrics_ignore_clustering():
-    g = shared_cve_system()
-    clustered = cluster_by(g, ClusterRule.cvss_below(9.0))
-    assert metrics.m1(clustered) == metrics.m1(g)
-    assert metrics.m7(clustered) == metrics.m7(g)
-    assert metrics.m3(clustered, "a1") == metrics.m3(g, "a1")
-
-
 def prioritize_system():
     cat = make_catalog(records=[
         record("CVE-2020-0001", 9.0, "CWE-119", affected=[wstr("v", "p1", "1.0")]),
@@ -248,4 +240,3 @@ def test_lifecycle_report_values(openplc_timeline, openplc_catalog):
     assert life.m8_sum == 39
     assert life.m8_union <= life.m8_sum
     assert life.epoch_labels == ["V1", "V2", "V3"]
-    assert "M2" in life.to_text()

@@ -113,6 +113,26 @@ def test_one_subcommand_parser_gives_the_same_namespace(argv):
     assert vars(build_parser(argv[0]).parse_args(argv)) == vars(build_parser().parse_args(argv))
 
 
+DATA_ARGVS = [argv for argv in _readme_argvs() if any("src/vulngraph/data/" in a for a in argv)]
+
+
+def test_readme_lists_eight_commands_on_the_bundled_data():
+    assert [argv[0] for argv in DATA_ARGVS] == [
+        "metrics", "prioritize", "impact", "export", "cluster", "diff", "report", "alerts"]
+
+
+@pytest.mark.parametrize("argv", DATA_ARGVS, ids=" ".join)
+def test_readme_commands_on_the_bundled_data_run(argv, monkeypatch, capsys):
+    monkeypatch.chdir(README.parent)
+    # the documented alerts rule fires on V1; every other command succeeds
+    assert main(argv) == (1 if argv[0] == "alerts" else 0)
+    out = capsys.readouterr().out
+    assert out
+    if argv[0] == "cluster":
+        assert out.startswith("digraph")
+        assert "[shape=ellipse, style=dashed, label=" in out  # a cluster node
+
+
 @pytest.mark.parametrize("name", list(FULL))
 def test_a_subcommand_parser_holds_only_that_subcommand(name):
     assert list(_subparsers(build_parser(name))) == [name]

@@ -23,7 +23,7 @@ def test_update_patch_scenario_states():
 
     # t1: the vulnerability sits on the second asset
     assert metrics.m1(snap["t1"]) == 1
-    assert snap["t1"].active_cves_of("a2@0") == ("CVE-2020-0001",)
+    assert snap["t1"].cves_by_asset()["a2@0"] == ("CVE-2020-0001",)
 
     # t2: updated without correcting it; both versions carry it
     g2 = snap["t2"]
