@@ -33,8 +33,11 @@ tuple's C code.  An :class:`Edge` is ``(source, target, kind)``, so sorting
 edges sorts them by source, then target, then kind.  A value compares as its
 plain tuple; the package only ever compares values of one type.  Hot loops
 over the edges read their fields by position (``e[0]``, ``e[1]``, ``e[2]``),
-because Python 3.11 does not specialize attribute reads on a tuple; the rest
-of the code reads fields by name.  :meth:`_replace` makes a copy of
+about 4% faster than by name on Python 3.11, which specializes neither
+attribute reads nor subscripts on a tuple subclass: reading two fields of
+2,000 edges took 60.1 ns per edge by position and 62.6 ns by name (41.7 ns
+on plain tuples; ``timeit``, best of 9, a 2-vCPU x86-64 host).  The rest of
+the code reads fields by name.  :meth:`_replace` makes a copy of
 a value with some fields changed.
 """
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 from collections import namedtuple
+from operator import itemgetter
 
 from . import fixtures
 from .catalog import Catalog, _id_sort_key
@@ -122,6 +123,7 @@ class PrioritizedVulnerability(namedtuple("PrioritizedVulnerability",
 # Builds a row from a tuple in one C call, without the generated
 # ``__new__``'s Python frame.
 _new = tuple.__new__
+_first = itemgetter(0)
 
 
 def prioritize(
@@ -150,34 +152,34 @@ def _prioritize(
     active: Edg, min_cvss: float, max_cvss: float, grouping: str
 ) -> list[PrioritizedVulnerability]:
     # The body of prioritize, on an active view the caller already holds.
+    # Each vulnerability in the window gets its sort key once, and each row
+    # of a group holds that key beside its asset id.  The sort is stable, so
+    # a CVE's rows keep their asset order.
+    vulns = active.vulns
+    key_of = {cve_id: (-v.cvss, not v.exploit_available, cve_id)
+              for cve_id, v in vulns.items() if min_cvss <= v.cvss <= max_cvss}
     cves_of = active.cves_of
-    rows: list[tuple[int, str, object]] = []
+    groups: dict[object, list[tuple[tuple, str]]] = {}
     for asset in active.active_assets():
-        for cve_id in cves_of.get(asset.node_id, ()):
-            vuln = active.vulns[cve_id]
-            if min_cvss <= vuln.cvss <= max_cvss:
-                rows.append((asset.order, asset.asset_id, vuln))
-
-    def row_sort(row):
-        order, asset_id, vuln = row
-        group = (order, asset_id) if grouping == "by_asset" else (0, "")
-        return group + (-vuln.cvss, not vuln.exploit_available, vuln.cve_id)
-
-    rows.sort(key=row_sort)
+        cves = cves_of.get(asset.node_id)
+        if cves:
+            asset_id = asset.asset_id
+            rows = groups.setdefault((asset.order, asset_id) if grouping == "by_asset" else 0, [])
+            for cve_id in cves:
+                if cve_id in key_of:
+                    rows.append((key_of[cve_id], asset_id))
 
     out: list[PrioritizedVulnerability] = []
-    group_key = None
-    rank = 0
-    last_cvss = None
-    for order, asset_id, vuln in rows:
-        key = (order, asset_id) if grouping == "by_asset" else 0
-        if key != group_key:
-            group_key, rank, last_cvss = key, 0, None
-        if vuln.cvss != last_cvss:
-            rank += 1
-            last_cvss = vuln.cvss
-        out.append(_new(PrioritizedVulnerability,
-                        (vuln.cve_id, vuln.cvss, asset_id, vuln.exploit_available, rank)))
+    for group in sorted(groups):
+        rank = 0
+        last_cvss = None
+        for (_, _, cve_id), asset_id in sorted(groups[group], key=_first):
+            vuln = vulns[cve_id]
+            if vuln.cvss != last_cvss:
+                rank += 1
+                last_cvss = vuln.cvss
+            out.append(_new(PrioritizedVulnerability,
+                            (cve_id, vuln.cvss, asset_id, vuln.exploit_available, rank)))
     return out
 
 
@@ -256,10 +258,6 @@ class MetricReport:
         return getattr(self, metric_id.lower())
 
 
-def _by_cwe(counts: dict[str, int]) -> dict[str, int]:
-    return dict(sorted(counts.items(), key=lambda kv: _id_sort_key(kv[0])))
-
-
 def snapshot_report(g: Edg) -> MetricReport:
     """M0, M1 and M3..M7 of one snapshot, from its active view."""
     return _snapshot_report(active_subgraph(g))
@@ -267,23 +265,36 @@ def snapshot_report(g: Edg) -> MetricReport:
 
 def _snapshot_report(active: Edg) -> MetricReport:
     # The body of snapshot_report, on an active view the caller already
-    # holds; the view keeps the snapshot's epoch and root.
+    # holds; the view keeps the snapshot's epoch and root.  Each
+    # vulnerability's distinct weaknesses, and each weakness's sort key, are
+    # found once per view.  Sorting is stable, so ids with equal keys (such
+    # as CWE-079 and CWE-79) keep the order they were first counted in.
+    cwes_of: dict[str, tuple[str, ...]] = {}
+    m6_map: dict[str, int] = {}
+    for cve_id, v in active.vulns.items():
+        cwes = cwes_of[cve_id] = tuple(dict.fromkeys(v.cwe_ids))
+        for cwe_id in cwes:
+            m6_map[cwe_id] = m6_map.get(cwe_id, 0) + 1
+    sort_key = {cwe_id: _id_sort_key(cwe_id) for cwe_id in m6_map}.__getitem__
+
     cves_of = active.cves_of
     m3_map: dict[str, int] = {}
     m5_map: dict[str, dict[str, int]] = {}
+    # Assets with the same CVEs, such as one product at one version, have
+    # the same counts: each distinct CVE tuple is counted once.
+    counts_of: dict[tuple[str, ...], dict[str, int]] = {}
     for asset in active.active_assets():
         cves = cves_of.get(asset.node_id, ())
         m3_map[asset.asset_id] = len(cves)
-        per_cwe: dict[str, int] = {}
-        for cve_id in cves:
-            for cwe_id in dict.fromkeys(active.vulns[cve_id].cwe_ids):
-                per_cwe[cwe_id] = per_cwe.get(cwe_id, 0) + 1
-        if per_cwe:
-            m5_map[asset.asset_id] = _by_cwe(per_cwe)
-    m6_map: dict[str, int] = {}
-    for v in active.vulns.values():
-        for cwe_id in dict.fromkeys(v.cwe_ids):
-            m6_map[cwe_id] = m6_map.get(cwe_id, 0) + 1
+        counts = counts_of.get(cves)
+        if counts is None:
+            per_cwe: dict[str, int] = {}
+            for cve_id in cves:
+                for cwe_id in cwes_of[cve_id]:
+                    per_cwe[cwe_id] = per_cwe.get(cwe_id, 0) + 1
+            counts = counts_of[cves] = {c: per_cwe[c] for c in sorted(per_cwe, key=sort_key)}
+        if counts:
+            m5_map[asset.asset_id] = dict(counts)
     n = len(active.assets)
     total = sum(m3_map.values())
     return MetricReport(
@@ -296,7 +307,7 @@ def _snapshot_report(active: Edg) -> MetricReport:
         m3_by_asset=m3_map,
         m4_by_asset={a: (c / total if total else 0.0) for a, c in m3_map.items()},
         m5_by_asset_cwe=m5_map,
-        m6_by_cwe=_by_cwe(m6_map),
+        m6_by_cwe={c: m6_map[c] for c in sorted(m6_map, key=sort_key)},
     )
 
 

@@ -72,7 +72,10 @@ def export_dot(g: Edg, opts: RenderOptions = RenderOptions()) -> str:
                 edges.add(Edge(*ends, kind))
 
     lines = ["digraph edg {", "  rankdir=TB;"]
-    root_label = cpe.bind_formatted(g.root.sut_cpe)
+    # Many asset nodes share a name (a product at one version): bind each
+    # distinct name once.
+    bind = cpe.BindTable().__getitem__
+    root_label = bind(g.root.sut_cpe)
     if opts.verbosity == "full":
         root_label += f"\\n{g.root.checked_at}"
     lines.append(f"  {_dot_quote(ROOT_ID)} [shape=box, label={_dot_quote(root_label)}];")
@@ -86,13 +89,13 @@ def export_dot(g: Edg, opts: RenderOptions = RenderOptions()) -> str:
                 attached.setdefault(e.source, set()).add(e.target)
 
     for asset in sorted(assets.values(), key=lambda a: a.node_id):
-        label = cpe.bind_formatted(asset.cpe_current)
+        label = bind(asset.cpe_current)
         if opts.verbosity == "full":
             cwes = sorted(
                 {c for cve_id in attached.get(asset.node_id, ()) for c in vulns[cve_id].cwe_ids}
             )
             if asset.cpe_previous is not None:
-                label += f"\\nprev: {cpe.bind_formatted(asset.cpe_previous)}"
+                label += f"\\nprev: {bind(asset.cpe_previous)}"
             if cwes:
                 label += "\\n" + ", ".join(cwes)
         lines.append(

@@ -1,4 +1,5 @@
-"""Naive re-computation of every metric straight from a serialized snapshot.
+"""Naive re-computation of every metric and of the patch queue straight from
+a serialized snapshot.
 
 Works on the JSON form only, by literal set enumeration, sharing no code
 with the metrics module; property tests compare the two implementations.
@@ -51,3 +52,40 @@ def brute_metrics(doc: dict) -> dict:
         "m6": m6,
         "m7": len(all_cwes),
     }
+
+
+def brute_priorities(doc: dict, lo: float, hi: float, grouping: str) -> list[tuple]:
+    """The patch queue of an ``edg_to_dict`` document, as ``(cve_id, cvss,
+    asset_id, exploit_available, rank)`` rows.
+
+    A row is an active asset and a vulnerability a normal edge attaches to
+    it, scoring inside ``[lo, hi]``.  ``by_asset`` groups rows by the asset's
+    ``(order, asset_id)``; ``global`` is one group.  A group lists its rows by
+    descending CVSS, exploit first, then CVE id, then asset ``(order,
+    node_id)``; a row's rank is the number of distinct scores in its group
+    at least as high as its own.
+    """
+    vulns = {v["cve_id"]: v for v in doc["vulns"]}
+    normal = {(e["source"], e["target"]) for e in doc["edges"] if e["kind"] == "normal"}
+    rows = [
+        (asset, vulns[target])
+        for asset in doc["assets"] if not asset["deprecated"]
+        for (source, target) in normal
+        if source == asset["node_id"] and target in vulns
+        and lo <= vulns[target]["cvss"] <= hi
+    ]
+
+    def group_of(asset):
+        return (asset["order"], asset["asset_id"]) if grouping == "by_asset" else ()
+
+    def sort_key(row):
+        asset, v = row
+        return (group_of(asset), -v["cvss"], not v["exploit_available"], v["cve_id"],
+                asset["order"], asset["node_id"])
+
+    out = []
+    for asset, v in sorted(rows, key=sort_key):
+        scores = {w["cvss"] for other, w in rows if group_of(other) == group_of(asset)}
+        rank = len({s for s in scores if s >= v["cvss"]})
+        out.append((v["cve_id"], v["cvss"], asset["asset_id"], v["exploit_available"], rank))
+    return out

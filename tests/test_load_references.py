@@ -93,7 +93,8 @@ def test_parse_formatted_matches_the_field_walk(text):
 
 def test_parse_formatted_matches_the_field_walk_on_case_and_escape_edges():
     # Lower-casing that lengthens a character or yields ASCII, escapes of
-    # colons and hyphens, and a final sigma, which lower-cases by context.
+    # colons and hyphens, a final sigma, which lower-cases by context, and
+    # fields made only of escapes or starting with one, legal or not.
     names = [
         "cpe:2.3:a:v:\u0130x:*:*:*:*:*:*:*:*",
         "cpe:2.3:a:\u212aey:p:*:*:*:*:*:*:*:*",
@@ -103,6 +104,11 @@ def test_parse_formatted_matches_the_field_walk_on_case_and_escape_edges():
         "cpe:2.3:a:v:\u03a3:b:*:*:*:*:*:*:*",
         "cpe:2.3:a:v:p:1:*:*:*:*:*:*:*\\",
         "CPE:2.3:H:V:P:*:*:*:*:*:*:*:*",
+        "cpe:2.3:a:v:\\!\\::1:*:*:*:*:*:*:*",
+        "cpe:2.3:a:v:\\.p\\!q:1:*:*:*:*:*:*:*",
+        "cpe:2.3:a:v:p:\\-\\-1:*:*:*:*:*:*:*",
+        "cpe:2.3:a:v:\\a:1:*:*:*:*:*:*:*",
+        "cpe:2.3:a:v:\\!\\:*:*:*:*:*:*:*:*",
     ]
     for text in names:
         assert _outcome(cpe.parse_formatted, text) == _outcome(_ref_parse_formatted, text)

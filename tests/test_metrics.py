@@ -1,6 +1,7 @@
 import pytest
 
 from helpers import make_catalog, manifest, name, record, ts, update_patch_scenario, wstr
+from oracles import brute_priorities
 from vulngraph import graph, metrics, timeline as tl_mod
 from vulngraph.errors import NoAssets, NoVulnerabilities, UnknownAsset, UnknownMetric
 from vulngraph.graph import build_edg
@@ -211,6 +212,75 @@ def test_prioritize_deterministic(openplc_snapshots):
     first = metrics.prioritize(g, 6.0, 10.0)
     second = metrics.prioritize(g, 6.0, 10.0)
     assert first == second
+
+
+def tie_doc():
+    """A hand-made snapshot: assets ``a`` and ``a-b`` share order 0 (node
+    ``a-b@0`` sorts before ``a@0``, asset ``a`` before ``a-b``); CVE 1 and 2
+    tie at 9.0 but only 2 has an exploit; CVE 1 lists CWE-79 twice with
+    CWE-079 between; CVE 2 and 3 carry CWE-NULL."""
+    sut = "cpe:2.3:a:v:sut:1.0:*:*:*:*:*:*:*"
+
+    def asset(asset_id):
+        return {"node_id": f"{asset_id}@0", "asset_id": asset_id, "order": 0,
+                "cpe": "cpe:2.3:a:v:p:1.0:*:*:*:*:*:*:*", "cpe_previous": None,
+                "deprecated": False}
+
+    def vuln(n, cvss, cwe_ids, exploit=False):
+        return {"cve_id": f"CVE-2020-000{n}", "cvss": cvss, "cwe_ids": cwe_ids,
+                "capec_ids": [], "exploit_available": exploit}
+
+    links = [("root", "a@0"), ("root", "a-b@0"), ("a@0", "CVE-2020-0001"),
+             ("a@0", "CVE-2020-0002"), ("a@0", "CVE-2020-0003"),
+             ("a-b@0", "CVE-2020-0001"), ("a-b@0", "CVE-2020-0003")]
+    return {
+        "schema_version": 1,
+        "epoch": "e1",
+        "root": {"cpe": sut, "checked_at": AT},
+        "assets": [asset("a"), asset("a-b")],
+        "vulns": [vuln(1, 9.0, ["CWE-79", "CWE-079", "CWE-79"]),
+                  vuln(2, 9.0, ["CWE-NULL"], exploit=True),
+                  vuln(3, 5.0, ["CWE-20", "CWE-NULL"])],
+        "edges": [{"source": s, "target": t, "kind": "normal"} for s, t in links],
+        "clusters": [],
+    }
+
+
+def test_prioritize_and_weakness_order_on_ties():
+    doc = tie_doc()
+    g = graph.edg_from_dict(doc)
+    assert [tuple(r) for r in metrics.prioritize(g, 0.0, 10.0, "by_asset")] == [
+        ("CVE-2020-0002", 9.0, "a", True, 1),  # the exploit wins the 9.0 tie
+        ("CVE-2020-0001", 9.0, "a", False, 1),
+        ("CVE-2020-0003", 5.0, "a", False, 2),
+        ("CVE-2020-0001", 9.0, "a-b", False, 1),
+        ("CVE-2020-0003", 5.0, "a-b", False, 2),
+    ]
+    # One group: a CVE's rows follow the assets' (order, node id).
+    assert [tuple(r) for r in metrics.prioritize(g, 0.0, 10.0, "global")] == [
+        ("CVE-2020-0002", 9.0, "a", True, 1),
+        ("CVE-2020-0001", 9.0, "a-b", False, 1),
+        ("CVE-2020-0001", 9.0, "a", False, 1),
+        ("CVE-2020-0003", 5.0, "a-b", False, 2),
+        ("CVE-2020-0003", 5.0, "a", False, 2),
+    ]
+    for lo, hi in ((0.0, 10.0), (5.0, 9.0), (6.0, 10.0), (9.0, 9.0), (0.0, 4.9)):
+        for grouping in ("by_asset", "global"):
+            rows = [tuple(r) for r in metrics.prioritize(g, lo, hi, grouping)]
+            assert rows == brute_priorities(doc, lo, hi, grouping), (lo, hi, grouping)
+
+    # Weaknesses sort by number, CWE-NULL last; CWE-079 and CWE-79 tie and
+    # keep the order they were first counted in.
+    rep = metrics.snapshot_report(g)
+    assert list(rep.m3_by_asset.items()) == [("a-b", 2), ("a", 3)]
+    assert [(a, list(m.items())) for a, m in rep.m5_by_asset_cwe.items()] == [
+        ("a-b", [("CWE-20", 1), ("CWE-79", 1), ("CWE-079", 1), ("CWE-NULL", 1)]),
+        ("a", [("CWE-20", 1), ("CWE-79", 1), ("CWE-079", 1), ("CWE-NULL", 2)]),
+    ]
+    assert list(rep.m6_by_cwe.items()) == [
+        ("CWE-20", 1), ("CWE-79", 1), ("CWE-079", 1), ("CWE-NULL", 2),
+    ]
+    assert rep.m7 == 4
 
 
 def test_iec62443_annotations():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from gen import random_cluster_case, random_graph, random_timeline
 from helpers import make_catalog, record, wstr
-from oracles import brute_metrics
+from oracles import brute_metrics, brute_priorities
 from vulngraph import cpe, graph, metrics, timeline as tl_mod
 from vulngraph.catalog import VersionRange
 from vulngraph.cpe import ANY, NA, WellFormedName
@@ -142,6 +142,22 @@ def test_metrics_match_brute_force_oracle():
         for cwe_id, count in expected["m6"].items():
             assert metrics.m6(g, cwe_id) == count, seed
     assert checked_nonempty >= 100  # the suite must exercise vulnerable graphs
+
+
+_score = st.integers(0, 100).map(lambda tenths: tenths / 10)
+
+
+@settings(max_examples=CASES, deadline=None)
+@given(st.integers(0, 2**32), _score, _score)
+def test_prioritize_matches_brute_force_oracle(seed, a, b):
+    # Scores are tenths, like the generated CVSS values, so windows often
+    # start or end on a score.
+    lo, hi = min(a, b), max(a, b)
+    g, _ = random_graph(random.Random(seed))
+    doc = graph.edg_to_dict(g)
+    for grouping in ("by_asset", "global"):
+        rows = [tuple(r) for r in metrics.prioritize(g, lo, hi, grouping)]
+        assert rows == brute_priorities(doc, lo, hi, grouping)
 
 
 def test_m4_sums_to_one():
