@@ -157,9 +157,10 @@ class Edg:
         # Set by build_index: node id -> the edges with that node at one end.
         # Never serialized and never copied by clone.
         self._incident: dict[str, set[Edge]] | None = None
-        # Set by active_subgraph on the view it returns: the view's
-        # cves_by_asset(), built in the pass that builds the view (None on any
-        # other graph).  A view is read, never edited, so the map stays its own.
+        # Set only by active_subgraph on the view it returns, and so marks a
+        # view: the view's cves_by_asset(), built in the pass that builds the
+        # view (None on any other graph).  A view is read, never edited, so
+        # the map stays its own, and a reader given a view reads it as its own.
         self.cves_of: dict[str, tuple[str, ...]] | None = None
 
     # -- basic views -------------------------------------------------------
@@ -573,9 +574,10 @@ def cluster_by(g: Edg, rule: ClusterRule, scope=None) -> dict[str, str]:
     as a connector but never a member, so a fully vulnerability-free system
     collapses into a single cluster.  ``scope`` optionally restricts
     eligibility to a subset of asset ids.  The map is empty when no asset
-    qualifies.  :func:`report.export_dot` draws each group as one node.
+    qualifies.  An active view is read as its own.  :func:`report.export_dot`
+    draws each group as one node.
     """
-    active = active_subgraph(g)
+    active = g if g.cves_of is not None else active_subgraph(g)
     scope_ids = None if scope is None else set(scope)
     cves_of = active.cves_of
     eligible = {

@@ -2,6 +2,8 @@
 
 All metrics measure the active configuration, read from
 :func:`graph.active_subgraph`: deprecated assets and edges never count.
+A reader given an active view reads it as its own, so a caller that holds
+the view builds no second one.
 Per-epoch values (M0, M1, M3..M7) take one snapshot; the accumulated values
 (M2, M8 and the lifetime weakness frequency) sum over the timeline's named
 epochs.
@@ -139,19 +141,14 @@ def prioritize(
     ``global`` is one flat list; either way rows sort by descending CVSS with
     ties broken exploit-available first, then ascending CVE id.  ``rank`` is
     the dense rank of the score inside its group, so every top-score entry is
-    rank 1.
+    rank 1.  An active view is read as its own, as :func:`snapshot_report`
+    reads it.
     """
     if not 0.0 <= min_cvss <= max_cvss <= 10.0:
         raise ValueError(f"need 0 <= min <= max <= 10, got [{min_cvss}, {max_cvss}]")
     if grouping not in ("by_asset", "global"):
         raise ValueError(f"grouping must be 'by_asset' or 'global', not {grouping!r}")
-    return _prioritize(active_subgraph(g), min_cvss, max_cvss, grouping)
-
-
-def _prioritize(
-    active: Edg, min_cvss: float, max_cvss: float, grouping: str
-) -> list[PrioritizedVulnerability]:
-    # The body of prioritize, on an active view the caller already holds.
+    active = g if g.cves_of is not None else active_subgraph(g)
     # Each vulnerability in the window gets its sort key once, and each row
     # of a group holds that key beside its asset id.  The sort is stable, so
     # a CVE's rows keep their asset order.
@@ -210,41 +207,15 @@ def iec62443_annotations(metric_id: str) -> frozenset[str]:
 # reports
 
 
-class MetricReport:
+class MetricReport(namedtuple("MetricReport",
+                              ["epoch", "checked_at", "n_assets", "m0", "m1", "m7",
+                               "m3_by_asset", "m4_by_asset", "m5_by_asset_cwe", "m6_by_cwe"])):
     """Per-epoch values: scalars plus the per-asset and per-weakness maps."""
 
-    __slots__ = ("epoch", "checked_at", "n_assets", "m0", "m1", "m7", "m3_by_asset",
-                 "m4_by_asset", "m5_by_asset_cwe", "m6_by_cwe")
-
-    def __init__(self, epoch: str | None, checked_at: str, n_assets: int, m0: float | None,
-                 m1: int, m7: int, m3_by_asset: dict[str, int] | None = None,
-                 m4_by_asset: dict[str, float] | None = None,
-                 m5_by_asset_cwe: dict[str, dict[str, int]] | None = None,
-                 m6_by_cwe: dict[str, int] | None = None):
-        self.epoch = epoch
-        self.checked_at = checked_at
-        self.n_assets = n_assets
-        self.m0 = m0
-        self.m1 = m1
-        self.m7 = m7
-        self.m3_by_asset = {} if m3_by_asset is None else m3_by_asset
-        self.m4_by_asset = {} if m4_by_asset is None else m4_by_asset
-        self.m5_by_asset_cwe = {} if m5_by_asset_cwe is None else m5_by_asset_cwe
-        self.m6_by_cwe = {} if m6_by_cwe is None else m6_by_cwe
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "checked_at": self.checked_at,
-            "n_assets": self.n_assets,
-            "m0": self.m0,
-            "m1": self.m1,
-            "m7": self.m7,
-            "m3_by_asset": dict(self.m3_by_asset),
-            "m4_by_asset": dict(self.m4_by_asset),
-            "m5_by_asset_cwe": {a: dict(m) for a, m in self.m5_by_asset_cwe.items()},
-            "m6_by_cwe": dict(self.m6_by_cwe),
-        }
+        return self._asdict()
 
     def to_text(self) -> str:
         return _render_metric_table(self)
@@ -259,20 +230,20 @@ class MetricReport:
 
 
 def snapshot_report(g: Edg) -> MetricReport:
-    """M0, M1 and M3..M7 of one snapshot, from its active view."""
-    return _snapshot_report(active_subgraph(g))
-
-
-def _snapshot_report(active: Edg) -> MetricReport:
-    # The body of snapshot_report, on an active view the caller already
-    # holds; the view keeps the snapshot's epoch and root.  Each
-    # vulnerability's distinct weaknesses, and each weakness's sort key, are
-    # found once per view.  Sorting is stable, so ids with equal keys (such
-    # as CWE-079 and CWE-79) keep the order they were first counted in.
+    """M0, M1 and M3..M7 of one snapshot, from its active view.  A graph
+    that is an active view (its :attr:`Edg.cves_of` is set) is read as its
+    own view; any other graph gets one from :func:`graph.active_subgraph`.
+    The view keeps the snapshot's epoch and root."""
+    active = g if g.cves_of is not None else active_subgraph(g)
+    # Each vulnerability's distinct weaknesses, and each weakness's sort key,
+    # are found once per view.  Vulnerabilities are counted in CVE-id order
+    # and sorting is stable, so ids with equal keys (such as CWE-079 and
+    # CWE-79) keep CVE-id order, then their order inside one record.
+    vulns = active.vulns
     cwes_of: dict[str, tuple[str, ...]] = {}
     m6_map: dict[str, int] = {}
-    for cve_id, v in active.vulns.items():
-        cwes = cwes_of[cve_id] = tuple(dict.fromkeys(v.cwe_ids))
+    for cve_id in sorted(vulns):
+        cwes = cwes_of[cve_id] = tuple(dict.fromkeys(vulns[cve_id].cwe_ids))
         for cwe_id in cwes:
             m6_map[cwe_id] = m6_map.get(cwe_id, 0) + 1
     sort_key = {cwe_id: _id_sort_key(cwe_id) for cwe_id in m6_map}.__getitem__
@@ -301,8 +272,8 @@ def _snapshot_report(active: Edg) -> MetricReport:
         epoch=active.epoch,
         checked_at=active.root.checked_at,
         n_assets=n,
-        m0=(len(active.vulns) / n) if n else None,
-        m1=len(active.vulns),
+        m0=(len(vulns) / n) if n else None,
+        m1=len(vulns),
         m7=len(m6_map),
         m3_by_asset=m3_map,
         m4_by_asset={a: (c / total if total else 0.0) for a, c in m3_map.items()},
@@ -311,20 +282,12 @@ def _snapshot_report(active: Edg) -> MetricReport:
     )
 
 
-class LifecycleReport:
+class LifecycleReport(namedtuple("LifecycleReport",
+                                 ["epoch_labels", "m2", "m8_union", "m8_sum",
+                                  "weakness_frequency"])):
     """Accumulated values over the named epochs."""
 
-    __slots__ = ("epoch_labels", "m2", "m8_union", "m8_sum", "weakness_frequency", "per_epoch")
-
-    def __init__(self, epoch_labels: list[str], m2: int, m8_union: int, m8_sum: int,
-                 weakness_frequency: dict[str, int],
-                 per_epoch: list[MetricReport] | None = None):
-        self.epoch_labels = epoch_labels
-        self.m2 = m2
-        self.m8_union = m8_union
-        self.m8_sum = m8_sum
-        self.weakness_frequency = weakness_frequency
-        self.per_epoch = [] if per_epoch is None else per_epoch
+    __slots__ = ()
 
 
 def lifecycle_report(tl: Timeline, catalog: Catalog | None = None) -> LifecycleReport:
@@ -347,7 +310,6 @@ def _lifecycle(epoch_labels: list[str], reports: list[MetricReport]) -> Lifecycl
         weakness_frequency=dict(
             sorted(totals.items(), key=lambda kv: (-kv[1], _id_sort_key(kv[0])))
         ),
-        per_epoch=reports,
     )
 
 

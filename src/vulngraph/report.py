@@ -11,6 +11,7 @@ the markdown and JSON forms carry identical values.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 
 from . import cpe
@@ -22,10 +23,10 @@ from .metrics import (
     SCALAR_METRICS,
     PrioritizedVulnerability,
     _lifecycle,
-    _prioritize,
-    _snapshot_report,
     fmt2,
     iec62443_annotations,
+    prioritize,
+    snapshot_report,
 )
 from .timeline import Timeline, epoch_snapshot, epoch_snapshots
 
@@ -176,12 +177,7 @@ class AlertFiring(namedtuple("AlertFiring", ["rule", "entity", "value", "message
     __slots__ = ()
 
 
-_COMPARATORS = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
+_COMPARATORS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 def check_alerts(g: Edg, rules) -> list[AlertFiring]:
@@ -203,7 +199,7 @@ def check_alerts(g: Edg, rules) -> list[AlertFiring]:
                     )
         elif rule.kind == "metric_bound":
             if snapshot_metrics is None:
-                snapshot_metrics = _snapshot_report(active)
+                snapshot_metrics = snapshot_report(active)
             value = snapshot_metrics.scalar(rule.metric)
             if _COMPARATORS[rule.comparator](value, rule.value):
                 firings.append(
@@ -263,17 +259,18 @@ def report_payload(tl: Timeline, catalog: Catalog) -> dict:
     """Everything the report shows, as one JSON-serializable dictionary."""
     # One active view per epoch serves its metrics, priorities and deltas.
     actives = [active_subgraph(g) for g in epoch_snapshots(tl, catalog)]
-    life = _lifecycle(tl.epoch_labels(), [_snapshot_report(a) for a in actives])
+    reports = [snapshot_report(a) for a in actives]
+    life = _lifecycle(tl.epoch_labels(), reports)
     lo, hi = DEFAULT_PRIORITY_WINDOW
 
     epochs = []
-    for mark, active, rep in zip(tl.epochs, actives, life.per_epoch):
+    for mark, active, rep in zip(tl.epochs, actives, reports):
         epochs.append(
             {
                 "label": mark.label,
                 "at": mark.at,
                 "metrics": rep.to_dict(),
-                "prioritization": _priority_rows(_prioritize(active, lo, hi, "by_asset")),
+                "prioritization": _priority_rows(prioritize(active, lo, hi, "by_asset")),
             }
         )
 

@@ -12,8 +12,17 @@ import pytest
 
 from gen import random_graph, random_timeline
 from test_properties import CASES
-from vulngraph import timeline as tl_mod
-from vulngraph.graph import NORMAL, ROOT_ID, Edg, Edge, active_subgraph, edg_to_dict
+from vulngraph import metrics, timeline as tl_mod
+from vulngraph.graph import (
+    NORMAL,
+    ROOT_ID,
+    ClusterRule,
+    Edg,
+    Edge,
+    active_subgraph,
+    cluster_by,
+    edg_to_dict,
+)
 
 
 def _active_reference(g: Edg) -> Edg:
@@ -100,3 +109,42 @@ def test_view_cve_map_keeps_every_host_a_hand_made_snapshot_gives():
         odd_hosts += sum(1 for host in view.cves_of if host == ROOT_ID or host in view.vulns)
     assert odd_hosts
 
+
+def _read_all(g, rules, scope):
+    """What each reader returns for ``g``: the metrics, both patch queues
+    and each cluster rule with and without the scope.  The report's repr
+    keeps its maps' key order."""
+    return (repr(metrics.snapshot_report(g)),
+            [metrics.prioritize(g, 0.0, 10.0, grouping) for grouping in ("by_asset", "global")],
+            [cluster_by(g, rule, s) for rule in rules for s in (None, scope)])
+
+
+def _assert_view_reads_as_its_own(g, case):
+    rng = random.Random(case)
+    rules = (ClusterRule.no_vulnerabilities(), ClusterRule.cvss_below(rng.choice((4.0, 7.5))))
+    scope = {a.asset_id for a in g.active_assets() if rng.random() < 0.5}
+    assert _read_all(active_subgraph(g), rules, scope) == _read_all(g, rules, scope), case
+
+
+def test_a_view_reads_as_its_own_on_random_graphs():
+    for seed in range(200):
+        g, _ = random_graph(random.Random(seed))
+        _assert_view_reads_as_its_own(g, seed)
+
+
+def test_a_view_reads_as_its_own_with_odd_normal_edges():
+    # The odd normal edges of the two tests above: root -> CVE, CVE -> asset,
+    # asset -> root and CVE -> CVE.
+    for seed in range(200):
+        rng = random.Random(seed + 100_000)
+        g, _ = random_graph(rng)
+        if len(g.vulns) < 2:
+            continue
+        g = g.clone()
+        nodes = sorted(g.assets)
+        cves = sorted(g.vulns)
+        for _ in range(3):
+            a, b = rng.sample(cves, 2)
+            node = rng.choice(nodes)
+            g.edges |= {Edge(ROOT_ID, a), Edge(a, node), Edge(node, ROOT_ID), Edge(a, b)}
+        _assert_view_reads_as_its_own(g, seed)

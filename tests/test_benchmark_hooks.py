@@ -13,7 +13,8 @@ import pytest
 from gen import random_timeline
 from helpers import make_catalog, name, record, update_patch_scenario, wstr
 from vulngraph import catalog as cat_mod, cli, cpe, fixtures, report, timeline as tl_mod
-from vulngraph.report import AlertRule
+from vulngraph.graph import ClusterRule
+from vulngraph.report import AlertRule, RenderOptions
 
 _ROOT = Path(__file__).resolve().parents[1]
 _SPANS_PATH = _ROOT / "perfbench" / "spans.py"
@@ -160,6 +161,25 @@ def test_alerts_build_one_active_view(tracer):
              AlertRule.cvss_at_least(9.0)]
     tracer.cur.clear()
     assert len(report.check_alerts(g, rules)) == 2
+    assert tracer.cur["graph.active_subgraph"] == 1
+
+
+def test_report_reads_each_view_through_the_public_metrics(tracer):
+    tl, cat = update_patch_scenario()
+    tl = tl_mod.embed_snapshots(tl, cat)
+    tracer.cur.clear()
+    report.report_payload(tl, cat)
+    assert tracer.cur["metrics.snapshot_report"] == len(tl.epochs)
+    assert tracer.cur["metrics.prioritize"] == len(tl.epochs)
+
+
+def test_export_clusters_the_view_it_draws(tracer):
+    tl, cat = update_patch_scenario()
+    g = tl_mod.epoch_snapshot(tl, cat, "t2")
+    opts = RenderOptions(cluster_rule=ClusterRule.no_vulnerabilities(), show_deprecated=False)
+    tracer.cur.clear()
+    report.export_dot(g, opts)
+    assert tracer.cur["graph.cluster"] == 1
     assert tracer.cur["graph.active_subgraph"] == 1
 
 

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from helpers import make_catalog, manifest, name, record, ts, update_patch_scenario, wstr
@@ -281,6 +287,76 @@ def test_prioritize_and_weakness_order_on_ties():
         ("CWE-20", 1), ("CWE-79", 1), ("CWE-079", 1), ("CWE-NULL", 2),
     ]
     assert rep.m7 == 4
+
+
+# Each tie pair comes from two CVEs; in CVE-id order the zero-padded id
+# comes first in two pairs and second in the other two.
+_CROSS_CVE_TIES = ["CWE-079", "CWE-79", "CWE-20", "CWE-020",
+                   "CWE-0119", "CWE-119", "CWE-787", "CWE-00787"]
+
+
+def cross_cve_tie_doc():
+    """A hand-made snapshot: one asset hosts CVE 1..8, each with one weakness
+    of :data:`_CROSS_CVE_TIES`, and a second asset hosts CVE 5..8."""
+    doc = tie_doc()
+    doc["vulns"] = [{"cve_id": f"CVE-2020-000{n}", "cvss": 5.0, "cwe_ids": [cwe_id],
+                     "capec_ids": [], "exploit_available": False}
+                    for n, cwe_id in enumerate(_CROSS_CVE_TIES, 1)]
+    links = [("root", "a@0"), ("root", "a-b@0")]
+    links += [("a@0", v["cve_id"]) for v in doc["vulns"]]
+    links += [("a-b@0", v["cve_id"]) for v in doc["vulns"][4:]]
+    doc["edges"] = [{"source": s, "target": t, "kind": "normal"} for s, t in links]
+    return doc
+
+
+_PRINT_ORDERS = """
+import json, sys
+from vulngraph import graph, metrics
+rep = metrics.snapshot_report(graph.edg_from_dict(json.load(sys.stdin)))
+print(json.dumps([list(rep.m6_by_cwe), {a: list(m) for a, m in rep.m5_by_asset_cwe.items()},
+                  rep.to_text()]))
+"""
+
+
+def test_weakness_ties_follow_cve_order_under_any_string_hash():
+    # The view's vulnerabilities come from a set of edges, whose order
+    # follows string hashing: ties must not.
+    env = dict(os.environ, PYTHONPATH=str(Path(metrics.__file__).resolve().parents[1]))
+    doc = json.dumps(cross_cve_tie_doc())
+    outputs = set()
+    for seed in range(1, 9):
+        run = subprocess.run([sys.executable, "-c", _PRINT_ORDERS], input=doc,
+                             capture_output=True, text=True, timeout=120,
+                             env=dict(env, PYTHONHASHSEED=str(seed)))
+        assert run.returncode == 0, run.stderr
+        outputs.add(run.stdout)
+    assert len(outputs) == 1
+    m6_order, m5_orders, _ = json.loads(outputs.pop())
+    by_number = ["CWE-20", "CWE-020", "CWE-079", "CWE-79",
+                 "CWE-0119", "CWE-119", "CWE-787", "CWE-00787"]
+    assert m6_order == by_number
+    assert m5_orders == {"a-b": by_number[4:], "a": by_number}
+
+
+def test_reports_are_value_records(openplc_timeline, openplc_catalog, openplc_snapshots):
+    rep = metrics.snapshot_report(openplc_snapshots["V1"])
+    life = metrics.lifecycle_report(openplc_timeline, openplc_catalog)
+    fields = {
+        metrics.MetricReport: ("epoch", "checked_at", "n_assets", "m0", "m1", "m7",
+                               "m3_by_asset", "m4_by_asset", "m5_by_asset_cwe", "m6_by_cwe"),
+        metrics.LifecycleReport: ("epoch_labels", "m2", "m8_union", "m8_sum",
+                                  "weakness_frequency"),
+    }
+    for value in (rep, life):
+        assert isinstance(value, tuple)
+        assert type(value)._fields == fields[type(value)]
+        assert not hasattr(value, "__dict__")
+        for field in value._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, field, None)
+    assert rep.to_dict() == dict(zip(rep._fields, rep))
+    assert list(rep.to_dict()) == list(rep._fields)
+    assert not hasattr(life, "per_epoch")
 
 
 def test_iec62443_annotations():
