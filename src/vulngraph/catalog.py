@@ -39,6 +39,7 @@ import re
 from collections import namedtuple
 from contextlib import contextmanager
 from functools import cached_property
+from itertools import chain, repeat
 
 from . import cpe
 from .cpe import WellFormedName
@@ -536,6 +537,110 @@ def canonical_text(value) -> str:
     """:func:`canonical_json` without its newline: the text of a value as it
     stands inside a written document."""
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _not_serializable(value):
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def indented_text(value) -> str:
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)``, the form
+    of every ``--json`` report, written by CPython's C encoder.
+
+    ``json.dumps`` takes the C encoder only without an indent, so this builds
+    the indented layout from C calls whose item separator is ``","`` plus the
+    newline and indent of the items' depth, by three rules:
+
+    1. An empty container is ``{}`` or ``[]``.
+    2. A container with no container among its values is one C call, spliced
+       between its opening line and its closing line.
+    3. A list whose items are all non-empty containers of one kind, each as in
+       rule 2 (the patch-queue rows), is one C call at the rows' depth; then
+       every ``},\\n<row indent>{`` (or ``],\\n<row indent>[``) is re-indented
+       to the list's depth.  This is exact: with ``ensure_ascii`` a raw
+       newline comes only from a separator, and inside such a row a
+       separator follows a scalar, never a ``}`` or ``]``.
+
+    Any other container recurses.  The pieces go to one list, joined once,
+    so a large piece is copied once.  Without the ``_json`` module this is
+    ``json.dumps`` itself.
+    """
+    make_encoder = json.encoder.c_make_encoder
+    if make_encoder is None:
+        return json.dumps(value, indent=2, sort_keys=True)
+    encode_string = json.encoder.encode_basestring_ascii
+    containers = (dict, list, tuple)
+    encoders = {}
+
+    def flat(value, depth):
+        # A scalar, or a container as in rule 2 with its items at ``depth``.
+        encode = encoders.get(depth)
+        if encode is None:
+            encode = encoders[depth] = make_encoder(
+                None, _not_serializable, encode_string, None, ": ", ",\n" + "  " * depth,
+                True, False, True)
+        return "".join(encode(value, 0))
+
+    def scalars(values):
+        # Whether no value is a container, by one test of each distinct type.
+        return not any(issubclass(kind, containers) for kind in set(map(type, values)))
+
+    def key_text(key, depth):
+        # A key's text; a key that is not a string is converted as the stdlib does.
+        if isinstance(key, str):
+            return encode_string(key)
+        if key is None or isinstance(key, (int, float)):
+            return '"' + flat(key, depth) + '"'
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {key.__class__.__name__}")
+
+    def write(value, depth):
+        # Appends the pieces of the text of ``value`` at ``depth`` to ``out``.
+        if isinstance(value, dict):
+            opening, closing = "{", "}"
+        elif isinstance(value, (list, tuple)):
+            opening, closing = "[", "]"
+        else:
+            out.append(flat(value, depth))
+            return
+        if not value:
+            out.append(opening + closing)
+            return
+        inner = "\n" + "  " * (depth + 1)
+        outer = "\n" + "  " * depth
+        if scalars(value.values() if opening == "{" else value):
+            out.extend((opening, inner, flat(value, depth + 1)[1:-1], outer, closing))
+            return
+        if opening == "[":
+            kind = dict if isinstance(value[0], dict) else (list, tuple)
+            if (all(map(isinstance, value, repeat(kind))) and all(value)
+                    and scalars(chain.from_iterable(map(dict.values, value) if kind is dict
+                                                    else value))):
+                row_open, row_close = ("{", "}") if kind is dict else ("[", "]")
+                deeper = inner + "  "
+                rows = flat(value, depth + 2)[2:-2].replace(
+                    row_close + "," + deeper + row_open,
+                    inner + row_close + "," + inner + row_open + deeper)
+                out.extend((opening, inner, row_open, deeper, rows, inner, row_close,
+                            outer, closing))
+                return
+        out.append(opening)
+        separator = inner
+        if opening == "{":
+            for key, item in sorted(value.items()):
+                out.extend((separator, key_text(key, depth), ": "))
+                write(item, depth + 1)
+                separator = "," + inner
+        else:
+            for item in value:
+                out.append(separator)
+                write(item, depth + 1)
+                separator = "," + inner
+        out.extend((outer, closing))
+
+    out = []
+    write(value, 0)
+    return "".join(out)
 
 
 def load_json(path):

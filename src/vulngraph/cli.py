@@ -9,7 +9,6 @@ fired, 2 usage or data error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import catalog as catalog_mod
@@ -154,7 +153,7 @@ def _cmd_event(args) -> int:
 def _cmd_metrics(args) -> int:
     g = _snapshot(args)
     rep = metrics.snapshot_report(g)
-    _write(json.dumps(rep.to_dict(), indent=2, sort_keys=True) if args.json else rep.to_text(),
+    _write(catalog_mod.indented_text(rep.to_dict()) if args.json else rep.to_text(),
            args.out)
     return 0
 
@@ -164,7 +163,7 @@ def _cmd_prioritize(args) -> int:
     grouping = "global" if args.global_order else "by_asset"
     rows = metrics.prioritize(g, args.min, args.max, grouping)
     if args.json:
-        _write(json.dumps(report._priority_rows(rows), indent=2, sort_keys=True), args.out)
+        _write(catalog_mod.indented_text(report._priority_rows(rows)), args.out)
     else:
         lines = [f"{'CVE':<18} {'CVSS':>5}  ASSET"]
         for r in rows:
@@ -206,7 +205,7 @@ def _cmd_report(args) -> int:
     _warn_stale(tl, cat, tl.epoch_labels())
     doc = report.generate_report(tl, cat, args.format)
     if args.format == "json":
-        doc = json.dumps(doc, indent=2, sort_keys=True)
+        doc = catalog_mod.indented_text(doc)
     _write(doc, args.out)
     return 0
 
@@ -241,7 +240,7 @@ def _cmd_diff(args) -> int:
     _warn_stale(tl, cat, [args.from_epoch, args.to_epoch])
     delta = report.epoch_diff(tl, cat, args.from_epoch, args.to_epoch)
     if args.json:
-        _write(json.dumps(delta, indent=2, sort_keys=True), args.out)
+        _write(catalog_mod.indented_text(delta), args.out)
         return 0
     lines = []
     for key in ("assets_added", "assets_removed", "vulns_added", "vulns_fixed"):

@@ -326,8 +326,9 @@ def _render_metric_table(report: MetricReport) -> str:
     # an "others" column, mirroring the usual presentation.
     vulnerable = [a for a, c in report.m3_by_asset.items() if c > 0]
     columns = vulnerable + ["others"]
-    others_m3 = sum(c for a, c in report.m3_by_asset.items() if a not in vulnerable)
-    others_m4 = sum(v for a, v in report.m4_by_asset.items() if a not in vulnerable)
+    shown = set(vulnerable)
+    others_m3 = sum(c for a, c in report.m3_by_asset.items() if a not in shown)
+    others_m4 = sum(v for a, v in report.m4_by_asset.items() if a not in shown)
 
     header = ["metric"] + columns
     rows: list[list[str]] = []

@@ -240,22 +240,27 @@ def replay(tl: Timeline, catalog: Catalog):
     every event.  Deterministic: same log, same catalog, same snapshots.
 
     Every step yields the same working graph, which each event edits in
-    place.  Its edges are indexed by node (:meth:`graph.Edg.build_index`), so
-    an event finds the edges it touches without a pass over every edge; it
-    finds an asset's version nodes by a pass over the asset nodes.  A yielded
-    graph is live until the next step: clone it to keep that state.
+    place.  With two or more events its edges are indexed by node
+    (:meth:`graph.Edg.build_index`), so an event finds the edges it touches
+    without a pass over every edge; it finds an asset's version nodes by a
+    pass over the asset nodes.  A yielded graph is live until the next step:
+    clone it to keep that state.
     """
     g = graph.build_edg(tl.sut_cpe, tl.manifest, catalog, tl.built_at)
-    yield from _replay_from(tl, catalog, -1, g)
+    yield from _replay_from(tl, catalog, -1, len(tl.events) - 1, g)
 
 
-def _replay_from(tl: Timeline, catalog: Catalog, position: int, g: Edg):
+def _replay_from(tl: Timeline, catalog: Catalog, position: int, end: int, g: Edg):
     """The steps of :func:`replay` from ``g``, the state after event
-    ``position`` (-1 for the build): ``g``'s edges are indexed by node and
-    ``g`` is yielded, then each later event edits it in place."""
-    g.build_index()
+    ``position`` (-1 for the build), to the state after event ``end``: ``g``
+    is yielded, then each later event edits it in place.  ``g``'s edges are
+    indexed by node only when the pass applies two or more events: one event
+    scans them for less than the index costs to build.  (A pass from the
+    build runs through :func:`replay`, so it counts the whole log.)"""
+    if end - position >= 2:
+        g.build_index()
     yield position, g
-    for i in range(position + 1, len(tl.events)):
+    for i in range(position + 1, end + 1):
         g = apply_event(g, tl.events[i], catalog)
         yield i, g
 
@@ -299,7 +304,7 @@ def _replay_to(tl: Timeline, catalog: Catalog, marks, whole_log: bool = False) -
         ends[_start(tl, None)] = len(tl.events) - 1
     picked: list[Edg | None] = [None] * len(marks)
     for start, end in ends.items():
-        replayed = (_replay_from(tl, catalog, _step(tl, start.at),
+        replayed = (_replay_from(tl, catalog, _step(tl, start.at), end,
                                  _decode_snapshot(tl, start.label))
                     if start else replay(tl, catalog))
         for i, g in replayed:

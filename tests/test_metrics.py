@@ -359,6 +359,27 @@ def test_reports_are_value_records(openplc_timeline, openplc_catalog, openplc_sn
     assert not hasattr(life, "per_epoch")
 
 
+def test_metric_table_folds_assets_without_vulnerabilities_into_others():
+    cat = make_catalog(records=[
+        record("CVE-2020-0001", 7.5, "CWE-119", affected=[wstr("v", "p1", "1.0")]),
+    ])
+    m = manifest([("a1", wstr("v", "p1", "1.0")), ("a2", wstr("v", "p2", "1.0")),
+                  ("a3", wstr("v", "p3", "1.0"))])
+    rep = metrics.snapshot_report(build_edg(name("v", "sut", "1.0"), m, cat, AT))
+    assert rep.to_text().splitlines() == [
+        f"epoch -  checked {AT}",
+        "metric      a1    others",
+        "n(t)        3",
+        "M0          0.33",
+        "M1          1",
+        "M3          1     0",
+        "M4          1.00  0.00",
+        "M5 CWE-119  1     -",
+        "M6 CWE-119  1",
+        "M7          1",
+    ]
+
+
 def test_iec62443_annotations():
     assert metrics.iec62443_annotations("M0") == {"SR-2", "SR-5", "SM-13", "SVV-4", "DM-3"}
     assert metrics.iec62443_annotations("M2") == {"SR-5", "SM-13"}
