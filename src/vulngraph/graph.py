@@ -11,11 +11,13 @@ A lifecycle operation (:func:`add_asset`, :func:`update_asset`,
 :func:`retire_asset`, :func:`patch_vuln`, :func:`discover_vuln`) edits the
 graph it is given and returns it; one that raises leaves the graph
 unchanged.  A caller that wants to keep a state clones it first
-(:meth:`Edg.clone`).  A replay advances one working graph this way, and
-indexes its edges by node (:meth:`Edg.build_index`) so that each event looks
-up the edges it touches instead of scanning every edge; an asset's version
-nodes and active node are found by scanning the asset nodes, on every graph
-alike.  Every other operation leaves its input unchanged.
+(:meth:`Edg.clone`).  A replay advances one working graph this way.  A pass
+that applies two or more events indexes its edges by node
+(:meth:`Edg.build_index`) so that each event looks up the edges it touches
+instead of scanning every edge; one event scans them for less than the
+index costs.  An asset's version nodes and active node are found by
+scanning the asset nodes, on every graph alike.  Every other operation
+leaves its input unchanged.
 
 Asset identity is a stable opaque token (``asset_id``) that survives version
 updates; each update adds a new version node (``asset_id@k``) whose
@@ -146,14 +148,14 @@ class Edg:
     def __init__(self, root: RootNode, epoch: str | None = None,
                  assets: dict[str, AssetNode] | None = None,
                  vulns: dict[str, VulnNode] | None = None,
-                 edges: set[Edge] | None = None, clusters: dict | None = None):
+                 edges: set[Edge] | None = None):
         self.root = root
         self.epoch = epoch
         self.assets = {} if assets is None else assets
         self.vulns = {} if vulns is None else vulns
         self.edges = set() if edges is None else edges
         # Always empty: kept while perfbench/spans.py's _count_clone reads len(g.clusters).
-        self.clusters = {} if clusters is None else clusters
+        self.clusters = {}
         # Set by build_index: node id -> the edges with that node at one end.
         # Never serialized and never copied by clone.
         self._incident: dict[str, set[Edge]] | None = None

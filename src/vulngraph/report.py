@@ -17,7 +17,7 @@ from collections import namedtuple
 from . import cpe
 from .catalog import CWE_NULL, Catalog
 from .errors import UnknownMetric
-from .graph import DEPRECATED, ROOT_ID, ClusterRule, Edg, Edge, active_subgraph, cluster_by
+from .graph import DEPRECATED, ROOT_ID, Edg, Edge, active_subgraph, cluster_by
 from .metrics import (
     METRIC_IDS,
     SCALAR_METRICS,
@@ -139,21 +139,20 @@ class AlertRule(namedtuple("AlertRule", ["kind", "severity", "threshold", "metri
     compares true against the bound.  Scalar metrics only (M0, M1, M7), and a
     finite bound: no metric compares true against NaN, and none reaches an
     infinite bound, so such a rule could never fire.  ``kind`` is
-    ``cvss_at_least`` or ``metric_bound``.
+    ``cvss_at_least``, of severity ``critical``, or ``metric_bound``, of
+    severity ``warning``.
     """
 
     __slots__ = ()
 
     @classmethod
-    def cvss_at_least(cls, threshold: float, severity: str = "critical") -> "AlertRule":
+    def cvss_at_least(cls, threshold: float) -> "AlertRule":
         if not 0.0 <= threshold <= 10.0:
             raise ValueError(f"threshold {threshold} outside [0, 10]")
-        return cls(kind="cvss_at_least", threshold=threshold, severity=severity)
+        return cls(kind="cvss_at_least", threshold=threshold, severity="critical")
 
     @classmethod
-    def metric_bound(
-        cls, metric: str, comparator: str, value: float, severity: str = "warning"
-    ) -> "AlertRule":
+    def metric_bound(cls, metric: str, comparator: str, value: float) -> "AlertRule":
         if comparator not in ("<", "<=", ">", ">="):
             raise ValueError(f"bad comparator {comparator!r}")
         if not math.isfinite(value):
@@ -166,7 +165,7 @@ class AlertRule(namedtuple("AlertRule", ["kind", "severity", "threshold", "metri
             metric=metric.upper(),
             comparator=comparator,
             value=value,
-            severity=severity,
+            severity="warning",
         )
 
 

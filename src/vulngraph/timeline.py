@@ -577,25 +577,25 @@ def timeline_to_dict(tl: Timeline) -> dict:
 
 
 def timeline_from_dict(doc: dict) -> Timeline:
-    """Decode a timeline document, checking every event with
+    """Decode a timeline document with :func:`_from_dict` and verify each
+    embedded snapshot against its digest, by its canonical text, encoded
+    once: one that does not match it is :attr:`Timeline.stale`.  No snapshot
+    is decoded or checked here; :func:`_decode_snapshot` does that when a
+    command reads its epoch."""
+    tl = _from_dict(doc)
+    tl.stale = frozenset(label for label in _unverified(tl) if label in tl.digests)
+    return tl
+
+
+def _from_dict(doc: dict, texts: dict[str, str] | None = None) -> Timeline:
+    """The timeline of a document, checking every event with
     :func:`validate_event` and that its ``seq`` is greater than the previous
     event's (as :func:`append_event` keeps it), every epoch mark with
-    :func:`validate_epoch`, that each digest is a sha256 hex digest, and each
-    embedded snapshot against its digest, by its canonical text.  One that
-    does not match its digest is :attr:`Timeline.stale`.  No snapshot is
-    decoded or checked here: each is held as its canonical text, encoded
-    once, and :func:`_decode_snapshot` decodes and checks it when a command
-    reads that epoch.  Each distinct CPE name is parsed once, and the
-    snapshot decodes reuse those parses."""
-    return _from_dict(doc)
-
-
-def _from_dict(doc: dict, lines: dict[str, str] | None = None) -> Timeline | None:
-    """:func:`timeline_from_dict`; given ``lines`` (label -> text, see
-    :func:`_split_lines`) of a head document whose snapshots are those, the
-    timeline when every line matches its digest, and None as soon as one
-    does not, hashing no line after it.  Either way a snapshot is checked
-    only when it is decoded."""
+    :func:`validate_epoch`, and that each digest is a sha256 hex digest.  Its
+    snapshots are ``texts`` (label -> text, see :func:`_split_lines`), else
+    the canonical texts of the document's, none verified: the caller
+    verifies them.  Each distinct CPE name is parsed once, and the snapshot
+    decodes reuse those parses."""
     if not isinstance(doc, dict):
         raise SchemaError("timeline document must be an object")
     if doc.get("schema_version", 1) != 1:
@@ -617,65 +617,58 @@ def _from_dict(doc: dict, lines: dict[str, str] | None = None) -> Timeline | Non
         validate_epoch(mark, epochs, built_at, path)
         epochs.append(mark)
     sut = _parse_cpe(doc, "sut", "", cpes)
-    by_lines = lines is not None
-    if not by_lines:
-        lines = {label: canonical_text(snap)
+    if texts is None:
+        texts = {label: canonical_text(snap)
                  for label, snap in _expect(doc, "snapshots", dict, "", {}).items()}
     digests = dict(_expect(doc, "digests", dict, "", {}))
     for label, digest in digests.items():
         if not (type(digest) is str and _DIGEST_RE.fullmatch(digest)):
             raise SchemaError(f"want 64 lowercase hex digits, got {digest!r}", f"digests.{label}")
     manifest = manifest_from_dict(_expect(doc, "manifest", dict, ""), cpes)
-    tl = Timeline(
+    return Timeline(
         sut_cpe=sut,
         manifest=manifest,
         built_at=built_at,
         events=events,
         epochs=epochs,
-        snapshots=lines,
+        snapshots=texts,
         digests=digests,
         _cpes=cpes,
         _names=cpes.bindings(),
     )
-    unverified = _unverified(tl)
-    if by_lines:
-        return None if next(unverified, None) is not None else tl
-    tl.stale = frozenset(label for label in unverified if label in digests)
-    return tl
 
 
 def save_timeline(tl: Timeline, path) -> None:
     """Write ``tl`` to ``path`` as one JSON document that decodes to
-    ``timeline_to_dict(tl)``.  It is the canonical JSON of that document,
-    except that each embedded snapshot stands on a line of its own as
-    ``"<label>":<text>``, the text that ``tl`` holds and its digest covers,
-    followed by a comma on every line but the last.  Canonical JSON never
-    holds a raw newline, so :func:`load_timeline` can split the file into
-    its snapshots without decoding them.
+    ``timeline_to_dict(tl)``: the canonical JSON of its head, with each
+    snapshot spliced in at ``snapshots`` on a line of its own as
+    ``"<label>":<text>`` (the text ``tl`` holds and its digest covers) and a
+    comma ending every line but the last.  Canonical JSON never holds a raw
+    newline, so :func:`load_timeline` splits the file (:func:`_split_lines`)
+    and verifies each snapshot line against its digest without decoding it.
 
     The document is written with :func:`catalog.open_replacing`, so a write
     that fails or is interrupted leaves the target as it was and no file of
     its own behind."""
-    head = _head_dict(tl)
+    head = canonical_text({**_head_dict(tl), "snapshots": _PLACEHOLDER})
+    # _SPLIT occurs once: its quotes are unescaped, so it is not inside an
+    # encoded string, and no object nested in the head holds the placeholder
+    # (``digests``, the one whose keys a caller picks, holds hex digests).
+    before, after = head.split(_SPLIT)
     with open_replacing(path) as fh:
-        fh.write("{")
-        for n, key in enumerate(sorted([*head, "snapshots"])):
-            fh.write(("," if n else "") + canonical_text(key) + ":")
-            if key != "snapshots":
-                fh.write(canonical_text(head[key]))
-                continue
-            fh.write("{")
-            for m, (label, text) in enumerate(sorted(tl.snapshots.items())):
-                fh.write((",\n" if m else "\n") + canonical_text(label) + ":")
-                fh.write(text)
-            fh.write("\n}" if tl.snapshots else "}")
-        fh.write("}\n")
+        fh.write(before)
+        fh.write(_OPEN)
+        for m, (label, text) in enumerate(sorted(tl.snapshots.items())):
+            fh.write((",\n" if m else "\n") + canonical_text(label) + ":")
+            fh.write(text)
+        fh.write(("\n}" if tl.snapshots else "}") + after + "\n")
 
 
 # The first line of the layout save_timeline writes ends by opening the
-# snapshots; _split_lines decodes the head with this string in their place.
+# snapshots; the head is encoded and decoded with this string in their place.
 _OPEN = '"snapshots":{'
 _PLACEHOLDER = "\x00snapshot lines"
+_SPLIT = '"snapshots":' + json.dumps(_PLACEHOLDER)
 
 
 def _split_lines(text: str) -> tuple[dict, dict[str, str]] | None:
@@ -695,7 +688,7 @@ def _split_lines(text: str) -> tuple[dict, dict[str, str]] | None:
     parts = text.split("\n")
     while len(parts) > 2 and not parts[-1].strip(" \t\r"):
         parts.pop()
-    if len(parts) < 2 or not (parts[0].endswith(_OPEN) and parts[-1].startswith("}")):
+    if not parts[-1].startswith("}"):
         return None
     try:
         head = json.loads(parts[0][:-1] + json.dumps(_PLACEHOLDER) + parts[-1][1:])
@@ -725,15 +718,18 @@ def _split_lines(text: str) -> tuple[dict, dict[str, str]] | None:
 def load_timeline(path) -> Timeline:
     """The timeline in the file at ``path``, as :func:`timeline_from_dict`
     gives it for the decoded document.  A file in the layout
-    :func:`save_timeline` writes whose every snapshot line is of a marked
-    epoch and matches its digest is read by its lines (:func:`_split_lines`),
-    none of them decoded; any other text is decoded whole, which encodes
-    each of its snapshots once to verify it.  The line read stops hashing at
-    the first line that does not match its digest."""
+    :func:`save_timeline` writes is read by its lines (:func:`_split_lines`),
+    none of them decoded, and kept when every snapshot line is of a marked
+    epoch and matches its digest (:func:`_unverified`); the check stops
+    hashing at the first line that does not.  Any other text is decoded
+    whole, which encodes each of its snapshots once to verify it."""
     text = read_text(path)
     parts = _split_lines(text)
-    tl = None if parts is None else _from_dict(*parts)
-    return timeline_from_dict(parse_json(text)) if tl is None else tl
+    if parts is not None:
+        tl = _from_dict(*parts)
+        if next(_unverified(tl), None) is None:
+            return tl
+    return timeline_from_dict(parse_json(text))
 
 
 def load_manifest(path) -> Manifest:

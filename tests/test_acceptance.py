@@ -7,8 +7,6 @@ lines; any assertion failure marks that criterion red.
 import json
 import time
 
-import pytest
-
 import test_properties as props
 from dotcheck import parse_dot
 from helpers import update_patch_scenario

@@ -157,6 +157,62 @@ def _decoded_whole(doc):
     raise AssertionError("decoded whole")
 
 
+# Texts that a writer splitting the head at its snapshots could mistake for
+# the split point.
+_SPLIT_TEXTS = [tl_mod._PLACEHOLDER, '"snapshots":{']
+
+
+def _renamed(tl, text: str, n: int):
+    """``tl`` with its epoch labels (even ``n``) or its asset ids (odd ``n``)
+    equal to ``text``, or holding it at their start or end."""
+    forms = [text, "E" + text, text + "E", "a" + text + "z"]
+    if n % 2 == 0:
+        return tl.replace(epochs=[mark._replace(label=forms[i % 4] + "#" * (i // 4))
+                                  for i, mark in enumerate(tl.epochs)])
+    ids = {e.asset_id: forms[i % 4] + "#" * (i // 4)
+           for i, e in enumerate(tl.manifest.entries)}
+    doc = tl_mod.timeline_to_dict(tl)
+
+    def rename(value):
+        if isinstance(value, list):
+            return [rename(item) for item in value]
+        if isinstance(value, dict):
+            return {key: rename(item) for key, item in value.items()}
+        return ids.get(value, value)
+
+    return tl_mod.timeline_from_dict({**doc, "manifest": rename(doc["manifest"]),
+                                      "events": rename(doc["events"])})
+
+
+def _layout_cases():
+    rng = random.Random(7)
+    for case in range(100):
+        tl, catalog = random_timeline(rng)
+        yield f"random-{case}", tl_mod.embed_snapshots(tl, catalog)
+    tl, catalog = random_timeline(rng)
+    yield "no-snapshots", tl
+    for n in range(8):
+        tl, catalog = random_timeline(rng)
+        text = _SPLIT_TEXTS[n // 4 % 2]
+        yield f"renamed-{n}", tl_mod.embed_snapshots(_renamed(tl, text, n), catalog)
+
+
+def test_the_file_is_the_canonical_document_with_one_line_per_snapshot(
+        tmp_path, monkeypatch):
+    # A file with snapshots is read by its lines; one without is one line,
+    # which is decoded whole.
+    for case, tl in _layout_cases():
+        path = tmp_path / f"{case}.json"
+        tl_mod.save_timeline(tl, path)
+        text = path.read_text()
+        assert text[:-1].replace("\n", "") + "\n" == canonical_json(tl_mod.timeline_to_dict(tl))
+        assert text.count("\n") == (len(tl.snapshots) + 2 if tl.snapshots else 1), case
+        with monkeypatch.context() as patched:
+            if tl.snapshots:
+                patched.setattr(tl_mod, "timeline_from_dict", _decoded_whole)
+            assert tl_mod.load_timeline(path) == tl, case
+
+
 _OTHER_LAYOUTS = {
     "one-canonical-document": canonical_json,
     "json-dumps": json.dumps,
