@@ -43,7 +43,7 @@ from itertools import chain, repeat
 
 from . import cpe
 from .cpe import WellFormedName
-from .errors import DuplicateId, FeedParseError, MalformedCpe, SchemaError, UnknownWeakness
+from .errors import DuplicateId, FeedParseError, MalformedCpe, SchemaError
 
 #: Sentinel weakness id for CVEs with no assigned CWE.
 CWE_NULL = "CWE-NULL"
@@ -52,10 +52,11 @@ ORDINAL_SCALE = ("very_low", "low", "medium", "high", "very_high")
 
 REMEDIATION_KINDS = ("requirement", "training", "test_case")
 
-_CVE_RE = re.compile(r"CVE-\d{4}-\d{4,}")
-_CWE_RE = re.compile(r"CWE-(\d+|NULL)")
-_CAPEC_RE = re.compile(r"CAPEC-\d+")
-_DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}")
+# re.ASCII: ``\d`` matches only 0-9, not every Unicode decimal digit.
+_CVE_RE = re.compile(r"CVE-\d{4}-\d{4,}", re.ASCII)
+_CWE_RE = re.compile(r"CWE-(\d+|NULL)", re.ASCII)
+_CAPEC_RE = re.compile(r"CAPEC-\d+", re.ASCII)
+_DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}", re.ASCII)
 
 #: Default of :func:`_expect` for a required field.
 _REQUIRED = object()
@@ -135,10 +136,10 @@ class VulnerabilityRecord(namedtuple(
 
     __slots__ = ()
 
-    def applies_to(self, name: WellFormedName, at: str | None = None,
+    def applies_to(self, name: WellFormedName, at: str,
                    version_key: tuple | None = None) -> bool:
         # By position: self[6] is the publication date, self[4] the entries.
-        if at is not None and self[6] > at[:10]:
+        if self[6] > at[:10]:
             return False
         for entry in self[4]:
             if entry.matches(name, version_key):
@@ -223,21 +224,6 @@ class Catalog:
         # Ordered by CVE id: the ids are unique, so the tuples' own order is it.
         hits.sort()
         return hits
-
-    def capecs_for_weakness(self, cwe_id: str) -> list[AttackPatternRecord]:
-        """Attack patterns linked to a weakness; empty for the null sentinel."""
-        if cwe_id == CWE_NULL:
-            return []
-        weakness = self.weaknesses.get(cwe_id)
-        if weakness is None:
-            raise UnknownWeakness(cwe_id)
-        out = [
-            self.attack_patterns[c]
-            for c in weakness.related_capec_ids
-            if c in self.attack_patterns
-        ]
-        out.sort(key=lambda p: _id_sort_key(p.capec_id))
-        return out
 
     def capec_ids_for_cwes(self, cwe_ids) -> tuple[str, ...]:
         """Union of linked CAPEC ids over several weaknesses (unknowns skipped)."""

@@ -64,7 +64,7 @@ def _resolve_at(value: str) -> str:
         from datetime import datetime, timezone
 
         return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-    return timeline_mod.validate_timestamp(value)
+    return timeline_mod.validate_timestamp(value, "--at")
 
 
 def _cluster_rule(args) -> ClusterRule | None:

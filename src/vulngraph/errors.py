@@ -37,10 +37,6 @@ class FeedParseError(VulnGraphError):
     """An external vulnerability feed file could not be parsed."""
 
 
-class UnknownWeakness(VulnGraphError):
-    """A CWE identifier is not present in the catalog."""
-
-
 class UnknownDependencyTarget(VulnGraphError):
     """A manifest dependency pair references an id that is not in the manifest."""
 
@@ -63,10 +59,6 @@ class NonMonotonicTimestamp(SchemaError):
 
 class SelfSucc(VulnGraphError):
     """An asset update supplied a new CPE identical to the current one."""
-
-
-class BrokenChain(VulnGraphError):
-    """A version chain has a dangling previous-CPE pointer (corrupt state)."""
 
 
 class NoAssets(VulnGraphError):

@@ -53,7 +53,6 @@ from . import cpe
 from .catalog import _CAPEC_RE, _CVE_RE, _CWE_RE, Catalog, VulnerabilityRecord
 from .cpe import WellFormedName
 from .errors import (
-    BrokenChain,
     DuplicateId,
     EmptyManifest,
     SchemaError,
@@ -235,9 +234,6 @@ class Edg:
     def active_vulns(self) -> dict[str, VulnNode]:
         """The vulnerabilities of :func:`active_subgraph`."""
         return active_subgraph(self).vulns
-
-    def node_count(self) -> int:
-        return 1 + len(self.assets) + len(self.vulns)
 
 
 # ---------------------------------------------------------------------------
@@ -478,29 +474,6 @@ def retire_asset(g: Edg, asset_id: str) -> Edg:
 # queries
 
 
-def version_chain(g: Edg, asset_id: str) -> list[WellFormedName]:
-    """CPE values of an asset, current version first, following the
-    previous-version pointers down to the very first version."""
-    nodes = g.lineage(asset_id)
-    if not nodes:
-        raise UnknownAsset(asset_id)
-    chain = []
-    for i in range(len(nodes) - 1, -1, -1):
-        node = nodes[i]
-        chain.append(node.cpe_current)
-        expected = nodes[i - 1].cpe_current if i > 0 else None
-        if node.cpe_previous != expected:
-            raise BrokenChain(
-                f"{node.node_id}: previous pointer "
-                f"{_fmt_cpe(node.cpe_previous)} does not reach {_fmt_cpe(expected)}"
-            )
-    return chain
-
-
-def _fmt_cpe(w: WellFormedName | None) -> str:
-    return cpe.bind_formatted(w) if w is not None else "null"
-
-
 def active_subgraph(g: Edg) -> Edg:
     """The active configuration: non-deprecated assets, vulnerabilities a
     normal edge attaches to one of them, and normal edges among those nodes
@@ -681,13 +654,15 @@ def edg_to_dict(g: Edg, names: cpe.BindTable | None = None) -> dict:
 def edg_from_dict(doc: dict | str, cpes: cpe.ParseTable | None = None) -> Edg:
     """Inverse of :func:`edg_to_dict`, of the document or of its JSON text.
     ``cpes`` parses each distinct name once; pass one table to share it
-    across the snapshots of one load.  Text that is not JSON, a wrongly typed
-    field or container, a CVE, CWE or CAPEC id that is not of the catalog's
-    form, or a non-empty ``clusters`` list, raises :class:`TypeError` or
-    :class:`ValueError`.  Node ids are interned and edge kinds are
-    :data:`NORMAL` or :data:`DEPRECATED` themselves, so that an edge's ends
-    are the very strings that key its nodes, as in a graph built in memory,
-    and a lookup by them compares identities."""
+    across the snapshots of one load.  Text that is not JSON, a
+    ``schema_version`` other than 1, a wrongly typed field or container, a
+    CVE, CWE or CAPEC id that is not of the catalog's form, two nodes under
+    one id, an edge to a node the snapshot lacks, or a non-empty
+    ``clusters`` list, raises :class:`TypeError` or :class:`ValueError`.
+    Node ids are interned and edge kinds are :data:`NORMAL` or
+    :data:`DEPRECATED` themselves, so that an edge's ends are the very
+    strings that key its nodes, as in a graph built in memory, and a lookup
+    by them compares identities."""
     if isinstance(doc, str):
         doc = json.loads(doc)
     if cpes is None:
@@ -721,8 +696,11 @@ def edg_from_dict(doc: dict | str, cpes: cpe.ParseTable | None = None) -> Edg:
                 and (kind == NORMAL or kind == DEPRECATED)):
             raise ValueError(f"edge {source!r} -> {target!r}: want string endpoints "
                              f"and kind {NORMAL!r} or {DEPRECATED!r}, got {kind!r}")
-        return _new(Edge, (intern(source), intern(target),
-                           NORMAL if kind == NORMAL else DEPRECATED))
+        try:
+            return _new(Edge, (node_ids[source], node_ids[target],
+                               NORMAL if kind == NORMAL else DEPRECATED))
+        except KeyError as exc:
+            raise ValueError(f"edges: no node {exc.args[0]!r}") from None
 
     def items(d, key) -> list:
         value = d[key]
@@ -730,6 +708,9 @@ def edg_from_dict(doc: dict | str, cpes: cpe.ParseTable | None = None) -> Edg:
             raise TypeError(f"{key}: want a list, got {type(value).__name__}")
         return value
 
+    version = doc.get("schema_version")
+    if type(version) is not int or version != 1:
+        raise ValueError(f"schema_version: want 1, got {version!r}")
     root, epoch = doc["root"], doc.get("epoch")
     if not (type(root) is dict and type(root.get("checked_at")) is str):
         raise TypeError("root: want an object with a string checked_at")
@@ -737,12 +718,17 @@ def edg_from_dict(doc: dict | str, cpes: cpe.ParseTable | None = None) -> Edg:
         raise TypeError(f"epoch: want a string or null, got {type(epoch).__name__}")
     g = Edg(root=RootNode(sut_cpe=cpes[root["cpe"]], checked_at=root["checked_at"]),
             epoch=epoch)
-    for d in items(doc, "assets"):
+    asset_docs, vuln_docs = items(doc, "assets"), items(doc, "vulns")
+    for d in asset_docs:
         node = parse_asset(d)
         g.assets[node.node_id] = node
-    for d in items(doc, "vulns"):
+    if len(g.assets) != len(asset_docs):
+        raise ValueError("assets: two nodes share a node_id")
+    for d in vuln_docs:
         node = parse_vuln(d)
         g.vulns[node.cve_id] = node
+    if len(g.vulns) != len(vuln_docs):
+        raise ValueError("vulns: two nodes share a cve_id")
     vulns = g.vulns.values()
     for kind, ids, pattern in (
             ("CVE", g.vulns, _CVE_RE),
@@ -751,8 +737,12 @@ def edg_from_dict(doc: dict | str, cpes: cpe.ParseTable | None = None) -> Edg:
         for i in ids:
             if not pattern.fullmatch(i):
                 raise ValueError(f"vulns: bad {kind} id {i!r}")
-    for d in items(doc, "edges"):
-        g.edges.add(parse_edge(d))
     if items(doc, "clusters"):
         raise ValueError("clusters: want an empty list; a snapshot stores no clusters")
+    # Each node id to itself; parse_edge refuses an edge end that is not a key.
+    node_ids = {ROOT_ID: ROOT_ID}
+    node_ids.update(zip(g.assets, g.assets))
+    node_ids.update(zip(g.vulns, g.vulns))
+    for d in items(doc, "edges"):
+        g.edges.add(parse_edge(d))
     return g

@@ -44,7 +44,7 @@ from .cpe import WellFormedName
 from .errors import MalformedCpe, NonMonotonicTimestamp, SchemaError, VulnGraphError
 from .graph import Edg, Manifest, ManifestEntry
 
-_TS_RE = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z")
+_TS_RE = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z", re.ASCII)
 _DIGEST_RE = re.compile(r"[0-9a-f]{64}")
 _DIGEST_TAG = "vulngraph-snapshot-1"
 
@@ -345,8 +345,8 @@ def _epoch_snapshots(tl: Timeline, catalog: Catalog | None, marks) -> list[Edg]:
             raise SchemaError(f"does not match its digest {tl.digests[mark.label]}, and there "
                               "is no catalog to rebuild it from the log",
                               f"snapshots.{mark.label}")
-    embedded = [_verified(tl, m) or m.label in tl.snapshots and m.label not in tl.digests
-                for m in marks]
+    # Verified or without a digest, as ``stale`` holds only labels with one.
+    embedded = [m.label in tl.snapshots and m.label not in tl.stale for m in marks]
     missing = [m for m, stored in zip(marks, embedded) if not stored]
     if missing and catalog is None:
         raise VulnGraphError(
@@ -598,8 +598,9 @@ def _from_dict(doc: dict, texts: dict[str, str] | None = None) -> Timeline:
     decodes reuse those parses."""
     if not isinstance(doc, dict):
         raise SchemaError("timeline document must be an object")
-    if doc.get("schema_version", 1) != 1:
-        raise SchemaError(f"unsupported schema_version {doc.get('schema_version')}")
+    version = _expect(doc, "schema_version", int, "", 1)
+    if version != 1:
+        raise SchemaError(f"unsupported schema_version {version}")
     cpes = cpe.ParseTable()
     built_at = validate_timestamp(_expect(doc, "built_at", str, ""), "built_at")
     events = []

@@ -89,6 +89,16 @@ def manifest(assets, dependencies=()) -> Manifest:
     )
 
 
+def lineage_cpes(g, asset_id: str) -> list:
+    """The CPE names of an asset's versions in ``g``, oldest first
+    (``Edg.lineage``), after checking that each version's ``cpe_previous``
+    is the name of the version before it and the first one's is None."""
+    nodes = g.lineage(asset_id)
+    cpes = [node.cpe_current for node in nodes]
+    assert [node.cpe_previous for node in nodes] == [None] + cpes[:-1], asset_id
+    return cpes
+
+
 def ts(day: int, hour: int = 0) -> str:
     return f"2020-01-{day:02d}T{hour:02d}:00:00Z"
 

@@ -183,7 +183,7 @@ def test_criterion_6_reporting_and_alerts(openplc_snapshots, openplc_timeline,
                 view = g if show else graph.active_subgraph(g)
                 nodes, edges = parse_dot(
                     export_dot(g, RenderOptions(show_deprecated=show)))
-                assert len(nodes) == view.node_count(), (label, show)
+                assert len(nodes) == 1 + len(view.assets) + len(view.vulns), (label, show)
                 assert len(edges) == len(view.edges), (label, show)
 
         rule = AlertRule.cvss_at_least(10.0)

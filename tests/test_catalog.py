@@ -9,7 +9,7 @@ from vulngraph import catalog as cat_mod
 from vulngraph import fixtures, graph, metrics, report
 from vulngraph import timeline as tl_mod
 from vulngraph.catalog import CWE_NULL, VersionRange
-from vulngraph.errors import DuplicateId, SchemaError, UnknownWeakness
+from vulngraph.errors import DuplicateId, SchemaError
 
 
 def test_fixture_catalog_has_all_records(openplc_catalog):
@@ -160,27 +160,28 @@ def test_version_range_bounds():
     assert not rng.contains("1.0") and rng.contains("1.0.1")
 
 
-def test_capecs_for_weakness(openplc_catalog):
-    ids = [p.capec_id for p in openplc_catalog.capecs_for_weakness("CWE-119")]
-    assert ids == ["CAPEC-10", "CAPEC-14", "CAPEC-24", "CAPEC-45", "CAPEC-46", "CAPEC-47"]
+def test_capec_ids_for_cwes(openplc_catalog):
+    assert openplc_catalog.capec_ids_for_cwes(["CWE-119"]) == (
+        "CAPEC-10", "CAPEC-14", "CAPEC-24", "CAPEC-45", "CAPEC-46", "CAPEC-47")
 
 
-def test_capecs_for_null_weakness(openplc_catalog):
-    assert openplc_catalog.capecs_for_weakness(CWE_NULL) == []
+def test_capec_ids_for_null_weakness(openplc_catalog):
+    assert openplc_catalog.capec_ids_for_cwes([CWE_NULL]) == ()
 
 
-def test_capecs_unknown_weakness(openplc_catalog):
-    with pytest.raises(UnknownWeakness):
-        openplc_catalog.capecs_for_weakness("CWE-77777")
+def test_capec_ids_skip_unknown_weakness(openplc_catalog):
+    assert openplc_catalog.capec_ids_for_cwes(["CWE-77777"]) == ()
+    assert openplc_catalog.capec_ids_for_cwes(["CWE-77777", "CWE-119"]) == \
+        openplc_catalog.capec_ids_for_cwes(["CWE-119"])
 
 
-def test_capecs_singleton():
+def test_capec_ids_singleton():
     cat = make_catalog(
         weaknesses=[{"cwe_id": "CWE-1", "name": "w", "related_capec_ids": ["CAPEC-7"]}],
         attack_patterns=[{"capec_id": "CAPEC-7", "name": "p",
                           "likelihood": "low", "impact": "high"}],
     )
-    assert [p.capec_id for p in cat.capecs_for_weakness("CWE-1")] == ["CAPEC-7"]
+    assert cat.capec_ids_for_cwes(["CWE-1"]) == ("CAPEC-7",)
 
 
 def test_attack_pattern_scale_enforced():

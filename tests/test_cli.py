@@ -463,6 +463,48 @@ def test_deeply_nested_timeline_exits_2(tmp_path, capsys):
     assert "SchemaError: not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("role", ["timeline", "catalog", "manifest"])
+def test_a_file_that_is_not_utf8_exits_2(openplc_files, tmp_path, capsys, role):
+    cat, tl = openplc_files
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"snapshot_date": "d\u00e9j\u00e0"}'.encode("latin-1"))
+    argv = {
+        "timeline": ["metrics", "--timeline", str(bad)],
+        "catalog": ["metrics", "--timeline", tl, "--catalog", str(bad)],
+        "manifest": ["build", "--sut", wstr("acme", "box", "1.0"), "--manifest", str(bad),
+                     "--catalog", cat, "--at", "2021-01-01T00:00:00Z",
+                     "--out", str(tmp_path / "out.json")],
+    }[role]
+    assert main(argv) == 2
+    assert "SchemaError: not valid JSON: 'utf-8' codec can't decode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threshold", ["11", "-1"])
+def test_a_threshold_outside_the_cvss_scale_exits_2(openplc_files, capsys, threshold):
+    _, tl = openplc_files
+    assert main(["cluster", "--timeline", tl, "--criterion", "cvss-below",
+                 f"--threshold={threshold}"]) == 2
+    captured = capsys.readouterr()
+    assert f"ValueError: threshold {float(threshold)} outside [0, 10]" in captured.err
+    assert captured.out == ""
+
+
+def test_a_snapshot_edge_to_a_node_it_lacks_exits_2(tmp_path, capsys):
+    # Without digests the snapshot is read unverified: its decode refuses
+    # the edge, where export would draw the node.
+    doc = json.loads(fixtures.openplc_timeline_path().read_text())
+    del doc["digests"]
+    doc["snapshots"]["V1"]["edges"].append({"source": "libc@0", "target": "ghost@0",
+                                            "kind": "normal"})
+    path = tmp_path / "timeline.json"
+    path.write_text(json.dumps(doc))
+    assert main(["export", "--timeline", str(path), "--epoch", "V1"]) == 2
+    captured = capsys.readouterr()
+    assert ("SchemaError: snapshots.V1: malformed embedded snapshot: ValueError: edges: no node "
+            "'ghost@0'" in captured.err)
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("kind,key", [("requirement", "cwe_ids"), ("test_case", "capec_ids")])
 def test_non_string_remediation_id_exits_2(openplc_files, tmp_path, capsys, kind, key):
     _, tl = openplc_files

@@ -1,9 +1,8 @@
 import pytest
 
-from helpers import make_catalog, manifest, name, record, wstr
+from helpers import lineage_cpes, make_catalog, manifest, name, record, wstr
 from vulngraph import graph
 from vulngraph.errors import (
-    BrokenChain,
     DuplicateId,
     EmptyManifest,
     SchemaError,
@@ -139,7 +138,7 @@ def test_update_rollback_to_chain_member_rejected():
     with pytest.raises(SelfSucc):
         graph.update_asset(g, "a3", name("v", "p3", "1.0"), cat)
     # chains therefore never contain duplicates
-    chain = graph.version_chain(g, "a3")
+    chain = lineage_cpes(g, "a3")
     assert len(chain) == len(set(map(str, chain)))
 
 
@@ -204,32 +203,25 @@ def test_add_asset_wires_dependencies():
                         [("a1", "a2")], cat)
 
 
-def test_version_chain_fresh_asset():
+def test_lineage_fresh_asset():
     g, _ = chain_system()
-    assert graph.version_chain(g, "a1") == [name("v", "p1", "1.0")]
-
-
-def test_version_chain_two_updates():
-    g, cat = chain_system()
-    g = graph.update_asset(g, "a3", name("v", "p3", "2.0"), cat)
-    g = graph.update_asset(g, "a3", name("v", "p3", "3.0"), cat)
-    assert graph.version_chain(g, "a3") == [
-        name("v", "p3", "3.0"), name("v", "p3", "2.0"), name("v", "p3", "1.0"),
-    ]
+    assert lineage_cpes(g, "a1") == [name("v", "p1", "1.0")]
+    assert g.lineage("ghost") == []
 
 
 @pytest.mark.parametrize("indexed", [False, True], ids=["plain", "indexed"])
-def test_version_chain_detects_corruption(indexed):
+def test_lineage_links_two_updates(indexed):
     g, cat = chain_system()
     if indexed:  # as a replay's working graph is
         g.build_index()
     g = graph.update_asset(g, "a3", name("v", "p3", "2.0"), cat)
-    bad = g.assets["a3@1"]._replace(cpe_previous=name("v", "p3", "0.9"))
-    g.assets["a3@1"] = bad
-    with pytest.raises(BrokenChain):
-        graph.version_chain(g, "a3")
-    with pytest.raises(UnknownAsset):
-        graph.version_chain(g, "ghost")
+    g = graph.update_asset(g, "a3", name("v", "p3", "3.0"), cat)
+    assert lineage_cpes(g, "a3") == [
+        name("v", "p3", "1.0"), name("v", "p3", "2.0"), name("v", "p3", "3.0"),
+    ]
+    assert [(n.node_id, n.deprecated) for n in g.lineage("a3")] == [
+        ("a3@0", True), ("a3@1", True), ("a3@2", False),
+    ]
 
 
 def test_impact_linear_chain():

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gen import random_cluster_case, random_graph, random_timeline
-from helpers import make_catalog, record, wstr
+from helpers import lineage_cpes, make_catalog, record, wstr
 from oracles import brute_metrics, brute_priorities
 from vulngraph import cpe, graph, metrics, timeline as tl_mod
 from vulngraph.catalog import VersionRange
@@ -210,7 +210,7 @@ def test_event_replay_determinism():
         assert first == third, seed
 
 
-def test_version_chain_length_tracks_updates():
+def test_lineage_length_tracks_updates():
     for seed in range(100):
         rng = random.Random(seed + 40_000)
         tl, cat = random_timeline(rng)
@@ -222,7 +222,7 @@ def test_version_chain_length_tracks_updates():
             if event.kind == "asset_updated":
                 updates[event.asset_id] = updates.get(event.asset_id, 0) + 1
         for asset_id, k in updates.items():
-            assert len(graph.version_chain(last, asset_id)) == k + 1, seed
+            assert len(lineage_cpes(last, asset_id)) == k + 1, seed
 
 
 # Catalogs over a few products whose patterns mix literals, ANY and NA in

@@ -43,7 +43,7 @@ def test_dot_counts_match_snapshot(openplc_snapshots):
         for show in (True, False):
             view = g if show else graph.active_subgraph(g)
             nodes, edges = parse_dot(export_dot(g, RenderOptions(show_deprecated=show)))
-            assert len(nodes) == view.node_count(), (label, show)
+            assert len(nodes) == 1 + len(view.assets) + len(view.vulns), (label, show)
             assert len(edges) == len(view.edges), (label, show)
 
 
@@ -220,6 +220,14 @@ def test_report_vuln_free_epoch():
     assert payload["remediation"]["requirements"] == []
     text = report_mod.render_markdown(payload)
     assert "nothing in the window" in text
+
+
+def test_markdown_lists_none_fixed_between_epochs_without_a_fix():
+    tl, cat = update_patch_scenario()  # only the update to t3 fixes a vulnerability
+    text = report_mod.render_markdown(report_mod.report_payload(tl, cat))
+    for before, after, fixed in (("t0", "t1", "none"), ("t1", "t2", "none"),
+                                 ("t2", "t3", "CVE-2020-0001")):
+        assert f"## Fixed between {before} and {after}\n\n- {fixed}\n\n" in text
 
 
 def test_epoch_diff(openplc_timeline, openplc_catalog):

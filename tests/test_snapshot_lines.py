@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from gen import random_timeline
 from helpers import timeline_text
-from vulngraph import fixtures, timeline as tl_mod
+from vulngraph import catalog as cat_mod, fixtures, timeline as tl_mod
 from vulngraph.catalog import canonical_json, canonical_text
 from vulngraph.cli import main
 from vulngraph.errors import SchemaError
@@ -120,6 +120,42 @@ def test_a_line_that_changes_the_head_reads_as_the_whole_decode(tmp_path, escape
         return
     assert tl == whole and (tl.snapshots, tl.stale) == (whole.snapshots, whole.stale)
     assert len(tl.events) == (20 if escape == "key-added" else 0)
+
+
+# Edits after which the line reader gives the text up: the head decodes, but
+# its snapshots are not the lines (a later key replaces them, or the head is
+# not an object), or a line's label is not a JSON string.
+_NOT_LINES = {
+    "snapshots-replaced": (-2, lambda line: '},"snapshots":{}' + line[1:]),
+    "head-in-a-list": (0, lambda line: "[" + line),
+    "label-not-a-string": (1, lambda line: line.replace('"V1"', '"V\\q1"', 1)),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_NOT_LINES))
+def test_a_text_the_line_reader_gives_up_reads_as_the_whole_decode(tmp_path, edit):
+    at, change = _NOT_LINES[edit]
+    lines = list(LINES)
+    lines[at] = change(lines[at])
+    if edit == "head-in-a-list":
+        lines[-2] += "]"
+    text = "\n".join(lines)
+    assert tl_mod._split_lines(text) is None
+    try:
+        want = tl_mod.timeline_from_dict(cat_mod.parse_json(text))
+    except SchemaError as exc:
+        want = str(exc)
+    path = tmp_path / "timeline.json"
+    path.write_text(text)
+    try:
+        got = tl_mod.load_timeline(path)
+    except SchemaError as exc:
+        got = str(exc)
+    assert got == want
+    if edit == "snapshots-replaced":
+        assert got.snapshots == {} and len(got.events) == 20
+    else:
+        assert got.startswith(("timeline document must be an object", "not valid JSON: "))
 
 
 def test_the_digests_hash_the_head_as_the_timeline_writes_it(tmp_path):

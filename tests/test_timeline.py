@@ -5,8 +5,8 @@ import re
 import pytest
 
 from gen import random_timeline
-from helpers import (make_catalog, manifest, name, timeline_text, ts, update_patch_scenario,
-                     wstr)
+from helpers import (lineage_cpes, make_catalog, manifest, name, timeline_text, ts,
+                     update_patch_scenario, wstr)
 from vulngraph import fixtures, graph, metrics, timeline as tl_mod
 from vulngraph.errors import NonMonotonicTimestamp, SchemaError, VulnGraphError
 from vulngraph.graph import ROOT_ID, Edge
@@ -47,13 +47,13 @@ def test_update_patch_scenario_states():
     }
 
 
-def test_version_chain_follows_the_scenario():
+def test_lineage_follows_the_scenario():
     tl, cat = update_patch_scenario()
     g = tl_mod.epoch_snapshot(tl, cat, "t3")
-    assert graph.version_chain(g, "a2") == [
-        name("acme", "widget", "3.0"),
-        name("acme", "widget", "2.0"),
+    assert lineage_cpes(g, "a2") == [
         name("acme", "widget", "1.0"),
+        name("acme", "widget", "2.0"),
+        name("acme", "widget", "3.0"),
     ]
 
 
@@ -332,6 +332,41 @@ def _drop_edge_kind(snap):
     del snap["edges"][0]["kind"]
 
 
+# A decoded snapshot meets the standard of one built in memory: a format it
+# is written in, one node per id, and edges between its own nodes.
+_UNLIKE_A_BUILT_SNAPSHOT = {
+    "version-99": (lambda snap: snap.update(schema_version=99),
+                   "schema_version: want 1, got 99"),
+    "version-true": (lambda snap: snap.update(schema_version=True),
+                     "schema_version: want 1, got True"),
+    "unversioned": (lambda snap: snap.pop("schema_version"),
+                    "schema_version: want 1, got None"),
+    "asset-twice": (lambda snap: snap["assets"].append(dict(snap["assets"][0], order=99)),
+                    "assets: two nodes share a node_id"),
+    "vuln-twice": (lambda snap: snap["vulns"].append(dict(snap["vulns"][0], cvss=0.0)),
+                   "vulns: two nodes share a cve_id"),
+    "edge-to-nowhere": (lambda snap: snap["edges"].append(
+        {"source": "libc@0", "target": "ghost@0", "kind": "normal"}), "edges: no node 'ghost@0'"),
+    "edge-from-nowhere": (lambda snap: snap["edges"].append(
+        {"source": "CVE-2099-0001", "target": "libc@0", "kind": "deprecated"}),
+        "edges: no node 'CVE-2099-0001'"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_UNLIKE_A_BUILT_SNAPSHOT))
+def test_a_decoded_snapshot_is_checked_as_one_built_in_memory(defect):
+    edit, message = _UNLIKE_A_BUILT_SNAPSHOT[defect]
+    doc = _openplc_doc()
+    edit(doc["snapshots"]["V1"])
+    for digests in (True, False):  # the snapshot is stale, then unverified
+        if not digests:
+            del doc["digests"]
+        tl = tl_mod.timeline_from_dict(doc)
+        with pytest.raises(SchemaError) as err:
+            tl_mod.epoch_snapshot(tl, None, "V1")
+        assert str(err.value) == f"snapshots.V1: malformed embedded snapshot: ValueError: {message}"
+
+
 @pytest.mark.parametrize("defect", [None, _drop_assets, _break_cpe, _drop_edge_kind],
                          ids=["not-an-object", "without-assets", "bad-cpe", "edge-without-kind"])
 def test_malformed_embedded_snapshot_is_schema_error(defect):
@@ -385,6 +420,10 @@ def test_canonical_json_is_compact_and_decodes_to_its_document():
 @pytest.mark.parametrize("doc,text", [
     pytest.param([], "timeline document must be an object", id="not-an-object"),
     pytest.param({"schema_version": 2}, "unsupported schema_version 2", id="schema-version-2"),
+    pytest.param({"schema_version": True}, "schema_version: expected int, got bool",
+                 id="schema-version-true"),
+    pytest.param({"schema_version": 1.0}, "schema_version: expected int, got float",
+                 id="schema-version-float"),
 ])
 def test_rejected_timeline_documents(doc, text):
     with pytest.raises(SchemaError) as err:
