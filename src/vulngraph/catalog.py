@@ -85,11 +85,9 @@ class VersionRange(namedtuple("VersionRange", ["minimum", "maximum", "min_inclus
     def _max_key(self) -> tuple | None:
         return None if self.maximum is None else cpe.version_key(self.maximum)
 
-    def contains(self, version: str) -> bool:
-        return self.contains_key(cpe.version_key(version))
-
     def contains_key(self, key: tuple) -> bool:
-        """:meth:`contains` for a version given by its :func:`cpe.version_key`."""
+        """Whether the range holds the version whose :func:`cpe.version_key`
+        is ``key``."""
         lo = self._min_key
         if lo is not None and (key < lo or (key == lo and not self.min_inclusive)):
             return False

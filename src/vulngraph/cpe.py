@@ -139,9 +139,6 @@ class WellFormedName(namedtuple("WellFormedName", _ATTRIBUTES, defaults=(ANY,) *
         return bind_formatted(self)
 
 
-ATTRIBUTE_NAMES = _ATTRIBUTES
-
-
 def _split_fields(s: str) -> list[tuple[int, str]]:
     """Split on unescaped colons, keeping the offset of each field."""
     out = []

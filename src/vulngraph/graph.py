@@ -2,10 +2,11 @@
 
 A snapshot (:class:`Edg`) is a typed directed graph with one root node (the
 system under test), asset nodes and known-vulnerability nodes, joined by
-``normal`` and ``deprecated`` edges.  Edges are stored as drawn: asset ->
-thing it depends on, asset -> its vulnerability; impact queries traverse
-against that direction.  A clustering (:func:`cluster_by`) maps member nodes
-to group ids, which the DOT export draws as single nodes.
+``normal`` and ``deprecated`` edges of the three shapes the lifecycle
+makes: root -> top-level asset, asset -> asset it depends on and asset ->
+its vulnerability.  Edges are stored as drawn; impact queries traverse
+against that direction.  A clustering (:func:`cluster_by`) maps member
+nodes to group ids, which the DOT export draws as single nodes.
 
 A lifecycle operation (:func:`add_asset`, :func:`update_asset`,
 :func:`retire_asset`, :func:`patch_vuln`, :func:`discover_vuln`) edits the
@@ -46,6 +47,7 @@ a value with some fields changed.
 from __future__ import annotations
 
 import json
+import re
 from collections import namedtuple
 from sys import intern
 
@@ -67,6 +69,9 @@ DEPRECATED = "deprecated"
 
 #: Node id of the root in the edge set (asset node ids always contain '@').
 ROOT_ID = "root"
+
+_KINDS = {NORMAL: NORMAL, DEPRECATED: DEPRECATED}  # a decoded edge holds the constant
+_VERSION_RE = re.compile(r"0|[1-9][0-9]*")  # the k of an asset's node id asset_id@k
 
 
 class RootNode(namedtuple("RootNode", ["sut_cpe", "checked_at"])):
@@ -159,9 +164,10 @@ class Edg:
         # Never serialized and never copied by clone.
         self._incident: dict[str, set[Edge]] | None = None
         # Set only by active_subgraph on the view it returns, and so marks a
-        # view: the view's cves_by_asset(), built in the pass that builds the
-        # view (None on any other graph).  A view is read, never edited, so
-        # the map stays its own, and a reader given a view reads it as its own.
+        # view: each active asset to the sorted CVE ids its normal edges
+        # reach, built in the pass that builds the view (None on any other
+        # graph).  A view is read, never edited, so the map stays its own,
+        # and a reader given a view reads it as its own.
         self.cves_of: dict[str, tuple[str, ...]] | None = None
 
     # -- basic views -------------------------------------------------------
@@ -211,23 +217,10 @@ class Edg:
     def normal_edges(self):
         return (e for e in self.edges if e.kind == NORMAL)
 
-    def cves_by_asset(self) -> dict[str, tuple[str, ...]]:
-        """For each node with an attached vulnerability, the sorted CVE ids
-        its normal edges reach, from one pass over the edges.  This is not
-        the active view: a version node that an update without fixes
-        replaced keeps its normal edges, so it is here with their CVEs.
-        Metrics, prioritization and clustering read the active view's map,
-        the :attr:`cves_of` of :func:`active_subgraph`, which leaves it out."""
-        found: dict[str, list[str]] = {}
-        for e in self.edges:
-            if e[2] == NORMAL and e[1] in self.vulns:
-                found.setdefault(e[0], []).append(e[1])
-        return {node_id: tuple(sorted(cves)) for node_id, cves in found.items()}
-
     def active_cves_of(self, node_id: str) -> tuple[str, ...]:
         """CVE ids attached to one asset node by normal edges, a deprecated
-        node's too despite the name: its entry of :meth:`cves_by_asset`,
-        from one pass over the edges that looks at no other node."""
+        node's too despite the name, from one pass over the edges that looks
+        at no other node."""
         return tuple(sorted(e[1] for e in self.edges if e[0] == node_id
                             and e[2] == NORMAL and e[1] in self.vulns))
 
@@ -478,30 +471,21 @@ def active_subgraph(g: Edg) -> Edg:
     """The active configuration: non-deprecated assets, vulnerabilities a
     normal edge attaches to one of them, and normal edges among those nodes
     plus the root.  The only rule for what is active.  The view's
-    :attr:`Edg.cves_of` is its :meth:`Edg.cves_by_asset`, built in the same
-    pass."""
+    :attr:`Edg.cves_of`, each active asset to the sorted CVE ids its normal
+    edges reach, is built in the same pass."""
     assets = {nid: a for nid, a in g.assets.items() if not a.deprecated}
     vulns = {}
     normal = []
     found: dict[str, list[str]] = {}
-    other_hosts = []
     for e in g.edges:
         if e[2] == NORMAL:
             normal.append(e)
             target = e[1]
-            if target in g.vulns:
-                source = e[0]
-                if source in assets:
-                    vulns[target] = g.vulns[target]
-                    found.setdefault(source, []).append(target)
-                elif source == ROOT_ID or source in g.vulns:
-                    other_hosts.append(e)
+            if target in g.vulns and e[0] in assets:
+                vulns[target] = g.vulns[target]
+                found.setdefault(e[0], []).append(target)
     keep = assets.keys() | vulns.keys() | {ROOT_ID}
     edges = {e for e in normal if e[0] in keep and e[1] in keep}
-    # Only a hand-made snapshot joins the root or a vulnerability to one.
-    for e in other_hosts:
-        if e.source in keep and e.target in vulns:
-            found.setdefault(e.source, []).append(e.target)
     view = Edg(root=g.root, epoch=g.epoch, assets=assets, vulns=vulns, edges=edges)
     view.cves_of = {node_id: tuple(sorted(cves)) for node_id, cves in found.items()}
     return view
@@ -516,7 +500,7 @@ def impact_set(g: Edg, cve_id: str) -> set[str]:
     hosts = {e[0] for e in active.edges if e[1] == cve_id}
     incoming: dict[str, set[str]] = {}
     for e in active.edges:
-        if e[0] != ROOT_ID and e[1] in active.assets and e[0] in active.assets:
+        if e[1] in active.assets and e[0] in active.assets:
             incoming.setdefault(e[1], set()).add(e[0])
     seen = set(hosts)
     frontier = list(hosts)
@@ -526,7 +510,7 @@ def impact_set(g: Edg, cve_id: str) -> set[str]:
             if dependant not in seen:
                 seen.add(dependant)
                 frontier.append(dependant)
-    return {active.assets[nid].asset_id for nid in seen if nid in active.assets}
+    return {active.assets[nid].asset_id for nid in seen}
 
 
 # ---------------------------------------------------------------------------
@@ -657,12 +641,12 @@ def edg_from_dict(doc: dict | str, cpes: cpe.ParseTable | None = None) -> Edg:
     across the snapshots of one load.  Text that is not JSON, a
     ``schema_version`` other than 1, a wrongly typed field or container, a
     CVE, CWE or CAPEC id that is not of the catalog's form, two nodes under
-    one id, an edge to a node the snapshot lacks, or a non-empty
-    ``clusters`` list, raises :class:`TypeError` or :class:`ValueError`.
-    Node ids are interned and edge kinds are :data:`NORMAL` or
-    :data:`DEPRECATED` themselves, so that an edge's ends are the very
-    strings that key its nodes, as in a graph built in memory, and a lookup
-    by them compares identities."""
+    one id, a version chain or an edge that the lifecycle does not make, an
+    edge to a node the snapshot lacks, or a non-empty ``clusters`` list,
+    raises :class:`TypeError` or :class:`ValueError`.  Node ids are interned
+    and edge kinds are :data:`NORMAL` or :data:`DEPRECATED` themselves, so
+    that an edge's ends are the very strings that key its nodes, as in a
+    graph built in memory, and a lookup by them compares identities."""
     if isinstance(doc, str):
         doc = json.loads(doc)
     if cpes is None:
@@ -675,9 +659,12 @@ def edg_from_dict(doc: dict | str, cpes: cpe.ParseTable | None = None) -> Edg:
                 and type(order) is int and type(deprecated) is bool):
             raise TypeError(f"asset {node_id!r}: want string ids, an integer order "
                             "and a boolean deprecated")
-        return _new(AssetNode, (intern(node_id), asset_id, order, cpes[d["cpe"]],
-                                cpes[d["cpe_previous"]] if d.get("cpe_previous") else None,
-                                deprecated))
+        previous = d.get("cpe_previous")
+        node = _new(AssetNode, (intern(node_id), asset_id, order, cpes[d["cpe"]],
+                                cpes[previous] if previous else None, deprecated))
+        if previous or node_id != asset_id + "@0":
+            later.append(node)
+        return node
 
     def parse_vuln(d) -> VulnNode:
         cve_id, cvss, cwe_ids = d["cve_id"], d["cvss"], d["cwe_ids"]
@@ -691,16 +678,20 @@ def edg_from_dict(doc: dict | str, cpes: cpe.ParseTable | None = None) -> Edg:
         return _new(VulnNode, (intern(cve_id), cvss, tuple(cwe_ids), tuple(capec_ids), exploit))
 
     def parse_edge(d) -> Edge:
-        source, target, kind = d["source"], d["target"], d["kind"]
+        try:
+            return _new(Edge, (sources[d["source"]], targets[d["target"]], _KINDS[d["kind"]]))
+        except (KeyError, TypeError):
+            source, target, kind = d["source"], d["target"], d["kind"]
+        # A lookup failed, so one of the tests below raises.
         if not (type(source) is str and type(target) is str
                 and (kind == NORMAL or kind == DEPRECATED)):
             raise ValueError(f"edge {source!r} -> {target!r}: want string endpoints "
                              f"and kind {NORMAL!r} or {DEPRECATED!r}, got {kind!r}")
-        try:
-            return _new(Edge, (node_ids[source], node_ids[target],
-                               NORMAL if kind == NORMAL else DEPRECATED))
-        except KeyError as exc:
-            raise ValueError(f"edges: no node {exc.args[0]!r}") from None
+        for end, ends, role in ((source, sources, "source"), (target, targets, "target")):
+            if end not in ends:
+                if end in sources or end in targets:
+                    raise ValueError(f"edges: node {end!r} is never an edge's {role}")
+                raise ValueError(f"edges: no node {end!r}")
 
     def items(d, key) -> list:
         value = d[key]
@@ -719,11 +710,24 @@ def edg_from_dict(doc: dict | str, cpes: cpe.ParseTable | None = None) -> Edg:
     g = Edg(root=RootNode(sut_cpe=cpes[root["cpe"]], checked_at=root["checked_at"]),
             epoch=epoch)
     asset_docs, vuln_docs = items(doc, "assets"), items(doc, "vulns")
+    later: list[AssetNode] = []  # every node but a version 0 without cpe_previous
     for d in asset_docs:
         node = parse_asset(d)
         g.assets[node.node_id] = node
     if len(g.assets) != len(asset_docs):
         raise ValueError("assets: two nodes share a node_id")
+    # Version k > 0 follows a deprecated version k - 1 whose cpe is its
+    # cpe_previous, so the versions are contiguous and only the newest is active.
+    for node in later:
+        asset_id, at, k = node.node_id.rpartition("@")
+        if not (at and asset_id == node.asset_id and _VERSION_RE.fullmatch(k)):
+            raise ValueError(f"assets: node_id {node.node_id!r} is not {node.asset_id + '@<k>'!r}")
+        if k == "0":
+            raise ValueError(f"assets: {node.node_id!r}: version 0 has a cpe_previous")
+        before = g.assets.get(f"{asset_id}@{int(k) - 1}")
+        if not (before and before.deprecated and before.cpe_current == node.cpe_previous):
+            raise ValueError(f"assets: {node.node_id!r}: want a deprecated {asset_id}@{int(k) - 1}"
+                             " whose cpe is its cpe_previous")
     for d in vuln_docs:
         node = parse_vuln(d)
         g.vulns[node.cve_id] = node
@@ -739,10 +743,14 @@ def edg_from_dict(doc: dict | str, cpes: cpe.ParseTable | None = None) -> Edg:
                 raise ValueError(f"vulns: bad {kind} id {i!r}")
     if items(doc, "clusters"):
         raise ValueError("clusters: want an empty list; a snapshot stores no clusters")
-    # Each node id to itself; parse_edge refuses an edge end that is not a key.
-    node_ids = {ROOT_ID: ROOT_ID}
-    node_ids.update(zip(g.assets, g.assets))
-    node_ids.update(zip(g.vulns, g.vulns))
+    # Each node id to itself, by the end of an edge it may take; parse_edge
+    # refuses an edge end that is not a key.
+    targets = dict(zip(g.assets, g.assets))
+    sources = {ROOT_ID: ROOT_ID, **targets}
+    targets.update(zip(g.vulns, g.vulns))
     for d in items(doc, "edges"):
         g.edges.add(parse_edge(d))
+    for cve_id in g.vulns:
+        if (ROOT_ID, cve_id, NORMAL) in g.edges or (ROOT_ID, cve_id, DEPRECATED) in g.edges:
+            raise ValueError(f"edges: 'root' -> {cve_id!r}: the root carries no vulnerability")
     return g

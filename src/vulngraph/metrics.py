@@ -35,10 +35,6 @@ METRIC_IDS = tuple(f"M{i}" for i in range(9))
 SCALAR_METRICS = ("M0", "M1", "M7")
 
 
-def n_assets(g: Edg) -> int:
-    return snapshot_report(g).n_assets
-
-
 def m1(g: Edg) -> int:
     """Number of vulnerabilities in the system: size of the union of the
     per-asset CVE sets."""

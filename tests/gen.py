@@ -88,7 +88,7 @@ def random_timeline(rng: random.Random, max_events: int = 5):
         choices = ["noop", "asset_added"]
         if active:
             choices += ["asset_updated", "asset_retired", "vuln_discovered"]
-        cves = g.cves_by_asset()
+        cves = graph.active_subgraph(g).cves_of
         attached = [
             (a.asset_id, cve)
             for a in g.active_assets()

@@ -154,6 +154,19 @@ def update_patch_scenario():
     return tl, cat
 
 
+def renamed(snap: dict, old: str, new: str) -> dict:
+    """The snapshot document ``snap``, edited in place, with the asset node
+    ``old`` renamed ``new`` in its node and its edges."""
+    for node in snap["assets"]:
+        if node["node_id"] == old:
+            node["node_id"] = new
+    for edge in snap["edges"]:
+        for end in ("source", "target"):
+            if edge[end] == old:
+                edge[end] = new
+    return snap
+
+
 def timeline_text(doc: dict) -> str:
     """The text ``timeline.save_timeline`` writes for the timeline document
     ``doc``: its canonical JSON, except that each snapshot stands on a line

@@ -87,7 +87,7 @@ def test_criterion_3_temporal_semantics():
         g3 = tl_mod.epoch_snapshot(tl, cat, "t3")
         newest = g3.active_node("a2")
         assert newest.node_id == "a2@2"
-        assert g3.cves_by_asset().get("a2@2", ()) == ()
+        assert graph.active_subgraph(g3).cves_of.get("a2@2", ()) == ()
         assert metrics.m1(g3) == 0
         assert {(e.source, e.target) for e in g3.edges if e.kind == "deprecated"} == {
             (ROOT_ID, "a2@0"), (ROOT_ID, "a2@1"), ("a2@1", "CVE-2020-0001")}

@@ -6,7 +6,7 @@ import pytest
 from gen import random_catalog
 from helpers import make_catalog, name, record, wstr
 from vulngraph import catalog as cat_mod
-from vulngraph import fixtures, graph, metrics, report
+from vulngraph import cpe, fixtures, graph, metrics, report
 from vulngraph import timeline as tl_mod
 from vulngraph.catalog import CWE_NULL, VersionRange
 from vulngraph.errors import DuplicateId, SchemaError
@@ -154,10 +154,13 @@ def test_any_version_name_fails_range_records():
 
 
 def test_version_range_bounds():
+    def contains(rng, version):
+        return rng.contains_key(cpe.version_key(version))
+
     rng = VersionRange(minimum="1.0", maximum="2.0", min_inclusive=True, max_inclusive=False)
-    assert rng.contains("1.0") and rng.contains("1.9.9") and not rng.contains("2.0")
+    assert contains(rng, "1.0") and contains(rng, "1.9.9") and not contains(rng, "2.0")
     rng = VersionRange(minimum="1.0", min_inclusive=False)
-    assert not rng.contains("1.0") and rng.contains("1.0.1")
+    assert not contains(rng, "1.0") and contains(rng, "1.0.1")
 
 
 def test_capec_ids_for_cwes(openplc_catalog):

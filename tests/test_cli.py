@@ -4,7 +4,8 @@ import shutil
 import pytest
 
 from dotcheck import parse_dot
-from helpers import wstr
+from helpers import renamed, wstr
+from test_snapshot_lines import _redigested
 from vulngraph import fixtures, metrics, report
 from vulngraph.catalog import load_catalog
 from vulngraph.cli import main
@@ -503,6 +504,25 @@ def test_a_snapshot_edge_to_a_node_it_lacks_exits_2(tmp_path, capsys):
     assert ("SchemaError: snapshots.V1: malformed embedded snapshot: ValueError: edges: no node "
             "'ghost@0'" in captured.err)
     assert captured.out == ""
+
+
+def test_event_on_a_verified_snapshot_with_an_unversioned_asset_node_exits_2(tmp_path, capsys):
+    # V3 with libc's active version renamed libcX in its node and edges and
+    # every digest recomputed: event replays from V3, and its decode refuses
+    # the node id, so the update never reads a version number from it.
+    doc = json.loads(fixtures.openplc_timeline_path().read_text())
+    renamed(doc["snapshots"]["V3"], "libc@2", "libcX")
+    path = tmp_path / "timeline.json"
+    path.write_text(json.dumps(_redigested(doc)))
+    written = path.read_bytes()
+    assert main(["event", "--timeline", str(path), "--catalog",
+                 str(fixtures.openplc_catalog_path()), "--kind", "asset-updated",
+                 "--asset", "libc", "--cpe", "cpe:2.3:a:gnu:glibc:2.27:*:*:*:*:*:*:*",
+                 "--at", "2021-02-01T00:00:00Z"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: SchemaError: snapshots.V3: malformed embedded snapshot: "
+                            "ValueError: assets: node_id 'libcX' is not 'libc@<k>'\n")
+    assert path.read_bytes() == written
 
 
 @pytest.mark.parametrize("kind,key", [("requirement", "cwe_ids"), ("test_case", "capec_ids")])

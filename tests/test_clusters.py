@@ -189,7 +189,10 @@ def _cluster_by_group(g, rule, scope=None):
     vulnerabilities whose every active host lies inside it."""
     active = active_subgraph(g)
     scope_ids = None if scope is None else set(scope)
-    cves_of = g.cves_by_asset()
+    cves_of = {}
+    for e in g.normal_edges():
+        if e.target in g.vulns:
+            cves_of.setdefault(e.source, []).append(e.target)
     eligible = {
         a.node_id
         for a in active.assets.values()

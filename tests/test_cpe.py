@@ -201,7 +201,7 @@ def test_matches_monotone_widening():
     pattern = cpe.parse_formatted(IE_STRING)
     assert cpe.matches(candidate, pattern)
     # widening any attribute to ANY keeps the match
-    for attr in cpe.ATTRIBUTE_NAMES:
+    for attr in WellFormedName._fields:
         widened = pattern._replace(**{attr: ANY})
         assert cpe.matches(candidate, widened)
 

@@ -112,7 +112,7 @@ def test_update_requeries_catalog_for_new_version():
     ])
     g = graph.build_edg(name("v", "s"), manifest([("a", wstr("v", "p", "1.0"))]), cat, AT)
     g2 = graph.update_asset(g, "a", name("v", "p", "2.0"), cat, fixes={"CVE-2020-0001"})
-    assert g2.cves_by_asset()["a@1"] == ("CVE-2020-0002",)
+    assert graph.active_subgraph(g2).cves_of["a@1"] == ("CVE-2020-0002",)
 
 
 def test_update_fix_overrides_stale_range():
@@ -123,7 +123,7 @@ def test_update_fix_overrides_stale_range():
     ])
     g = graph.build_edg(name("v", "s"), manifest([("a", wstr("v", "p", "1.0"))]), cat, AT)
     g2 = graph.update_asset(g, "a", name("v", "p", "2.0"), cat, fixes={"CVE-2020-0001"})
-    assert "a@1" not in g2.cves_by_asset()
+    assert "a@1" not in graph.active_subgraph(g2).cves_of
 
 
 def test_update_same_cpe_rejected():
@@ -246,7 +246,7 @@ def test_impact_unknown_cve():
 
 def test_impact_openplc_libc_reaches_everything(openplc_snapshots):
     g = openplc_snapshots["V1"]
-    libc_cve = g.cves_by_asset()[g.require_active("libc").node_id][0]
+    libc_cve = graph.active_subgraph(g).cves_of[g.require_active("libc").node_id][0]
     assert graph.impact_set(g, libc_cve) == {a.asset_id for a in g.active_assets()}
 
 

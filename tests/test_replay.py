@@ -8,8 +8,10 @@ import random
 
 import pytest
 
+from dotcheck import parse_dot
 from gen import random_timeline
 from vulngraph import cpe, fixtures, graph, timeline as tl_mod
+from vulngraph.catalog import canonical_text, load_catalog
 from vulngraph.cli import main
 from vulngraph.errors import (
     DuplicateId,
@@ -195,7 +197,10 @@ def _refusals(g, catalog):
     call reads the loop's variables, so make it before drawing the next."""
     fresh = ManifestEntry("fresh", cpe.parse_formatted("cpe:2.3:a:acme:alpha:1.0:*:*:*:*:*:*:*"))
     cve_ids = sorted(catalog.vulnerabilities)
-    attached = g.cves_by_asset()
+    attached = {}
+    for e in g.normal_edges():
+        if e.target in g.vulns:
+            attached.setdefault(e.source, []).append(e.target)
     yield "add_asset", SchemaError, lambda: graph.add_asset(g, fresh, [("fresh", "fresh")], catalog)
     yield "discover_vuln", UnknownAsset, lambda: graph.discover_vuln(g, "ghost", "CVE-1999-0001",
                                                                      catalog)
@@ -271,3 +276,43 @@ def test_lifecycle_operations_edit_and_return_the_graph_they_are_given():
         assert graph.edg_to_dict(g) != before, seed
         assert graph.retire_asset(g, node.asset_id) is g
         assert g.active_node(node.asset_id) is None, seed
+
+
+def _round_trips(g) -> bool:
+    doc = graph.edg_to_dict(g)
+    return graph.edg_to_dict(graph.edg_from_dict(canonical_text(doc))) == doc
+
+
+def test_the_decoder_admits_every_state_the_lifecycle_makes(openplc_timeline, openplc_catalog):
+    for i, g in tl_mod.replay(openplc_timeline, openplc_catalog):
+        assert _round_trips(g), ("openplc", i)
+    for seed in range(500):
+        tl, catalog = random_timeline(random.Random(seed + 110_000))
+        for i, g in tl_mod.replay(tl, catalog):
+            assert _round_trips(g), (seed, i)
+
+
+def test_a_patch_then_a_rediscovery_keeps_both_edge_kinds(tmp_path, capsys):
+    # Not a defect: patching a vulnerability and discovering it again on the
+    # same version leaves a deprecated and a normal edge on one pair, so the
+    # decoder admits both, and the drawing shows both.
+    path = tmp_path / "timeline.json"
+    path.write_bytes(fixtures.openplc_timeline_path().read_bytes())
+    event = ["event", "--timeline", str(path), "--catalog", str(fixtures.openplc_catalog_path()),
+             "--asset", "libc", "--cve", "CVE-2017-18269"]
+    assert main([*event, "--kind", "vuln-patched", "--at", "2021-02-01T00:00:00Z"]) == 0
+    assert main([*event, "--kind", "vuln-discovered", "--at", "2021-02-02T00:00:00Z",
+                 "--mark-epoch", "V4"]) == 0
+    tl = tl_mod.load_timeline(path)
+    stored = tl_mod.epoch_snapshot(tl, None, "V4")
+    pair = ("libc@2", "CVE-2017-18269")
+    assert {e.kind for e in stored.edges if e[:2] == pair} == {NORMAL, DEPRECATED}
+    replayed = tl_mod.epoch_snapshot(tl.replace(snapshots={}, digests={}),
+                                     load_catalog(fixtures.openplc_catalog_path()), "V4")
+    assert graph.edg_to_dict(stored) == graph.edg_to_dict(replayed)
+    assert _round_trips(stored)
+    capsys.readouterr()
+    assert main(["export", "--timeline", str(path), "--epoch", "V4", "--show-deprecated"]) == 0
+    _, edges = parse_dot(capsys.readouterr().out)
+    assert sorted(attrs.get("style", "solid") for *ends, attrs in edges
+                  if tuple(ends) == pair) == ["dashed", "solid"]

@@ -5,7 +5,8 @@ import re
 import pytest
 
 from gen import random_timeline
-from helpers import (lineage_cpes, make_catalog, manifest, name, timeline_text, ts,
+from test_snapshot_lines import _redigested
+from helpers import (lineage_cpes, make_catalog, manifest, name, renamed, timeline_text, ts,
                      update_patch_scenario, wstr)
 from vulngraph import fixtures, graph, metrics, timeline as tl_mod
 from vulngraph.errors import NonMonotonicTimestamp, SchemaError, VulnGraphError
@@ -23,7 +24,7 @@ def test_update_patch_scenario_states():
 
     # t1: the vulnerability sits on the second asset
     assert metrics.m1(snap["t1"]) == 1
-    assert snap["t1"].cves_by_asset()["a2@0"] == ("CVE-2020-0001",)
+    assert graph.active_subgraph(snap["t1"]).cves_of["a2@0"] == ("CVE-2020-0001",)
 
     # t2: updated without correcting it; both versions carry it
     g2 = snap["t2"]
@@ -332,8 +333,27 @@ def _drop_edge_kind(snap):
     del snap["edges"][0]["kind"]
 
 
+def _asset(snap, node_id):
+    return next(a for a in snap["assets"] if a["node_id"] == node_id)
+
+
+def _second_libc(snap, **fields):
+    """``snap`` with a version 1 of libc, whose cpe_previous is version 0's cpe
+    unless ``fields`` say otherwise."""
+    libc = _asset(snap, "libc@0")
+    snap["assets"].append({**libc, "node_id": "libc@1", "deprecated": False,
+                           "cpe": "cpe:2.3:a:gnu:glibc:2.99:*:*:*:*:*:*:*",
+                           "cpe_previous": libc["cpe"], **fields})
+
+
+def _deprecated_libc(snap, **fields):
+    _asset(snap, "libc@0")["deprecated"] = True
+    _second_libc(snap, **fields)
+
+
 # A decoded snapshot meets the standard of one built in memory: a format it
-# is written in, one node per id, and edges between its own nodes.
+# is written in, one node per id, version chains as the lifecycle makes them,
+# and edges between its own nodes of the three shapes the lifecycle makes.
 _UNLIKE_A_BUILT_SNAPSHOT = {
     "version-99": (lambda snap: snap.update(schema_version=99),
                    "schema_version: want 1, got 99"),
@@ -350,6 +370,30 @@ _UNLIKE_A_BUILT_SNAPSHOT = {
     "edge-from-nowhere": (lambda snap: snap["edges"].append(
         {"source": "CVE-2099-0001", "target": "libc@0", "kind": "deprecated"}),
         "edges: no node 'CVE-2099-0001'"),
+    "id-without-at": (lambda snap: renamed(snap, "libc@0", "libc"),
+                      "assets: node_id 'libc' is not 'libc@<k>'"),
+    "id-with-leading-zero": (lambda snap: renamed(snap, "libc@0", "libc@01"),
+                             "assets: node_id 'libc@01' is not 'libc@<k>'"),
+    "version-0-with-previous": (lambda snap: _asset(snap, "libc@0").update(
+        cpe_previous="cpe:2.3:a:gnu:glibc:2.18:*:*:*:*:*:*:*"),
+        "assets: 'libc@0': version 0 has a cpe_previous"),
+    "missing-predecessor": (lambda snap: _asset(snap, "libz@0").update(
+        node_id="libz@1", cpe_previous="cpe:2.3:a:zlib:zlib:1.2.7:*:*:*:*:*:*:*"),
+        "assets: 'libz@1': want a deprecated libz@0 whose cpe is its cpe_previous"),
+    "active-predecessor": (
+        _second_libc, "assets: 'libc@1': want a deprecated libc@0 whose cpe is its cpe_previous"),
+    "wrong-cpe-previous": (lambda snap: _deprecated_libc(
+        snap, cpe_previous="cpe:2.3:o:gnu:glibc:2.19:*:*:*:*:*:*:*"),
+        "assets: 'libc@1': want a deprecated libc@0 whose cpe is its cpe_previous"),
+    "root-to-vuln": (lambda snap: snap["edges"].append(
+        {"source": "root", "target": "CVE-2014-0475", "kind": "deprecated"}),
+        "edges: 'root' -> 'CVE-2014-0475': the root carries no vulnerability"),
+    "vuln-to-asset": (lambda snap: snap["edges"].append(
+        {"source": "CVE-2014-0475", "target": "libc@0", "kind": "normal"}),
+        "edges: node 'CVE-2014-0475' is never an edge's source"),
+    "asset-to-root": (lambda snap: snap["edges"].append(
+        {"source": "libc@0", "target": "root", "kind": "normal"}),
+        "edges: node 'root' is never an edge's target"),
 }
 
 
@@ -358,10 +402,15 @@ def test_a_decoded_snapshot_is_checked_as_one_built_in_memory(defect):
     edit, message = _UNLIKE_A_BUILT_SNAPSHOT[defect]
     doc = _openplc_doc()
     edit(doc["snapshots"]["V1"])
-    for digests in (True, False):  # the snapshot is stale, then unverified
-        if not digests:
+    for variant in ("stale", "unverified", "verified"):
+        if variant == "unverified":
             del doc["digests"]
+        elif variant == "verified":
+            _redigested(doc)
         tl = tl_mod.timeline_from_dict(doc)
+        assert (tl.stale, "V1" in tl.digests) == (
+            {"stale": ({"V1"}, True), "unverified": (set(), False),
+             "verified": (set(), True)}[variant]), variant
         with pytest.raises(SchemaError) as err:
             tl_mod.epoch_snapshot(tl, None, "V1")
         assert str(err.value) == f"snapshots.V1: malformed embedded snapshot: ValueError: {message}"

@@ -415,7 +415,7 @@ def build_timeline(catalog):
     tl = tl_mod.mark_epoch(tl, "V1", BUILD_AT)
 
     def cves_of(g, asset_id):
-        return g.cves_by_asset().get(g.require_active(asset_id).node_id, ())
+        return graph.active_subgraph(g).cves_of.get(g.require_active(asset_id).node_id, ())
 
     def ev(at, **kw):
         return tl_mod.LifecycleEvent(at=at, seq=0, **kw)
@@ -529,10 +529,11 @@ def check_result(catalog, tl):
     ], rows
     top = metrics.prioritize(snap["V1"], 0.0, 10.0, "global")[:3]
     assert [r.cve_id for r in top] == ["CVE-2016-2842", "CVE-2016-0705", "CVE-2016-0799"], top
-    assert graph.impact_set(snap["V1"], cves_of_libc := snap["V1"].cves_by_asset()[
-        snap["V1"].require_active("libc").node_id][0]) == {
+    libc = snap["V1"].require_active("libc").node_id
+    libc_cve = graph.active_subgraph(snap["V1"]).cves_of[libc][0]
+    assert graph.impact_set(snap["V1"], libc_cve) == {
         a.asset_id for a in snap["V1"].active_assets()
-    }, cves_of_libc
+    }, libc_cve
 
 
 def main():
