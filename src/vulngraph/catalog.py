@@ -103,25 +103,17 @@ class AffectedProduct(namedtuple("AffectedProduct", ["pattern", "versions"], def
 
     __slots__ = ()
 
-    def matches(self, name: WellFormedName, version_key: tuple | None = None) -> bool:
+    def matches(self, name: WellFormedName, version_key: tuple | None) -> bool:
         """True when ``name`` matches the pattern and its version lies in the
-        range.  ``version_key`` is ``cpe.version_key(name.version)`` when the
-        caller has it already."""
-        # By position: self[0] is the pattern, self[1] the range, name[3]
-        # the version.
+        range.  ``version_key`` is ``cpe.version_key(name.version)``, or
+        ``None`` when the version is ``ANY`` or ``NA``: such a version cannot
+        be shown to lie inside a range."""
+        # By position: self[0] is the pattern, self[1] the range.
         if not cpe.matches(name, self[0]):
             return False
         versions = self[1]
-        if versions is None:
-            return True
-        # A range needs a literal version to test against; ANY/NA cannot be
-        # shown to lie inside the interval.
-        version = name[3]
-        if not isinstance(version, str):
-            return False
-        if version_key is None:
-            version_key = cpe.version_key(version)
-        return versions.contains_key(version_key)
+        return versions is None or (version_key is not None
+                                    and versions.contains_key(version_key))
 
 
 class VulnerabilityRecord(namedtuple(
@@ -134,8 +126,10 @@ class VulnerabilityRecord(namedtuple(
 
     __slots__ = ()
 
-    def applies_to(self, name: WellFormedName, at: str,
-                   version_key: tuple | None = None) -> bool:
+    def applies_to(self, name: WellFormedName, at: str, version_key: tuple | None) -> bool:
+        """True when the record was published on or before ``at`` and one of
+        its entries :meth:`~AffectedProduct.matches` ``name``, whose version
+        key is ``version_key`` (``None`` for an ``ANY`` or ``NA`` version)."""
         # By position: self[6] is the publication date, self[4] the entries.
         if self[6] > at[:10]:
             return False
@@ -314,6 +308,13 @@ def _expect(doc, key, types, path, default=_REQUIRED):
     return value
 
 
+def check_date(value: str, path: str) -> str:
+    """``value``, a ``YYYY-MM-DD`` date of ASCII digits."""
+    if not _DATE_RE.fullmatch(value):
+        raise SchemaError(f"bad date {value!r}", path)
+    return value
+
+
 def _id(doc, key, pattern, kind, path) -> str:
     """The id at ``doc[key]``: a string matching ``pattern``."""
     value = _expect(doc, key, str, path)
@@ -470,7 +471,8 @@ def catalog_from_dict(doc: dict) -> Catalog:
     if version != 1:
         raise SchemaError(f"unsupported schema_version {version}", "schema_version")
 
-    catalog = Catalog(snapshot_date=_expect(doc, "snapshot_date", str, "", "1999-01-01"))
+    catalog = Catalog(snapshot_date=check_date(
+        _expect(doc, "snapshot_date", str, "", "1999-01-01"), "snapshot_date"))
 
     patterns = cpe.ParseTable()
     for i, raw in enumerate(_expect(doc, "vulnerabilities", list, "", [])):
@@ -538,12 +540,11 @@ def indented_text(value) -> str:
     1. An empty container is ``{}`` or ``[]``.
     2. A container with no container among its values is one C call, spliced
        between its opening line and its closing line.
-    3. A list whose items are all non-empty containers of one kind, each as in
-       rule 2 (the patch-queue rows), is one C call at the rows' depth; then
-       every ``},\\n<row indent>{`` (or ``],\\n<row indent>[``) is re-indented
-       to the list's depth.  This is exact: with ``ensure_ascii`` a raw
-       newline comes only from a separator, and inside such a row a
-       separator follows a scalar, never a ``}`` or ``]``.
+    3. A list whose items are all non-empty dicts, each as in rule 2 (the
+       patch-queue rows), is one C call at the rows' depth; then every
+       ``},\\n<row indent>{`` is re-indented to the list's depth.  This is
+       exact: with ``ensure_ascii`` a raw newline comes only from a separator,
+       and inside such a row a separator follows a scalar, never a ``}``.
 
     Any other container recurses.  The pieces go to one list, joined once,
     so a large piece is copied once.  Without the ``_json`` module this is
@@ -595,19 +596,13 @@ def indented_text(value) -> str:
         if scalars(value.values() if opening == "{" else value):
             out.extend((opening, inner, flat(value, depth + 1)[1:-1], outer, closing))
             return
-        if opening == "[":
-            kind = dict if isinstance(value[0], dict) else (list, tuple)
-            if (all(map(isinstance, value, repeat(kind))) and all(value)
-                    and scalars(chain.from_iterable(map(dict.values, value) if kind is dict
-                                                    else value))):
-                row_open, row_close = ("{", "}") if kind is dict else ("[", "]")
-                deeper = inner + "  "
-                rows = flat(value, depth + 2)[2:-2].replace(
-                    row_close + "," + deeper + row_open,
-                    inner + row_close + "," + inner + row_open + deeper)
-                out.extend((opening, inner, row_open, deeper, rows, inner, row_close,
-                            outer, closing))
-                return
+        if (opening == "[" and all(map(isinstance, value, repeat(dict))) and all(value)
+                and scalars(chain.from_iterable(map(dict.values, value)))):
+            deeper = inner + "  "
+            rows = flat(value, depth + 2)[2:-2].replace(
+                "}," + deeper + "{", inner + "}," + inner + "{" + deeper)
+            out.extend(("[", inner, "{", deeper, rows, inner, "}", outer, "]"))
+            return
         out.append(opening)
         separator = inner
         if opening == "{":

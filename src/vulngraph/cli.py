@@ -81,6 +81,7 @@ def _cluster_rule(args) -> ClusterRule | None:
 
 
 def _cmd_ingest(args) -> int:
+    catalog_mod.check_date(args.snapshot_date, "--snapshot-date")
     records, warnings = catalog_mod.import_nvd_feed(args.feed, prefer_v3=not args.prefer_v2)
     for line in warnings:
         print(f"warning: {line}", file=sys.stderr)
@@ -203,10 +204,7 @@ def _cmd_report(args) -> int:
     tl = timeline_mod.load_timeline(args.timeline)
     cat = _load_catalog(args.catalog)
     _warn_stale(tl, cat, tl.epoch_labels())
-    doc = report.generate_report(tl, cat, args.format)
-    if args.format == "json":
-        doc = catalog_mod.indented_text(doc)
-    _write(doc, args.out)
+    _write(report.generate_report(tl, cat, args.format), args.out)
     return 0
 
 

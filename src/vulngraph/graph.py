@@ -641,8 +641,9 @@ def edg_from_dict(doc: dict | str, cpes: cpe.ParseTable | None = None) -> Edg:
     across the snapshots of one load.  Text that is not JSON, a
     ``schema_version`` other than 1, a wrongly typed field or container, a
     CVE, CWE or CAPEC id that is not of the catalog's form, two nodes under
-    one id, a version chain or an edge that the lifecycle does not make, an
-    edge to a node the snapshot lacks, or a non-empty ``clusters`` list,
+    one id, a version chain or an edge that the lifecycle does not make (an
+    asset's edge to itself among them), an edge to a node the snapshot
+    lacks, or a non-empty ``clusters`` list,
     raises :class:`TypeError` or :class:`ValueError`.  Node ids are interned
     and edge kinds are :data:`NORMAL` or :data:`DEPRECATED` themselves, so
     that an edge's ends are the very strings that key its nodes, as in a
@@ -753,4 +754,8 @@ def edg_from_dict(doc: dict | str, cpes: cpe.ParseTable | None = None) -> Edg:
     for cve_id in g.vulns:
         if (ROOT_ID, cve_id, NORMAL) in g.edges or (ROOT_ID, cve_id, DEPRECATED) in g.edges:
             raise ValueError(f"edges: 'root' -> {cve_id!r}: the root carries no vulnerability")
+    for node_id in g.assets:
+        if (node_id, node_id, NORMAL) in g.edges or (node_id, node_id, DEPRECATED) in g.edges:
+            raise ValueError(f"edges: {node_id!r} -> {node_id!r}: an asset does not depend "
+                             "on itself")
     return g

@@ -15,7 +15,7 @@ import operator
 from collections import namedtuple
 
 from . import cpe
-from .catalog import CWE_NULL, Catalog
+from .catalog import CWE_NULL, Catalog, indented_text
 from .errors import UnknownMetric
 from .graph import DEPRECATED, ROOT_ID, Edg, Edge, active_subgraph, cluster_by
 from .metrics import (
@@ -404,11 +404,11 @@ def render_markdown(payload: dict) -> str:
     return "\n".join(out)
 
 
-def generate_report(tl: Timeline, catalog: Catalog, fmt: str = "markdown"):
-    """Full assessment document; ``markdown`` returns text, ``json`` a dict."""
-    payload = report_payload(tl, catalog)
-    if fmt == "json":
-        return payload
-    if fmt == "markdown":
-        return render_markdown(payload)
-    raise ValueError(f"unknown report format {fmt!r}")
+def generate_report(tl: Timeline, catalog: Catalog, fmt: str = "markdown") -> str:
+    """The full assessment document's text: :func:`render_markdown` of the
+    :func:`report_payload` for ``markdown``, its :func:`indented_text` for
+    ``json``."""
+    render = {"json": indented_text, "markdown": render_markdown}.get(fmt)
+    if render is None:
+        raise ValueError(f"unknown report format {fmt!r}")
+    return render(report_payload(tl, catalog))

@@ -591,7 +591,8 @@ def _from_dict(doc: dict, texts: dict[str, str] | None = None) -> Timeline:
     """The timeline of a document, checking every event with
     :func:`validate_event` and that its ``seq`` is greater than the previous
     event's (as :func:`append_event` keeps it), every epoch mark with
-    :func:`validate_epoch`, and that each digest is a sha256 hex digest.  Its
+    :func:`validate_epoch`, that each digest is a sha256 hex digest, and
+    that the manifest meets :func:`graph.build_edg`'s rules.  Its
     snapshots are ``texts`` (label -> text, see :func:`_split_lines`), else
     the canonical texts of the document's, none verified: the caller
     verifies them.  Each distinct CPE name is parsed once, and the snapshot
@@ -626,6 +627,7 @@ def _from_dict(doc: dict, texts: dict[str, str] | None = None) -> Timeline:
         if not (type(digest) is str and _DIGEST_RE.fullmatch(digest)):
             raise SchemaError(f"want 64 lowercase hex digits, got {digest!r}", f"digests.{label}")
     manifest = manifest_from_dict(_expect(doc, "manifest", dict, ""), cpes)
+    graph._validate_manifest(manifest)
     return Timeline(
         sut_cpe=sut,
         manifest=manifest,

@@ -532,6 +532,10 @@ _RECORD = record("CVE-2020-0001", 5.0, "CWE-119", affected=[wstr("v", "p", "1.0"
             [make_catalog(records=[_RECORD]).vulnerabilities["CVE-2020-0001"]] * 2,
             snapshot_date="2020-01-01"),
             DuplicateId, "CVE-2020-0001", id="records-duplicate-cve"),
+        *(pytest.param(lambda date=date: cat_mod.catalog_from_dict(_with(snapshot_date=date)),
+                       SchemaError, f"snapshot_date: bad date {date!r}", id=f"snapshot-date-{key}")
+          for key, date in (("word", "yesterday"), ("fullwidth", "\uff12\uff10\uff12\uff11-01-01"),
+                            ("unpadded", "2021-1-1"))),
     ],
 )
 def test_rejected_catalog_inputs(build, error, text):

@@ -6,8 +6,8 @@ import pytest
 from dotcheck import parse_dot
 from helpers import renamed, wstr
 from test_snapshot_lines import _redigested
-from vulngraph import fixtures, metrics, report
-from vulngraph.catalog import load_catalog
+from vulngraph import fixtures, metrics, report, timeline as tl_mod
+from vulngraph.catalog import canonical_text, load_catalog
 from vulngraph.cli import main
 from vulngraph.timeline import canonical_json, epoch_snapshot, load_timeline
 
@@ -525,6 +525,68 @@ def test_event_on_a_verified_snapshot_with_an_unversioned_asset_node_exits_2(tmp
     assert path.read_bytes() == written
 
 
+def test_export_of_a_verified_snapshot_with_a_self_dependency_exits_2(tmp_path, capsys):
+    # V1 with libc depending on itself and every digest recomputed: export
+    # reads V1 as it stands, and its decode refuses the edge instead of drawing it.
+    doc = json.loads(fixtures.openplc_timeline_path().read_text())
+    doc["snapshots"]["V1"]["edges"].append({"source": "libc@0", "target": "libc@0",
+                                            "kind": "normal"})
+    path = tmp_path / "timeline.json"
+    path.write_text(json.dumps(_redigested(doc)))
+    assert main(["export", "--timeline", str(path), "--epoch", "V1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: SchemaError: snapshots.V1: malformed embedded snapshot: "
+                            "ValueError: edges: 'libc@0' -> 'libc@0': an asset does not "
+                            "depend on itself\n")
+    assert captured.out == ""
+
+
+_BAD_MANIFESTS = {
+    "self-dependency": (lambda m: m["dependencies"].append(["libc", "libc"]),
+                        "SchemaError: dependencies[50]: self dependency"),
+    "asset-twice": (lambda m: m["assets"].append(m["assets"][0]), "DuplicateId: libgcc_s"),
+    "dependency-on-ghost": (lambda m: m["dependencies"].append(["libc", "ghost"]),
+                            "UnknownDependencyTarget: ghost"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_BAD_MANIFESTS))
+@pytest.mark.parametrize("command", ["metrics", "report", "event"])
+def test_a_timeline_whose_manifest_build_refuses_exits_2(tmp_path, capsys, defect, command):
+    # The bundled timeline with its manifest edited and every digest
+    # recomputed for it, so each snapshot verifies: a load checks the
+    # manifest as build does, whether or not the command replays.
+    edit, message = _BAD_MANIFESTS[defect]
+    doc = json.loads(fixtures.openplc_timeline_path().read_text())
+    tl = tl_mod.timeline_from_dict({**doc, "snapshots": {}})
+    edit(doc["manifest"])
+    tl.manifest = tl_mod.manifest_from_dict(doc["manifest"])
+    digest = tl_mod._digester(tl)
+    doc["digests"] = {m.label: digest(m, canonical_text(doc["snapshots"][m.label]))
+                      for m in tl.epochs}
+    path = tmp_path / "timeline.json"
+    path.write_text(json.dumps(doc))
+    written = path.read_bytes()
+    cat = str(fixtures.openplc_catalog_path())
+    argv = {"metrics": ["metrics"], "report": ["report", "--catalog", cat],
+            "event": ["event", "--catalog", cat, "--kind", "noop",
+                      "--at", "2030-01-01T00:00:00Z"]}[command]
+    assert main([*argv, "--timeline", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert path.read_bytes() == written
+
+
+@pytest.mark.parametrize("date", ["yesterday", "\uff12\uff10\uff12\uff11-01-01", "2021-1-1"])
+def test_ingest_with_a_snapshot_date_that_is_no_date_exits_2(tmp_path, capsys, date):
+    feed = tmp_path / "feed.json"
+    feed.write_text(json.dumps({"CVE_Items": []}))
+    out = tmp_path / "catalog.json"
+    assert main(["ingest", "--feed", str(feed), "--out", str(out),
+                 "--snapshot-date", date]) == 2
+    assert capsys.readouterr().err == f"error: SchemaError: --snapshot-date: bad date {date!r}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind,key", [("requirement", "cwe_ids"), ("test_case", "capec_ids")])
 def test_non_string_remediation_id_exits_2(openplc_files, tmp_path, capsys, kind, key):
     _, tl = openplc_files
@@ -745,8 +807,11 @@ def test_alerts_with_a_non_finite_metric_bound_exits_2(openplc_files, capsys, va
 def test_report_json_is_the_generated_report(openplc_files, capsys):
     cat, tl = openplc_files
     assert main(["report", "--timeline", tl, "--catalog", cat, "--format", "json"]) == 0
-    expected = report.generate_report(load_timeline(tl), load_catalog(cat), "json")
-    assert json.loads(capsys.readouterr().out) == json.loads(json.dumps(expected))
+    loaded_tl, loaded_cat = load_timeline(tl), load_catalog(cat)
+    out = capsys.readouterr().out
+    assert out == report.generate_report(loaded_tl, loaded_cat, "json") + "\n"
+    payload = report.report_payload(loaded_tl, loaded_cat)
+    assert json.loads(out) == json.loads(json.dumps(payload))
 
 
 def test_ingest_merges_into_an_existing_catalog(openplc_files, tmp_path, capsys):

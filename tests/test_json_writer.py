@@ -115,7 +115,7 @@ def _commands(cat, tl_path):
         (["prioritize", "--timeline", tl_path, "--global", "--json"],
          report._priority_rows(metrics.prioritize(g, 0.0, 10.0, "global"))),
         (["report", "--timeline", tl_path, "--catalog", cat, "--format", "json"],
-         report.generate_report(tl, catalog, "json")),
+         report.report_payload(tl, catalog)),
         (["diff", "--timeline", tl_path, "--from-epoch", first, "--to-epoch", last, "--json"],
          report.epoch_diff(tl, catalog, first, last)),
     ]

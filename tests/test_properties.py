@@ -268,8 +268,10 @@ def test_indexed_lookup_matches_linear_scan(records, data):
                 attr: getattr(pattern, attr) for attr in ("part", "vendor", "product")
                 if getattr(pattern, attr) is not ANY})
         at = data.draw(_at)
-        expected = sorted([r for r in cat.vulnerabilities.values() if r.applies_to(name, at)],
-                          key=lambda r: r.cve_id)
+        key = cpe.version_key(name.version) if isinstance(name.version, str) else None
+        expected = sorted(
+            [r for r in cat.vulnerabilities.values() if r.applies_to(name, at, key)],
+            key=lambda r: r.cve_id)
         assert cat.lookup_vulnerabilities(name, at) == expected
 
 

@@ -30,7 +30,8 @@ SEEDS = range(200)
 
 
 def _hits(catalog, name, at):
-    return sorted((r for r in catalog.vulnerabilities.values() if r.applies_to(name, at)),
+    key = cpe.version_key(name.version) if isinstance(name.version, str) else None
+    return sorted((r for r in catalog.vulnerabilities.values() if r.applies_to(name, at, key)),
                   key=lambda r: r.cve_id)
 
 

@@ -187,9 +187,10 @@ def test_report_remediation_quotes_kb_rows(openplc_timeline, openplc_catalog):
 
 
 def test_report_formats_share_numbers(openplc_timeline, openplc_catalog):
-    doc = report_mod.generate_report(openplc_timeline, openplc_catalog, "json")
+    doc = report_mod.report_payload(openplc_timeline, openplc_catalog)
     text = report_mod.generate_report(openplc_timeline, openplc_catalog, "markdown")
     assert json.loads(json.dumps(doc)) == doc
+    assert json.loads(report_mod.generate_report(openplc_timeline, openplc_catalog, "json")) == doc
     # spot numeric payloads in the rendered text
     v1 = doc["epochs"][0]["metrics"]
     assert f"- M1 (vulnerabilities): {v1['m1']}" in text

@@ -394,6 +394,9 @@ _UNLIKE_A_BUILT_SNAPSHOT = {
     "asset-to-root": (lambda snap: snap["edges"].append(
         {"source": "libc@0", "target": "root", "kind": "normal"}),
         "edges: node 'root' is never an edge's target"),
+    "asset-to-itself": (lambda snap: snap["edges"].append(
+        {"source": "libc@0", "target": "libc@0", "kind": "normal"}),
+        "edges: 'libc@0' -> 'libc@0': an asset does not depend on itself"),
 }
 
 

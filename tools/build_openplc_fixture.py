@@ -26,7 +26,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
 from vulngraph import catalog as cat_mod  # noqa: E402
-from vulngraph import cpe, graph, metrics, timeline as tl_mod  # noqa: E402
+from vulngraph import cpe, fixtures, graph, metrics, timeline as tl_mod  # noqa: E402
 from vulngraph.graph import Manifest, ManifestEntry  # noqa: E402
 
 DATA = SRC / "vulngraph" / "data"
@@ -373,8 +373,8 @@ def build_vulnerabilities():
 
 
 def build_catalog_doc():
-    mapping = cat_mod.import_cwe_capec_csv(DATA / "cwe_capec.csv")
-    remediation = cat_mod.import_remediation_csv(DATA / "remediation.csv")
+    mapping = cat_mod.import_cwe_capec_csv(fixtures.cwe_capec_csv_path())
+    remediation = cat_mod.import_remediation_csv(fixtures.remediation_csv_path())
     return {
         "schema_version": 1,
         "snapshot_date": "2021-01-01",
@@ -544,10 +544,10 @@ def main():
     tl = build_timeline(catalog)
     check_result(catalog, tl)
 
-    cat_mod.save_catalog(catalog, DATA / "openplc_catalog.json")
-    with open(DATA / "openplc_manifest.json", "w", encoding="utf-8") as fh:
+    cat_mod.save_catalog(catalog, fixtures.openplc_catalog_path())
+    with cat_mod.open_replacing(fixtures.openplc_manifest_path()) as fh:
         fh.write(tl_mod.canonical_json(tl_mod.manifest_to_dict(tl.manifest)))
-    tl_mod.save_timeline(tl, DATA / "openplc_timeline.json")
+    tl_mod.save_timeline(tl, fixtures.openplc_timeline_path())
     print(f"wrote fixtures to {DATA}")
     print(f"  records: {len(catalog.vulnerabilities)}, events: {len(tl.events)}, "
           f"epochs: {tl.epoch_labels()}")
