@@ -234,19 +234,21 @@ class Edg:
 
 
 def _validate_manifest(manifest: Manifest) -> None:
+    """Refuse a manifest no graph can be built from, naming the defect's
+    place in the manifest document as its decoder names a malformed field."""
     if not manifest.entries:
-        raise EmptyManifest("manifest has no assets")
+        raise EmptyManifest("manifest.assets: no assets")
     seen = set()
-    for entry in manifest.entries:
+    for i, entry in enumerate(manifest.entries):
         if entry.asset_id in seen:
-            raise DuplicateId(entry.asset_id)
+            raise DuplicateId(f"manifest.assets[{i}].id: {entry.asset_id}")
         seen.add(entry.asset_id)
-    for i, (src, dst) in enumerate(manifest.dependencies):
-        for end in (src, dst):
+    for i, pair in enumerate(manifest.dependencies):
+        for j, end in enumerate(pair):
             if end not in seen:
-                raise UnknownDependencyTarget(end)
-        if src == dst:
-            raise SchemaError("self dependency", f"dependencies[{i}]")
+                raise UnknownDependencyTarget(f"manifest.dependencies[{i}][{j}]: {end}")
+        if pair[0] == pair[1]:
+            raise SchemaError("self dependency", f"manifest.dependencies[{i}]")
 
 
 # The edit primitives: every change to a graph's edges goes through

@@ -1,3 +1,4 @@
+import gc
 import json
 import shutil
 
@@ -6,7 +7,7 @@ import pytest
 from dotcheck import parse_dot
 from helpers import renamed, wstr
 from test_snapshot_lines import _redigested
-from vulngraph import fixtures, metrics, report, timeline as tl_mod
+from vulngraph import cli, fixtures, metrics, report, timeline as tl_mod
 from vulngraph.catalog import canonical_text, load_catalog
 from vulngraph.cli import main
 from vulngraph.timeline import canonical_json, epoch_snapshot, load_timeline
@@ -543,10 +544,11 @@ def test_export_of_a_verified_snapshot_with_a_self_dependency_exits_2(tmp_path, 
 
 _BAD_MANIFESTS = {
     "self-dependency": (lambda m: m["dependencies"].append(["libc", "libc"]),
-                        "SchemaError: dependencies[50]: self dependency"),
-    "asset-twice": (lambda m: m["assets"].append(m["assets"][0]), "DuplicateId: libgcc_s"),
+                        "SchemaError: manifest.dependencies[50]: self dependency"),
+    "asset-twice": (lambda m: m["assets"].append(m["assets"][0]),
+                    "DuplicateId: manifest.assets[19].id: libgcc_s"),
     "dependency-on-ghost": (lambda m: m["dependencies"].append(["libc", "ghost"]),
-                            "UnknownDependencyTarget: ghost"),
+                            "UnknownDependencyTarget: manifest.dependencies[50][1]: ghost"),
 }
 
 
@@ -574,6 +576,26 @@ def test_a_timeline_whose_manifest_build_refuses_exits_2(tmp_path, capsys, defec
     assert main([*argv, "--timeline", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert path.read_bytes() == written
+
+
+@pytest.mark.parametrize("defect", [*sorted(_BAD_MANIFESTS), "empty"])
+def test_build_names_a_manifest_file_defect_by_its_path(tmp_path, capsys, defect):
+    doc = json.loads(fixtures.openplc_manifest_path().read_text())
+    if defect == "empty":
+        doc = {"assets": [], "dependencies": []}
+        message = "EmptyManifest: manifest.assets: no assets"
+    else:
+        edit, message = _BAD_MANIFESTS[defect]
+        edit(doc)
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(json.dumps(doc))
+    out = tmp_path / "tl.json"
+    assert main(["build", "--sut", wstr("acme", "box", "1.0"),
+                 "--manifest", str(manifest_path),
+                 "--catalog", str(fixtures.openplc_catalog_path()),
+                 "--at", "2021-01-01T00:00:00Z", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("date", ["yesterday", "\uff12\uff10\uff12\uff11-01-01", "2021-1-1"])
@@ -900,3 +922,117 @@ def test_a_threshold_that_does_nothing_or_is_missing_exits_2(openplc_files, caps
     captured = capsys.readouterr()
     assert f"VulnGraphError: {error}" in captured.err
     assert captured.out == ""
+
+
+# -- the cyclic collector ------------------------------------------------------
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The collector switched on or off for the test, and back afterwards."""
+    enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if enabled else gc.disable)()
+
+
+_TIMELINE = str(fixtures.openplc_timeline_path())
+
+
+@pytest.mark.parametrize("argv,rc,bodies", [
+    (["metrics", "--timeline", _TIMELINE], 0, 1),
+    (["alerts", "--timeline", _TIMELINE, "--epoch", "V1", "--cvss-at-least", "9.0"], 1, 1),
+    (["metrics", "--timeline", _TIMELINE, "--epoch", "V9"], 2, 1),
+    (["metrics"], 2, 0),
+    (["--help"], 0, 0),
+], ids=["exit-0", "alert-fires", "data-error", "usage-error", "help"])
+def test_a_command_runs_with_the_collector_paused(monkeypatch, capsys, collector,
+                                                  argv, rc, bodies):
+    seen = []
+    for name in ("_cmd_metrics", "_cmd_alerts"):
+        def body(args, run=getattr(cli, name)):
+            seen.append(gc.isenabled())
+            return run(args)
+        monkeypatch.setattr(cli, name, body)
+    assert main(argv) == rc
+    assert seen == [False] * bodies
+    assert gc.isenabled() is collector
+
+
+def test_a_body_that_raises_leaves_the_collector_as_it_was(monkeypatch, collector):
+    def body(args):
+        assert not gc.isenabled()
+        raise RuntimeError("boom")
+    monkeypatch.setattr(cli, "_cmd_metrics", body)
+    with pytest.raises(RuntimeError, match="boom"):
+        main(["metrics", "--timeline", _TIMELINE])
+    assert gc.isenabled() is collector
+
+
+def _bundled_manifest() -> dict:
+    return json.loads(fixtures.openplc_manifest_path().read_text())
+
+
+def _replicated_manifest(copies: int) -> dict:
+    """The bundled manifest ``copies`` times over, each copy's asset ids
+    suffixed with its index."""
+    doc = _bundled_manifest()
+    return {
+        "assets": [{**a, "id": f"{a['id']}-{k}"} for k in range(copies) for a in doc["assets"]],
+        "dependencies": [[f"{src}-{k}", f"{dst}-{k}"] for k in range(copies)
+                         for src, dst in doc["dependencies"]],
+    }
+
+
+def _unreachable_per_command(directory, manifest: dict) -> dict[str, int]:
+    """Build a timeline of ``manifest`` against the bundled catalog, mark a
+    second epoch, then run each command on it with the collector off and
+    count the unreachable objects the next collection finds."""
+    cat = str(fixtures.openplc_catalog_path())
+    manifest_path, tl = directory / "manifest.json", str(directory / "timeline.json")
+    manifest_path.write_text(json.dumps(manifest))
+    build = ["build", "--sut", wstr("acme", "box", "1.0"), "--manifest", str(manifest_path),
+             "--catalog", cat, "--at", "2021-01-01T00:00:00Z"]
+    assert main([*build, "--out", tl]) == 0
+    assert main(["event", "--timeline", tl, "--catalog", cat, "--kind", "noop",
+                 "--at", "2021-02-01T00:00:00Z", "--mark-epoch", "V2"]) == 0
+    read = ["--timeline", tl, "--epoch", "V2"]
+    commands = {
+        "build": ([*build, "--out", str(directory / "built.json")], 0),
+        "event": (["event", "--timeline", tl, "--catalog", cat, "--kind", "noop",
+                   "--at", "2021-03-01T00:00:00Z", "--out", str(directory / "ev.json")], 0),
+        "report": (["report", "--timeline", tl, "--catalog", cat], 0),
+        "metrics": (["metrics", *read], 0),
+        "prioritize": (["prioritize", *read], 0),
+        "export": (["export", *read], 0),
+        "cluster": (["cluster", *read, "--criterion", "no-vulns"], 0),
+        "impact": (["impact", *read, "--cve", "CVE-2017-16997"], 0),
+        "alerts": (["alerts", *read, "--cvss-at-least", "9.0"], 1),
+        "diff": (["diff", "--timeline", tl, "--from-epoch", "V1", "--to-epoch", "V2"], 0),
+    }
+    counts = {}
+    enabled = gc.isenabled()
+    try:
+        for name, (argv, rc) in commands.items():
+            gc.collect()
+            gc.disable()
+            assert main(argv) == rc
+            counts[name] = gc.collect()
+    finally:
+        (gc.enable if enabled else gc.disable)()
+    return counts
+
+
+def test_commands_leave_no_more_cycles_on_a_larger_input(tmp_path, capsys):
+    # The collector pause is safe only while what a command builds is
+    # acyclic: whatever cycles a command leaves (argparse's parser) must not
+    # grow with the assets and edges it works on.
+    small, large = tmp_path / "small", tmp_path / "large"
+    small.mkdir()
+    large.mkdir()
+    base = _unreachable_per_command(small, _bundled_manifest())
+    assert _unreachable_per_command(large, _replicated_manifest(4)) == base
+    small_tl = load_timeline(small / "timeline.json")
+    large_tl = load_timeline(large / "timeline.json")
+    assert len(large_tl.manifest.entries) == 4 * len(small_tl.manifest.entries)
+    assert len(large_tl.manifest.dependencies) == 4 * len(small_tl.manifest.dependencies)
