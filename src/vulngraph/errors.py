@@ -58,7 +58,7 @@ class NonMonotonicTimestamp(SchemaError):
 
 
 class SelfSucc(VulnGraphError):
-    """An asset update supplied a new CPE identical to the current one."""
+    """An asset update supplied a CPE already in the asset's version chain."""
 
 
 class NoAssets(VulnGraphError):

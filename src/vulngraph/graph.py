@@ -16,14 +16,14 @@ unchanged.  A caller that wants to keep a state clones it first
 that applies two or more events indexes its edges by node
 (:meth:`Edg.build_index`) so that each event looks up the edges it touches
 instead of scanning every edge; one event scans them for less than the
-index costs.  An asset's version nodes and active node are found by
-scanning the asset nodes, on every graph alike.  Every other operation
-leaves its input unchanged.
+index costs.  An asset's version nodes and active node are read by node
+id, on every graph alike.  Every other operation leaves its input unchanged.
 
 Asset identity is a stable opaque token (``asset_id``) that survives version
 updates; each update adds a new version node (``asset_id@k``) whose
 ``cpe_previous`` points at the replaced version, forming the traceable
-version chain.  Updating or retiring an asset flips its dependency edges to
+version chain ``asset_id@0`` ... ``asset_id@k``; only the newest can be
+active.  Updating or retiring an asset flips its dependency edges to
 ``deprecated``; a vulnerability edge on the replaced version stays ``normal``
 unless the update fixed that vulnerability.  Deprecated versions are kept in
 the graph for history; :func:`active_subgraph` alone decides what is active,
@@ -89,10 +89,6 @@ class AssetNode(namedtuple("AssetNode", ["node_id", "asset_id", "order", "cpe_cu
     replaced, and whether a later version or a retirement deprecated it."""
 
     __slots__ = ()
-
-    @property
-    def version_index(self) -> int:
-        return int(self.node_id.rsplit("@", 1)[1])
 
 
 class VulnNode(namedtuple("VulnNode", ["cve_id", "cvss", "cwe_ids", "capec_ids",
@@ -192,16 +188,18 @@ class Edg:
             _link(self._incident, edge)
 
     def lineage(self, asset_id: str) -> list[AssetNode]:
-        """Version nodes of one asset, oldest first."""
-        nodes = [a for a in self.assets.values() if a.asset_id == asset_id]
-        nodes.sort(key=lambda a: a.version_index)
+        """Version nodes of one asset, oldest first, read by node id."""
+        nodes = []
+        node = self.assets.get(f"{asset_id}@0")
+        while node is not None:
+            nodes.append(node)
+            node = self.assets.get(f"{asset_id}@{len(nodes)}")
         return nodes
 
     def active_node(self, asset_id: str) -> AssetNode | None:
-        for node in self.assets.values():
-            if node.asset_id == asset_id and not node.deprecated:
-                return node
-        return None
+        """The newest version node, None if there is none or it is retired."""
+        chain = self.lineage(asset_id)
+        return chain[-1] if chain and not chain[-1].deprecated else None
 
     def require_active(self, asset_id: str) -> AssetNode:
         node = self.active_node(asset_id)
@@ -349,7 +347,7 @@ def add_asset(
     at: str | None = None,
 ) -> Edg:
     """Introduce a new asset with its dependency pairs (which must touch it)."""
-    if g.lineage(entry.asset_id):
+    if f"{entry.asset_id}@0" in g.assets:
         raise DuplicateId(entry.asset_id)
     order = max((a.order for a in g.assets.values()), default=-1) + 1
     node = AssetNode(f"{entry.asset_id}@0", entry.asset_id, order, entry.cpe)
@@ -413,16 +411,15 @@ def update_asset(
     wins over a stale applicability range).
     """
     old = g.require_active(asset_id)
-    if new_cpe == old.cpe_current:
-        raise SelfSucc(asset_id)
-    # version chains are duplicate-free: no rolling back to an earlier CPE
-    for node in g.lineage(asset_id):
+    # version chains are duplicate-free: no successor takes a CPE of the chain
+    chain = g.lineage(asset_id)
+    for node in chain:
         if node.cpe_current == new_cpe:
             raise SelfSucc(f"{asset_id}: {cpe.bind_formatted(new_cpe)} already in its chain")
     fixes = frozenset(fixes)
     incident = _normal_edges_at(g, old.node_id)
     successor = AssetNode(
-        node_id=f"{asset_id}@{old.version_index + 1}",
+        node_id=f"{asset_id}@{len(chain)}",
         asset_id=asset_id,
         order=old.order,
         cpe_current=new_cpe,
@@ -470,24 +467,24 @@ def retire_asset(g: Edg, asset_id: str) -> Edg:
 
 
 def active_subgraph(g: Edg) -> Edg:
-    """The active configuration: non-deprecated assets, vulnerabilities a
-    normal edge attaches to one of them, and normal edges among those nodes
-    plus the root.  The only rule for what is active.  The view's
-    :attr:`Edg.cves_of`, each active asset to the sorted CVE ids its normal
-    edges reach, is built in the same pass."""
+    """The active configuration: non-deprecated assets, and each normal edge
+    from the root or one of them to another of them or to a vulnerability,
+    which the edge makes active.  The only rule for what is active.  The
+    view's :attr:`Edg.cves_of`, each active asset to the sorted CVE ids its
+    normal edges reach, is built in the same pass over the edges."""
     assets = {nid: a for nid, a in g.assets.items() if not a.deprecated}
     vulns = {}
-    normal = []
+    edges = set()
     found: dict[str, list[str]] = {}
     for e in g.edges:
-        if e[2] == NORMAL:
-            normal.append(e)
+        if e[2] == NORMAL and (e[0] in assets or e[0] == ROOT_ID):
             target = e[1]
-            if target in g.vulns and e[0] in assets:
+            if target in g.vulns:
+                edges.add(e)
                 vulns[target] = g.vulns[target]
                 found.setdefault(e[0], []).append(target)
-    keep = assets.keys() | vulns.keys() | {ROOT_ID}
-    edges = {e for e in normal if e[0] in keep and e[1] in keep}
+            elif target in assets:
+                edges.add(e)
     view = Edg(root=g.root, epoch=g.epoch, assets=assets, vulns=vulns, edges=edges)
     view.cves_of = {node_id: tuple(sorted(cves)) for node_id, cves in found.items()}
     return view

@@ -242,9 +242,9 @@ def replay(tl: Timeline, catalog: Catalog):
     Every step yields the same working graph, which each event edits in
     place.  With two or more events its edges are indexed by node
     (:meth:`graph.Edg.build_index`), so an event finds the edges it touches
-    without a pass over every edge; it finds an asset's version nodes by a
-    pass over the asset nodes.  A yielded graph is live until the next step:
-    clone it to keep that state.
+    without a pass over every edge, and reads an asset's version nodes by
+    node id.  A yielded graph is live until the next step: clone it to keep
+    that state.
     """
     g = graph.build_edg(tl.sut_cpe, tl.manifest, catalog, tl.built_at)
     yield from _replay_from(tl, catalog, -1, len(tl.events) - 1, g)

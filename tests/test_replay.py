@@ -77,7 +77,8 @@ def _reference_step(g, event, catalog):
         _flip(g, Edge(_active(g, event.asset_id).node_id, event.cve_id))
     elif event.kind == "asset_updated":
         old = _active(g, event.asset_id)
-        new = AssetNode(f"{old.asset_id}@{old.version_index + 1}", old.asset_id, old.order,
+        k = int(old.node_id.rpartition("@")[2]) + 1
+        new = AssetNode(f"{old.asset_id}@{k}", old.asset_id, old.order,
                         event.cpe_value, old.cpe_current)
         g.assets[old.node_id] = old._replace(deprecated=True)
         for edge in list(g.edges):
