@@ -50,6 +50,7 @@ import json
 import re
 from collections import namedtuple
 from sys import intern
+from types import MappingProxyType
 
 from . import cpe
 from .catalog import _CAPEC_RE, _CVE_RE, _CWE_RE, Catalog, VulnerabilityRecord
@@ -142,8 +143,9 @@ class ClusterRule(namedtuple("ClusterRule", ["kind", "threshold"], defaults=[0.0
 class Edg:
     """One timestamped graph snapshot."""
 
-    __slots__ = ("root", "epoch", "assets", "vulns", "edges", "clusters", "_incident",
-                 "cves_of")
+    __slots__ = ("root", "epoch", "assets", "vulns", "edges", "_incident", "cves_of")
+    # Empty and shared by every snapshot: perfbench/spans.py's _count_clone reads it.
+    clusters = MappingProxyType({})
 
     def __init__(self, root: RootNode, epoch: str | None = None,
                  assets: dict[str, AssetNode] | None = None,
@@ -154,8 +156,6 @@ class Edg:
         self.assets = {} if assets is None else assets
         self.vulns = {} if vulns is None else vulns
         self.edges = set() if edges is None else edges
-        # Always empty: kept while perfbench/spans.py's _count_clone reads len(g.clusters).
-        self.clusters = {}
         # Set by build_index: node id -> the edges with that node at one end.
         # Never serialized and never copied by clone.
         self._incident: dict[str, set[Edge]] | None = None

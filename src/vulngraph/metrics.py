@@ -342,15 +342,14 @@ def _render_metric_table(report: MetricReport) -> str:
     rows.append(
         ["M4"] + [fmt2(report.m4_by_asset[a]) for a in vulnerable] + [fmt2(others_m4)]
     )
-    all_cwes = sorted(report.m6_by_cwe, key=_id_sort_key)
-    for cwe_id in all_cwes:
+    for cwe_id in report.m6_by_cwe:  # in id order, as snapshot_report builds it
         cells = []
         for a in vulnerable:
             count = report.m5_by_asset_cwe.get(a, {}).get(cwe_id, 0)
             cells.append(str(count) if count else "-")
         rows.append([f"M5 {cwe_id}"] + cells + ["-"])
-    for cwe_id in all_cwes:
-        spanned(f"M6 {cwe_id}", str(report.m6_by_cwe[cwe_id]))
+    for cwe_id, count in report.m6_by_cwe.items():
+        spanned(f"M6 {cwe_id}", str(count))
     spanned("M7", str(report.m7))
 
     widths = [len(h) for h in header]

@@ -28,7 +28,7 @@ from .metrics import (
     prioritize,
     snapshot_report,
 )
-from .timeline import Timeline, epoch_snapshot, epoch_snapshots
+from .timeline import Timeline, epoch_snapshots
 
 #: Default prioritization window used by the report tables.
 DEFAULT_PRIORITY_WINDOW = (6.0, 10.0)
@@ -231,9 +231,10 @@ def _delta(before: Edg, after: Edg) -> dict:
 
 
 def epoch_diff(tl: Timeline, catalog: Catalog | None, from_label: str, to_label: str) -> dict:
-    """Active asset/vulnerability delta between two named epochs."""
-    delta = _delta(active_subgraph(epoch_snapshot(tl, catalog, from_label)),
-                   active_subgraph(epoch_snapshot(tl, catalog, to_label)))
+    """Active asset/vulnerability delta between two named epochs, read in one call."""
+    marks = [tl.find_epoch(from_label), tl.find_epoch(to_label)]
+    before, after = epoch_snapshots(tl, catalog, marks)
+    delta = _delta(active_subgraph(before), active_subgraph(after))
     return {"from": from_label, "to": to_label, **delta}
 
 

@@ -320,24 +320,22 @@ def _replay_to(tl: Timeline, catalog: Catalog, marks, whole_log: bool = False) -
 def snapshot_at(tl: Timeline, catalog: Catalog, at: str) -> Edg:
     """State after replaying all events with timestamp <= ``at``, from the
     last verified epoch at or before ``at`` (:func:`_start`)."""
-    return _replay_to(tl, catalog, [EpochMark(label=None, at=at)])[0]
+    return epoch_snapshots(tl, catalog, [EpochMark(label=None, at=at)])[0]
 
 
 def epoch_snapshot(tl: Timeline, catalog: Catalog | None, label: str) -> Edg:
     """Snapshot for a named epoch: its embedded copy when it is verified or
     has no digest, else a replay from the last verified epoch before it."""
-    return _epoch_snapshots(tl, catalog, [tl.find_epoch(label)])[0]
+    return epoch_snapshots(tl, catalog, [tl.find_epoch(label)])[0]
 
 
-def epoch_snapshots(tl: Timeline, catalog: Catalog | None) -> list[Edg]:
-    """Snapshots of every named epoch, in mark order."""
-    return _epoch_snapshots(tl, catalog, tl.epochs)
-
-
-def _epoch_snapshots(tl: Timeline, catalog: Catalog | None, marks) -> list[Edg]:
-    # Embedded copies are decoded, which checks them; the others, and a stale
-    # one when there is a catalog, come from one replay pass.  Only the
-    # snapshots of ``marks`` are decoded, so a bad one elsewhere goes unseen.
+def epoch_snapshots(tl: Timeline, catalog: Catalog | None, marks=None) -> list[Edg]:
+    """Snapshots for ``marks`` (every named epoch by default), in their order,
+    repeats and an unnamed mark allowed.  Embedded copies are decoded, which
+    checks them; the others, and a stale one with a catalog, come from one
+    :func:`_replay_to` pass per start.  Only the snapshots of ``marks`` are
+    decoded, so a bad one elsewhere goes unseen."""
+    marks = tl.epochs if marks is None else marks
     _check_labels(tl)
     for mark in marks:
         if mark.label in tl.stale and catalog is None:
@@ -370,13 +368,13 @@ def _check_labels(tl: Timeline) -> None:
 def _decode_snapshot(tl: Timeline, label: str) -> Edg:
     # Every decoded snapshot is checked here, whether or not it matched its
     # digest.  The decoder reports a wrongly typed field or container as
-    # TypeError or ValueError and a missing key as KeyError; these, a bad CPE
-    # name, an epoch other than the label and a root other than the SUT are
-    # schema errors at the snapshot.
+    # TypeError or ValueError, a missing key as KeyError and too deep a nest
+    # as RecursionError; these, a bad CPE name, an epoch other than the label
+    # and a root other than the SUT are schema errors at the snapshot.
     path = f"snapshots.{label}"
     try:
         g = graph.edg_from_dict(tl.snapshots[label], tl._cpes)
-    except (KeyError, TypeError, AttributeError, ValueError, MalformedCpe) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError, RecursionError, MalformedCpe) as exc:
         raise SchemaError(f"malformed embedded snapshot: {type(exc).__name__}: {exc}",
                           path) from exc
     if g.epoch != label:

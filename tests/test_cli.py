@@ -458,11 +458,44 @@ def test_directory_as_out_exits_2(openplc_files, tmp_path, capsys):
     assert "IsADirectoryError" in capsys.readouterr().err
 
 
-def test_deeply_nested_timeline_exits_2(tmp_path, capsys):
+def _deep_line_timeline(path, label) -> str:
+    """The bundled timeline with ``label``'s snapshot line nested too deeply
+    to decode and every digest recomputed, so that the line is verified."""
+    tl = load_timeline(fixtures.openplc_timeline_path())
+    tl.snapshots[label] = "[" * 100_000 + "]" * 100_000
+    digest = tl_mod._digester(tl)
+    tl.digests = {mark.label: digest(mark, tl.snapshots[mark.label]) for mark in tl.epochs}
+    tl_mod.save_timeline(tl, path)
+    return str(path)
+
+
+@pytest.mark.parametrize("role", ["timeline", "catalog", "manifest",
+                                  "metrics-line", "report-line", "event-line"])
+def test_deeply_nested_timeline_exits_2(openplc_files, tmp_path, capsys, role):
+    # A whole document nested too deeply is not valid JSON; a snapshot line
+    # that matches its digest is refused when a command decodes it.
+    cat, tl = openplc_files
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000)
-    assert main(["metrics", "--timeline", str(deep)]) == 2
-    assert "SchemaError: not valid JSON" in capsys.readouterr().err
+    error = "not valid JSON"
+    if role.endswith("-line"):
+        label = "V3" if role == "event-line" else "V1"
+        tl = _deep_line_timeline(tmp_path / "lines.json", label)
+        error = f"snapshots.{label}: malformed embedded snapshot: RecursionError"
+    argv = {
+        "timeline": ["metrics", "--timeline", str(deep)],
+        "catalog": ["metrics", "--timeline", tl, "--catalog", str(deep)],
+        "manifest": ["build", "--sut", wstr("acme", "box", "1.0"), "--manifest", str(deep),
+                     "--catalog", cat, "--at", "2021-01-01T00:00:00Z",
+                     "--out", str(tmp_path / "out.json")],
+        "metrics-line": ["metrics", "--timeline", tl, "--epoch", "V1"],
+        "report-line": ["report", "--timeline", tl, "--catalog", cat],
+        "event-line": ["event", "--timeline", tl, "--catalog", cat, "--kind", "noop",
+                       "--at", "2030-01-01T00:00:00Z", "--out", str(tmp_path / "out.json")],
+    }[role]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: SchemaError: {error}") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("role", ["timeline", "catalog", "manifest"])

@@ -192,6 +192,60 @@ def test_epoch_snapshots_are_the_reference_states_at_their_marks():
             assert got._incident is None, (seed, mark.label)
 
 
+@pytest.fixture()
+def applied(monkeypatch):
+    """Counts the events applied while the test runs; a replay looks
+    ``apply_event`` up as a module global, so it calls the wrapper."""
+    calls = [0]
+    apply_event = tl_mod.apply_event
+
+    def counted(*args):
+        calls[0] += 1
+        return apply_event(*args)
+
+    monkeypatch.setattr(tl_mod, "apply_event", counted)
+    return calls
+
+
+def _zeroed(tmp_path, *labels) -> str:
+    """The bundled timeline with the digests of ``labels`` zeroed, so that
+    every read rebuilds those epochs from the log."""
+    tl = tl_mod.load_timeline(fixtures.openplc_timeline_path())
+    for label in labels:
+        tl.digests[label] = "0" * 64
+    path = tmp_path / "zeroed.json"
+    tl_mod.save_timeline(tl, path)
+    return str(path)
+
+
+@pytest.mark.parametrize("command,events", [
+    (["diff", "--from-epoch", "V2", "--to-epoch", "V3", "--json"], 20),
+    (["diff", "--from-epoch", "V3", "--to-epoch", "V2", "--json"], 20),
+    (["diff", "--from-epoch", "V2", "--to-epoch", "V2", "--json"], 12),
+    (["report", "--format", "json"], 20),
+], ids=["diff-V2-V3", "diff-V3-V2", "diff-V2-V2", "report"])
+def test_a_read_of_two_stale_epochs_replays_their_shared_prefix_once(
+        tmp_path, capsys, applied, command, events):
+    # V2 and V3 both rebuild from V1, the last verified epoch, in one pass
+    # that stops at the later mark: 12 events to V2, 8 more to V3.
+    argv = [*command, "--catalog", str(fixtures.openplc_catalog_path())]
+    assert main([*argv, "--timeline", str(fixtures.openplc_timeline_path())]) == 0
+    want = capsys.readouterr().out
+    applied[0] = 0
+    assert main([*argv, "--timeline", _zeroed(tmp_path, "V2", "V3")]) == 0
+    assert applied[0] == events
+    assert capsys.readouterr().out == want
+
+
+def test_snapshot_at_starts_from_the_last_verified_epoch_before_it(tmp_path, applied):
+    tl = tl_mod.load_timeline(_zeroed(tmp_path, "V3"))
+    g = tl_mod.snapshot_at(tl, load_catalog(fixtures.openplc_catalog_path()),
+                           tl.find_epoch("V3").at)
+    assert applied[0] == 8  # from V2
+    g.epoch = "V3"
+    assert canonical_text(graph.edg_to_dict(g)) == tl.snapshots["V3"]
+
+
 def _refusals(g, catalog):
     """``(name, error, call)`` for calls of the lifecycle operations that
     ``g`` must refuse.  The dependency pairs given to ``add_asset`` start

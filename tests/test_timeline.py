@@ -290,6 +290,28 @@ def test_two_epochs_at_one_timestamp_stay_apart():
         "t0", "t1", "t2", "t3", "t3-again"]
 
 
+def test_epoch_snapshots_reads_marks_in_any_order_with_repeats_and_an_unnamed_one():
+    tl, cat = update_patch_scenario()
+    noon = tl_mod.EpochMark(label=None, at=ts(2, hour=12))
+    marks = [tl.find_epoch("t3"), tl.find_epoch("t1"), tl.find_epoch("t3"), noon]
+    want = [graph.edg_to_dict(g) for g in (
+        tl_mod.epoch_snapshot(tl, cat, "t3"), tl_mod.epoch_snapshot(tl, cat, "t1"),
+        tl_mod.epoch_snapshot(tl, cat, "t3"), tl_mod.snapshot_at(tl, cat, noon.at))]
+    for timeline in (tl, tl_mod.embed_snapshots(tl, cat)):
+        got = tl_mod.epoch_snapshots(timeline, cat, marks)
+        assert [graph.edg_to_dict(g) for g in got] == want
+        assert got[0] is not got[2]
+
+
+def test_snapshot_at_refuses_a_snapshot_under_an_unmarked_label():
+    tl, cat = update_patch_scenario()
+    tl = tl_mod.embed_snapshots(tl, cat)
+    tl.snapshots["t9"] = tl.snapshots["t0"]
+    with pytest.raises(SchemaError) as err:
+        tl_mod.snapshot_at(tl, cat, ts(2))
+    assert str(err.value) == "snapshots.t9: no epoch 't9' is marked"
+
+
 def _openplc_doc():
     return json.loads(fixtures.openplc_timeline_path().read_text())
 
