@@ -174,18 +174,13 @@ class Catalog:
     __slots__ = ("snapshot_date", "vulnerabilities", "weaknesses", "attack_patterns",
                  "remediation", "warnings", "_index")
 
-    def __init__(self, snapshot_date: str = "1999-01-01",
-                 vulnerabilities: dict[str, VulnerabilityRecord] | None = None,
-                 weaknesses: dict[str, WeaknessRecord] | None = None,
-                 attack_patterns: dict[str, AttackPatternRecord] | None = None,
-                 remediation: list[RemediationEntry] | None = None,
-                 warnings: list[str] | None = None):
+    def __init__(self, snapshot_date: str):
         self.snapshot_date = snapshot_date
-        self.vulnerabilities = {} if vulnerabilities is None else vulnerabilities
-        self.weaknesses = {} if weaknesses is None else weaknesses
-        self.attack_patterns = {} if attack_patterns is None else attack_patterns
-        self.remediation = [] if remediation is None else remediation
-        self.warnings = [] if warnings is None else warnings
+        self.vulnerabilities: dict[str, VulnerabilityRecord] = {}
+        self.weaknesses: dict[str, WeaknessRecord] = {}
+        self.attack_patterns: dict[str, AttackPatternRecord] = {}
+        self.remediation: list[RemediationEntry] = []
+        self.warnings: list[str] = []
         # Built by the first lookup (see _product_index).
         self._index: tuple[dict, dict] | None = None
 
@@ -417,7 +412,7 @@ def _parse_vulnerability(doc, path, patterns: cpe.ParseTable) -> VulnerabilityRe
                                       affected, exploit, published))
 
 
-def _parse_weakness(doc, path) -> WeaknessRecord:
+def _parse_weakness(doc, path, patterns) -> WeaknessRecord:
     cwe_id = _id(doc, "cwe_id", _CWE_RE, "CWE", path)
     related = _ids(doc, "related_capec_ids", _CAPEC_RE, "CAPEC", path, [])
     if cwe_id == CWE_NULL and related:
@@ -430,7 +425,7 @@ def _parse_weakness(doc, path) -> WeaknessRecord:
     )
 
 
-def _parse_attack_pattern(doc, path) -> AttackPatternRecord:
+def _parse_attack_pattern(doc, path, patterns) -> AttackPatternRecord:
     capec_id = _id(doc, "capec_id", _CAPEC_RE, "CAPEC", path)
     likelihood = _expect(doc, "likelihood", str, path, "medium")
     impact = _expect(doc, "impact", str, path, "medium")
@@ -471,44 +466,40 @@ def catalog_from_dict(doc: dict) -> Catalog:
     if version != 1:
         raise SchemaError(f"unsupported schema_version {version}", "schema_version")
 
-    catalog = Catalog(snapshot_date=check_date(
+    catalog = Catalog(check_date(
         _expect(doc, "snapshot_date", str, "", "1999-01-01"), "snapshot_date"))
 
     patterns = cpe.ParseTable()
-    for i, raw in enumerate(_expect(doc, "vulnerabilities", list, "", [])):
-        record = _parse_vulnerability(raw, f"vulnerabilities[{i}]", patterns)
-        if record.cve_id in catalog.vulnerabilities:
-            raise DuplicateId(record.cve_id)
-        catalog.vulnerabilities[record.cve_id] = record
-
-    for i, raw in enumerate(_expect(doc, "weaknesses", list, "", [])):
-        record = _parse_weakness(raw, f"weaknesses[{i}]")
-        if record.cwe_id in catalog.weaknesses:
-            raise DuplicateId(record.cwe_id)
-        catalog.weaknesses[record.cwe_id] = record
-    catalog.weaknesses.setdefault(CWE_NULL, _NULL_WEAKNESS)
-
-    for i, raw in enumerate(_expect(doc, "attack_patterns", list, "", [])):
-        record = _parse_attack_pattern(raw, f"attack_patterns[{i}]")
-        if record.capec_id in catalog.attack_patterns:
-            raise DuplicateId(record.capec_id)
-        catalog.attack_patterns[record.capec_id] = record
+    # Each record is parsed, checked and filed before the next is read, so the
+    # first defect in document order is reported.  A record's [0] is its id.
+    # Every parser takes the CPE parse table, which only vulnerabilities use,
+    # so the hot loop calls _parse_vulnerability with no wrapper between.
+    for key, table, parse, id_field in (
+            ("vulnerabilities", catalog.vulnerabilities, _parse_vulnerability, "cve_id"),
+            ("weaknesses", catalog.weaknesses, _parse_weakness, "cwe_id"),
+            ("attack_patterns", catalog.attack_patterns, _parse_attack_pattern, "capec_id")):
+        for i, raw in enumerate(_expect(doc, key, list, "", [])):
+            record = parse(raw, f"{key}[{i}]", patterns)
+            if record[0] in table:
+                raise DuplicateId(f"{key}[{i}].{id_field}: {record[0]}")
+            table[record[0]] = record
 
     for i, raw in enumerate(_expect(doc, "remediation", list, "", [])):
         catalog.remediation.append(_parse_remediation(raw, f"remediation[{i}]"))
-
-    catalog.warnings = _dangling_references(catalog)
-    return catalog
+    return _finished(catalog)
 
 
-def _dangling_references(catalog: Catalog) -> list[str]:
-    """Warnings for weakness references to unknown attack patterns (not fatal)."""
-    return [
+def _finished(catalog: Catalog) -> Catalog:
+    """``catalog`` with the null weakness, unless it has one, and its
+    warnings: weakness references to unknown attack patterns (not fatal)."""
+    catalog.weaknesses.setdefault(CWE_NULL, _NULL_WEAKNESS)
+    catalog.warnings = [
         f"{weakness.cwe_id} references unknown attack pattern {capec_id}"
         for weakness in catalog.weaknesses.values()
         for capec_id in weakness.related_capec_ids
         if capec_id not in catalog.attack_patterns
     ]
+    return catalog
 
 
 def canonical_json(doc) -> str:
@@ -747,7 +738,7 @@ def merge_catalogs(base: Catalog, extra: Catalog) -> Catalog:
     pattern in both, the base's record is kept; ``extra``'s remediation
     entries already in ``base`` are dropped; the later snapshot date is kept.
     """
-    merged = Catalog(snapshot_date=max(base.snapshot_date, extra.snapshot_date))
+    merged = Catalog(max(base.snapshot_date, extra.snapshot_date))
     for source in (base, extra):
         for cve_id in sorted(source.vulnerabilities):
             if cve_id in merged.vulnerabilities:
@@ -757,10 +748,8 @@ def merge_catalogs(base: Catalog, extra: Catalog) -> Catalog:
             merged.weaknesses.setdefault(cwe_id, source.weaknesses[cwe_id])
         for capec_id in sorted(source.attack_patterns, key=_id_sort_key):
             merged.attack_patterns.setdefault(capec_id, source.attack_patterns[capec_id])
-    merged.weaknesses.setdefault(CWE_NULL, _NULL_WEAKNESS)
     merged.remediation = base.remediation + [e for e in extra.remediation if e not in base.remediation]
-    merged.warnings = _dangling_references(merged)
-    return merged
+    return _finished(merged)
 
 
 # ---------------------------------------------------------------------------
@@ -863,13 +852,12 @@ def _nvd_affected(nodes, cve_id, patterns: cpe.ParseTable, warnings) -> list[dic
 
 def records_to_catalog(records, snapshot_date: str) -> Catalog:
     """Wrap imported records in a catalog (duplicate ids rejected)."""
-    catalog = Catalog(snapshot_date=snapshot_date)
+    catalog = Catalog(snapshot_date)
     for record in records:
         if record.cve_id in catalog.vulnerabilities:
             raise DuplicateId(record.cve_id)
         catalog.vulnerabilities[record.cve_id] = record
-    catalog.weaknesses[CWE_NULL] = _NULL_WEAKNESS
-    return catalog
+    return _finished(catalog)
 
 
 # ---------------------------------------------------------------------------

@@ -634,6 +634,14 @@ def edg_to_dict(g: Edg, names: cpe.BindTable | None = None) -> dict:
     }
 
 
+def _repeated(docs: list, key: str, id_field: str) -> str:
+    """The error for the node docs at ``key``, two of which share an
+    ``id_field``: it names the first doc whose id an earlier doc has."""
+    first: dict[str, int] = {}
+    i = next(i for i, d in enumerate(docs) if first.setdefault(d[id_field], i) != i)
+    return f"{key}: two nodes share a {id_field}: {key}[{i}] repeats {docs[i][id_field]!r}"
+
+
 def edg_from_dict(doc: dict | str, cpes: cpe.ParseTable | None = None) -> Edg:
     """Inverse of :func:`edg_to_dict`, of the document or of its JSON text.
     ``cpes`` parses each distinct name once; pass one table to share it
@@ -715,7 +723,7 @@ def edg_from_dict(doc: dict | str, cpes: cpe.ParseTable | None = None) -> Edg:
         node = parse_asset(d)
         g.assets[node.node_id] = node
     if len(g.assets) != len(asset_docs):
-        raise ValueError("assets: two nodes share a node_id")
+        raise ValueError(_repeated(asset_docs, "assets", "node_id"))
     # Version k > 0 follows a deprecated version k - 1 whose cpe is its
     # cpe_previous, so the versions are contiguous and only the newest is active.
     for node in later:
@@ -732,7 +740,7 @@ def edg_from_dict(doc: dict | str, cpes: cpe.ParseTable | None = None) -> Edg:
         node = parse_vuln(d)
         g.vulns[node.cve_id] = node
     if len(g.vulns) != len(vuln_docs):
-        raise ValueError("vulns: two nodes share a cve_id")
+        raise ValueError(_repeated(vuln_docs, "vulns", "cve_id"))
     vulns = g.vulns.values()
     for kind, ids, pattern in (
             ("CVE", g.vulns, _CVE_RE),

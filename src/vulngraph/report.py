@@ -231,10 +231,11 @@ def _delta(before: Edg, after: Edg) -> dict:
 
 
 def epoch_diff(tl: Timeline, catalog: Catalog | None, from_label: str, to_label: str) -> dict:
-    """Active asset/vulnerability delta between two named epochs, read in one call."""
-    marks = [tl.find_epoch(from_label), tl.find_epoch(to_label)]
-    before, after = epoch_snapshots(tl, catalog, marks)
-    delta = _delta(active_subgraph(before), active_subgraph(after))
+    """Active asset/vulnerability delta between two named epochs, each read and viewed once."""
+    labels = list(dict.fromkeys((from_label, to_label)))
+    marks = [tl.find_epoch(label) for label in labels]
+    views = dict(zip(labels, map(active_subgraph, epoch_snapshots(tl, catalog, marks))))
+    delta = _delta(views[from_label], views[to_label])
     return {"from": from_label, "to": to_label, **delta}
 
 

@@ -512,10 +512,10 @@ _RECORD = record("CVE-2020-0001", 5.0, "CWE-119", affected=[wstr("v", "p", "1.0"
         pytest.param(lambda: cat_mod.catalog_from_dict(_with(schema_version=2)), SchemaError,
                      "schema_version: unsupported schema_version 2", id="schema-version-2"),
         pytest.param(lambda: cat_mod.catalog_from_dict(_with(weaknesses=[_CWE_119, _CWE_119])),
-                     DuplicateId, "CWE-119", id="duplicate-cwe"),
+                     DuplicateId, "weaknesses[1].cwe_id: CWE-119", id="duplicate-cwe"),
         pytest.param(lambda: cat_mod.catalog_from_dict(
             _with(attack_patterns=[_CAPEC_10, _CAPEC_10])),
-            DuplicateId, "CAPEC-10", id="duplicate-capec"),
+            DuplicateId, "attack_patterns[1].capec_id: CAPEC-10", id="duplicate-capec"),
         pytest.param(lambda: cat_mod.catalog_from_dict(_with(weaknesses=[
             {"cwe_id": CWE_NULL, "related_capec_ids": ["CAPEC-10"]}])), SchemaError,
             "weaknesses[0]: the null weakness may not reference attack patterns",

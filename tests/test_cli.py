@@ -869,6 +869,25 @@ def test_report_json_is_the_generated_report(openplc_files, capsys):
     assert json.loads(out) == json.loads(json.dumps(payload))
 
 
+@pytest.mark.parametrize("key,index,command,message", [
+    ("vulnerabilities", 100, "metrics", "vulnerabilities[173].cve_id: CVE-2016-90073"),
+    ("weaknesses", 3, "report", "weaknesses[22].cwe_id: CWE-17"),
+    ("attack_patterns", 0, "export", "attack_patterns[9].capec_id: CAPEC-10"),
+], ids=["cve", "cwe", "capec"])
+def test_a_catalog_file_names_the_place_of_a_repeated_id(
+        openplc_files, capsys, key, index, command, message):
+    # The bundled catalog with a copy of one record appended: the copy's
+    # place in the file is named, as a manifest's repeated asset is.
+    cat, tl = openplc_files
+    with open(cat) as fh:
+        doc = json.load(fh)
+    doc[key].append(doc[key][index])
+    with open(cat, "w") as fh:
+        json.dump(doc, fh)
+    assert main([command, "--catalog", cat, "--timeline", tl]) == 2
+    assert capsys.readouterr() == ("", f"error: DuplicateId: {message}\n")
+
+
 def test_ingest_merges_into_an_existing_catalog(openplc_files, tmp_path, capsys):
     cat, _ = openplc_files
     feed = tmp_path / "feed.json"

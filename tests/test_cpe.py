@@ -308,3 +308,9 @@ def test_deepcopy_keeps_the_logical_values():
     assert type(copied) is WellFormedName and copied == name
     assert copied.version is ANY and copied.update is NA
     assert copy.copy(name).version is ANY
+
+
+@pytest.mark.parametrize("value", [ANY, NA], ids=repr)
+def test_a_logical_value_copies_as_itself(value):
+    assert copy.copy(value) is value
+    assert copy.deepcopy(value) is value

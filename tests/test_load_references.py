@@ -4,8 +4,9 @@
 catalog's record parser tests each field inline.  The walks below are the
 earlier implementations, kept as references: on any input the fast code must
 return what they return, or raise the same error with the same message.
-The catalog reference includes one intended change, that a bool is not a
-number (``_ref_expect``).
+The catalog reference includes two intended changes: a bool is not a
+number (``_ref_expect``), and a repeated id names its place
+(``vulnerabilities[3].cve_id: CVE-2020-1001``, ``_ref_records``).
 """
 
 import copy
@@ -216,7 +217,7 @@ def _ref_records(docs):
     for i, doc in enumerate(docs):
         record = _ref_parse_vulnerability(doc, f"vulnerabilities[{i}]", patterns)
         if record.cve_id in records:
-            raise DuplicateId(record.cve_id)
+            raise DuplicateId(f"vulnerabilities[{i}].cve_id: {record.cve_id}")
         records[record.cve_id] = record
     return records
 

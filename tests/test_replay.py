@@ -4,14 +4,15 @@ The lifecycle operations edit the graph they are given; these tests also hold
 each of them to leaving that graph, and its index, unchanged when it refuses
 its input."""
 
+import json
 import random
 
 import pytest
 
 from dotcheck import parse_dot
 from gen import random_timeline
-from vulngraph import cpe, fixtures, graph, timeline as tl_mod
-from vulngraph.catalog import canonical_text, load_catalog
+from vulngraph import cpe, fixtures, graph, report, timeline as tl_mod
+from vulngraph.catalog import canonical_text, load_catalog, save_catalog
 from vulngraph.cli import main
 from vulngraph.errors import (
     DuplicateId,
@@ -244,6 +245,78 @@ def test_snapshot_at_starts_from_the_last_verified_epoch_before_it(tmp_path, app
     assert applied[0] == 8  # from V2
     g.epoch = "V3"
     assert canonical_text(graph.edg_to_dict(g)) == tl.snapshots["V3"]
+
+
+@pytest.fixture()
+def calls(monkeypatch):
+    """``calls(module, name)`` wraps ``module.name`` for the rest of the
+    test, as ``applied`` wraps ``apply_event``, and returns its call count
+    as the one item of a list."""
+    def count(module, name):
+        made = [0]
+        function = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            made[0] += 1
+            return function(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return made
+    return count
+
+
+@pytest.mark.parametrize("start,end,reads", [("V2", "V2", 1), ("V1", "V3", 2)])
+def test_a_diff_decodes_and_views_each_distinct_epoch_once(capsys, calls, start, end, reads):
+    decoded, viewed = calls(graph, "edg_from_dict"), calls(report, "active_subgraph")
+    assert main(["diff", "--from-epoch", start, "--to-epoch", end, "--json",
+                 "--timeline", str(fixtures.openplc_timeline_path())]) == 0
+    assert (decoded[0], viewed[0]) == (reads, reads)
+    delta = json.loads(capsys.readouterr().out)
+    assert (delta["from"], delta["to"]) == (start, end)
+    assert any(delta[key] for key in ("assets_added", "vulns_added")) == (start != end)
+
+
+def test_a_diff_names_an_unknown_from_epoch_first(capsys):
+    assert main(["diff", "--from-epoch", "V8", "--to-epoch", "V9",
+                 "--timeline", str(fixtures.openplc_timeline_path())]) == 2
+    assert "unknown epoch 'V8'" in capsys.readouterr().err
+
+
+def _short_timeline(tmp_path):
+    """The first ``tests/gen.py`` timeline of 1 to 5 events whose last mark
+    follows its last event, with every epoch embedded, and its catalog,
+    written under ``tmp_path``."""
+    for seed in range(300_000, 301_000):
+        tl, catalog = random_timeline(random.Random(seed), max_events=5)
+        if tl.events and tl.events[-1].at <= tl.epochs[-1].at:
+            break
+    timeline, catalog_path = tmp_path / "short.json", tmp_path / "short-catalog.json"
+    tl_mod.save_timeline(tl_mod.embed_snapshots(tl, catalog), timeline)
+    save_catalog(catalog, catalog_path)
+    return timeline, catalog_path
+
+
+@pytest.mark.parametrize("log", ["bundled", "short"])
+def test_an_event_on_verified_epochs_applies_one_event_and_decodes_one_snapshot(
+        tmp_path, capsys, calls, log):
+    # A counted-work contract: when every epoch verifies, the work of an
+    # event does not grow with the log (20 events bundled, at most 5 short).
+    if log == "bundled":
+        timeline, catalog = fixtures.openplc_timeline_path(), fixtures.openplc_catalog_path()
+    else:
+        timeline, catalog = _short_timeline(tmp_path)
+    tl = tl_mod.load_timeline(timeline)
+    assert all(e.at <= tl.epochs[-1].at for e in tl.events) and not tl.stale
+    assert len(tl.events) == 20 if log == "bundled" else 1 <= len(tl.events) <= 5
+    last = tl_mod.epoch_snapshot(tl, None, tl.epochs[-1].label)
+    asset = min(last.active_assets(), key=lambda a: a.asset_id)
+    new_cpe = cpe.bind_formatted(asset.cpe_current._replace(version="99.0"))
+    applied, decoded = calls(tl_mod, "apply_event"), calls(graph, "edg_from_dict")
+    assert main(["event", "--timeline", str(timeline), "--catalog", str(catalog),
+                 "--kind", "asset-updated", "--asset", asset.asset_id, "--cpe", new_cpe,
+                 "--at", "2030-01-01T00:00:00Z", "--out", str(tmp_path / "out.json")]) == 0
+    assert (applied[0], decoded[0]) == (1, 1)
+    assert capsys.readouterr().out == "appended asset-updated at 2030-01-01T00:00:00Z\n"
 
 
 def _refusals(g, catalog):

@@ -145,6 +145,11 @@ def test_alert_rule_validation():
         )
 
 
+def test_an_alert_rule_of_unknown_kind_is_a_value_error(openplc_snapshots):
+    with pytest.raises(ValueError, match="^unknown alert kind 'bogus'$"):
+        check_alerts(openplc_snapshots["V1"], [AlertRule(kind="bogus")])
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_metric_bound_rule_refuses_a_non_finite_bound(openplc_snapshots, value):
     # NaN compares false and no metric reaches an infinite bound: such a rule

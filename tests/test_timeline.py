@@ -384,9 +384,9 @@ _UNLIKE_A_BUILT_SNAPSHOT = {
     "unversioned": (lambda snap: snap.pop("schema_version"),
                     "schema_version: want 1, got None"),
     "asset-twice": (lambda snap: snap["assets"].append(dict(snap["assets"][0], order=99)),
-                    "assets: two nodes share a node_id"),
+                    "assets: two nodes share a node_id: assets[19] repeats 'ld_linux@0'"),
     "vuln-twice": (lambda snap: snap["vulns"].append(dict(snap["vulns"][0], cvss=0.0)),
-                   "vulns: two nodes share a cve_id"),
+                   "vulns: two nodes share a cve_id: vulns[91] repeats 'CVE-2012-2333'"),
     "edge-to-nowhere": (lambda snap: snap["edges"].append(
         {"source": "libc@0", "target": "ghost@0", "kind": "normal"}), "edges: no node 'ghost@0'"),
     "edge-from-nowhere": (lambda snap: snap["edges"].append(
